@@ -10,7 +10,6 @@ and the deformed models that trade the effect away.
 from .capacity import (
     CapacityResult,
     blahut_arimoto,
-    channel_capacity,
     dc_capacity_lower_bound,
     dimension_upper_bound,
     weak_entanglement_bound,
@@ -34,16 +33,13 @@ from .core import (
     bipartite_contract,
     bipartite_unit,
     contract,
-    entropy_bits,
     mix_bipartite,
-    mix_states,
     mutual_information,
     product_effect,
     product_state,
     reduced_states,
     unit_effect,
     validate_measurement,
-    zero_effect,
 )
 from .hadamard import (
     LocalTransformation,
@@ -85,9 +81,9 @@ from .protocols import (
 )
 from .variants import (
     TlWitnessReport,
+    correlation_scales,
+    dense_coding_channel,
     embedded_dense_coding,
-    embedded_effect,
-    embedded_state,
     embedded_transformation,
     lemma_effect_check,
     lemma_state_check,
@@ -96,9 +92,10 @@ from .variants import (
     lt_optimal_info,
     lt_optimal_product,
     lt_peak_probability,
+    theory_effect,
+    theory_state,
     tl_violation_witness,
     weak_dense_coding,
-    weak_state,
 )
 
 __version__ = "0.1.0"

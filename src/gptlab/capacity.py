@@ -87,11 +87,6 @@ def blahut_arimoto(
     )
 
 
-def channel_capacity(channel: Channel, tol: float = BA_DEFAULT_TOL) -> CapacityResult:
-    """Capacity of a Channel value (prior ignored, kept for the caller)."""
-    return blahut_arimoto(channel.conditional, tol=tol)
-
-
 def dc_capacity_lower_bound(theory, seed: int = 0) -> float:
     """Certified dense-coding rate of the theory's explicit protocol.
 

@@ -31,6 +31,7 @@ from .capacity import (
 )
 from .core import (
     EXACT_TOL,
+    MAX_N_BITS,
     OPT_TOL,
     DomainError,
     GptError,
@@ -74,7 +75,8 @@ def _jsonable(value):
 
 def _emit(report: dict, rows: list, args) -> None:
     if args.format == "json":
-        text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False)
+        text += "\n"
     elif args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -123,6 +125,11 @@ def _format_table(report: dict, indent: str = "") -> str:
     return "\n".join(line for line in lines if line) + ("\n" if not indent else "")
 
 
+def _check_n_bits(args) -> None:
+    if not 1 <= args.n_bits <= MAX_N_BITS:
+        raise DomainError(f"--n-bits must be between 1 and {MAX_N_BITS}, got {args.n_bits}")
+
+
 def _theory_from_args(args) -> TheoryConfig:
     kind = args.theory
     if kind == "base":
@@ -143,6 +150,7 @@ def _theory_from_args(args) -> TheoryConfig:
 
 
 def cmd_dense_coding(args) -> int:
+    _check_n_bits(args)
     theory = _theory_from_args(args)
     run = protocols.dense_coding(args.n_bits, theory=theory, seed=args.seed)
     grade = protocols.classify(run.info_bits, theory.local_capacity_bits)
@@ -211,6 +219,7 @@ def _parse_state_spec(spec: str, dim: int, seed: int):
 
 
 def cmd_teleport(args) -> int:
+    _check_n_bits(args)
     dim = 2**args.n_bits - 1
     state = _parse_state_spec(args.state, dim, args.seed)
     run = protocols.teleport(state, args.n_bits, seed=args.seed)
@@ -234,6 +243,7 @@ def cmd_teleport(args) -> int:
 
 
 def cmd_swap(args) -> int:
+    _check_n_bits(args)
     run = protocols.entanglement_swap(args.n_bits, label=args.mu, seed=args.seed)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -474,6 +484,8 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise DomainError(f"--trials must be >= 1, got {args.trials}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     suites = {}
     all_passed = True

@@ -18,6 +18,7 @@ take explicit seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ EXACT_TOL = 1e-12
 OPT_TOL = 1e-6
 
 THEORY_KINDS = ("base", "lambda-tau", "embedded", "weak")
+# Largest N any protocol builds: the dense-coding table and the swap take
+# a few (2^N x 2^N) float arrays, about 1 GB at N = 12 and 4x that at 13.
+MAX_N_BITS = 12
 
 
 class GptError(ValueError):
@@ -262,8 +266,11 @@ class TheoryConfig:
     def __post_init__(self):
         if self.kind not in THEORY_KINDS:
             raise DomainError(f"unknown theory kind {self.kind!r}")
-        if self.n_bits < 1 or self.n_bits > 20:
-            raise DomainError("n_bits must be between 1 and 20")
+        if not 1 <= self.n_bits <= MAX_N_BITS:
+            raise DomainError(f"n_bits must be between 1 and {MAX_N_BITS}")
+        for name, value in (("lambda", self.lam), ("tau", self.tau)):
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.kind != "base" and self.n_bits < 2:
             raise DomainError(f"the {self.kind} model needs n_bits >= 2")
         if self.kind == "lambda-tau":
@@ -315,6 +322,12 @@ class TheoryConfig:
         return 2**self.n_bits - 1
 
     @property
+    def active_dim(self) -> int:
+        """Dimension of the block local states move in: the m-sphere for
+        the embedded model, the whole ball otherwise."""
+        return self.m if self.kind == "embedded" else self.ball_dim
+
+    @property
     def local_dim(self) -> int:
         """Number of coordinates of a local state (without normalisation)."""
         if self.kind == "embedded":
@@ -333,7 +346,7 @@ class TheoryConfig:
         coordinates; the leading ball block is frozen at zero.
         """
         direction = np.asarray(direction, dtype=float)
-        active = self.m if self.kind == "embedded" else self.ball_dim
+        active = self.active_dim
         if direction.size != active:
             raise GptError(
                 f"direction has {direction.size} components, expected {active}"
@@ -350,18 +363,16 @@ class TheoryConfig:
 
     def generating_states(self) -> list:
         """Finite family spanning the local state space's extreme directions."""
-        active = self.m if self.kind == "embedded" else self.ball_dim
         states = [self.mixed_state()]
-        for k in range(active):
-            axis = np.zeros(active)
+        for k in range(self.active_dim):
+            axis = np.zeros(self.active_dim)
             axis[k] = 1.0
             states.append(self.state_from_direction(axis))
             states.append(self.state_from_direction(-axis))
         return states
 
     def random_pure_state(self, rng: np.random.Generator) -> State:
-        active = self.m if self.kind == "embedded" else self.ball_dim
-        v = rng.standard_normal(active)
+        v = rng.standard_normal(self.active_dim)
         return self.state_from_direction(v / np.linalg.norm(v))
 
 
@@ -370,10 +381,6 @@ def unit_effect(dim: int) -> Effect:
     entries = np.zeros(dim + 1)
     entries[0] = 1.0
     return Effect(entries)
-
-
-def zero_effect(dim: int) -> Effect:
-    return Effect(np.zeros(dim + 1))
 
 
 def bipartite_unit(dim_a: int, dim_b: int) -> BipartiteEffect:
@@ -416,23 +423,10 @@ def reduced_states(phi: BipartiteState) -> tuple:
     return State(phi.matrix[:, 0]), State(phi.matrix[0, :])
 
 
-def mix_states(states, weights) -> State:
-    weights = np.asarray(weights, dtype=float)
-    stacked = np.stack([s.entries for s in states])
-    return State(weights @ stacked)
-
-
 def mix_bipartite(phis, weights) -> BipartiteState:
     weights = np.asarray(weights, dtype=float)
     stacked = np.stack([p.matrix for p in phis])
     return BipartiteState(np.tensordot(weights, stacked, axes=1))
-
-
-def entropy_bits(p) -> float:
-    """Shannon entropy in bits with the 0 log 0 = 0 convention."""
-    p = np.asarray(p, dtype=float)
-    mask = p > 0
-    return float(-np.sum(p[mask] * np.log2(p[mask])))
 
 
 def mutual_information(channel: Channel) -> float:
@@ -478,10 +472,9 @@ def validate_measurement(measurement: Measurement, theory: TheoryConfig) -> Vali
             }
         )
 
-    active = theory.m if theory.kind == "embedded" else theory.ball_dim
     probes = theory.generating_states()
     for i, e in enumerate(measurement.effects):
-        aligned = e.entries[size - active :]
+        aligned = e.entries[size - theory.active_dim :]
         norm = np.linalg.norm(aligned)
         effect_probes = list(probes)
         if norm > EXACT_TOL:

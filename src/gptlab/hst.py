@@ -78,11 +78,6 @@ def effect_probability_range(effect: Effect) -> tuple:
     return base - span, base + span
 
 
-def validate_effect(effect: Effect) -> bool:
-    lo, hi = effect_probability_range(effect)
-    return lo >= -EXACT_TOL and hi <= 1.0 + EXACT_TOL
-
-
 def canonical_measurement(direction) -> Measurement:
     """The two-outcome measurement ``{e_m, e_-m}`` along a unit vector."""
     direction = np.asarray(direction, dtype=float)

@@ -47,8 +47,9 @@ from .core import (
 )
 from .hadamard import (
     bell_measurement,
-    entangled_effect,
     entangled_state,
+    hadamard_basis,
+    hadamard_vector,
     local_transformation,
 )
 from .hst import (
@@ -89,7 +90,6 @@ class TeleportationRun:
     input_state: State
     joint: np.ndarray
     outcome_priors: np.ndarray
-    corrections: tuple
     max_residual: float
     passed: bool
     witness: tuple | None
@@ -107,18 +107,13 @@ class SwapRun:
     passed: bool
 
 
-def _bell_channel(states, n_bits: int) -> np.ndarray:
-    effects = np.stack([e.matrix for e in bell_measurement(n_bits).effects])
-    stacked = np.stack([phi.matrix for phi in states])
-    return np.einsum("ymn,xmn->xy", effects, stacked)
-
-
 def dense_coding(n_bits: int, theory: TheoryConfig | None = None, seed: int = 0) -> DenseCodingRun:
     """Run the dense-coding protocol of the selected theory.
 
-    The base model gives the exact ``2^N`` identity channel and ``N`` bits.
-    Deformed models dispatch to their own encode/decode families; ``seed``
-    only matters for the embedded model's random rotations.
+    The base model gives the exact ``2^N`` identity channel and ``N`` bits;
+    every theory kind builds its channel through the diagonal model layer
+    in ``variants``.  ``seed`` only matters for the embedded model's random
+    rotations.
     """
     if theory is None:
         theory = TheoryConfig.base(n_bits)
@@ -126,31 +121,11 @@ def dense_coding(n_bits: int, theory: TheoryConfig | None = None, seed: int = 0)
         raise GptError(
             f"theory is configured for {theory.n_bits} bits, asked for {n_bits}"
         )
-    if theory.kind == "base":
-        phi0 = entangled_state(0, n_bits)
-        states = [
-            local_transformation(x, n_bits).apply_left(phi0)
-            for x in range(2**n_bits)
-        ]
-        conditional = _bell_channel(states, n_bits)
-        prior = np.full(2**n_bits, 2.0**-n_bits)
-        channel = Channel(prior=prior, conditional=conditional)
-        initial = phi0
-    elif theory.kind == "lambda-tau":
-        channel = variants.lt_channel(theory)
-        initial = variants.lt_state(0, theory)
-    elif theory.kind == "weak":
-        channel = variants.weak_dense_coding(theory)
-        initial = variants.weak_state(0, theory)
-    elif theory.kind == "embedded":
-        channel = variants.embedded_dense_coding(theory, rotation_seed=seed)
-        initial = variants.embedded_state(0, theory)
-    else:  # pragma: no cover - TheoryConfig already rejects unknown kinds
-        raise GptError(f"unsupported theory kind {theory.kind!r}")
+    channel = variants.dense_coding_channel(theory, rotation_seed=seed)
     return DenseCodingRun(
         n_bits=n_bits,
         theory=theory,
-        initial_state=initial,
+        initial_state=variants.theory_state(0, theory),
         channel=channel,
         info_bits=mutual_information(channel),
     )
@@ -350,21 +325,19 @@ def teleport(
 
     omega = input_state.entries
     expected = probe_rows @ omega  # e_y . omega per probe effect
-    phi0 = entangled_state(0, n_bits)
+    phi0 = hadamard_vector(0, n_bits)  # diagonal of the shared state phi_0
     n_outcomes = 2**n_bits
 
     joint = np.zeros((n_outcomes, 2))
     priors = np.zeros(n_outcomes)
-    corrections = []
     max_residual = 0.0
     witness = None
     for x in range(n_outcomes):
-        t_x = local_transformation(x, n_bits)
-        corrections.append(t_x)
-        corrected = t_x.apply_right(phi0).matrix
-        e_x = entangled_effect(x, n_bits)
+        d_x = hadamard_vector(x, n_bits)
+        corrected = phi0 * d_x  # diagonal of phi_0 T_x^t
+        e_x = 2.0**-n_bits * d_x  # diagonal of E_x
         # (E_x (x) e_y) . (omega (x) corrected) = e_y . (corrected^t E_x^t omega)
-        v_x = corrected.T @ (e_x.matrix.T @ omega)
+        v_x = corrected * (e_x * omega)
         priors[x] = v_x[0]
         joint[x] = pair_rows @ v_x
         conditional = (probe_rows @ v_x) / priors[x]
@@ -379,7 +352,6 @@ def teleport(
         input_state=input_state,
         joint=joint,
         outcome_priors=priors,
-        corrections=tuple(corrections),
         max_residual=max_residual,
         passed=passed,
         witness=None if passed else witness,
@@ -397,28 +369,21 @@ def entanglement_swap(n_bits: int, label: int | None = 0, seed: int = 0) -> Swap
     """
     if label is None:
         label = int(np.random.default_rng(seed).integers(2**n_bits))
-    n_outcomes = 2**n_bits
-    if not 0 <= label < n_outcomes:
+    if not 0 <= label < 2**n_bits:
         raise GptError(f"label {label} out of range for {n_bits} bits")
-    phi_ac = entangled_state(label, n_bits)
-    phi0 = entangled_state(0, n_bits)
-    decode = [e.matrix for e in bell_measurement(n_bits).effects]
-    expected = np.array([float(np.sum(e * phi_ac.matrix)) for e in decode])
-
-    unit_bc = np.zeros((n_outcomes, n_outcomes))
-    unit_bc[0, 0] = 1.0
-    joint = np.zeros((n_outcomes, n_outcomes))
-    priors = np.zeros(n_outcomes)
-    for x in range(n_outcomes):
-        t_x = local_transformation(x, n_bits)
-        corrected = t_x.apply_right(phi0).matrix
-        e_x = entangled_effect(x, n_bits)
-        # (E_x (x) E'_y) . (phi_ac (x) corrected) contracted over all four
-        # indices; the A'C state couples the sender and bystander sides.
-        core = e_x.matrix @ corrected
-        for y in range(n_outcomes):
-            joint[x, y] = float(np.sum((core @ decode[y]) * phi_ac.matrix))
-        priors[x] = float(np.sum((core @ unit_bc) * phi_ac.matrix))
+    # Every state and effect is diagonal, so each contraction is a sum over
+    # one index.  Rows of ``signs`` are the diagonals of the Bell-type
+    # effects (times 2^N) and of the corrections T_x.
+    signs = hadamard_basis(n_bits)
+    phi_ac = signs[label]
+    decode = 2.0**-n_bits * signs
+    expected = decode @ phi_ac
+    # Outcome x: E_x on the sender pair, phi_0 T_x^t = diag(d_x) after the
+    # receiver's correction; (E_x (x) E'_y) . (phi_ac (x) corrected) sums
+    # E_x o corrected o phi_ac o E'_y over the shared diagonal index.
+    sender = decode * (signs[0] * signs)
+    joint = (sender * phi_ac) @ decode.T
+    priors = sender[:, 0] * phi_ac[0]
     conditional = joint / priors[:, None]
     max_residual = float(np.abs(conditional - expected[None, :]).max())
     return SwapRun(

@@ -1,24 +1,28 @@
-"""Deformed bipartite models and the norm-bound validators.
+"""Deformed bipartite models, the diagonal model layer and the norm-bound validators.
 
-Three families sit next to the base construction:
+Every theory kind is the base construction with its correlation diagonals
+rescaled: entangled states ``diag(1, s d_mu[1:])`` decoded by effects
+``2^-N diag(1, t d_mu[1:])`` on the ``2^N x 2^N`` Hadamard corner, with the
+pair ``(s, t)`` given by ``correlation_scales``.  One state constructor, one
+effect constructor and one dense-coding channel builder serve all kinds.
 
-* ``lambda-tau``: entangled states ``diag(1, lambda T_hat_mu)`` decoded by
-  effects ``2^-N diag(1, tau T_hat_mu)``.  Requiring valid probabilities on
-  the rotated witness state forces
-  ``-1/(2^N - 1) <= lambda tau <= 1/(2^N - 3)``; the channel is the
-  symmetric table ``p(y|x) = lambda tau delta_(y,x) + 2^-N (1 - lambda tau)``
-  and the best rate inside this family is ``N - H(Q_N)``.  Local rotations
-  here form the full continuous group, so the model keeps local continuous
-  reversibility and pays with a rate that collapses for ``N > 2``.
-* ``embedded``: each local system is an m-sphere embedded after a frozen
-  ``2^N - 1`` block.  The entangled states occupy only the frozen corner,
-  so every local transformation ``block-diag(T_mu, R)`` with ``R in SO(m)``
-  leaves them untouched: dense coding stays perfect at N bits while local
-  statistics cannot tell the entangled states apart (the model trades away
-  tomographic locality).
-* ``weak``: entangled states ``diag(1, lambda T_hat_mu)`` decoded with the
-  undeformed Bell-type effects.  Correlations of size ``lambda`` cap the
-  dense-coding rate at ``log2(1 + |lambda| (2^N - 1))``.
+* ``base``: ``(1, 1)``, the perfect N-bit code.
+* ``lambda-tau``: ``(lambda, tau)``.  Requiring valid probabilities on the
+  rotated witness state forces ``-1/(2^N - 1) <= lambda tau <= 1/(2^N - 3)``;
+  the channel is the symmetric table
+  ``p(y|x) = lambda tau delta_(y,x) + 2^-N (1 - lambda tau)`` and the best
+  rate inside this family is ``N - H(Q_N)``.  Local rotations here form the
+  full continuous group, so the model keeps local continuous reversibility
+  and pays with a rate that collapses for ``N > 2``.
+* ``embedded``: ``(1, 1)`` plus a zero m-sphere block.  Each local system is
+  an m-sphere embedded after a frozen ``2^N - 1`` block.  The entangled
+  states occupy only the frozen corner, so every local transformation
+  ``block-diag(T_mu, R)`` with ``R in SO(m)`` leaves them untouched: dense
+  coding stays perfect at N bits while local statistics cannot tell the
+  entangled states apart (the model trades away tomographic locality).
+* ``weak``: ``(lambda, 1)``, weakened states decoded with the undeformed
+  Bell-type effects.  Correlations of size ``lambda`` cap the dense-coding
+  rate at ``log2(1 + |lambda| (2^N - 1))``.
 
 ``lemma_state_check`` and ``lemma_effect_check`` enforce the matrix-norm
 constraints that every bipartite state and effect of two ball systems must
@@ -48,16 +52,10 @@ from .core import (
     product_effect,
     product_state,
 )
-from .hadamard import (
-    bell_measurement,
-    entangled_effect,
-    entangled_state,
-    hadamard_vector,
-    local_transformation,
-)
+from .hadamard import hadamard_basis, hadamard_vector
 
 # --------------------------------------------------------------------------
-# lambda-tau deformation
+# the diagonal model layer
 
 
 def _require_kind(theory: TheoryConfig, kind: str) -> None:
@@ -65,23 +63,117 @@ def _require_kind(theory: TheoryConfig, kind: str) -> None:
         raise GptError(f"expected a {kind!r} theory, got {theory.kind!r}")
 
 
-def _scaled_diagonal(label: int, n_bits: int, scale: float) -> np.ndarray:
-    d = hadamard_vector(label, n_bits).astype(float)
-    d[1:] *= scale
-    return np.diag(d)
+def correlation_scales(theory: TheoryConfig) -> tuple:
+    """``(state scale, effect scale)`` of the theory's correlation diagonals."""
+    return {
+        "base": (1.0, 1.0),
+        "lambda-tau": (theory.lam, theory.tau),
+        "weak": (theory.lam, 1.0),
+        "embedded": (1.0, 1.0),
+    }[theory.kind]
 
 
-def lt_state(label: int, theory: TheoryConfig) -> BipartiteState:
-    """Deformed entangled state ``diag(1, lambda T_hat_label)``."""
-    _require_kind(theory, "lambda-tau")
-    return BipartiteState(_scaled_diagonal(label, theory.n_bits, theory.lam))
+def _diagonals(signs: np.ndarray, scale: float, width: int) -> np.ndarray:
+    """Sign vectors as ``(1, scale d[1:])``, zero-padded to ``width`` entries.
+
+    ``signs`` is one sign vector or a stack of them as rows.
+    """
+    size = signs.shape[-1]
+    out = np.zeros(signs.shape[:-1] + (width,))
+    out[..., :size] = signs
+    out[..., 1:size] *= scale
+    return out
 
 
-def lt_effect(label: int, theory: TheoryConfig) -> BipartiteEffect:
-    """Deformed decoding effect ``2^-N diag(1, tau T_hat_label)``."""
-    _require_kind(theory, "lambda-tau")
-    scale = 2.0**-theory.n_bits
-    return BipartiteEffect(scale * _scaled_diagonal(label, theory.n_bits, theory.tau))
+def theory_state(label: int, theory: TheoryConfig) -> BipartiteState:
+    """Entangled state ``diag(1, s d_label[1:])`` of the theory, s its state scale."""
+    diagonal = _diagonals(
+        hadamard_vector(label, theory.n_bits),
+        correlation_scales(theory)[0],
+        1 + theory.local_dim,
+    )
+    return BipartiteState(np.diag(diagonal))
+
+
+def theory_effect(label: int, theory: TheoryConfig) -> BipartiteEffect:
+    """Decoding effect ``2^-N diag(1, t d_label[1:])``, t the effect scale."""
+    diagonal = _diagonals(
+        hadamard_vector(label, theory.n_bits),
+        correlation_scales(theory)[1],
+        1 + theory.local_dim,
+    )
+    return BipartiteEffect(2.0**-theory.n_bits * np.diag(diagonal))
+
+
+def dense_coding_channel(theory: TheoryConfig, rotation_seed: int = 0) -> Channel:
+    """Dense-coding channel of any theory kind, uniform prior.
+
+    Message x turns the shared state ``phi_0`` into ``T_x phi_0`` and the
+    receiver measures the decoding effects ``E_y``.  Every effect is
+    diagonal, so ``p(y|x) = E_y . T_x phi_0`` contracts the diagonal of the
+    encoded state with the diagonal of the effect; the whole table is one
+    product of the two stacks of diagonals.  It is checked entrywise
+    against the closed form ``p delta_(y,x) + 2^-N (1 - p)`` with ``p`` the
+    product of the two scales.  ``rotation_seed`` seeds the embedded
+    model's sphere rotations and is unused by the other kinds.
+    """
+    n = theory.n_bits
+    size = theory.hadamard_dim
+    state_scale, effect_scale = correlation_scales(theory)
+    product = state_scale * effect_scale
+    if product < -1.0 / (size - 1) - EXACT_TOL:
+        raise DomainError(
+            "the decoding effects take negative probabilities for "
+            f"state scale x effect scale = {product!r} < -1/(2^N-1)"
+        )
+    width = 1 + theory.local_dim
+    signs = hadamard_basis(n)
+    phi0 = _diagonals(signs[0], state_scale, width)
+    if theory.kind == "embedded":
+        encoded = _rotated_encodings(theory, phi0, rotation_seed)
+    else:
+        # T_x = diag(d_x) acts on the diagonal of phi_0 entrywise.
+        encoded = signs * phi0
+    effects = _diagonals(signs, effect_scale, width)
+    effects *= 2.0**-n
+    conditional = encoded @ effects.T
+    closed = np.full((size, size), 2.0**-n * (1.0 - product))
+    closed[np.diag_indices(size)] += product
+    gap = float(np.abs(conditional - closed).max())
+    if not gap <= EXACT_TOL:
+        raise ProtocolFalsified(
+            f"{theory.kind} dense coding deviates from its closed form by {gap!r}"
+        )
+    conditional = np.clip(conditional, 0.0, 1.0)
+    return Channel(prior=np.full(size, 1.0 / size), conditional=conditional)
+
+
+def _rotated_encodings(
+    theory: TheoryConfig, phi0: np.ndarray, rotation_seed: int
+) -> np.ndarray:
+    """Diagonals of ``block-diag(T_x, R_x) phi_0``, one fresh rotation per message.
+
+    The rotations act on the sphere block, where ``phi_0`` vanishes, so
+    each encoded state must stay diagonal on the Hadamard corner; anything
+    else falsifies the model.
+    """
+    size = theory.hadamard_dim
+    rng = np.random.default_rng(rotation_seed)
+    rows = np.zeros((size, phi0.size))
+    for x in range(size):
+        transform = embedded_transformation(x, theory, random_rotation(theory.m, rng))
+        # T diag(phi_0) scales column k of T by phi_0[k].
+        moved = transform.matrix * phi0
+        rows[x, :size] = np.diagonal(moved)[:size]
+        if np.count_nonzero(moved) != np.count_nonzero(rows[x]):
+            raise ProtocolFalsified(
+                f"message {x} moved the embedded state off the Hadamard corner"
+            )
+    return rows
+
+
+# --------------------------------------------------------------------------
+# lambda-tau deformation
 
 
 def lt_rotated_witness(lam: float, n_bits: int) -> BipartiteState:
@@ -106,45 +198,21 @@ def lt_admissibility_witness(n_bits: int, lam: float, tau: float) -> tuple:
     """
     if n_bits < 2:
         raise GptError("the lambda-tau model needs n_bits >= 2")
+    aligned = hadamard_vector(0, n_bits)
     effect = BipartiteEffect(
-        2.0**-n_bits * _scaled_diagonal(0, n_bits, tau)
+        2.0**-n_bits * np.diag(_diagonals(aligned, tau, aligned.size))
     )
-    aligned = BipartiteState(_scaled_diagonal(0, n_bits, lam))
-    rotated = lt_rotated_witness(lam, n_bits)
+    state = BipartiteState(np.diag(_diagonals(aligned, lam, aligned.size)))
     return (
-        bipartite_contract(effect, aligned),
-        bipartite_contract(effect, rotated),
+        bipartite_contract(effect, state),
+        bipartite_contract(effect, lt_rotated_witness(lam, n_bits)),
     )
 
 
 def lt_channel(theory: TheoryConfig) -> Channel:
-    """Dense-coding channel of the lambda-tau model, uniform prior.
-
-    Builds every encoded state by matrix product, contracts against every
-    decoding effect, and cross-checks the closed form
-    ``p(y|x) = lambda tau delta_(y,x) + 2^-N (1 - lambda tau)`` entrywise.
-    """
+    """Dense-coding channel of the lambda-tau model, uniform prior."""
     _require_kind(theory, "lambda-tau")
-    n = theory.n_bits
-    size = 2**n
-    phi0 = lt_state(0, theory)
-    effects = np.stack([lt_effect(y, theory).matrix for y in range(size)])
-    states = np.stack(
-        [
-            (local_transformation(x, n).matrix @ phi0.matrix)
-            for x in range(size)
-        ]
-    )
-    conditional = np.einsum("ymn,xmn->xy", effects, states)
-    prod = theory.lam * theory.tau
-    closed = np.full((size, size), 2.0**-n * (1.0 - prod))
-    closed[np.diag_indices(size)] += prod
-    gap = float(np.abs(conditional - closed).max())
-    if gap > EXACT_TOL:
-        raise ProtocolFalsified(
-            f"deformed channel deviates from its closed form by {gap!r}"
-        )
-    return Channel(prior=np.full(size, 1.0 / size), conditional=conditional)
+    return dense_coding_channel(theory)
 
 
 def lt_optimal_product(n_bits: int) -> float:
@@ -187,22 +255,6 @@ def lt_optimal_info(n_bits: int) -> float:
 # embedded (tomographic-locality violating) model
 
 
-def embedded_state(label: int, theory: TheoryConfig) -> BipartiteState:
-    """Entangled state occupying only the frozen ``2^N x 2^N`` corner."""
-    _require_kind(theory, "embedded")
-    size = 1 + theory.local_dim
-    block = 2**theory.n_bits
-    matrix = np.zeros((size, size))
-    matrix[:block, :block] = np.diag(hadamard_vector(label, theory.n_bits))
-    return BipartiteState(matrix)
-
-
-def embedded_effect(label: int, theory: TheoryConfig) -> BipartiteEffect:
-    """Decoding effect ``2^-N`` times the corresponding entangled state."""
-    _require_kind(theory, "embedded")
-    return BipartiteEffect(2.0**-theory.n_bits * embedded_state(label, theory).matrix)
-
-
 def embedded_extremal_effect(direction, theory: TheoryConfig) -> Effect:
     """Local extremal effect ``(1, 0_n, r)/2`` on the embedded sphere."""
     _require_kind(theory, "embedded")
@@ -235,10 +287,10 @@ def embedded_transformation(
     if rotation.shape != (theory.m, theory.m):
         raise GptError(f"rotation must be {theory.m} x {theory.m}")
     size = 1 + theory.local_dim
-    block = 2**theory.n_bits
+    block = np.arange(theory.hadamard_dim)
     matrix = np.zeros((size, size))
-    matrix[:block, :block] = local_transformation(label, theory.n_bits).matrix
-    matrix[block:, block:] = rotation
+    matrix[block, block] = hadamard_vector(label, theory.n_bits)
+    matrix[block.size :, block.size :] = rotation
     return Transformation(matrix)
 
 
@@ -250,25 +302,7 @@ def embedded_dense_coding(theory: TheoryConfig, rotation_seed: int = 0) -> Chann
     regardless, because the entangled corner never sees the sphere block.
     """
     _require_kind(theory, "embedded")
-    n = theory.n_bits
-    size = 2**n
-    rng = np.random.default_rng(rotation_seed)
-    phi0 = embedded_state(0, theory)
-    effects = np.stack([embedded_effect(y, theory).matrix for y in range(size)])
-    states = np.stack(
-        [
-            embedded_transformation(x, theory, random_rotation(theory.m, rng)).matrix
-            @ phi0.matrix
-            for x in range(size)
-        ]
-    )
-    conditional = np.einsum("ymn,xmn->xy", effects, states)
-    gap = float(np.abs(conditional - np.eye(size)).max())
-    if gap > EXACT_TOL:
-        raise ProtocolFalsified(
-            f"embedded dense coding deviates from the identity by {gap!r}"
-        )
-    return Channel(prior=np.full(size, 1.0 / size), conditional=conditional)
+    return dense_coding_channel(theory, rotation_seed=rotation_seed)
 
 
 @dataclass(frozen=True)
@@ -296,7 +330,7 @@ def tl_violation_witness(
         raise GptError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     size = 2**theory.n_bits
-    states = [embedded_state(mu, theory) for mu in range(size)]
+    states = [theory_state(mu, theory) for mu in range(size)]
     distances = tuple(
         float(np.abs(states[0].matrix - s.matrix).sum()) for s in states
     )
@@ -341,43 +375,15 @@ def tl_violation_witness(
 # weakly entangled model
 
 
-def weak_state(label: int, theory: TheoryConfig) -> BipartiteState:
-    """Weakly entangled state ``diag(1, lambda T_hat_label)``."""
-    _require_kind(theory, "weak")
-    return BipartiteState(_scaled_diagonal(label, theory.n_bits, theory.lam))
-
-
 def weak_dense_coding(theory: TheoryConfig) -> Channel:
     """Dense coding with weakened states and the undeformed Bell decoding.
 
-    The channel is ``p(y|x) = lambda delta_(y,x) + 2^-N (1 - lambda)``,
-    checked against the direct contraction.  Probabilities stay valid only
-    for ``lambda >= -1/(2^N - 1)``; below that the Bell effects are no
-    longer effects of the weakened model.
+    The channel is ``p(y|x) = lambda delta_(y,x) + 2^-N (1 - lambda)``.
+    Probabilities stay valid only for ``lambda >= -1/(2^N - 1)``; below
+    that the Bell effects are no longer effects of the weakened model.
     """
     _require_kind(theory, "weak")
-    n = theory.n_bits
-    size = 2**n
-    if theory.lam < -1.0 / (size - 1) - EXACT_TOL:
-        raise DomainError(
-            "the Bell-type decoding takes negative probabilities for "
-            f"lambda={theory.lam!r} < -1/(2^N-1)"
-        )
-    phi0 = weak_state(0, theory)
-    effects = np.stack([entangled_effect(y, n).matrix for y in range(size)])
-    states = np.stack(
-        [local_transformation(x, n).matrix @ phi0.matrix for x in range(size)]
-    )
-    conditional = np.einsum("ymn,xmn->xy", effects, states)
-    closed = np.full((size, size), 2.0**-n * (1.0 - theory.lam))
-    closed[np.diag_indices(size)] += theory.lam
-    gap = float(np.abs(conditional - closed).max())
-    if gap > EXACT_TOL:
-        raise ProtocolFalsified(
-            f"weak dense coding deviates from its closed form by {gap!r}"
-        )
-    conditional = np.clip(conditional, 0.0, 1.0)
-    return Channel(prior=np.full(size, 1.0 / size), conditional=conditional)
+    return dense_coding_channel(theory)
 
 
 # --------------------------------------------------------------------------
@@ -445,23 +451,11 @@ def constructed_family(theory: TheoryConfig, seed: int = 0, n_random: int = 20) 
     checks.  Returns ``(states, effects)`` lists.
     """
     rng = np.random.default_rng(seed)
-    n = theory.n_bits
-    size = 2**n
-    states: list = []
-    effects: list = []
-    if theory.kind == "base":
-        states = [entangled_state(mu, n) for mu in range(size)]
-        effects = list(bell_measurement(n).effects)
-    elif theory.kind == "lambda-tau":
-        states = [lt_state(mu, theory) for mu in range(size)]
-        states.append(lt_rotated_witness(theory.lam, n))
-        effects = [lt_effect(mu, theory) for mu in range(size)]
-    elif theory.kind == "weak":
-        states = [weak_state(mu, theory) for mu in range(size)]
-        effects = [entangled_effect(mu, n) for mu in range(size)]
-    elif theory.kind == "embedded":
-        states = [embedded_state(mu, theory) for mu in range(size)]
-        effects = [embedded_effect(mu, theory) for mu in range(size)]
+    size = theory.hadamard_dim
+    states = [theory_state(mu, theory) for mu in range(size)]
+    effects = [theory_effect(mu, theory) for mu in range(size)]
+    if theory.kind == "lambda-tau":
+        states.append(lt_rotated_witness(theory.lam, theory.n_bits))
     for _ in range(n_random):
         sa = theory.random_pure_state(rng)
         sb = theory.random_pure_state(rng)

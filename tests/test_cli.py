@@ -96,6 +96,23 @@ class TestDenseCodingCommand:
         assert code == 2
         assert "--lambda" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "theory_args",
+        [
+            ["--theory", "weak", "--lambda={}"],
+            ["--theory", "lambda-tau", "--lambda={}", "--tau", "0.5"],
+            ["--theory", "lambda-tau", "--lambda", "0.5", "--tau={}"],
+        ],
+        ids=["weak-lambda", "lambda-tau-lambda", "lambda-tau-tau"],
+    )
+    def test_non_finite_parameters_exit_two(self, capsys, theory_args, value):
+        argv = ["dense-coding", "--n-bits", "2", "--format", "json"]
+        code, out, err = run_cli(capsys, *argv, *(a.format(value) for a in theory_args))
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_embedded_model(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -255,6 +272,13 @@ class TestVerifyCommand:
         assert "GPTLAB_THREADS" in err
 
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_exit_two(self, capsys, trials):
+        code, out, err = run_cli(capsys, "verify", "--suite", "group", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert "--trials" in err
+
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         from gptlab import cli as cli_module
 
@@ -276,6 +300,15 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("n_bits", ["0", "13"])
+    @pytest.mark.parametrize("command", ["dense-coding", "teleport", "swap"])
+    def test_n_bits_outside_range_exit_two(self, capsys, command, n_bits):
+        code, out, err = run_cli(capsys, command, "--n-bits", n_bits)
+        assert code == 2
+        assert out == ""
+        assert "--n-bits must be between 1 and 12" in err
+        assert "Traceback" not in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -24,22 +24,19 @@ from gptlab import (
     mutual_information,
     product_effect,
     product_state,
+    theory_effect,
+    theory_state,
     tl_violation_witness,
     weak_dense_coding,
-    weak_state,
 )
 from gptlab.capacity import blahut_arimoto, weak_entanglement_bound, weak_thresholds
-from gptlab.hadamard import hadamard_vector
+from gptlab.hadamard import hadamard_vector, local_transformation
 from gptlab.hst import random_pure_state
 from gptlab.variants import (
     constructed_family,
     embedded_dense_coding,
-    embedded_effect,
     embedded_extremal_effect,
-    embedded_state,
     embedded_transformation,
-    lt_effect,
-    lt_state,
     random_rotation,
 )
 
@@ -92,12 +89,12 @@ class TestLambdaTauChannel:
 
     def test_state_and_effect_shapes(self):
         theory = TheoryConfig.lambda_tau(2, 0.5, 0.5)
-        phi = lt_state(1, theory)
+        phi = theory_state(1, theory)
         assert phi.matrix[0, 0] == 1.0
         assert np.array_equal(
             np.diagonal(phi.matrix)[1:], 0.5 * hadamard_vector(1, 2)[1:]
         )
-        eff = lt_effect(1, theory)
+        eff = theory_effect(1, theory)
         assert eff.gamma == 0.25
 
 
@@ -147,7 +144,7 @@ class TestEmbeddedTheory:
             w = rng.standard_normal(3)
             f = embedded_extremal_effect(w / np.linalg.norm(w), theory)
             probs = [
-                bipartite_contract(product_effect(e, f), embedded_state(mu, theory))
+                bipartite_contract(product_effect(e, f), theory_state(mu, theory))
                 for mu in range(4)
             ]
             assert max(probs) - min(probs) == 0.0
@@ -160,7 +157,7 @@ class TestEmbeddedTheory:
         sb = theory.random_pure_state(rng)
         phi = product_state(sa, sb)
         for y in range(8):
-            assert bipartite_contract(embedded_effect(y, theory), phi) == 2.0**-3
+            assert bipartite_contract(theory_effect(y, theory), phi) == 2.0**-3
 
     def test_small_sphere_block_example(self):
         theory = TheoryConfig.embedded(3, 2)
@@ -171,7 +168,7 @@ class TestEmbeddedTheory:
     def test_entangled_states_live_in_the_frozen_corner(self):
         theory = TheoryConfig.embedded(2, 3)
         for mu in range(4):
-            matrix = embedded_state(mu, theory).matrix
+            matrix = theory_state(mu, theory).matrix
             assert matrix.shape == (7, 7)
             assert np.array_equal(matrix[4:, :], np.zeros((3, 7)))
             assert np.array_equal(matrix[:, 4:], np.zeros((7, 3)))
@@ -222,7 +219,7 @@ class TestWeakTheory:
         channel = weak_dense_coding(theory)
         base = dense_coding(2).channel
         assert np.array_equal(channel.conditional, base.conditional)
-        assert np.array_equal(weak_state(3, theory).matrix, entangled_state(3, 2).matrix)
+        assert np.array_equal(theory_state(3, theory).matrix, entangled_state(3, 2).matrix)
 
     def test_thresholds_cap_the_rate(self):
         for n_bits in (2, 3):
@@ -312,3 +309,94 @@ class TestLemmaChecks:
                 assert lemma_state_check(phi).passed
             for effect in effects:
                 assert lemma_effect_check(effect).passed
+
+
+def stacked_channel_oracle(theory, rotation_seed=0):
+    """Dense-coding table built from full matrices: every encoded state is
+    ``T_x phi_0`` by ``apply_left``, contracted with the stacked decoding
+    effects by one einsum over both matrix indices."""
+    n = theory.n_bits
+    size = 2**n
+    width = 1 + theory.local_dim
+
+    def corner(label, scale):
+        d = hadamard_vector(label, n).astype(float)
+        d[1:] *= scale
+        matrix = np.zeros((width, width))
+        matrix[:size, :size] = np.diag(d)
+        return matrix
+
+    lam = theory.lam if theory.kind in ("lambda-tau", "weak") else 1.0
+    tau = theory.tau if theory.kind == "lambda-tau" else 1.0
+    phi0 = BipartiteState(corner(0, lam))
+    rng = np.random.default_rng(rotation_seed)
+    states = []
+    for x in range(size):
+        if theory.kind == "embedded":
+            transform = embedded_transformation(x, theory, random_rotation(theory.m, rng))
+        else:
+            transform = local_transformation(x, n)
+        states.append(transform.apply_left(phi0).matrix)
+    effects = np.stack([2.0**-n * corner(y, tau) for y in range(size)])
+    return np.einsum("ymn,xmn->xy", effects, np.stack(states))
+
+
+def oracle_cases():
+    cases = []
+    for n in (2, 3, 4):
+        d = 2**n
+        cases.append(pytest.param(TheoryConfig.base(n), 0, id=f"base-n{n}"))
+        for lam, tau in ((1.0, 1.0 / (d - 3)), (-1.0 / (d - 1), 1.0), (0.5, 0.1), (0.3, -0.2)):
+            theory = TheoryConfig.lambda_tau(n, lam, tau)
+            cases.append(pytest.param(theory, 0, id=f"lambda-tau-n{n}-{lam:.3g}-{tau:.3g}"))
+        for lam in (1.0 / (d - 1), 3.0 / (d - 1), 0.5, -1.0 / (d - 1)):
+            cases.append(pytest.param(TheoryConfig.weak(n, lam), 0, id=f"weak-n{n}-{lam:.3g}"))
+        for m in (2, 3):
+            for seed in (0, 7):
+                theory = TheoryConfig.embedded(n, m)
+                cases.append(pytest.param(theory, seed, id=f"embedded-n{n}-m{m}-seed{seed}"))
+    return cases
+
+
+class TestDiagonalLayer:
+    @pytest.mark.parametrize("theory, seed", oracle_cases())
+    def test_channel_matches_stacked_oracle(self, theory, seed):
+        oracle = stacked_channel_oracle(theory, rotation_seed=seed)
+        conditional = dense_coding(theory.n_bits, theory, seed=seed).channel.conditional
+        if theory.kind in ("base", "embedded"):
+            assert np.array_equal(conditional, oracle)
+        else:
+            assert np.abs(conditional - oracle).max() <= 1e-15
+
+    @pytest.mark.parametrize(
+        "theory, product",
+        [
+            (TheoryConfig.base(10), 1.0),
+            (TheoryConfig.lambda_tau(10, 1.0, 1.0 / 1021), 1.0 / 1021),
+            (TheoryConfig.weak(10, 3.0 / 1023), 3.0 / 1023),
+            (TheoryConfig.embedded(10, 2), 1.0),
+        ],
+        ids=["base", "lambda-tau", "weak", "embedded"],
+    )
+    def test_ten_bits_match_closed_form(self, theory, product):
+        conditional = dense_coding(10, theory, seed=3).channel.conditional
+        closed = np.full((1024, 1024), 2.0**-10 * (1.0 - product))
+        closed[np.diag_indices(1024)] += product
+        if product == 1.0:
+            assert np.array_equal(conditional, np.eye(1024))
+        assert np.abs(conditional - closed).max() <= EXACT_TOL
+
+    def test_embedded_state_leaving_the_corner_is_falsified(self, monkeypatch):
+        from gptlab import ProtocolFalsified, variants
+
+        theory = TheoryConfig.embedded(2, 2)
+        honest = variants.embedded_transformation
+
+        def leaky(label, theory, rotation):
+            matrix = honest(label, theory, rotation).matrix.copy()
+            matrix[-1, 1] = 0.5  # couples the sphere block to the corner
+            return variants.Transformation(matrix)
+
+        monkeypatch.setattr(variants, "embedded_transformation", leaky)
+        with pytest.raises(ProtocolFalsified, match="off the Hadamard corner"):
+            embedded_dense_coding(theory, rotation_seed=0)
