@@ -62,7 +62,7 @@ class State:
         object.__setattr__(self, "entries", _frozen(self.entries))
         if self.entries.ndim != 1 or self.entries.size < 1:
             raise GptError("state entries must be a non-empty vector")
-        if abs(self.entries[0] - 1.0) > EXACT_TOL:
+        if not abs(self.entries[0] - 1.0) <= EXACT_TOL:
             raise DomainError(
                 f"state normalisation component is {self.entries[0]!r}, expected 1"
             )
@@ -115,7 +115,7 @@ class BipartiteState:
         object.__setattr__(self, "matrix", _frozen(self.matrix))
         if self.matrix.ndim != 2:
             raise GptError("bipartite state must be a matrix")
-        if abs(self.matrix[0, 0] - 1.0) > EXACT_TOL:
+        if not abs(self.matrix[0, 0] - 1.0) <= EXACT_TOL:
             raise DomainError(
                 f"bipartite normalisation entry is {self.matrix[0, 0]!r}, expected 1"
             )
@@ -182,10 +182,10 @@ class Transformation:
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise GptError("transformation must be a square matrix")
-        if (
-            abs(m[0, 0] - 1.0) > EXACT_TOL
-            or np.abs(m[0, 1:]).max(initial=0.0) > EXACT_TOL
-            or np.abs(m[1:, 0]).max(initial=0.0) > EXACT_TOL
+        if not (
+            abs(m[0, 0] - 1.0) <= EXACT_TOL
+            and np.abs(m[0, 1:]).max(initial=0.0) <= EXACT_TOL
+            and np.abs(m[1:, 0]).max(initial=0.0) <= EXACT_TOL
         ):
             raise DomainError("transformation is not block-diag(1, T_hat)")
 
@@ -219,12 +219,12 @@ class Channel:
         p, c = self.prior, self.conditional
         if c.ndim != 2 or p.ndim != 1 or p.size != c.shape[0]:
             raise GptError("prior length must match the conditional's row count")
-        if abs(p.sum() - 1.0) > EXACT_TOL or p.min() < -EXACT_TOL:
+        if not (abs(p.sum() - 1.0) <= EXACT_TOL and p.min() >= -EXACT_TOL):
             raise DomainError("prior is not a probability vector")
-        if c.min() < -EXACT_TOL or c.max() > 1.0 + EXACT_TOL:
+        if not (c.min() >= -EXACT_TOL and c.max() <= 1.0 + EXACT_TOL):
             raise DomainError("conditional entries fall outside [0, 1]")
         rows = c.sum(axis=1)
-        if np.abs(rows - 1.0).max() > EXACT_TOL:
+        if not np.abs(rows - 1.0).max() <= EXACT_TOL:
             raise DomainError("conditional rows must each sum to 1")
 
     @property
@@ -462,7 +462,7 @@ def validate_measurement(measurement: Measurement, theory: TheoryConfig) -> Vali
 
     total = np.sum([e.entries for e in measurement.effects], axis=0)
     expected = unit_effect(theory.local_dim).entries
-    for k in np.flatnonzero(np.abs(total - expected) > EXACT_TOL):
+    for k in np.flatnonzero(~(np.abs(total - expected) <= EXACT_TOL)):
         violations.append(
             {
                 "check": "completeness",
@@ -482,7 +482,7 @@ def validate_measurement(measurement: Measurement, theory: TheoryConfig) -> Vali
             effect_probes.append(theory.state_from_direction(-aligned / norm))
         for s in effect_probes:
             p = contract(e, s)
-            if p < -EXACT_TOL or p > 1.0 + EXACT_TOL:
+            if not -EXACT_TOL <= p <= 1.0 + EXACT_TOL:
                 violations.append(
                     {
                         "check": "probability_range",

@@ -23,10 +23,16 @@ from .core import (
     State,
     contract,
     mutual_information,
-    unit_effect,
 )
 
 MAX_DIM = 2**20
+# Sizes of the random protocols the falsifiers draw, and the
+# Blahut-Arimoto settings ``capacity_search`` optimises each prior with.
+MAX_STATES = 8
+MAX_OUTCOMES = 8
+MAX_COMPONENTS = 8
+BA_TOL = 1e-6
+BA_MAX_ITER = 60
 
 
 def _check_dim(dim: int) -> None:
@@ -39,7 +45,7 @@ def make_state(r) -> State:
     r = np.asarray(r, dtype=float)
     _check_dim(r.size)
     norm = np.linalg.norm(r)
-    if norm > 1.0 + EXACT_TOL:
+    if not norm <= 1.0 + EXACT_TOL:
         raise DomainError(f"state coordinates have norm {norm!r} > 1")
     return State(np.concatenate(([1.0], r)))
 
@@ -49,7 +55,7 @@ def make_extremal_effect(direction) -> Effect:
     direction = np.asarray(direction, dtype=float)
     _check_dim(direction.size)
     norm = np.linalg.norm(direction)
-    if abs(norm - 1.0) > EXACT_TOL:
+    if not abs(norm - 1.0) <= EXACT_TOL:
         raise DomainError(f"effect direction has norm {norm!r}, expected 1")
     return Effect(0.5 * np.concatenate(([1.0], direction)))
 
@@ -64,7 +70,7 @@ def make_effect(weight: float, direction) -> Effect:
     _check_dim(direction.size)
     e = Effect(weight * np.concatenate(([1.0], direction)))
     lo, hi = effect_probability_range(e)
-    if lo < -EXACT_TOL or hi > 1.0 + EXACT_TOL:
+    if not (lo >= -EXACT_TOL and hi <= 1.0 + EXACT_TOL):
         raise DomainError(
             f"effect takes probabilities in [{lo!r}, {hi!r}] on the ball"
         )
@@ -86,7 +92,7 @@ def canonical_measurement(direction) -> Measurement:
 
 def capacity_upper_bound(effect_norm: float, state_norm: float) -> float:
     """Classical-capacity bound ``log2(1 + M R)`` from the two norm radii."""
-    if effect_norm < 0 or state_norm < 0:
+    if not (effect_norm >= 0 and state_norm >= 0):
         raise GptError("norm bounds must be non-negative")
     return float(np.log2(1.0 + effect_norm * state_norm))
 
@@ -131,49 +137,40 @@ def random_state(dim: int, rng: np.random.Generator) -> State:
 
 
 def random_measurement(
-    dim: int,
-    rng: np.random.Generator,
-    max_outcomes: int = 8,
-    max_components: int = 8,
-    n_outcomes: int | None = None,
-) -> Measurement:
-    """Random measurement built from physical effects only.
+    dim: int, rng: np.random.Generator, n_outcomes: int | None = None
+) -> np.ndarray:
+    """Random measurement built from physical effects only, as effect rows.
 
     Mixes canonical two-outcome measurements (and occasionally the trivial
     unit measurement) with flat-simplex weights, scattering their effects
     over a shared outcome set.  Every resulting effect is a convex
     combination of extremal effects, the zero effect and the unit, and the
-    effects sum to the unit by construction.
+    effects sum to the unit by construction.  Returns the
+    ``(n_outcomes, dim + 1)`` table whose rows are the effects.
     """
     if n_outcomes is None:
-        n_outcomes = int(rng.integers(2, max_outcomes + 1))
-    n_components = int(rng.integers(1, max_components + 1))
+        n_outcomes = int(rng.integers(2, MAX_OUTCOMES + 1))
+    n_components = int(rng.integers(1, MAX_COMPONENTS + 1))
     weights = rng.dirichlet(np.ones(n_components))
     table = np.zeros((n_outcomes, dim + 1))
     for w in weights:
         if rng.random() < 0.15:
-            slot = rng.integers(n_outcomes)
-            table[slot] += w * unit_effect(dim).entries
+            table[rng.integers(n_outcomes), 0] += w
         else:
-            pair = canonical_measurement(random_direction(dim, rng))
+            # The canonical pair e_(+-m) = (1, +-m)/2 along a random m.
+            plus = 0.5 * np.concatenate(([1.0], random_direction(dim, rng)))
+            minus = -plus
+            minus[0] = plus[0]
             slots = rng.choice(n_outcomes, size=2, replace=False)
-            for slot, e in zip(slots, pair.effects):
-                table[slot] += w * e.entries
-    return Measurement(tuple(Effect(row) for row in table))
+            table[slots[0]] += w * plus
+            table[slots[1]] += w * minus
+    return table
 
 
-def capacity_search(
-    dim: int,
-    trials: int,
-    seed: int,
-    max_states: int = 8,
-    max_outcomes: int = 8,
-    ba_tol: float = 1e-6,
-    ba_max_iter: int = 60,
-) -> float:
+def capacity_search(dim: int, trials: int, seed: int) -> float:
     """Best information rate found over random single-system protocols.
 
-    Each trial draws up to ``max_states`` encoding states and a random
+    Each trial draws up to ``MAX_STATES`` encoding states and a random
     measurement, then optimises the input prior.  The antipodal protocol is
     always included, so the result is at least 1 bit; the returned maximum
     must never exceed 1 by more than optimizer slack.  The per-trial prior
@@ -185,16 +182,15 @@ def capacity_search(
     rng = np.random.default_rng(seed)
     best = mutual_information(one_bit_protocol(dim))
     for _ in range(trials):
-        n_states = int(rng.integers(2, max_states + 1))
+        n_states = int(rng.integers(2, MAX_STATES + 1))
         states = []
         for _ in range(n_states):
             if rng.random() < 0.5:
                 states.append(random_pure_state(dim, rng))
             else:
                 states.append(random_state(dim, rng))
-        meas = random_measurement(dim, rng, max_outcomes=max_outcomes)
-        effect_rows = np.stack([e.entries for e in meas.effects])
+        effect_rows = random_measurement(dim, rng)
         conditional = np.stack([effect_rows @ s.entries for s in states])
-        result = blahut_arimoto(conditional, tol=ba_tol, max_iter=ba_max_iter)
+        result = blahut_arimoto(conditional, tol=BA_TOL, max_iter=BA_MAX_ITER)
         best = max(best, result.capacity_bits)
     return best

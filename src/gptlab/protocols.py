@@ -33,7 +33,6 @@ from .capacity import blahut_arimoto
 from .core import (
     EXACT_TOL,
     OPT_TOL,
-    BipartiteEffect,
     BipartiteState,
     Channel,
     DomainError,
@@ -50,14 +49,19 @@ from .hadamard import (
     entangled_state,
     hadamard_basis,
     hadamard_vector,
-    local_transformation,
 )
 from .hst import (
+    MAX_COMPONENTS,
     make_extremal_effect,
     random_direction,
     random_measurement,
     random_state,
 )
+
+# Outcomes per side of a random product measurement, and how often the
+# separable baseline decodes with the Bell-type measurement instead.
+MAX_OUTCOMES_SIDE = 4
+BELL_FRACTION = 0.3
 
 
 class ProtocolLabel(Enum):
@@ -161,30 +165,36 @@ def _n_bits_for_dim(dim: int) -> int:
 
 
 def random_product_measurement(
-    dim_a: int,
-    dim_b: int,
-    rng: np.random.Generator,
-    max_components: int = 8,
-    max_outcomes_side: int = 4,
-) -> list:
+    dim_a: int, dim_b: int, rng: np.random.Generator
+) -> np.ndarray:
     """Convex combination of product measurements, flattened over outcomes.
 
     Components share one (y1, y2) outcome grid; each contributes the
     product of two single-system measurements, mixed with flat-simplex
     weights.  The result sums to the bipartite unit by construction.
+    Returns the ``(n_a n_b, dim_a + 1, dim_b + 1)`` stack of effect
+    matrices, outcome ``(y1, y2)`` at index ``y1 n_b + y2``.
     """
-    n_a = int(rng.integers(2, max_outcomes_side + 1))
-    n_b = int(rng.integers(2, max_outcomes_side + 1))
-    n_components = int(rng.integers(1, max_components + 1))
+    n_a = int(rng.integers(2, MAX_OUTCOMES_SIDE + 1))
+    n_b = int(rng.integers(2, MAX_OUTCOMES_SIDE + 1))
+    n_components = int(rng.integers(1, MAX_COMPONENTS + 1))
     weights = rng.dirichlet(np.ones(n_components))
     table = np.zeros((n_a * n_b, dim_a + 1, dim_b + 1))
     for w in weights:
         side_a = random_measurement(dim_a, rng, n_outcomes=n_a)
         side_b = random_measurement(dim_b, rng, n_outcomes=n_b)
-        for y1, ea in enumerate(side_a.effects):
-            for y2, eb in enumerate(side_b.effects):
-                table[y1 * n_b + y2] += w * np.outer(ea.entries, eb.entries)
-    return [BipartiteEffect(mat) for mat in table]
+        outer = side_a[:, None, :, None] * side_b[None, :, None, :]
+        table += w * outer.reshape(table.shape)
+    return table
+
+
+def sign_row_encodings(phi: BipartiteState, signs: np.ndarray) -> np.ndarray:
+    """Stack of the encoded states ``T_x phi``, one per sign row ``d_x``.
+
+    ``T_x = diag(d_x)`` acts on the sender's side, so it scales row m of
+    ``phi`` by ``d_x[m]``; no rotation matrix is built.
+    """
+    return signs[:, :, None] * phi.matrix
 
 
 def _max_rate(conditional: np.ndarray) -> float:
@@ -192,12 +202,7 @@ def _max_rate(conditional: np.ndarray) -> float:
     return result.capacity_bits
 
 
-def separable_baseline(
-    dim: int,
-    trials: int,
-    seed: int,
-    bell_fraction: float = 0.3,
-) -> float:
+def separable_baseline(dim: int, trials: int, seed: int) -> float:
     """Best dense-coding rate over random product-state protocols.
 
     Each trial shares a random product state, encodes with a random subset
@@ -210,24 +215,18 @@ def separable_baseline(
         raise GptError("trials must be >= 1")
     n_bits = _n_bits_for_dim(dim)
     rng = np.random.default_rng(seed)
+    signs = hadamard_basis(n_bits)
     bell_effects = np.stack([e.matrix for e in bell_measurement(n_bits).effects])
     best = 0.0
     for _ in range(trials):
         phi = product_state(random_state(dim, rng), random_state(dim, rng))
         n_messages = int(rng.integers(2, 2**n_bits + 1))
         labels = rng.choice(2**n_bits, size=n_messages, replace=False)
-        encoded = np.stack(
-            [
-                local_transformation(int(x), n_bits).apply_left(phi).matrix
-                for x in labels
-            ]
-        )
-        if rng.random() < bell_fraction:
+        encoded = sign_row_encodings(phi, signs[labels])
+        if rng.random() < BELL_FRACTION:
             effect_stack = bell_effects
         else:
-            effect_stack = np.stack(
-                [e.matrix for e in random_product_measurement(dim, dim, rng)]
-            )
+            effect_stack = random_product_measurement(dim, dim, rng)
         conditional = np.einsum("ymn,xmn->xy", effect_stack, encoded)
         best = max(best, _max_rate(conditional))
     return best
@@ -243,21 +242,15 @@ def product_decoding_baseline(n_bits: int, trials: int, seed: int) -> float:
         raise GptError("trials must be >= 1")
     dim = 2**n_bits - 1
     rng = np.random.default_rng(seed)
+    signs = hadamard_basis(n_bits)
     best = 0.0
     for _ in range(trials):
         if rng.random() < 0.5:
             phi = entangled_state(int(rng.integers(2**n_bits)), n_bits)
         else:
             phi = product_state(random_state(dim, rng), random_state(dim, rng))
-        encoded = np.stack(
-            [
-                local_transformation(x, n_bits).apply_left(phi).matrix
-                for x in range(2**n_bits)
-            ]
-        )
-        effect_stack = np.stack(
-            [e.matrix for e in random_product_measurement(dim, dim, rng)]
-        )
+        encoded = sign_row_encodings(phi, signs)
+        effect_stack = random_product_measurement(dim, dim, rng)
         conditional = np.einsum("ymn,xmn->xy", effect_stack, encoded)
         best = max(best, _max_rate(conditional))
     return best
@@ -272,17 +265,11 @@ def no_signalling_spread(n_bits: int, trials: int, seed: int) -> float:
     """
     dim = 2**n_bits - 1
     rng = np.random.default_rng(seed)
-    phi0 = entangled_state(0, n_bits)
-    encoded = np.stack(
-        [
-            local_transformation(x, n_bits).apply_left(phi0).matrix
-            for x in range(2**n_bits)
-        ]
-    )
+    encoded = sign_row_encodings(entangled_state(0, n_bits), hadamard_basis(n_bits))
     worst = 0.0
     for _ in range(trials):
-        rows_a = np.stack([e.entries for e in random_measurement(dim, rng).effects])
-        rows_b = np.stack([e.entries for e in random_measurement(dim, rng).effects])
+        rows_a = random_measurement(dim, rng)
+        rows_b = random_measurement(dim, rng)
         # p(y1, y2 | x) = e_(y1) . (phi_x f_(y2)); marginalise the sender side.
         joint = np.einsum("am,xmn,bn->xab", rows_a, encoded, rows_b)
         marginal = joint.sum(axis=1)
@@ -310,7 +297,7 @@ def teleport(
         raise GptError(
             f"input state has dimension {input_state.dim}, expected {dim}"
         )
-    if np.linalg.norm(input_state.r) > 1.0 + EXACT_TOL:
+    if not np.linalg.norm(input_state.r) <= 1.0 + EXACT_TOL:
         raise DomainError("input state lies outside the unit ball")
     rng = np.random.default_rng(seed)
 

@@ -54,6 +54,9 @@ from .core import (
 )
 from .hadamard import hadamard_basis, hadamard_vector
 
+# Random product states and effects ``constructed_family`` adds per theory.
+FAMILY_RANDOM_PAIRS = 20
+
 # --------------------------------------------------------------------------
 # the diagonal model layer
 
@@ -262,7 +265,7 @@ def embedded_extremal_effect(direction, theory: TheoryConfig) -> Effect:
     if direction.size != theory.m:
         raise GptError(f"direction must have {theory.m} components")
     norm = np.linalg.norm(direction)
-    if abs(norm - 1.0) > EXACT_TOL:
+    if not abs(norm - 1.0) <= EXACT_TOL:
         raise DomainError(f"effect direction has norm {norm!r}, expected 1")
     return Effect(0.5 * theory.state_from_direction(direction).entries)
 
@@ -444,11 +447,13 @@ def lemma_effect_check(effect: BipartiteEffect) -> ValidationReport:
     return ValidationReport(passed=not violations, violations=tuple(violations))
 
 
-def constructed_family(theory: TheoryConfig, seed: int = 0, n_random: int = 20) -> tuple:
+def constructed_family(theory: TheoryConfig, seed: int = 0) -> tuple:
     """States and effects the given theory actually constructs.
 
     Used by the validator sweeps: every element must pass the lemma
-    checks.  Returns ``(states, effects)`` lists.
+    checks.  Besides the entangled family, ``FAMILY_RANDOM_PAIRS`` random
+    pure product states and product effects are added.  Returns
+    ``(states, effects)`` lists.
     """
     rng = np.random.default_rng(seed)
     size = theory.hadamard_dim
@@ -456,7 +461,7 @@ def constructed_family(theory: TheoryConfig, seed: int = 0, n_random: int = 20) 
     effects = [theory_effect(mu, theory) for mu in range(size)]
     if theory.kind == "lambda-tau":
         states.append(lt_rotated_witness(theory.lam, theory.n_bits))
-    for _ in range(n_random):
+    for _ in range(FAMILY_RANDOM_PAIRS):
         sa = theory.random_pure_state(rng)
         sb = theory.random_pure_state(rng)
         states.append(product_state(sa, sb))

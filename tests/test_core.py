@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gptlab import (
     EXACT_TOL,
+    BipartiteState,
     Channel,
     DomainError,
     Effect,
@@ -16,6 +17,7 @@ from gptlab import (
     Measurement,
     State,
     TheoryConfig,
+    Transformation,
     bipartite_contract,
     bipartite_unit,
     contract,
@@ -30,7 +32,12 @@ from gptlab import (
     unit_effect,
     validate_measurement,
 )
-from gptlab.hst import canonical_measurement, make_state, random_state
+from gptlab.hst import (
+    canonical_measurement,
+    make_extremal_effect,
+    make_state,
+    random_state,
+)
 
 
 def binary_entropy(p: float) -> float:
@@ -224,6 +231,26 @@ class TestChannelValidation:
     def test_rejects_negative_entries(self):
         with pytest.raises(DomainError):
             Channel(np.array([1.0]), np.array([[1.2, -0.2]]))
+
+
+NON_FINITE_CONSTRUCTORS = {
+    "State": lambda v: State(np.array([v, 0.0])),
+    "BipartiteState": lambda v: BipartiteState(np.array([[v, 0.0], [0.0, 0.0]])),
+    "Transformation": lambda v: Transformation(np.array([[v, 0.0], [0.0, 1.0]])),
+    "Channel.prior": lambda v: Channel(np.array([v, 0.5]), np.eye(2)),
+    "Channel.conditional": lambda v: Channel(
+        np.array([0.5, 0.5]), np.array([[v, 1.0], [0.5, 0.5]])
+    ),
+    "make_state": lambda v: make_state(np.array([v, 0.0])),
+    "make_extremal_effect": lambda v: make_extremal_effect(np.array([v, 0.0])),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("constructor", sorted(NON_FINITE_CONSTRUCTORS))
+def test_constructors_reject_non_finite_entries(constructor, value):
+    with pytest.raises(DomainError):
+        NON_FINITE_CONSTRUCTORS[constructor](value)
 
 
 class TestValidateMeasurement:

@@ -1,0 +1,60 @@
+"""Golden digests of CLI reports whose values are exact.
+
+Each report below holds only dyadic-exact numbers (sums and products of
++-1 and powers of two, and log2 of powers of two) or booleans, so its bytes
+do not depend on the BLAS or libm build.  The digests were recorded with
+gptlab 0.1.0; a report whose bytes change is a schema or behaviour change
+and must update this table on purpose.  Reports that carry Blahut-Arimoto
+or libm floats are left out.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from gptlab.cli import main
+
+GOLDEN = {
+    "dense-coding --n-bits 1 --format json": "e570c83c79c030569bf2dad0fdda6311a54dcc9b1f7a78dfed402a7eedfd7b1d",
+    "dense-coding --n-bits 1 --format csv": "b3a1517335d6a123be6fca73846cb28eca8d944b3b17e7d6dfd482e84257ed82",
+    "swap --n-bits 1 --mu 1 --format json": "3f73f96e1d217715bbde77b3a8a7f43bb9b1506fb6185afd5b78ad9f61266365",
+    "dense-coding --n-bits 2 --format json": "3c4b7dea362622ad500f8ce6fe77f3bad5214ffbf9ac8b69eb3c093c204d6a4f",
+    "dense-coding --n-bits 2 --theory embedded --m 2 --format json": "f50c0d65e02de0834d67e4a3935b47810e3afb8d2b63423c4368170a9a6a2fee",
+    "dense-coding --n-bits 2 --format csv": "04c7898d7cc655e2b23377425488afdb50979458a5d5df6fe5c83fba6dd9e8c3",
+    "dense-coding --n-bits 2 --theory embedded --m 2 --format csv": "04c7898d7cc655e2b23377425488afdb50979458a5d5df6fe5c83fba6dd9e8c3",
+    "swap --n-bits 2 --mu 3 --format json": "a58ad6004720afc0764a8a3f3d109abe7d9f967129c907f989fd8ca0cac900f3",
+    "dense-coding --n-bits 3 --format json": "465f95d32ec9884bb4d8d5d0216bc6c86d7452f98f5ff84b4b8dfb6c9ab9fa99",
+    "dense-coding --n-bits 3 --theory embedded --m 2 --format json": "9a53bdca4eadb58a28ba4bd0a14e8cabacea94609b02d352e39e14f1279b992a",
+    "dense-coding --n-bits 3 --format csv": "d6bdd63400747fe95c12e4e391438339ed8d94b3ce364b24e63b9dafd577d490",
+    "dense-coding --n-bits 3 --theory embedded --m 2 --format csv": "d6bdd63400747fe95c12e4e391438339ed8d94b3ce364b24e63b9dafd577d490",
+    "swap --n-bits 3 --mu 7 --format json": "c5678e47ff9721c61110aa8cae4f25889a3244b35ce2961b7102a661795d3bb3",
+    "dense-coding --n-bits 4 --format json": "c6a1174cca6887ac9312fd9b2731a13e8f069798292ef190cd26caf7f8846a94",
+    "dense-coding --n-bits 4 --theory embedded --m 2 --format json": "7d7dfe8b93bd5dbb1cf9f3042650327f907db998d510caa1567395b0511358e2",
+    "dense-coding --n-bits 4 --format csv": "096439f86b90a1193407f22eca45d965be8c4ec531bc686c7d0ea0f1ab0e0866",
+    "dense-coding --n-bits 4 --theory embedded --m 2 --format csv": "096439f86b90a1193407f22eca45d965be8c4ec531bc686c7d0ea0f1ab0e0866",
+    "swap --n-bits 4 --mu 15 --format json": "b81093a165c9683ad6441164f165c4e5a64f96fed218e226bb1b5ad7bd19753c",
+    "dense-coding --n-bits 5 --format json": "cbb955f79fe6c29a50180210b1e4617be298602a6757a42b1447c8c492ebcea0",
+    "dense-coding --n-bits 5 --theory embedded --m 2 --format json": "5b43add9bf574e8a47658d2ace91f5ea7ff3f1ee70e1aa60aa531d75866863ec",
+    "dense-coding --n-bits 5 --format csv": "4b174fbf1d7e80e60242190d860737516699250f0b384ca84327853e82e5a04f",
+    "dense-coding --n-bits 5 --theory embedded --m 2 --format csv": "4b174fbf1d7e80e60242190d860737516699250f0b384ca84327853e82e5a04f",
+    "swap --n-bits 5 --mu 31 --format json": "77990c26441384f46c34b1c66a8afd62ed4f280f85c622ae4df6a59941f42a4a",
+    "dense-coding --n-bits 6 --format json": "0f4b8bdb8d75f27f0d9a7ca7ce74aa9f28644e0b74232d0a1ec9b3741f5e9dc5",
+    "dense-coding --n-bits 6 --theory embedded --m 2 --format json": "d74d9a32342c6c822095dd85715dafc2cd95aa3566f104859d312f578a24428f",
+    "dense-coding --n-bits 6 --format csv": "ae9ba2fde6395a04d19c1cc6495c9e9056e177f4e07663eb5786ce5b1e5cd0fb",
+    "dense-coding --n-bits 6 --theory embedded --m 2 --format csv": "ae9ba2fde6395a04d19c1cc6495c9e9056e177f4e07663eb5786ce5b1e5cd0fb",
+    "swap --n-bits 6 --mu 63 --format json": "84e8b61105314168c5eb2295f5cd938121745fe4de49dfe69c080d807daa3888",
+    "verify --suite group --format json": "96418a43d38252ac194229fe019daf1ca8fab5d25089d976f68e210442c26b64",
+    "verify --suite lemmas --format json": "0ffa7147e9cdafcc9a1c40327691ae61e499e830d70d9a15ef8cb032fe031134",
+    "verify --suite tomography --format json": "d7f9ec5e6d66b6b0105c94a9929a59db24c1b1740b9bc5639b595327a591b3f0",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_report_bytes_match_the_golden_digest(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[command]

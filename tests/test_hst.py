@@ -9,15 +9,20 @@ from gptlab import (
     EXACT_TOL,
     OPT_TOL,
     DomainError,
+    Effect,
+    Measurement,
     TheoryConfig,
     capacity_search,
     capacity_upper_bound,
     contract,
     mutual_information,
     one_bit_protocol,
+    unit_effect,
     validate_measurement,
 )
 from gptlab.hst import (
+    MAX_COMPONENTS,
+    MAX_OUTCOMES,
     canonical_measurement,
     make_effect,
     make_extremal_effect,
@@ -142,8 +147,29 @@ class TestRandomFamilies:
         rng = np.random.default_rng(1)
         theory = TheoryConfig.base(2)
         for _ in range(30):
-            meas = random_measurement(3, rng)
+            table = random_measurement(3, rng)
+            meas = Measurement(tuple(Effect(row) for row in table))
             assert validate_measurement(meas, theory).passed
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_measurement_matches_the_effect_loop(self, seed):
+        # Reference: the same draws summed effect by effect from the
+        # canonical measurements and the unit effect.
+        dim = 3
+        table = random_measurement(dim, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        n_outcomes = int(rng.integers(2, MAX_OUTCOMES + 1))
+        weights = rng.dirichlet(np.ones(int(rng.integers(1, MAX_COMPONENTS + 1))))
+        expected = np.zeros((n_outcomes, dim + 1))
+        for w in weights:
+            if rng.random() < 0.15:
+                expected[rng.integers(n_outcomes)] += w * unit_effect(dim).entries
+            else:
+                pair = canonical_measurement(random_direction(dim, rng))
+                slots = rng.choice(n_outcomes, size=2, replace=False)
+                for slot, e in zip(slots, pair.effects):
+                    expected[slot] += w * e.entries
+        assert np.array_equal(table, expected)
 
     def test_capacity_search_never_beats_one_bit(self):
         best = capacity_search(3, trials=150, seed=0)

@@ -16,6 +16,7 @@ from gptlab import (
     entangled_effect,
     entangled_state,
     entanglement_swap,
+    hadamard_basis,
     hadamard_vector,
     local_transformation,
     mutual_information,
@@ -26,7 +27,19 @@ from gptlab import (
     teleport,
 )
 from gptlab.capacity import blahut_arimoto
-from gptlab.hst import make_extremal_effect, make_state, random_pure_state, random_state
+from gptlab.hst import (
+    MAX_COMPONENTS,
+    make_extremal_effect,
+    make_state,
+    random_measurement,
+    random_pure_state,
+    random_state,
+)
+from gptlab.protocols import (
+    MAX_OUTCOMES_SIDE,
+    random_product_measurement,
+    sign_row_encodings,
+)
 
 
 def teleport_joint_oracle(e_x, e_y, omega, phi_corrected) -> float:
@@ -135,6 +148,41 @@ class TestSeparableBaseline:
     def test_rejects_bad_dimension(self):
         with pytest.raises(GptError):
             separable_baseline(4, trials=1, seed=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_product_measurement_matches_the_outer_product_loop(self, seed):
+        dim_a, dim_b = 3, 1
+        table = random_product_measurement(dim_a, dim_b, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        n_a = int(rng.integers(2, MAX_OUTCOMES_SIDE + 1))
+        n_b = int(rng.integers(2, MAX_OUTCOMES_SIDE + 1))
+        weights = rng.dirichlet(np.ones(int(rng.integers(1, MAX_COMPONENTS + 1))))
+        expected = np.zeros((n_a * n_b, dim_a + 1, dim_b + 1))
+        for w in weights:
+            side_a = random_measurement(dim_a, rng, n_outcomes=n_a)
+            side_b = random_measurement(dim_b, rng, n_outcomes=n_b)
+            for y1 in range(n_a):
+                for y2 in range(n_b):
+                    expected[y1 * n_b + y2] += w * np.outer(side_a[y1], side_b[y2])
+        assert np.array_equal(table, expected)
+        unit = bipartite_unit(dim_a, dim_b).matrix
+        assert np.abs(table.sum(axis=0) - unit).max() <= EXACT_TOL
+
+    @pytest.mark.parametrize("n_bits", [2, 3])
+    @pytest.mark.parametrize("kind", ["entangled", "product"])
+    def test_sign_row_encodings_match_the_rotation_matrices(self, n_bits, kind):
+        dim = 2**n_bits - 1
+        rng = np.random.default_rng(n_bits)
+        if kind == "entangled":
+            phi = entangled_state(2**n_bits - 1, n_bits)
+        else:
+            phi = product_state(random_state(dim, rng), random_state(dim, rng))
+        labels = rng.permutation(2**n_bits)
+        oracle = np.stack(
+            [local_transformation(int(x), n_bits).apply_left(phi).matrix for x in labels]
+        )
+        encoded = sign_row_encodings(phi, hadamard_basis(n_bits)[labels])
+        assert np.array_equal(encoded, oracle)
 
     def test_no_signalling_marginal(self):
         for n_bits in (2, 3):
