@@ -37,7 +37,6 @@ from .core import (
     TheoryConfig,
     mix_bipartite,
     product_state,
-    reduced_states,
 )
 
 SCHEMA_VERSION = 1
@@ -300,6 +299,7 @@ def _suite_group(seed: int, trials: int) -> dict:
     for n in range(1, 7):
         basis = hadamard.hadamard_basis(n)
         size = 2**n
+        labels = np.arange(size)
         gram = basis @ basis.T
         checks[f"orthogonality_n{n}"] = bool(
             np.array_equal(gram, size * np.eye(size, dtype=np.int64))
@@ -308,81 +308,63 @@ def _suite_group(seed: int, trials: int) -> dict:
         expected = np.zeros(size, dtype=np.int64)
         expected[0] = size
         checks[f"column_sums_n{n}"] = bool(np.array_equal(col, expected))
-        ok = True
+        # T_x = diag(d_x) for every x and d_x o d_y = d_(x^y) for every pair
+        # together are T_x T_y = T_(x^y): products of +-1 diagonals are exact.
+        table_ok = True
+        dets_ok = True
         for x in range(size):
             tx = hadamard.local_transformation(x, n)
-            for y in range(size):
-                ty = hadamard.local_transformation(y, n)
-                product = tx.matrix @ ty.matrix
-                if not np.array_equal(
-                    product, hadamard.local_transformation(x ^ y, n).matrix
-                ):
-                    ok = False
-        checks[f"group_table_n{n}"] = ok
+            table_ok &= np.array_equal(tx.matrix, np.diag(basis[x]))
+            table_ok &= np.array_equal(basis[x] * basis, basis[x ^ labels])
+            if n >= 2:
+                dets_ok &= round(float(np.linalg.det(tx.hat))) == 1
+        checks[f"group_table_n{n}"] = table_ok
         if n >= 2:
-            dets = [
-                round(float(np.linalg.det(hadamard.local_transformation(x, n).hat)))
-                for x in range(size)
-            ]
-            checks[f"rotation_determinants_n{n}"] = all(d == 1 for d in dets)
+            checks[f"rotation_determinants_n{n}"] = dets_ok
     return checks
 
 
 def _suite_consistency(seed: int, trials: int) -> dict:
     checks = {}
     rng = np.random.default_rng(seed)
+    draws = max(1, trials // 10)
     for n in (2, 3):
         size = 2**n
         dim = size - 1
-        norm_ok = True
-        for _ in range(max(1, trials // 10)):
-            state = hst.random_state(dim, rng)
-            for x in range(size):
-                moved = hadamard.local_transformation(x, n).apply(state)
-                if abs(np.linalg.norm(moved.r) - np.linalg.norm(state.r)) > EXACT_TOL:
-                    norm_ok = False
-        checks[f"norm_preserved_n{n}"] = norm_ok
-        mapped_ok = all(
-            np.array_equal(
-                hadamard.local_transformation(x, n)
-                .apply_left(hadamard.entangled_state(y, n))
-                .matrix,
-                hadamard.entangled_state(x ^ y, n).matrix,
-            )
-            for x in range(size)
-            for y in range(size)
+        labels = np.arange(size)
+        transforms = np.stack([hadamard.local_transformation(x, n).matrix for x in labels])
+        entangled = [hadamard.entangled_state(mu, n) for mu in range(size)]
+        phis = np.stack([phi.matrix for phi in entangled])
+        effects = np.stack([e.matrix for e in hadamard.bell_measurement(n).effects])
+
+        states = np.stack([hst.random_state(dim, rng).entries for _ in range(draws)])
+        moved = np.einsum("xij,sj->xsi", transforms, states)
+        norm_gap = np.linalg.norm(moved[..., 1:], axis=-1) - np.linalg.norm(
+            states[:, 1:], axis=-1
         )
-        checks[f"entangled_orbit_n{n}"] = mapped_ok
-        total = sum(
-            e.matrix for e in hadamard.bell_measurement(n).effects
+        checks[f"norm_preserved_n{n}"] = bool((np.abs(norm_gap) <= EXACT_TOL).all())
+        checks[f"entangled_orbit_n{n}"] = np.array_equal(
+            transforms[:, None] @ phis[None], phis[labels[:, None] ^ labels]
         )
-        unit = np.zeros_like(total)
+        unit = np.zeros_like(effects[0])
         unit[0, 0] = 1.0
-        checks[f"bell_completeness_n{n}"] = bool(np.array_equal(total, unit))
-        membership_ok = all(
-            hadamard.verify_max_tensor_membership(
-                hadamard.entangled_state(mu, n), n, trials=50, seed=seed + mu
-            ).passed
-            for mu in range(size)
+        checks[f"bell_completeness_n{n}"] = np.array_equal(effects.sum(axis=0), unit)
+        checks[f"max_tensor_membership_n{n}"] = all(
+            hadamard.verify_max_tensor_membership(phi, n, trials=50, seed=seed + mu).passed
+            for mu, phi in enumerate(entangled)
         )
-        checks[f"max_tensor_membership_n{n}"] = membership_ok
-        reduced_ok = all(
-            np.array_equal(reduced_states(hadamard.entangled_state(mu, n))[0].r, np.zeros(dim))
-            and np.array_equal(
-                reduced_states(hadamard.entangled_state(mu, n))[1].r, np.zeros(dim)
-            )
-            for mu in range(size)
+        checks[f"reduced_states_mixed_n{n}"] = not (
+            phis[:, 1:, 0].any() or phis[:, 0, 1:].any()
         )
-        checks[f"reduced_states_mixed_n{n}"] = reduced_ok
-        effect_range_ok = True
+        # Each pair draws its A side, then its B side.
+        pairs = np.array(
+            [[hst.random_pure_state(dim, rng).entries for _ in range(2)] for _ in range(draws)]
+        )
+        probs = np.einsum("mij,si,sj->sm", effects, pairs[:, 0], pairs[:, 1])
         ceiling = 2.0 ** -(n - 1)
-        for _ in range(max(1, trials // 10)):
-            phi = product_state(hst.random_pure_state(dim, rng), hst.random_pure_state(dim, rng))
-            for mu in range(size):
-                p = np.sum(hadamard.entangled_effect(mu, n).matrix * phi.matrix)
-                if p < -EXACT_TOL or p > ceiling + EXACT_TOL:
-                    effect_range_ok = False
-        checks[f"effect_product_range_n{n}"] = effect_range_ok
+        checks[f"effect_product_range_n{n}"] = bool(
+            ((probs >= -EXACT_TOL) & (probs <= ceiling + EXACT_TOL)).all()
+        )
         spread = protocols.no_signalling_spread(n, max(1, trials // 100), seed)
         checks[f"no_signalling_n{n}"] = spread <= EXACT_TOL
     return checks

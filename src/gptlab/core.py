@@ -54,7 +54,7 @@ def _frozen(array, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Normalised state ``(1, r)``; ``entries[0]`` must equal 1."""
+    """Normalised state ``(1, r)``; ``entries[0]`` must equal 1, all entries finite."""
 
     entries: np.ndarray
 
@@ -62,9 +62,12 @@ class State:
         object.__setattr__(self, "entries", _frozen(self.entries))
         if self.entries.ndim != 1 or self.entries.size < 1:
             raise GptError("state entries must be a non-empty vector")
-        if not abs(self.entries[0] - 1.0) <= EXACT_TOL:
+        if not (
+            abs(self.entries[0] - 1.0) <= EXACT_TOL and np.isfinite(self.entries).all()
+        ):
             raise DomainError(
-                f"state normalisation component is {self.entries[0]!r}, expected 1"
+                "state entries must be finite with normalisation component 1, "
+                f"got {self.entries[0]!r}"
             )
 
     @property
@@ -107,7 +110,7 @@ class Measurement:
 
 @dataclass(frozen=True, eq=False)
 class BipartiteState:
-    """Bipartite state matrix ``[[1, b^t], [a, C]]``."""
+    """Bipartite state matrix ``[[1, b^t], [a, C]]`` with finite entries."""
 
     matrix: np.ndarray
 
@@ -115,9 +118,12 @@ class BipartiteState:
         object.__setattr__(self, "matrix", _frozen(self.matrix))
         if self.matrix.ndim != 2:
             raise GptError("bipartite state must be a matrix")
-        if not abs(self.matrix[0, 0] - 1.0) <= EXACT_TOL:
+        if not (
+            abs(self.matrix[0, 0] - 1.0) <= EXACT_TOL and np.isfinite(self.matrix).all()
+        ):
             raise DomainError(
-                f"bipartite normalisation entry is {self.matrix[0, 0]!r}, expected 1"
+                "bipartite state entries must be finite with normalisation entry 1, "
+                f"got {self.matrix[0, 0]!r}"
             )
 
     @property

@@ -36,9 +36,7 @@ from .core import (
     ValidationReport,
     bipartite_contract,
     bipartite_unit,
-    product_effect,
 )
-from .hst import make_extremal_effect, random_direction
 
 
 def _check_label(label: int, n_bits: int) -> None:
@@ -108,7 +106,7 @@ def match_entangled_label(phi: BipartiteState, n_bits: int) -> int | None:
     """Label mu if ``phi`` equals ``diag(d_mu)`` within tolerance, else None."""
     diag = np.diagonal(phi.matrix)
     off = phi.matrix - np.diag(diag)
-    if np.abs(off).max() > EXACT_TOL:
+    if not np.abs(off).max() <= EXACT_TOL:
         return None
     for mu in range(2**n_bits):
         if np.abs(diag - hadamard_vector(mu, n_bits)).max() <= EXACT_TOL:
@@ -128,88 +126,82 @@ def verify_max_tensor_membership(
     checks ``0 <= (e_alpha (x) e_beta) . phi <= 1`` plus unit normalisation.
     When ``phi`` is one of the pure entangled states the probability must
     also equal ``(1 + alpha . T_hat beta)/4 <= 1/2`` for its rotation block.
+    All probes are evaluated as one stack; every check is written so that
+    a non-finite value fails it.
     """
     dim = 2**n_bits - 1
-    rng = np.random.default_rng(seed)
     violations = []
 
     total = bipartite_contract(bipartite_unit(dim, dim), phi)
-    if abs(total - 1.0) > EXACT_TOL:
+    if not abs(total - 1.0) <= EXACT_TOL:
         violations.append({"check": "unit_normalisation", "value": total})
 
-    label = match_entangled_label(phi, n_bits)
-    hat = local_transformation(label, n_bits).hat if label is not None else None
+    # alpha_t and beta_t are consecutive draws, each normalised by a dot product
+    # exactly as hst.random_direction does, so a seed names the same probes.
+    draws = np.random.default_rng(seed).standard_normal((trials, 2, dim))
+    alpha, beta = np.moveaxis(draws / np.sqrt(np.vecdot(draws, draws))[..., None], 1, 0)
+    e_alpha = 0.5 * np.insert(alpha, 0, 1.0, axis=1)
+    e_beta = 0.5 * np.insert(beta, 0, 1.0, axis=1)
+    p = np.einsum("ti,ij,tj->t", e_alpha, phi.matrix, e_beta)
+    bad_range = ~((p >= -EXACT_TOL) & (p <= 1.0 + EXACT_TOL))
 
-    for _ in range(trials):
-        alpha = random_direction(dim, rng)
-        beta = random_direction(dim, rng)
-        effect = product_effect(make_extremal_effect(alpha), make_extremal_effect(beta))
-        p = bipartite_contract(effect, phi)
-        if p < -EXACT_TOL or p > 1.0 + EXACT_TOL:
+    label = match_entangled_label(phi, n_bits)
+    if label is None:
+        bad_form = np.zeros(trials, dtype=bool)
+    else:
+        hat = local_transformation(label, n_bits).hat
+        expected = 0.25 * (1.0 + np.vecdot(alpha, beta @ hat.T))
+        bad_form = ~((np.abs(p - expected) <= EXACT_TOL) & (p <= 0.5 + EXACT_TOL))
+
+    for t in np.flatnonzero(bad_range | bad_form):
+        probe = {"alpha": alpha[t].tolist(), "beta": beta[t].tolist(), "value": float(p[t])}
+        if bad_range[t]:
+            violations.append({"check": "probability_range", **probe})
+        if bad_form[t]:
             violations.append(
-                {
-                    "check": "probability_range",
-                    "alpha": alpha.tolist(),
-                    "beta": beta.tolist(),
-                    "value": p,
-                }
+                {"check": "pure_state_form", **probe, "expected": float(expected[t])}
             )
-        if hat is not None:
-            expected = 0.25 * (1.0 + alpha @ (hat @ beta))
-            if abs(p - expected) > EXACT_TOL or p > 0.5 + EXACT_TOL:
-                violations.append(
-                    {
-                        "check": "pure_state_form",
-                        "alpha": alpha.tolist(),
-                        "beta": beta.tolist(),
-                        "value": p,
-                        "expected": expected,
-                    }
-                )
     return ValidationReport(passed=not violations, violations=tuple(violations))
 
 
 def local_tomography_from_oracle(oracle, dim_a: int, dim_b: int) -> BipartiteState:
     """Reconstruct a bipartite state from product-effect statistics alone.
 
-    ``oracle(E)`` must return the outcome probability of the product effect
-    ``E`` on the unknown state.  Probing with ``(1, +-v_k)/2 (x) (1, +-v_l)/2``
-    for coordinate vectors ``v`` and inverting the four sign combinations
+    ``oracle(effects_a, effects_b)`` must return, for every row k, the
+    outcome probability of the product effect ``effects_a[k] (x)
+    effects_b[k]`` on the unknown state, so it can only be asked about
+    product effects.  Probing with ``(1, +-v_k)/2 (x) (1, +-v_l)/2`` for
+    coordinate vectors ``v`` and inverting the four sign combinations
     recovers every matrix entry:
 
         C_kl  = sum_(s,t) s t P(s,t),
         a_k   = sum_(s,t) s   P(s,t),
         b_l   = sum_(s,t)   t P(s,t).
     """
-    matrix = np.zeros((dim_a + 1, dim_b + 1))
+    signs = np.array([1.0, -1.0])
 
-    def coordinate_effect(k: int, sign: int, dim: int) -> np.ndarray:
-        v = np.zeros(dim)
-        v[k] = sign
-        return 0.5 * np.concatenate(([1.0], v))
+    def coordinate_effects(dim: int) -> np.ndarray:
+        # Row [k, s] is the local effect (1, s v_k)/2.
+        rows = np.zeros((dim, 2, dim + 1))
+        rows[:, :, 0] = 0.5
+        rows[np.arange(dim), :, np.arange(dim) + 1] = 0.5 * signs
+        return rows
 
-    matrix[0, 0] = oracle(
-        BipartiteEffect(np.outer(np.eye(dim_a + 1)[0], np.eye(dim_b + 1)[0]))
+    # Probe 0 is the unit product effect; probe [k, l, s, t] follows it.
+    k, l, s, t = np.indices((dim_a, dim_b, 2, 2)).reshape(4, -1)
+    probs = np.asarray(
+        oracle(
+            np.vstack((np.eye(dim_a + 1)[:1], coordinate_effects(dim_a)[k, s])),
+            np.vstack((np.eye(dim_b + 1)[:1], coordinate_effects(dim_b)[l, t])),
+        )
     )
-    for k in range(dim_a):
-        for l in range(dim_b):
-            probs = {
-                (s, t): oracle(
-                    BipartiteEffect(
-                        np.outer(
-                            coordinate_effect(k, s, dim_a),
-                            coordinate_effect(l, t, dim_b),
-                        )
-                    )
-                )
-                for s in (1, -1)
-                for t in (1, -1)
-            }
-            matrix[k + 1, l + 1] = sum(s * t * p for (s, t), p in probs.items())
-            if l == 0:
-                matrix[k + 1, 0] = sum(s * p for (s, _), p in probs.items())
-            if k == 0:
-                matrix[0, l + 1] = sum(t * p for (_, t), p in probs.items())
+    table = probs[1:].reshape(dim_a, dim_b, 2, 2)
+
+    matrix = np.empty((dim_a + 1, dim_b + 1))
+    matrix[0, 0] = probs[0]
+    matrix[1:, 1:] = np.einsum("s,t,klst->kl", signs, signs, table)
+    matrix[1:, 0] = np.einsum("s,kst->k", signs, table[:, 0])
+    matrix[0, 1:] = np.einsum("t,lst->l", signs, table[0])
     return BipartiteState(matrix)
 
 
@@ -217,5 +209,5 @@ def local_tomography(phi: BipartiteState) -> BipartiteState:
     """Reconstruct ``phi`` from local statistics; exact for this model."""
     dim_a, dim_b = phi.dims
     return local_tomography_from_oracle(
-        lambda effect: bipartite_contract(effect, phi), dim_a, dim_b
+        lambda a, b: np.einsum("km,mn,kn->k", a, phi.matrix, b), dim_a, dim_b
     )

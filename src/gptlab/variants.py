@@ -397,15 +397,16 @@ def lemma_state_check(phi: BipartiteState) -> ValidationReport:
     """Norm bounds every bipartite state of two ball systems satisfies.
 
     The marginals obey ``||a|| <= 1`` and ``||b|| <= 1`` and every column
-    of the correlation block obeys ``||c_k|| <= 1``.
+    of the correlation block obeys ``||c_k|| <= 1``.  A non-finite norm
+    fails its bound.
     """
     violations = []
     for name, vec in (("a_norm", phi.a), ("b_norm", phi.b)):
         norm = float(np.linalg.norm(vec))
-        if norm > 1.0 + EXACT_TOL:
+        if not norm <= 1.0 + EXACT_TOL:
             violations.append({"check": name, "value": norm, "bound": 1.0})
     col_norms = np.linalg.norm(phi.correlations, axis=0)
-    for k in np.flatnonzero(col_norms > 1.0 + EXACT_TOL):
+    for k in np.flatnonzero(~(col_norms <= 1.0 + EXACT_TOL)):
         violations.append(
             {
                 "check": "correlation_column_norm",
@@ -423,19 +424,19 @@ def lemma_effect_check(effect: BipartiteEffect) -> ValidationReport:
     With ``gamma`` the normalisation entry, all of ``||alpha||``,
     ``||beta||`` and the columns of the core block are bounded by
     ``min(gamma, 1 - gamma)``; equivalently the gamma-factored form has
-    unit-bounded blocks.
+    unit-bounded blocks.  A non-finite gamma or norm fails its bound.
     """
     violations = []
     gamma = effect.gamma
-    if gamma < -EXACT_TOL or gamma > 1.0 + EXACT_TOL:
+    if not -EXACT_TOL <= gamma <= 1.0 + EXACT_TOL:
         violations.append({"check": "gamma_range", "value": gamma, "bound": (0.0, 1.0)})
     cap = min(gamma, 1.0 - gamma)
     for name, vec in (("alpha_norm", effect.alpha), ("beta_norm", effect.beta)):
         norm = float(np.linalg.norm(vec))
-        if norm > cap + EXACT_TOL:
+        if not norm <= cap + EXACT_TOL:
             violations.append({"check": name, "value": norm, "bound": cap})
     col_norms = np.linalg.norm(effect.block, axis=0)
-    for k in np.flatnonzero(col_norms > cap + EXACT_TOL):
+    for k in np.flatnonzero(~(col_norms <= cap + EXACT_TOL)):
         violations.append(
             {
                 "check": "core_column_norm",

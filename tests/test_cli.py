@@ -293,6 +293,33 @@ class TestVerifyCommand:
         assert out == ""
         assert "--trials" in err
 
+    def test_skewed_rotation_fails_the_group_suite(self, capsys, skewed_rotation):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "group", "--format", "json")
+        assert code == 1
+        checks = json.loads(out)["suites"]["group"]["checks"]
+        failed = {name for name, value in checks.items() if value is False}
+        assert failed == {"group_table_n3", "rotation_determinants_n3"}
+
+    def test_skewed_rotation_fails_the_consistency_suite(self, capsys, skewed_rotation):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "consistency", "--trials", "100", "--format", "json"
+        )
+        assert code == 1
+        checks = json.loads(out)["suites"]["consistency"]["checks"]
+        failed = {name for name, value in checks.items() if value is False}
+        assert failed == {"norm_preserved_n3", "entangled_orbit_n3", "max_tensor_membership_n3"}
+
+    def test_tripled_bell_effect_fails_the_consistency_suite(
+        self, capsys, tripled_bell_effect
+    ):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "consistency", "--trials", "100", "--format", "json"
+        )
+        assert code == 1
+        checks = json.loads(out)["suites"]["consistency"]["checks"]
+        failed = {name for name, value in checks.items() if value is False}
+        assert failed == {"bell_completeness_n3", "effect_product_range_n3"}
+
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         from gptlab import cli as cli_module
 

@@ -235,7 +235,11 @@ class TestChannelValidation:
 
 NON_FINITE_CONSTRUCTORS = {
     "State": lambda v: State(np.array([v, 0.0])),
+    "State.r": lambda v: State(np.array([1.0, v])),
     "BipartiteState": lambda v: BipartiteState(np.array([[v, 0.0], [0.0, 0.0]])),
+    "BipartiteState.correlations": lambda v: BipartiteState(
+        np.array([[1.0, 0.0], [0.0, v]])
+    ),
     "Transformation": lambda v: Transformation(np.array([[v, 0.0], [0.0, 1.0]])),
     "Channel.prior": lambda v: Channel(np.array([v, 0.5]), np.eye(2)),
     "Channel.conditional": lambda v: Channel(

@@ -45,6 +45,8 @@ GOLDEN = {
     "dense-coding --n-bits 6 --format csv": "ae9ba2fde6395a04d19c1cc6495c9e9056e177f4e07663eb5786ce5b1e5cd0fb",
     "dense-coding --n-bits 6 --theory embedded --m 2 --format csv": "ae9ba2fde6395a04d19c1cc6495c9e9056e177f4e07663eb5786ce5b1e5cd0fb",
     "swap --n-bits 6 --mu 63 --format json": "84e8b61105314168c5eb2295f5cd938121745fe4de49dfe69c080d807daa3888",
+    "verify --suite consistency --format json": "f19f81d00c67f728339384e2deb56c18f51ad5a1d24b6d7017154eea928f54df",
+    "verify --suite consistency --trials 10 --seed 3 --format json": "19f6f5c96b337d99b1900d9762683d41899e3663d47fd33331a3b70094011cf4",
     "verify --suite group --format json": "96418a43d38252ac194229fe019daf1ca8fab5d25089d976f68e210442c26b64",
     "verify --suite lemmas --format json": "0ffa7147e9cdafcc9a1c40327691ae61e499e830d70d9a15ef8cb032fe031134",
     "verify --suite tomography --format json": "d7f9ec5e6d66b6b0105c94a9929a59db24c1b1740b9bc5639b595327a591b3f0",

@@ -25,8 +25,15 @@ from gptlab import (
     reduced_states,
     verify_max_tensor_membership,
 )
-from gptlab.hadamard import local_tomography_from_oracle
-from gptlab.hst import make_extremal_effect, make_state, random_pure_state, random_state
+from gptlab import hadamard
+from gptlab.hadamard import local_tomography_from_oracle, match_entangled_label
+from gptlab.hst import (
+    make_extremal_effect,
+    make_state,
+    random_direction,
+    random_pure_state,
+    random_state,
+)
 
 
 def sign_vector_oracle(label: int, n_bits: int) -> list:
@@ -305,12 +312,135 @@ class TestLocalTomography:
         phi = entangled_state(2, 2)
         calls = []
 
-        def counting_oracle(effect: BipartiteEffect) -> float:
-            # every probe must be an outer product (rank <= 1)
-            assert np.linalg.matrix_rank(effect.matrix) <= 1
-            calls.append(effect)
-            return bipartite_contract(effect, phi)
+        def counting_oracle(effects_a, effects_b):
+            # the oracle receives local effect rows, so every probe is a product
+            assert effects_a.shape == effects_b.shape == (1 + 4 * 9, 4)
+            calls.append(len(effects_a))
+            return np.einsum("km,mn,kn->k", effects_a, phi.matrix, effects_b)
 
         rebuilt = local_tomography_from_oracle(counting_oracle, 3, 3)
-        assert np.abs(rebuilt.matrix - phi.matrix).max() < EXACT_TOL
-        assert len(calls) == 1 + 4 * 9
+        assert np.array_equal(rebuilt.matrix, phi.matrix)
+        assert calls == [1 + 4 * 9]
+
+
+# --------------------------------------------------------------------------
+# per-probe reference loops for the stacked membership and tomography paths
+
+
+def membership_loop_oracle(phi, n_bits, trials, seed):
+    dim = 2**n_bits - 1
+    rng = np.random.default_rng(seed)
+    violations = []
+    total = bipartite_contract(bipartite_unit(dim, dim), phi)
+    if abs(total - 1.0) > EXACT_TOL:
+        violations.append({"check": "unit_normalisation", "value": total})
+    label = match_entangled_label(phi, n_bits)
+    hat = hadamard.local_transformation(label, n_bits).hat if label is not None else None
+    for _ in range(trials):
+        alpha = random_direction(dim, rng)
+        beta = random_direction(dim, rng)
+        effect = product_effect(make_extremal_effect(alpha), make_extremal_effect(beta))
+        p = bipartite_contract(effect, phi)
+        probe = {"alpha": alpha.tolist(), "beta": beta.tolist(), "value": p}
+        if p < -EXACT_TOL or p > 1.0 + EXACT_TOL:
+            violations.append({"check": "probability_range", **probe})
+        if hat is not None:
+            expected = 0.25 * (1.0 + alpha @ (hat @ beta))
+            if abs(p - expected) > EXACT_TOL or p > 0.5 + EXACT_TOL:
+                violations.append({"check": "pure_state_form", **probe, "expected": expected})
+    return not violations, violations
+
+
+def tomography_loop_oracle(phi):
+    dim_a, dim_b = phi.dims
+    matrix = np.zeros((dim_a + 1, dim_b + 1))
+
+    def oracle(effect):
+        return bipartite_contract(effect, phi)
+
+    def coordinate_effect(k, sign, dim):
+        v = np.zeros(dim)
+        v[k] = sign
+        return 0.5 * np.concatenate(([1.0], v))
+
+    matrix[0, 0] = oracle(
+        BipartiteEffect(np.outer(np.eye(dim_a + 1)[0], np.eye(dim_b + 1)[0]))
+    )
+    for k in range(dim_a):
+        for l in range(dim_b):
+            probs = {
+                (s, t): oracle(
+                    BipartiteEffect(
+                        np.outer(
+                            coordinate_effect(k, s, dim_a), coordinate_effect(l, t, dim_b)
+                        )
+                    )
+                )
+                for s in (1, -1)
+                for t in (1, -1)
+            }
+            matrix[k + 1, l + 1] = sum(s * t * p for (s, t), p in probs.items())
+            if l == 0:
+                matrix[k + 1, 0] = sum(s * p for (s, _), p in probs.items())
+            if k == 0:
+                matrix[0, l + 1] = sum(t * p for (_, t), p in probs.items())
+    return matrix
+
+
+def reference_states():
+    cases = [
+        (f"entangled_{mu}_n{n}", entangled_state(mu, n), n)
+        for n in (1, 2, 3)
+        for mu in range(2**n)
+    ]
+    overweight = np.eye(4)
+    overweight[1, 1] = 5.0
+    off_diagonal = np.eye(4)
+    off_diagonal[1, 2] = 3.0
+    cases.append(("overweight", BipartiteState(overweight), 2))
+    cases.append(("off_diagonal", BipartiteState(off_diagonal), 2))
+    return cases
+
+
+def assert_same_violations(stacked, loop):
+    assert [v["check"] for v in stacked] == [v["check"] for v in loop]
+    for got, want in zip(stacked, loop):
+        assert got.keys() == want.keys()
+        for key in ("alpha", "beta"):
+            if key in want:
+                assert got[key] == want[key]
+        for key in ("value", "expected"):
+            if key in want:
+                assert abs(got[key] - want[key]) <= 1e-15
+
+
+class TestStackedPathsMatchTheLoops:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_membership_matches_the_loop(self, seed):
+        found = 0
+        for _, phi, n_bits in reference_states():
+            report = verify_max_tensor_membership(phi, n_bits, trials=200, seed=seed)
+            passed, violations = membership_loop_oracle(phi, n_bits, 200, seed)
+            assert report.passed == passed
+            assert_same_violations(report.violations, violations)
+            found += len(violations)
+        assert found > 0
+
+    def test_membership_matches_the_loop_on_a_skewed_rotation(self, skewed_rotation):
+        phi = entangled_state(5, 3)
+        report = verify_max_tensor_membership(phi, 3, trials=100, seed=0)
+        passed, violations = membership_loop_oracle(phi, 3, 100, 0)
+        assert not report.passed and not passed
+        assert {v["check"] for v in violations} == {"pure_state_form"}
+        assert_same_violations(report.violations, violations)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tomography_matches_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        phis = [phi for _, phi, _ in reference_states()]
+        phis += [
+            product_state(random_state(dim, rng), random_state(dim, rng)) for dim in (1, 3, 7)
+        ]
+        for phi in phis:
+            rebuilt = local_tomography(phi).matrix
+            assert np.abs(rebuilt - tomography_loop_oracle(phi)).max() <= 1e-15

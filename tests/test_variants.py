@@ -27,6 +27,7 @@ from gptlab import (
     theory_effect,
     theory_state,
     tl_violation_witness,
+    verify_max_tensor_membership,
     weak_dense_coding,
 )
 from gptlab.capacity import blahut_arimoto, weak_entanglement_bound, weak_thresholds
@@ -255,6 +256,34 @@ class TestWeakTheory:
             weak_dense_coding(theory)
 
 
+def corrupted_state(matrix) -> BipartiteState:
+    """A state whose matrix was overwritten after the constructor checked it."""
+    matrix = np.array(matrix, dtype=float)
+    phi = BipartiteState(np.eye(*matrix.shape))
+    object.__setattr__(phi, "matrix", matrix)
+    return phi
+
+
+def eye_with(entry, value):
+    matrix = np.eye(4)
+    matrix[entry] = value
+    return matrix
+
+
+NON_FINITE_REPORTS = {
+    "state_marginal": lambda v: lemma_state_check(corrupted_state([[1, v], [0, 0]])),
+    "state_correlation": lambda v: lemma_state_check(corrupted_state([[1, 0], [0, v]])),
+    "effect_marginal": lambda v: lemma_effect_check(BipartiteEffect([[0.5, v], [0, 0]])),
+    "effect_gamma": lambda v: lemma_effect_check(BipartiteEffect([[v, 0], [0, 0]])),
+    "membership_correlation": lambda v: verify_max_tensor_membership(
+        corrupted_state(eye_with((1, 1), v)), 2, trials=20
+    ),
+    "membership_normalisation": lambda v: verify_max_tensor_membership(
+        corrupted_state(eye_with((0, 0), v)), 2, trials=20
+    ),
+}
+
+
 class TestLemmaChecks:
     def test_entangled_states_pass_with_tight_columns(self):
         for mu in range(8):
@@ -270,6 +299,12 @@ class TestLemmaChecks:
             report = lemma_effect_check(eff)
             assert report.passed
             assert eff.gamma == 2.0**-3
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_REPORTS))
+    def test_non_finite_entries_fail(self, case, value):
+        with np.errstate(invalid="ignore"):
+            assert not NON_FINITE_REPORTS[case](value).passed
 
     def test_oversized_correlation_column_fails(self):
         matrix = np.eye(4)
