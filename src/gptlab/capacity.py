@@ -46,10 +46,11 @@ def blahut_arimoto(
     p = np.asarray(conditional, dtype=float)
     if p.ndim != 2 or p.shape[0] < 1:
         raise GptError("conditional must be a 2-d row-stochastic array")
-    if p.min() < -1e-12 or np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
+    # Written so that a non-finite entry or tol fails the check.
+    if not (p.min() >= -1e-12 and np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9):
         raise DomainError("conditional rows must be probability vectors")
-    if tol <= 0:
-        raise GptError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise GptError(f"tol must be positive and finite, got {tol!r}")
     p = np.clip(p, 0.0, None)
     n_in = p.shape[0]
     mask = p > 0

@@ -31,12 +31,12 @@ from .core import (
     EXACT_TOL,
     MAX_N_BITS,
     OPT_TOL,
+    BipartiteState,
     DomainError,
     GptError,
     ProtocolFalsified,
     TheoryConfig,
     mix_bipartite,
-    product_state,
 )
 
 SCHEMA_VERSION = 1
@@ -337,7 +337,9 @@ def _suite_consistency(seed: int, trials: int) -> dict:
         phis = np.stack([phi.matrix for phi in entangled])
         effects = np.stack([e.matrix for e in hadamard.bell_measurement(n).effects])
 
-        states = np.stack([hst.random_state(dim, rng).entries for _ in range(draws)])
+        states = np.ones((draws, dim + 1))
+        for row in states:
+            row[1:] = hst.random_ball_point(dim, rng)
         moved = np.einsum("xij,sj->xsi", transforms, states)
         norm_gap = np.linalg.norm(moved[..., 1:], axis=-1) - np.linalg.norm(
             states[:, 1:], axis=-1
@@ -356,10 +358,10 @@ def _suite_consistency(seed: int, trials: int) -> dict:
         checks[f"reduced_states_mixed_n{n}"] = not (
             phis[:, 1:, 0].any() or phis[:, 0, 1:].any()
         )
-        # Each pair draws its A side, then its B side.
-        pairs = np.array(
-            [[hst.random_pure_state(dim, rng).entries for _ in range(2)] for _ in range(draws)]
-        )
+        # Each pair of pure states draws its A side, then its B side.
+        pairs = np.ones((draws, 2, dim + 1))
+        for row in pairs.reshape(2 * draws, -1):
+            row[1:] = hst.random_direction(dim, rng)
         probs = np.einsum("mij,si,sj->sm", effects, pairs[:, 0], pairs[:, 1])
         ceiling = 2.0 ** -(n - 1)
         checks[f"effect_product_range_n{n}"] = bool(
@@ -385,13 +387,15 @@ def _suite_tomography(seed: int, trials: int) -> dict:
             for mu in range(size)
         )
         checks[f"entangled_recovered_n{n}"] = entangled_ok
-        product_ok = True
-        for _ in range(5):
-            phi = product_state(hst.random_state(dim, rng), hst.random_state(dim, rng))
-            rebuilt = hadamard.local_tomography(phi)
-            if np.abs(rebuilt.matrix - phi.matrix).max() > EXACT_TOL:
-                product_ok = False
-        checks[f"products_recovered_n{n}"] = product_ok
+        # Five product states, each drawing its A side, then its B side.
+        sides = np.ones((5, 2, dim + 1))
+        for row in sides.reshape(10, -1):
+            row[1:] = hst.random_ball_point(dim, rng)
+        products = [BipartiteState(np.outer(a, b)) for a, b in sides]
+        checks[f"products_recovered_n{n}"] = all(
+            np.abs(hadamard.local_tomography(phi).matrix - phi.matrix).max() <= EXACT_TOL
+            for phi in products
+        )
         mix = mix_bipartite(
             [hadamard.entangled_state(0, n), hadamard.entangled_state(size - 1, n)],
             [0.5, 0.5],

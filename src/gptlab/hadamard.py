@@ -56,7 +56,10 @@ def hadamard_vector(label: int, n_bits: int) -> np.ndarray:
 
 def hadamard_basis(n_bits: int) -> np.ndarray:
     """All ``2^N`` sign vectors, stacked as rows (a Hadamard matrix)."""
-    return np.stack([hadamard_vector(mu, n_bits) for mu in range(2**n_bits)])
+    _check_label(0, n_bits)
+    nu = np.arange(2**n_bits, dtype=np.uint64)
+    parity = np.bitwise_count(nu[:, None] & nu) & 1
+    return 1 - 2 * parity.astype(np.int64)
 
 
 def elementwise_product(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -108,10 +111,8 @@ def match_entangled_label(phi: BipartiteState, n_bits: int) -> int | None:
     off = phi.matrix - np.diag(diag)
     if not np.abs(off).max() <= EXACT_TOL:
         return None
-    for mu in range(2**n_bits):
-        if np.abs(diag - hadamard_vector(mu, n_bits)).max() <= EXACT_TOL:
-            return mu
-    return None
+    hits = np.flatnonzero(np.abs(diag - hadamard_basis(n_bits)).max(axis=1) <= EXACT_TOL)
+    return int(hits[0]) if hits.size else None
 
 
 def verify_max_tensor_membership(

@@ -130,10 +130,15 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> State:
     return make_state(random_direction(dim, rng))
 
 
+def random_ball_point(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Point drawn uniformly from the unit ball."""
+    radius = rng.random() ** (1.0 / dim)
+    return radius * random_direction(dim, rng)
+
+
 def random_state(dim: int, rng: np.random.Generator) -> State:
     """State drawn uniformly from the unit ball."""
-    radius = rng.random() ** (1.0 / dim)
-    return make_state(radius * random_direction(dim, rng))
+    return make_state(random_ball_point(dim, rng))
 
 
 def random_measurement(
@@ -182,15 +187,13 @@ def capacity_search(dim: int, trials: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     best = mutual_information(one_bit_protocol(dim))
     for _ in range(trials):
-        n_states = int(rng.integers(2, MAX_STATES + 1))
-        states = []
-        for _ in range(n_states):
-            if rng.random() < 0.5:
-                states.append(random_pure_state(dim, rng))
-            else:
-                states.append(random_state(dim, rng))
+        rows = np.ones((int(rng.integers(2, MAX_STATES + 1)), dim + 1))
+        for row in rows:
+            draw = random_direction if rng.random() < 0.5 else random_ball_point
+            row[1:] = draw(dim, rng)
         effect_rows = random_measurement(dim, rng)
-        conditional = np.stack([effect_rows @ s.entries for s in states])
+        # One mat-vec per state, as a stack: a single gemm would round differently.
+        conditional = (effect_rows @ rows[:, :, None])[..., 0]
         result = blahut_arimoto(conditional, tol=BA_TOL, max_iter=BA_MAX_ITER)
         best = max(best, result.capacity_bits)
     return best

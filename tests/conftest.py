@@ -33,3 +33,79 @@ def tripled_bell_effect(monkeypatch):
         return hadamard.BipartiteEffect(3.0 * e.matrix)
 
     monkeypatch.setattr(hadamard, "entangled_effect", tripled)
+
+
+def _patch_teleport_signs(monkeypatch, mutate):
+    """Let ``protocols`` see a float copy of each sign stack, mutated in place."""
+    from gptlab import protocols
+
+    original = protocols.hadamard_basis
+
+    def mutated(n_bits):
+        signs = original(n_bits).astype(float)
+        mutate(signs)
+        return signs
+
+    monkeypatch.setattr(protocols, "hadamard_basis", mutated)
+
+
+@pytest.fixture
+def nan_sign_row(monkeypatch):
+    """Put a NaN into entry 1 of row 1 of the sign stack teleportation uses."""
+
+    def mutate(signs):
+        signs[1, 1] = float("nan")
+
+    _patch_teleport_signs(monkeypatch, mutate)
+
+
+@pytest.fixture
+def swapped_sign_rows(monkeypatch):
+    """Swap rows 0 and 1 of the sign stack, so the shared state becomes phi_1."""
+
+    def mutate(signs):
+        signs[[0, 1]] = signs[[1, 0]]
+
+    _patch_teleport_signs(monkeypatch, mutate)
+
+
+def _patch_embedded_state(monkeypatch, mutate):
+    """Hand ``tl_violation_witness`` a mutated copy of entangled state 2.
+
+    The copy replaces the state's matrix after validation, so it may hold
+    values the constructor rejects.
+    """
+    from gptlab import variants
+
+    original = variants.theory_state
+
+    def mutated(label, theory):
+        phi = original(label, theory)
+        if label != 2:
+            return phi
+        matrix = phi.matrix.copy()
+        mutate(matrix, theory)
+        object.__setattr__(phi, "matrix", matrix)
+        return phi
+
+    monkeypatch.setattr(variants, "theory_state", mutated)
+
+
+@pytest.fixture
+def sphere_marginal_state(monkeypatch):
+    """Give entangled state 2 a marginal of 1/2 on the first sphere coordinate."""
+
+    def mutate(matrix, theory):
+        matrix[0, 1 + theory.ball_dim] = 0.5
+
+    _patch_embedded_state(monkeypatch, mutate)
+
+
+@pytest.fixture
+def nan_embedded_state(monkeypatch):
+    """Put a NaN into the sphere block of entangled state 2."""
+
+    def mutate(matrix, theory):
+        matrix[1 + theory.ball_dim, 1 + theory.ball_dim] = float("nan")
+
+    _patch_embedded_state(monkeypatch, mutate)

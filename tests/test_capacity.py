@@ -89,6 +89,19 @@ class TestBlahutArimoto:
         with pytest.raises(DomainError):
             blahut_arimoto(np.array([[0.5, 0.2], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1)])
+    def test_rejects_a_non_finite_table_entry(self, bad, entry):
+        conditional = np.array([[0.0, 1.0], [0.5, 0.5]])
+        conditional[entry] = bad
+        with pytest.raises(DomainError):
+            blahut_arimoto(conditional)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+    def test_rejects_a_non_finite_or_non_positive_tol(self, tol):
+        with pytest.raises(GptError):
+            blahut_arimoto(np.eye(2), tol=tol)
+
     def test_deformed_channel_capacity_at_uniform_prior(self):
         theory = TheoryConfig.lambda_tau(3, 1.0, lt_optimal_product(3))
         channel = lt_channel(theory)

@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from gptlab import protocols
 from gptlab.cli import main
+from gptlab.hadamard import bell_measurement
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +187,13 @@ class TestTeleportCommand:
         assert code == 0
         assert json.loads(out)["max_residual"] < 1e-12
 
+    def test_swapped_sign_rows_exit_three(self, capsys, swapped_sign_rows):
+        code, out, _ = run_cli(capsys, "teleport", "--n-bits", "3", "--format", "json")
+        assert code == 3
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert report["max_residual"] > 0.1
+
     def test_bad_axis_exits_two(self, capsys):
         code, _, err = run_cli(
             capsys, "teleport", "--n-bits", "2", "--state", "axis:9"
@@ -319,6 +328,37 @@ class TestVerifyCommand:
         checks = json.loads(out)["suites"]["consistency"]["checks"]
         failed = {name for name, value in checks.items() if value is False}
         assert failed == {"bell_completeness_n3", "effect_product_range_n3"}
+
+    def test_bell_decoding_fires_the_product_decoding_gate(self, capsys, monkeypatch):
+        bell = np.stack([e.matrix for e in bell_measurement(2).effects])
+        monkeypatch.setattr(
+            protocols, "random_product_measurement", lambda dim_a, dim_b, rng: bell
+        )
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "baseline", "--trials", "16", "--format", "json"
+        )
+        assert code == 1
+        checks = json.loads(out)["suites"]["baseline"]["checks"]
+        assert checks["product_decoding_max_bits"] == 2.0
+        assert checks["product_decoding_within_one_bit"] is False
+
+    def test_entangled_resource_fires_the_separable_gate(self, capsys, monkeypatch):
+        original = protocols._random_product_state
+
+        def entangled(dim, rng):
+            original(dim, rng)  # keep the draw stream
+            return np.eye(dim + 1)  # phi_0
+
+        monkeypatch.setattr(protocols, "_random_product_state", entangled)
+        monkeypatch.setattr(protocols, "BELL_FRACTION", 1)
+        assert protocols.separable_baseline(3, 16, 0) == 2.0
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "baseline", "--trials", "16", "--format", "json"
+        )
+        assert code == 1
+        checks = json.loads(out)["suites"]["baseline"]["checks"]
+        assert checks["separable_max_bits"] == 2.0
+        assert checks["separable_within_one_bit"] is False
 
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         from gptlab import cli as cli_module

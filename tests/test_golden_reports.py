@@ -45,6 +45,12 @@ GOLDEN = {
     "dense-coding --n-bits 6 --format csv": "ae9ba2fde6395a04d19c1cc6495c9e9056e177f4e07663eb5786ce5b1e5cd0fb",
     "dense-coding --n-bits 6 --theory embedded --m 2 --format csv": "ae9ba2fde6395a04d19c1cc6495c9e9056e177f4e07663eb5786ce5b1e5cd0fb",
     "swap --n-bits 6 --mu 63 --format json": "84e8b61105314168c5eb2295f5cd938121745fe4de49dfe69c080d807daa3888",
+    "teleport --n-bits 1 --format json": "b9f6679ab25ca221b53fd4295b0f624dac7b9399cd51317c9a74349f41537a48",
+    "teleport --n-bits 2 --format json": "ed1b14f676be5957086ff5300e5183ce3ebfbe70880dd05bfb865bbe0cf5432e",
+    "teleport --n-bits 2 --format csv": "e72ebd6eb8b216b2f46d75c0f93fcecadf084208956817948ecd9abca2f6784d",
+    "teleport --n-bits 3 --format json": "7dd42e86faf8d94279b7489c1be8b4af18ce497e2fa5d8db43528237f8f7804d",
+    "teleport --n-bits 3 --state axis:2 --seed 5 --format json": "01fbf5a61aaa262415734cf9e91e276a57aac9a4dbeecbe49c37f895f360845e",
+    "teleport --n-bits 4 --format json": "58b44ee973ce75d5752dd7e24a00013ffe17bbbb65dbea5d4183a900c8090605",
     "verify --suite consistency --format json": "f19f81d00c67f728339384e2deb56c18f51ad5a1d24b6d7017154eea928f54df",
     "verify --suite consistency --trials 10 --seed 3 --format json": "19f6f5c96b337d99b1900d9762683d41899e3663d47fd33331a3b70094011cf4",
     "verify --suite group --format json": "96418a43d38252ac194229fe019daf1ca8fab5d25089d976f68e210442c26b64",

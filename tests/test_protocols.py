@@ -26,11 +26,14 @@ from gptlab import (
     separable_baseline,
     teleport,
 )
+from gptlab import protocols
 from gptlab.capacity import blahut_arimoto
+from gptlab.core import Effect, unit_effect
 from gptlab.hst import (
     MAX_COMPONENTS,
     make_extremal_effect,
     make_state,
+    random_direction,
     random_measurement,
     random_pure_state,
     random_state,
@@ -47,6 +50,45 @@ def teleport_joint_oracle(e_x, e_y, omega, phi_corrected) -> float:
     return float(
         np.einsum("ij,k,i,jk->", e_x.matrix, e_y.entries, omega.entries, phi_corrected)
     )
+
+
+def teleport_loop_oracle(input_state, n_bits, signs, seed=0, n_effects=100):
+    """The per-outcome teleportation loop, one validated effect per probe.
+
+    Row x of ``signs`` plays ``d_x``; returns ``(joint, priors,
+    max_residual, witness)`` as ``teleport`` reports them.
+    """
+    dim = 2**n_bits - 1
+    rng = np.random.default_rng(seed)
+    probe_effects = [make_extremal_effect(random_direction(dim, rng)) for _ in range(n_effects)]
+    probe_effects.append(unit_effect(dim))
+    probe_rows = np.stack([e.entries for e in probe_effects])
+    pair = [make_extremal_effect(random_direction(dim, rng))]
+    pair.append(Effect(unit_effect(dim).entries - pair[0].entries))
+    pair_rows = np.stack([e.entries for e in pair])
+
+    omega = input_state.entries
+    expected = probe_rows @ omega
+    phi0 = signs[0]
+    joint = np.zeros((2**n_bits, 2))
+    priors = np.zeros(2**n_bits)
+    max_residual = 0.0
+    witness = None
+    for x in range(2**n_bits):
+        d_x = signs[x]
+        corrected = phi0 * d_x
+        e_x = 2.0**-n_bits * d_x
+        v_x = corrected * (e_x * omega)
+        priors[x] = v_x[0]
+        joint[x] = pair_rows @ v_x
+        conditional = (probe_rows @ v_x) / priors[x]
+        residuals = np.abs(conditional - expected)
+        worst = int(np.argmax(residuals))
+        if residuals[worst] > max_residual:
+            max_residual = float(residuals[worst])
+            witness = (x, worst)
+    passed = max_residual <= EXACT_TOL
+    return joint, priors, max_residual, None if passed else witness
 
 
 def swap_joint_oracle(e_x, e_y, phi_ac, phi_corrected) -> float:
@@ -181,7 +223,7 @@ class TestSeparableBaseline:
         oracle = np.stack(
             [local_transformation(int(x), n_bits).apply_left(phi).matrix for x in labels]
         )
-        encoded = sign_row_encodings(phi, hadamard_basis(n_bits)[labels])
+        encoded = sign_row_encodings(phi.matrix, hadamard_basis(n_bits)[labels])
         assert np.array_equal(encoded, oracle)
 
     def test_no_signalling_marginal(self):
@@ -230,6 +272,51 @@ class TestTeleport:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(GptError):
             teleport(make_state(np.zeros(4)), 2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n_bits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mutation", ["none", "halved_entry"])
+    def test_stacked_outcomes_match_the_loop(self, monkeypatch, n_bits, seed, mutation):
+        dim = 2**n_bits - 1
+        rng = np.random.default_rng(seed)
+        states = [random_pure_state(dim, rng), random_state(dim, rng), make_state(np.eye(dim)[0])]
+        signs = hadamard_basis(n_bits)
+        if mutation == "halved_entry":
+            # d_x enters v_x twice, so a flipped sign would cancel; a halved
+            # entry of the last d_x gives nonzero residuals and a witness.
+            signs = signs.astype(float)
+            signs[-1, 1] *= 0.5
+            monkeypatch.setattr(protocols, "hadamard_basis", lambda n: signs)
+        for state in states:
+            run = teleport(state, n_bits, seed=seed, n_effects=20 + seed)
+            joint, priors, max_residual, witness = teleport_loop_oracle(
+                state, n_bits, signs, seed=seed, n_effects=20 + seed
+            )
+            assert joint.tobytes() == run.joint.tobytes()
+            assert priors.tobytes() == run.outcome_priors.tobytes()
+            assert repr(max_residual) == repr(run.max_residual)
+            assert witness == run.witness
+            assert run.passed is (mutation == "none")
+
+    def test_residual_is_exactly_zero(self):
+        # v_x = 2^-N omega holds exactly, so the conditional equals e_y . omega bit for bit.
+        rng = np.random.default_rng(11)
+        for n_bits in range(1, 7):
+            for i in range(40):
+                state = random_state(2**n_bits - 1, rng)
+                assert teleport(state, n_bits, seed=i, n_effects=30).max_residual == 0.0
+
+    def test_nan_in_a_sign_row_fails(self, nan_sign_row):
+        run = teleport(random_pure_state(3, np.random.default_rng(0)), 2, seed=0)
+        assert run.passed is False
+        assert np.isnan(run.max_residual)
+        assert run.witness == (1, 0)
+
+    def test_swapped_sign_rows_fail_at_the_first_outcome(self, swapped_sign_rows):
+        run = teleport(random_pure_state(7, np.random.default_rng(0)), 3, seed=0)
+        assert run.passed is False
+        assert run.max_residual > 0.1
+        assert run.witness[0] == 0
 
 
 class TestEntanglementSwap:

@@ -30,10 +30,13 @@ from gptlab import (
     verify_max_tensor_membership,
     weak_dense_coding,
 )
+from gptlab import variants
 from gptlab.capacity import blahut_arimoto, weak_entanglement_bound, weak_thresholds
+from gptlab.core import Effect
 from gptlab.hadamard import hadamard_vector, local_transformation
 from gptlab.hst import random_pure_state
 from gptlab.variants import (
+    TlWitnessReport,
     constructed_family,
     embedded_dense_coding,
     embedded_extremal_effect,
@@ -42,6 +45,45 @@ from gptlab.variants import (
 )
 
 ROUNDED_REFERENCE_RATES = {2: 2.0, 3: 0.15, 4: 0.05, 5: 0.02}
+
+
+def tl_witness_loop_oracle(theory, trials, seed):
+    """The per-trial TL witness loop, one validated effect per local draw."""
+    rng = np.random.default_rng(seed)
+    states = [variants.theory_state(mu, theory) for mu in range(2**theory.n_bits)]
+    distances = tuple(float(np.abs(states[0].matrix - s.matrix).sum()) for s in states)
+    violations = []
+    max_spread = 0.0
+    unit = Effect(np.concatenate(([1.0], np.zeros(theory.local_dim))))
+    for _ in range(trials):
+        effects = []
+        for _side in range(2):
+            w = rng.standard_normal(theory.m)
+            extremal = embedded_extremal_effect(w / np.linalg.norm(w), theory)
+            mix = rng.dirichlet(np.ones(3))
+            effects.append(Effect(mix[0] * extremal.entries + mix[1] * unit.entries))
+        joint = product_effect(effects[0], effects[1])
+        probs = np.array([bipartite_contract(joint, s) for s in states])
+        spread = float(probs.max() - probs.min())
+        max_spread = max(max_spread, spread)
+        expected = float(effects[0].entries[0] * effects[1].entries[0])
+        if spread > EXACT_TOL or abs(probs[0] - expected) > EXACT_TOL:
+            violations.append(
+                {
+                    "check": "local_statistics",
+                    "spread": spread,
+                    "value": float(probs[0]),
+                    "expected": expected,
+                }
+            )
+    if not all(d > 0 for d in distances[1:]):
+        violations.append({"check": "states_differ", "distances": distances})
+    return TlWitnessReport(
+        passed=not violations,
+        max_probability_spread=max_spread,
+        state_distances=distances,
+        violations=tuple(violations),
+    )
 
 
 class TestLambdaTauChannel:
@@ -205,6 +247,28 @@ class TestEmbeddedTheory:
             assert report.state_distances[0] == 0.0
             for distance in report.state_distances[1:]:
                 assert distance == float(2**n_bits)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n_bits, m", [(2, 2), (3, 4), (4, 3)])
+    def test_stacked_trials_match_the_loop(self, n_bits, m, seed):
+        theory = TheoryConfig.embedded(n_bits, m)
+        report = tl_violation_witness(theory, trials=30, seed=seed)
+        assert repr(report) == repr(tl_witness_loop_oracle(theory, 30, seed))
+
+    def test_sphere_marginal_breaks_local_statistics(self, sphere_marginal_state):
+        theory = TheoryConfig.embedded(3, 4)
+        report = tl_violation_witness(theory, trials=20, seed=0)
+        assert report.passed is False
+        assert [v["check"] for v in report.violations] == ["local_statistics"] * 20
+        assert report.max_probability_spread > 0.01
+        assert repr(report) == repr(tl_witness_loop_oracle(theory, 20, 0))
+
+    def test_nan_state_breaks_local_statistics(self, nan_embedded_state):
+        report = tl_violation_witness(TheoryConfig.embedded(3, 4), trials=20, seed=0)
+        assert report.passed is False
+        checks = [v["check"] for v in report.violations]
+        assert "local_statistics" in checks
+        assert checks[-1] == "states_differ"
 
     def test_base_theory_has_no_such_witness(self):
         # tomography pins down every entangled state in the base model
