@@ -6,7 +6,7 @@ line and seed (stable key order, round-trip float formatting); wall time
 goes to stderr so report bytes stay reproducible.
 
 Exit codes: 0 success, 1 validation failure, 2 domain or flag error,
-3 protocol falsification.
+3 protocol falsification (including a JSON report that would hold NaN or inf).
 """
 
 from __future__ import annotations
@@ -62,7 +62,10 @@ def _jsonable(value):
 
 def _emit(report: dict, rows: list, args) -> None:
     if args.format == "json":
-        text = json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False)
+        try:
+            text = json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise ProtocolFalsified(f"the report holds a non-finite value ({exc})") from exc
         text += "\n"
     elif args.format == "csv":
         buffer = io.StringIO()
@@ -360,8 +363,7 @@ def _suite_consistency(seed: int, trials: int) -> dict:
         )
         # Each pair of pure states draws its A side, then its B side.
         pairs = np.ones((draws, 2, dim + 1))
-        for row in pairs.reshape(2 * draws, -1):
-            row[1:] = hst.random_direction(dim, rng)
+        pairs[..., 1:] = hst.random_directions(2 * draws, dim, rng).reshape(draws, 2, dim)
         probs = np.einsum("mij,si,sj->sm", effects, pairs[:, 0], pairs[:, 1])
         ceiling = 2.0 ** -(n - 1)
         checks[f"effect_product_range_n{n}"] = bool(

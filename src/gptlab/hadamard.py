@@ -37,6 +37,7 @@ from .core import (
     bipartite_contract,
     bipartite_unit,
 )
+from .hst import random_directions
 
 
 def _check_label(label: int, n_bits: int) -> None:
@@ -137,10 +138,9 @@ def verify_max_tensor_membership(
     if not abs(total - 1.0) <= EXACT_TOL:
         violations.append({"check": "unit_normalisation", "value": total})
 
-    # alpha_t and beta_t are consecutive draws, each normalised by a dot product
-    # exactly as hst.random_direction does, so a seed names the same probes.
-    draws = np.random.default_rng(seed).standard_normal((trials, 2, dim))
-    alpha, beta = np.moveaxis(draws / np.sqrt(np.vecdot(draws, draws))[..., None], 1, 0)
+    # Probe t draws alpha_t, then beta_t.
+    directions = random_directions(2 * trials, dim, np.random.default_rng(seed))
+    alpha, beta = directions[0::2], directions[1::2]
     e_alpha = 0.5 * np.insert(alpha, 0, 1.0, axis=1)
     e_beta = 0.5 * np.insert(beta, 0, 1.0, axis=1)
     p = np.einsum("ti,ij,tj->t", e_alpha, phi.matrix, e_beta)

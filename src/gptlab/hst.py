@@ -120,10 +120,20 @@ def one_bit_protocol(dim: int, encode_direction=None, decode_direction=None) -> 
     return Channel(prior=np.array([0.5, 0.5]), conditional=conditional)
 
 
+def random_directions(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniform points on the unit sphere, as rows.
+
+    One Gaussian draw with each row divided by the square root of its dot
+    product, so row k is bit for bit what the k-th of ``count`` successive
+    ``random_direction`` calls returns.
+    """
+    v = rng.standard_normal((count, dim))
+    return v / np.sqrt(np.vecdot(v, v))[:, None]
+
+
 def random_direction(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform point on the unit sphere (normalised Gaussian vector)."""
-    v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return random_directions(1, dim, rng)[0]
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> State:

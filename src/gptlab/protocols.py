@@ -49,7 +49,7 @@ from .hadamard import bell_measurement, hadamard_basis
 from .hst import (
     MAX_COMPONENTS,
     random_ball_point,
-    random_direction,
+    random_directions,
     random_measurement,
 )
 
@@ -303,16 +303,17 @@ def teleport(
         )
     if not np.linalg.norm(input_state.r) <= 1.0 + EXACT_TOL:
         raise DomainError("input state lies outside the unit ball")
-    rng = np.random.default_rng(seed)
+    if n_effects < 0:
+        raise GptError(f"n_effects must be >= 0, got {n_effects}")
 
-    # Effect rows: n_effects random extremal effects (1, m)/2, then the unit u;
-    # the pair is the canonical measurement {e_m, u - e_m} along one more m.
+    # Extremal effects (1, m)/2 along n_effects + 1 random m, one draw: the
+    # probes are the first n_effects plus the unit u, and the pair is the
+    # canonical measurement {e_m, u - e_m} along the last m.
+    directions = random_directions(n_effects + 1, dim, np.random.default_rng(seed))
+    extremal = 0.5 * np.insert(directions, 0, 1.0, axis=1)
     unit = np.eye(1, dim + 1)[0]
-    probe_rows = np.array(
-        [0.5 * np.insert(random_direction(dim, rng), 0, 1.0) for _ in range(n_effects)] + [unit]
-    )
-    plus = 0.5 * np.insert(random_direction(dim, rng), 0, 1.0)
-    pair_rows = np.array([plus, unit - plus])
+    probe_rows = np.vstack((extremal[:-1], unit))
+    pair_rows = np.array([extremal[-1], unit - extremal[-1]])
 
     omega = input_state.entries
     expected = probe_rows @ omega  # e_y . omega per probe effect

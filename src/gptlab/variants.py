@@ -112,13 +112,12 @@ def dense_coding_channel(theory: TheoryConfig, rotation_seed: int = 0) -> Channe
     """Dense-coding channel of any theory kind, uniform prior.
 
     Message x turns the shared state ``phi_0`` into ``T_x phi_0`` and the
-    receiver measures the decoding effects ``E_y``.  Every effect is
-    diagonal, so ``p(y|x) = E_y . T_x phi_0`` contracts the diagonal of the
-    encoded state with the diagonal of the effect; the whole table is one
-    product of the two stacks of diagonals.  It is checked entrywise
-    against the closed form ``p delta_(y,x) + 2^-N (1 - p)`` with ``p`` the
-    product of the two scales.  ``rotation_seed`` seeds the embedded
-    model's sphere rotations and is unused by the other kinds.
+    receiver measures the decoding effects ``E_y``, all diagonal on the
+    Hadamard corner, where ``T_x = diag(d_x)``: the table is one product of
+    two stacks of corner diagonals, checked entrywise against the closed
+    form ``p delta_(y,x) + 2^-N (1 - p)``, p the product of the two scales.
+    Each embedded message also draws a sphere rotation from
+    ``rotation_seed``; its local map may not couple the sphere to the corner.
     """
     n = theory.n_bits
     size = theory.hadamard_dim
@@ -129,15 +128,17 @@ def dense_coding_channel(theory: TheoryConfig, rotation_seed: int = 0) -> Channe
             "the decoding effects take negative probabilities for "
             f"state scale x effect scale = {product!r} < -1/(2^N-1)"
         )
-    width = 1 + theory.local_dim
-    signs = hadamard_basis(n)
-    phi0 = _diagonals(signs[0], state_scale, width)
     if theory.kind == "embedded":
-        encoded = _rotated_encodings(theory, phi0, rotation_seed)
-    else:
-        # T_x = diag(d_x) acts on the diagonal of phi_0 entrywise.
-        encoded = signs * phi0
-    effects = _diagonals(signs, effect_scale, width)
+        rng = np.random.default_rng(rotation_seed)
+        for x in range(size):
+            _, _, down, up = embedded_blocks(x, theory, random_rotation(theory.m, rng))
+            if down.any() or up.any():
+                raise ProtocolFalsified(
+                    f"message {x} moved the embedded state off the Hadamard corner"
+                )
+    signs = hadamard_basis(n)
+    encoded = signs * _diagonals(signs[0], state_scale, size)
+    effects = _diagonals(signs, effect_scale, size)
     effects *= 2.0**-n
     conditional = encoded @ effects.T
     closed = np.full((size, size), 2.0**-n * (1.0 - product))
@@ -149,30 +150,6 @@ def dense_coding_channel(theory: TheoryConfig, rotation_seed: int = 0) -> Channe
         )
     conditional = np.clip(conditional, 0.0, 1.0)
     return Channel(prior=np.full(size, 1.0 / size), conditional=conditional)
-
-
-def _rotated_encodings(
-    theory: TheoryConfig, phi0: np.ndarray, rotation_seed: int
-) -> np.ndarray:
-    """Diagonals of ``block-diag(T_x, R_x) phi_0``, one fresh rotation per message.
-
-    The rotations act on the sphere block, where ``phi_0`` vanishes, so
-    each encoded state must stay diagonal on the Hadamard corner; anything
-    else falsifies the model.
-    """
-    size = theory.hadamard_dim
-    rng = np.random.default_rng(rotation_seed)
-    rows = np.zeros((size, phi0.size))
-    for x in range(size):
-        transform = embedded_transformation(x, theory, random_rotation(theory.m, rng))
-        # T diag(phi_0) scales column k of T by phi_0[k].
-        moved = transform.matrix * phi0
-        rows[x, :size] = np.diagonal(moved)[:size]
-        if np.count_nonzero(moved) != np.count_nonzero(rows[x]):
-            raise ProtocolFalsified(
-                f"message {x} moved the embedded state off the Hadamard corner"
-            )
-    return rows
 
 
 # --------------------------------------------------------------------------
@@ -281,20 +258,27 @@ def random_rotation(m: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def embedded_transformation(
-    label: int, theory: TheoryConfig, rotation: np.ndarray
-) -> Transformation:
-    """Local map ``block-diag(T_label, R)`` for a rotation R of the sphere."""
+def embedded_blocks(label: int, theory: TheoryConfig, rotation: np.ndarray) -> tuple:
+    """Blocks ``(corner, sphere, down, up)`` of the local map ``block-diag(T_label, R)``.
+
+    The sign row ``d_label``, R, and the zero couplings sphere from corner
+    (``m x 2^N``) and corner from sphere (``2^N x m``).
+    """
     _require_kind(theory, "embedded")
     rotation = np.asarray(rotation, dtype=float)
     if rotation.shape != (theory.m, theory.m):
         raise GptError(f"rotation must be {theory.m} x {theory.m}")
-    size = 1 + theory.local_dim
-    block = np.arange(theory.hadamard_dim)
-    matrix = np.zeros((size, size))
-    matrix[block, block] = hadamard_vector(label, theory.n_bits)
-    matrix[block.size :, block.size :] = rotation
-    return Transformation(matrix)
+    m, size = theory.m, theory.hadamard_dim
+    corner = hadamard_vector(label, theory.n_bits)
+    return corner, rotation, np.zeros((m, size)), np.zeros((size, m))
+
+
+def embedded_transformation(
+    label: int, theory: TheoryConfig, rotation: np.ndarray
+) -> Transformation:
+    """Local map ``block-diag(T_label, R)`` for a rotation R of the sphere."""
+    corner, sphere, down, up = embedded_blocks(label, theory, rotation)
+    return Transformation(np.block([[np.diag(corner), up], [down, sphere]]))
 
 
 def embedded_dense_coding(theory: TheoryConfig, rotation_seed: int = 0) -> Channel:

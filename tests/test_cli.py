@@ -194,6 +194,16 @@ class TestTeleportCommand:
         assert report["passed"] is False
         assert report["max_residual"] > 0.1
 
+    def test_nan_report_exits_three_without_output(self, capsys, tmp_path, nan_sign_row):
+        argv = ("teleport", "--n-bits", "2", "--format", "json")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("protocol falsified:") and err.count("\n") == 1
+        target = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (3, "")
+        assert not target.exists()
+
     def test_bad_axis_exits_two(self, capsys):
         code, _, err = run_cli(
             capsys, "teleport", "--n-bits", "2", "--state", "axis:9"

@@ -51,6 +51,11 @@ GOLDEN = {
     "teleport --n-bits 3 --format json": "7dd42e86faf8d94279b7489c1be8b4af18ce497e2fa5d8db43528237f8f7804d",
     "teleport --n-bits 3 --state axis:2 --seed 5 --format json": "01fbf5a61aaa262415734cf9e91e276a57aac9a4dbeecbe49c37f895f360845e",
     "teleport --n-bits 4 --format json": "58b44ee973ce75d5752dd7e24a00013ffe17bbbb65dbea5d4183a900c8090605",
+    "dense-coding --n-bits 4 --theory embedded --m 1 --format json": "ca3b609a58b6df55c7732c6578c773c9ff17d65cada5fb201657d04e90dc69d1",
+    "dense-coding --n-bits 6 --theory embedded --m 4 --seed 3 --format json": "bc15b35d93ebbe0c9ea526b0bccfdd232f5f522f2b51f36b807949d4c34426db",
+    "dense-coding --n-bits 8 --theory embedded --m 3 --seed 1 --format csv": "3b2f7310be7807253d03fc78b6bb6016ac413e31e46ce3204aaf616aaeb3d842",
+    "teleport --n-bits 6 --seed 2 --format json": "1c704e2d10da14ef29875d1e6855ac6608cfc994c86c3d15c4675663334d8cbd",
+    "verify --suite consistency --trials 200 --seed 1 --format json": "ea21a1b3c69037f2a0ade0d7edf451c703005424ed3e7218e7baed64d35dc06d",
     "verify --suite consistency --format json": "f19f81d00c67f728339384e2deb56c18f51ad5a1d24b6d7017154eea928f54df",
     "verify --suite consistency --trials 10 --seed 3 --format json": "19f6f5c96b337d99b1900d9762683d41899e3663d47fd33331a3b70094011cf4",
     "verify --suite group --format json": "96418a43d38252ac194229fe019daf1ca8fab5d25089d976f68e210442c26b64",

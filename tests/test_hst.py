@@ -28,6 +28,7 @@ from gptlab.hst import (
     make_extremal_effect,
     make_state,
     random_direction,
+    random_directions,
     random_measurement,
     random_pure_state,
     random_state,
@@ -86,6 +87,19 @@ class TestCanonicalMeasurement:
             probs = [contract(e, state) for e in meas.effects]
             assert abs(probs[0] - 0.5 * (1 + overlap)) < EXACT_TOL
             assert abs(probs[1] - 0.5 * (1 - overlap)) < EXACT_TOL
+
+    @pytest.mark.parametrize("dim", [1, 3, 7, 15, 63, 255])
+    @pytest.mark.parametrize("count", [0, 1, 7, 101])
+    def test_batched_directions_match_successive_draws(self, count, dim):
+        batched, single, plain = (np.random.default_rng(dim + count) for _ in range(3))
+        rows = random_directions(count, dim, batched)
+        calls = [random_direction(dim, single) for _ in range(count)]
+        # Reference: each Gaussian row divided by its Euclidean norm.
+        norms = [v / np.linalg.norm(v) for v in plain.standard_normal((count, dim))]
+        assert rows.shape == (count, dim)
+        assert rows.tobytes() == np.array(calls).tobytes() == np.array(norms).tobytes()
+        state = batched.bit_generator.state
+        assert state == single.bit_generator.state == plain.bit_generator.state
 
     def test_probabilities_valid_across_dimensions(self):
         rng = np.random.default_rng(11)

@@ -273,6 +273,10 @@ class TestTeleport:
         with pytest.raises(GptError):
             teleport(make_state(np.zeros(4)), 2)
 
+    def test_rejects_negative_effect_count(self):
+        with pytest.raises(GptError, match="n_effects"):
+            teleport(make_state(np.zeros(3)), 2, n_effects=-1)
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("n_bits", [1, 2, 3, 4])
     @pytest.mark.parametrize("mutation", ["none", "halved_entry"])

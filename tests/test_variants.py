@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptlab import (
     EXACT_TOL,
@@ -32,6 +34,7 @@ from gptlab import (
 )
 from gptlab import variants
 from gptlab.capacity import blahut_arimoto, weak_entanglement_bound, weak_thresholds
+from gptlab.cli import main
 from gptlab.core import Effect
 from gptlab.hadamard import hadamard_vector, local_transformation
 from gptlab.hst import random_pure_state
@@ -86,7 +89,35 @@ def tl_witness_loop_oracle(theory, trials, seed):
     )
 
 
+@st.composite
+def lt_window_edges(draw):
+    """``(N, lambda, tau)`` with ``lambda tau`` on an edge of the admissible window."""
+    n_bits = draw(st.integers(2, 8))
+    edge = draw(st.sampled_from([-1.0 / (2**n_bits - 1), 1.0 / (2**n_bits - 3)]))
+    lam = draw(st.floats(abs(edge), 1.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return n_bits, lam, edge / lam
+
+
 class TestLambdaTauChannel:
+    @settings(max_examples=150, deadline=None)
+    @given(case=lt_window_edges())
+    def test_window_edges_are_admissible(self, case):
+        n_bits, lam, tau = case
+        theory = TheoryConfig.lambda_tau(n_bits, lam, tau)
+        assert lt_channel(theory).conditional.min() >= 0.0
+        for p in lt_admissibility_witness(n_bits, lam, tau):
+            assert -1e-12 <= p <= 1.0 + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=lt_window_edges())
+    def test_just_beyond_the_window_edges_is_rejected(self, case):
+        n_bits, lam, tau = case
+        beyond = tau * (1.0 + 1e-6)
+        with pytest.raises(DomainError):
+            TheoryConfig.lambda_tau(n_bits, lam, beyond)
+        argv = ["dense-coding", "--n-bits", str(n_bits), "--theory", "lambda-tau"]
+        assert main(argv + ["--lambda", repr(lam), "--tau", repr(beyond)]) == 2
+
     def test_closed_form_exhaustive(self):
         rng = np.random.default_rng(0)
         for n_bits in (2, 3, 4, 5):
@@ -489,13 +520,56 @@ class TestDiagonalLayer:
         from gptlab import ProtocolFalsified, variants
 
         theory = TheoryConfig.embedded(2, 2)
-        honest = variants.embedded_transformation
+        honest = variants.embedded_blocks
 
         def leaky(label, theory, rotation):
-            matrix = honest(label, theory, rotation).matrix.copy()
-            matrix[-1, 1] = 0.5  # couples the sphere block to the corner
-            return variants.Transformation(matrix)
+            corner, sphere, down, up = honest(label, theory, rotation)
+            down[-1, 1] = 0.5  # couples the sphere block to the corner
+            return corner, sphere, down, up
 
-        monkeypatch.setattr(variants, "embedded_transformation", leaky)
+        monkeypatch.setattr(variants, "embedded_blocks", leaky)
         with pytest.raises(ProtocolFalsified, match="off the Hadamard corner"):
             embedded_dense_coding(theory, rotation_seed=0)
+
+    @pytest.mark.parametrize("value", [0.5, float("nan")])
+    def test_corner_coupled_to_the_sphere_is_falsified(self, monkeypatch, value):
+        # Such a leak leaves T_x phi_0 unchanged, so only the block form reveals it.
+        from gptlab import ProtocolFalsified
+
+        theory = TheoryConfig.embedded(2, 2)
+        honest = variants.embedded_blocks
+
+        def leaky(label, theory, rotation):
+            corner, sphere, down, up = honest(label, theory, rotation)
+            up[1, -1] = value
+            return corner, sphere, down, up
+
+        monkeypatch.setattr(variants, "embedded_blocks", leaky)
+        with pytest.raises(ProtocolFalsified, match="message 0 .* off the Hadamard corner"):
+            embedded_dense_coding(theory, rotation_seed=0)
+
+    def test_dense_matrix_is_assembled_from_the_blocks(self):
+        theory = TheoryConfig.embedded(3, 2)
+        rotation = random_rotation(2, np.random.default_rng(0))
+        corner, sphere, down, up = variants.embedded_blocks(5, theory, rotation)
+        matrix = embedded_transformation(5, theory, rotation).matrix
+        assert np.array_equal(np.diagonal(matrix)[:8], corner)
+        assert np.array_equal(matrix[8:, 8:], sphere)
+        assert np.array_equal(matrix[8:, :8], down) and np.array_equal(matrix[:8, 8:], up)
+        assert not (down.any() or up.any())
+
+    def test_embedded_channel_builds_no_transformation(self, monkeypatch):
+        from gptlab.core import Transformation
+
+        built = []
+        honest = Transformation.__post_init__
+
+        def counting(self):
+            built.append(self.matrix.shape)
+            honest(self)
+
+        monkeypatch.setattr(Transformation, "__post_init__", counting)
+        dense_coding(6, TheoryConfig.embedded(6, 3), seed=1)
+        assert built == []
+        embedded_transformation(0, TheoryConfig.embedded(2, 3), np.eye(3))
+        assert built == [(7, 7)]
