@@ -9,11 +9,13 @@ bound ``log2(1 + |lambda| (2^N - 1))`` with its two thresholds.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Channel, DomainError, GptError, mutual_information
+from .core import EXACT_TOL, Channel, DomainError, GptError, mutual_information
 
 BA_DEFAULT_TOL = 1e-10
 BA_DEFAULT_MAX_ITER = 100_000
@@ -21,18 +23,26 @@ BA_DEFAULT_MAX_ITER = 100_000
 
 @dataclass(frozen=True, eq=False)
 class CapacityResult:
-    """Capacity estimate with the maximising prior and convergence data."""
+    """Capacity estimate with the maximising prior and convergence data.
+
+    ``capacity_bits`` is the achieved rate (a lower bound) and
+    ``upper_bits`` the dual bound ``max_x c_x`` of the last iteration (an
+    upper bound), so the true capacity lies between them.
+    """
 
     capacity_bits: float
     optimal_prior: np.ndarray
     iterations: int
     converged: bool
+    upper_bits: float
 
 
 def blahut_arimoto(
     conditional,
     tol: float = BA_DEFAULT_TOL,
     max_iter: int = BA_DEFAULT_MAX_ITER,
+    *,
+    incumbent: float | None = None,
 ) -> CapacityResult:
     """Capacity of a fixed discrete memoryless channel, in bits.
 
@@ -41,7 +51,16 @@ def blahut_arimoto(
     ``sum_x r_x c_x`` and ``max_x c_x`` bound the capacity from below and
     above, and the loop stops when the bracket is narrower than ``tol``.
     The reported capacity is the achieved lower bound, so it never exceeds
-    the true capacity.  Deterministic: no randomness, fixed iteration order.
+    the true capacity; ``upper_bits`` is the upper bound of the last
+    iteration (Blahut 1972; Arimoto 1972).  Deterministic: no randomness,
+    fixed iteration order.
+
+    ``incumbent`` is the best rate a search has already found.  Once the
+    upper bound falls to ``incumbent - EXACT_TOL`` the table is certified
+    unable to beat it, and the loop stops early, unconverged, with
+    ``upper_bits <= incumbent - EXACT_TOL``.  Its lower bound is then below
+    the incumbent, so a running maximum is exactly what the full run would
+    give.  A table that could beat the incumbent runs as without it.
     """
     p = np.asarray(conditional, dtype=float)
     if p.ndim != 2 or p.shape[0] < 1:
@@ -51,6 +70,12 @@ def blahut_arimoto(
         raise DomainError("conditional rows must be probability vectors")
     if not 0 < tol < np.inf:
         raise GptError(f"tol must be positive and finite, got {tol!r}")
+    if incumbent is None:
+        stop_at = -math.inf
+    elif isinstance(incumbent, numbers.Real) and math.isfinite(incumbent):
+        stop_at = incumbent - EXACT_TOL
+    else:
+        raise GptError(f"incumbent must be a finite real number, got {incumbent!r}")
     p = np.clip(p, 0.0, None)
     n_in = p.shape[0]
     mask = p > 0
@@ -62,7 +87,7 @@ def blahut_arimoto(
     row_term = np.sum(p * log_p, axis=1)
 
     prior = np.full(n_in, 1.0 / n_in)
-    lower = 0.0
+    lower, upper = 0.0, math.inf
     converged = False
     iterations = 0
     for iterations in range(1, int(max_iter) + 1):
@@ -75,6 +100,8 @@ def blahut_arimoto(
         if upper - lower < tol:
             converged = True
             break
+        if upper <= stop_at:
+            break
         prior = prior * np.exp2(c - upper)
         prior /= prior.sum()
 
@@ -85,6 +112,7 @@ def blahut_arimoto(
         optimal_prior=prior,
         iterations=iterations,
         converged=converged,
+        upper_bits=upper,
     )
 
 

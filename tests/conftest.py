@@ -109,3 +109,35 @@ def nan_embedded_state(monkeypatch):
         matrix[1 + theory.ball_dim, 1 + theory.ball_dim] = float("nan")
 
     _patch_embedded_state(monkeypatch, mutate)
+
+
+@pytest.fixture
+def run_search():
+    """Run a randomized search with or without the optimiser's early exit.
+
+    ``run(search, *args, early_exit=True)`` returns the search's maximum and
+    the Blahut-Arimoto iterations spent over all its tables.  With
+    ``early_exit=False`` every table's ``incumbent`` is dropped, so each
+    table runs to its bracket or its iteration cap: the oracle the pruned
+    search must match bit for bit.
+    """
+    from gptlab import capacity, protocols
+
+    original = capacity.blahut_arimoto
+
+    def run(search, *args, early_exit=True):
+        iterations = []
+
+        def counted(conditional, tol, max_iter, *, incumbent):
+            result = original(
+                conditional, tol, max_iter, incumbent=incumbent if early_exit else None
+            )
+            iterations.append(result.iterations)
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(capacity, "blahut_arimoto", counted)
+            patch.setattr(protocols, "blahut_arimoto", counted)
+            return search(*args), sum(iterations)
+
+    return run

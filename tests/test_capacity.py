@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptlab import (
+    EXACT_TOL,
     DomainError,
     GptError,
     OPT_TOL,
@@ -27,6 +30,31 @@ def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+# Rounding slack for comparing a bound with a closed form computed another way.
+ROUNDING = 1e-12
+
+
+@st.composite
+def row_stochastic_tables(draw):
+    """Tables of 1-6 inputs and 1-6 outputs with rows summing to 1, some zeros."""
+    n_in = draw(st.integers(1, 6))
+    n_out = draw(st.integers(1, 6))
+    entry = st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, 7.0])
+    row = st.lists(entry, min_size=n_out, max_size=n_out).filter(lambda r: sum(r) > 0)
+    weights = draw(st.lists(row, min_size=n_in, max_size=n_in))
+    table = np.array(weights)
+    return table / table.sum(axis=1, keepdims=True)
+
+
+def circulant(row) -> np.ndarray:
+    """Symmetric channel whose rows are the cyclic shifts of ``row``.
+
+    The uniform prior is optimal, so the capacity is
+    ``log2(len(row)) - H(row)`` in closed form.
+    """
+    return np.array([np.roll(row, k) for k in range(len(row))])
 
 
 class TestBlahutArimoto:
@@ -101,6 +129,88 @@ class TestBlahutArimoto:
     def test_rejects_a_non_finite_or_non_positive_tol(self, tol):
         with pytest.raises(GptError):
             blahut_arimoto(np.eye(2), tol=tol)
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_identity_bounds_sandwich_the_closed_form(self, size):
+        result = blahut_arimoto(np.eye(size))
+        exact = math.log2(size)
+        assert result.capacity_bits <= exact + ROUNDING
+        assert exact <= result.upper_bits + ROUNDING
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 5, 100_000])
+    @pytest.mark.parametrize("flip", [0.0, 0.1, 0.25, 0.5])
+    def test_binary_symmetric_bounds_sandwich_the_closed_form(self, flip, max_iter):
+        conditional = np.array([[1 - flip, flip], [flip, 1 - flip]])
+        result = blahut_arimoto(conditional, max_iter=max_iter)
+        exact = 1.0 - binary_entropy(flip)
+        assert result.capacity_bits <= exact + ROUNDING
+        assert exact <= result.upper_bits + ROUNDING
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0]), min_size=2, max_size=7).filter(
+            lambda row: sum(row) > 0
+        ),
+        st.integers(1, 30),
+    )
+    def test_circulant_bounds_sandwich_the_closed_form(self, weights, max_iter):
+        row = np.array(weights) / sum(weights)
+        exact = math.log2(len(row)) + float(np.sum(row[row > 0] * np.log2(row[row > 0])))
+        result = blahut_arimoto(circulant(row), max_iter=max_iter)
+        assert result.capacity_bits <= exact + ROUNDING
+        assert exact <= result.upper_bits + ROUNDING
+
+    @settings(max_examples=80, deadline=None)
+    @given(row_stochastic_tables(), st.integers(1, 40))
+    def test_every_lower_bound_is_below_every_upper_bound(self, conditional, max_iter):
+        # The true capacity lies between any iterate's two bounds, so a
+        # short run and a long one bracket each other.
+        early = blahut_arimoto(conditional, max_iter=max_iter)
+        later = blahut_arimoto(conditional, max_iter=2000)
+        assert early.capacity_bits <= later.upper_bits + ROUNDING
+        assert later.capacity_bits <= early.upper_bits + ROUNDING
+
+    @settings(max_examples=80, deadline=None)
+    @given(row_stochastic_tables(), st.sampled_from([0.0, 0.2, 0.5, 1.0, 2.0]))
+    def test_a_stopped_run_is_certified_below_the_incumbent(self, conditional, incumbent):
+        full = blahut_arimoto(conditional, tol=1e-6, max_iter=60)
+        result = blahut_arimoto(conditional, tol=1e-6, max_iter=60, incumbent=incumbent)
+        if not result.converged and result.upper_bits <= incumbent - EXACT_TOL:
+            assert result.iterations <= full.iterations
+            assert full.capacity_bits < incumbent
+        else:
+            # Never stopped early: the same run, bit for bit.
+            assert result.iterations == full.iterations
+            assert result.capacity_bits == full.capacity_bits
+            assert result.upper_bits == full.upper_bits
+            assert np.array_equal(result.optimal_prior, full.optimal_prior)
+        assert max(incumbent, result.capacity_bits) == max(incumbent, full.capacity_bits)
+
+    def test_stops_at_the_first_certifying_iteration(self):
+        # The Z channel has capacity 0.32 bits; the uniform prior is not
+        # optimal, but its dual bound 0.42 is already below one bit.
+        conditional = np.array([[1.0, 0.0], [0.5, 0.5]])
+        result = blahut_arimoto(conditional, tol=1e-15, incumbent=1.0)
+        assert result.iterations == 1
+        assert not result.converged
+        assert result.upper_bits <= 1.0 - EXACT_TOL
+
+    def test_incumbent_below_the_capacity_changes_nothing(self):
+        result = blahut_arimoto(np.eye(4), incumbent=1.0)
+        assert result.converged
+        assert result.capacity_bits == 2.0
+        assert result.upper_bits == 2.0
+
+    @pytest.mark.parametrize(
+        "incumbent", [math.nan, math.inf, -math.inf, "1.0", 1j, np.array([1.0])]
+    )
+    def test_rejects_an_incumbent_that_is_not_a_finite_real(self, incumbent):
+        with pytest.raises(GptError, match="incumbent"):
+            blahut_arimoto(np.eye(2), incumbent=incumbent)
+
+    def test_incumbent_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            blahut_arimoto(np.eye(2), 1e-6, 60, 1.0)
 
     def test_deformed_channel_capacity_at_uniform_prior(self):
         theory = TheoryConfig.lambda_tau(3, 1.0, lt_optimal_product(3))

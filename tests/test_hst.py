@@ -1,5 +1,7 @@
 """Tests for the single-system ball model and its one-bit capacity."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from gptlab import (
     unit_effect,
     validate_measurement,
 )
+from gptlab import hst
 from gptlab.hst import (
     MAX_COMPONENTS,
     MAX_OUTCOMES,
@@ -189,3 +192,23 @@ class TestRandomFamilies:
         best = capacity_search(3, trials=150, seed=0)
         assert 1.0 <= best <= 1.0 + OPT_TOL
         assert best <= capacity_upper_bound(1.0, 1.0) + OPT_TOL
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim", [2, 3, 7, 15])
+    def test_early_exit_keeps_the_maximum(self, run_search, dim, seed):
+        best, spent = run_search(capacity_search, dim, 100, seed)
+        oracle, full = run_search(capacity_search, dim, 100, seed, early_exit=False)
+        assert best.hex() == oracle.hex()
+        assert spent < full
+
+    def test_perfectly_read_tetrahedron_fires_the_gate(self, monkeypatch):
+        # States on the tetrahedron vertices t_k, read by the effects
+        # (1, 3 t_k)/4: they sum to the unit and give p(k|j) = delta_jk, but
+        # leave the ball (down to -1/2), so up to two bits get through.
+        vertices = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+        cycle = itertools.cycle(vertices)
+        monkeypatch.setattr(hst, "random_direction", lambda dim, rng: next(cycle))
+        monkeypatch.setattr(hst, "random_ball_point", lambda dim, rng: next(cycle))
+        effects = 0.25 * np.insert(3 * vertices, 0, 1.0, axis=1)
+        monkeypatch.setattr(hst, "random_measurement", lambda dim, rng: effects)
+        assert capacity_search(3, trials=20, seed=0) > 1.0 + OPT_TOL

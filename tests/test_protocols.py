@@ -153,6 +153,18 @@ class TestSeparableBaseline:
         best = product_decoding_baseline(2, trials=150, seed=1)
         assert best <= 1.0 + OPT_TOL
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "search, args",
+        [(separable_baseline, (3, 100)), (product_decoding_baseline, (2, 50))],
+        ids=["separable", "product_decoding"],
+    )
+    def test_early_exit_keeps_the_maximum(self, run_search, search, args, seed):
+        best, spent = run_search(search, *args, seed)
+        oracle, full = run_search(search, *args, seed, early_exit=False)
+        assert best.hex() == oracle.hex()
+        assert spent < full
+
     def test_bell_decoding_on_product_state_formula(self):
         # p(y|x) = (1 + a_x . T_hat_y b) / 2^N, never informative beyond 1 bit
         rng = np.random.default_rng(2)
