@@ -561,6 +561,12 @@ def main(argv=None) -> int:
     except GptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(
+            f"error: out of memory in {args.command}; try a smaller --n-bits or --trials",
+            file=sys.stderr,
+        )
+        return 4
     print(
         f"completed {args.command} in {time.perf_counter() - started:.3f}s",
         file=sys.stderr,

@@ -153,42 +153,70 @@ def random_state(dim: int, rng: np.random.Generator) -> State:
     return make_state(random_ball_point(dim, rng))
 
 
-def random_measurement(
-    dim: int, rng: np.random.Generator, n_outcomes: int | None = None
+def random_measurements(
+    count: int, dim: int, n_outcomes: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Random measurement built from physical effects only, as effect rows.
+    """``count`` random measurements built from physical effects only.
 
-    Mixes canonical two-outcome measurements (and occasionally the trivial
-    unit measurement) with flat-simplex weights, scattering their effects
-    over a shared outcome set.  Every resulting effect is a convex
-    combination of extremal effects, the zero effect and the unit, and the
-    effects sum to the unit by construction.  Returns the
-    ``(n_outcomes, dim + 1)`` table whose rows are the effects.
+    Each measurement mixes 1 to ``MAX_COMPONENTS`` components with
+    flat-simplex weights, scattering their effects over its
+    ``n_outcomes`` outcomes: a component is the trivial unit measurement
+    with probability 0.15 and otherwise the canonical pair
+    ``e_(+-m) = (1, +-m)/2`` along a random m.  Every resulting effect is a
+    convex combination of extremal effects, the zero effect and the unit,
+    and each measurement's effects sum to the unit by construction.
+    Returns the ``(count, n_outcomes, dim + 1)`` stack of effect rows.
+
+    All components of all measurements are drawn at once, in this order:
+    the component counts; one standard exponential per component,
+    normalised per measurement (the flat Dirichlet law); one uniform row
+    of ``n_outcomes + 1`` per component, whose column 0 picks the unit
+    component and whose argsorted other columns give two distinct, uniform,
+    ordered slots; and one ``random_directions`` row per component.  One
+    unbuffered ``np.add.at`` sums the effects in component order, first
+    slot then second, so the stack equals that per-component loop bit for
+    bit whatever BLAS is linked.
     """
-    if n_outcomes is None:
-        n_outcomes = int(rng.integers(2, MAX_OUTCOMES + 1))
-    n_components = int(rng.integers(1, MAX_COMPONENTS + 1))
-    weights = rng.dirichlet(np.ones(n_components))
-    table = np.zeros((n_outcomes, dim + 1))
-    for w in weights:
-        if rng.random() < 0.15:
-            table[rng.integers(n_outcomes), 0] += w
-        else:
-            # The canonical pair e_(+-m) = (1, +-m)/2 along a random m.
-            plus = 0.5 * np.concatenate(([1.0], random_direction(dim, rng)))
-            minus = -plus
-            minus[0] = plus[0]
-            slots = rng.choice(n_outcomes, size=2, replace=False)
-            table[slots[0]] += w * plus
-            table[slots[1]] += w * minus
-    return table
+    if n_outcomes < 2:
+        raise GptError(f"a random measurement needs >= 2 outcomes, got {n_outcomes}")
+    owner = np.repeat(np.arange(count), rng.integers(1, MAX_COMPONENTS + 1, size=count))
+    weights = rng.standard_exponential(owner.size)
+    weights /= np.bincount(owner, weights, minlength=count)[owner]
+    coins = rng.random((owner.size, n_outcomes + 1))
+    unit = coins[:, 0] < 0.15
+    slots = owner[:, None] * n_outcomes + coins[:, 1:].argsort(axis=1)[:, :2]
+    directions = random_directions(owner.size, dim, rng)
+    # A component adds w (1, m)/2 to its first slot and w (1, -m)/2 to its
+    # second, or the unit w (1, 0) to its first slot and zero to its second.
+    half = np.where(unit, 0.0, 0.5 * weights)
+    rows = np.empty((owner.size, 2, dim + 1))
+    rows[:, 0, 0] = np.where(unit, weights, half)
+    rows[:, 0, 1:] = half[:, None] * directions
+    rows[:, 1, 0] = half
+    rows[:, 1, 1:] = -rows[:, 0, 1:]
+    table = np.zeros((count * n_outcomes, dim + 1))
+    np.add.at(table, slots, rows)
+    return table.reshape(count, n_outcomes, dim + 1)
+
+
+def random_measurement(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """One random measurement, as its ``(n_outcomes, dim + 1)`` effect rows.
+
+    The outcome count is drawn first, uniform in ``2..MAX_OUTCOMES``; the
+    rest is the one-row case of ``random_measurements``.
+    """
+    n_outcomes = int(rng.integers(2, MAX_OUTCOMES + 1))
+    return random_measurements(1, dim, n_outcomes, rng)[0]
 
 
 def capacity_search(dim: int, trials: int, seed: int) -> float:
     """Best information rate found over random single-system protocols.
 
-    Each trial draws up to ``MAX_STATES`` encoding states and a random
-    measurement, then optimises the input prior.  The antipodal protocol is
+    Each trial draws 2 to ``MAX_STATES`` encoding states and a random
+    measurement, then optimises the input prior.  The states are the rows
+    of one array: one uniform pair per state (pure with probability 1/2,
+    otherwise radius ``u ** (1/dim)``, uniform in the ball) and one
+    ``random_directions`` draw.  The antipodal protocol is
     always included, so the result is at least 1 bit; the returned maximum
     must never exceed 1 by more than optimizer slack.  The per-trial prior
     optimisation reports an achieved rate (a lower bound), so looser
@@ -203,10 +231,11 @@ def capacity_search(dim: int, trials: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     best = mutual_information(one_bit_protocol(dim))
     for _ in range(trials):
-        rows = np.ones((int(rng.integers(2, MAX_STATES + 1)), dim + 1))
-        for row in rows:
-            draw = random_direction if rng.random() < 0.5 else random_ball_point
-            row[1:] = draw(dim, rng)
+        n_states = int(rng.integers(2, MAX_STATES + 1))
+        coins = rng.random((2, n_states))
+        radii = np.where(coins[0] < 0.5, 1.0, coins[1] ** (1.0 / dim))
+        rows = np.ones((n_states, dim + 1))
+        rows[:, 1:] = radii[:, None] * random_directions(n_states, dim, rng)
         effect_rows = random_measurement(dim, rng)
         # One mat-vec per state, as a stack: a single gemm would round differently.
         conditional = (effect_rows @ rows[:, :, None])[..., 0]

@@ -18,7 +18,9 @@ exactly and the residual is exactly 0.0 (for each of 252 random states
 tried at N = 1..6); the teleport reports are byte-stable.
 
 The separable baselines re-run dense coding with product resources and
-check that nothing beats the single-system rate of 1 bit.
+check that nothing beats the single-system rate of 1 bit.  Their random
+product states and product measurements are drawn as stacked arrays, one
+generator call per quantity (see ``hst.random_measurements``).
 
 The converse statement that teleportation needs a classical channel of N
 bits is an impossibility argument, not an algorithm, and is out of scope
@@ -48,9 +50,9 @@ from .core import (
 from .hadamard import bell_measurement, hadamard_basis
 from .hst import (
     MAX_COMPONENTS,
-    random_ball_point,
     random_directions,
     random_measurement,
+    random_measurements,
 )
 
 # Outcomes per side of a random product measurement, and how often the
@@ -169,18 +171,21 @@ def random_product_measurement(
     weights.  The result sums to the bipartite unit by construction.
     Returns the ``(n_a n_b, dim_a + 1, dim_b + 1)`` stack of effect
     matrices, outcome ``(y1, y2)`` at index ``y1 n_b + y2``.
+
+    After the outcome and component counts come the weights (standard
+    exponentials, normalised: the flat Dirichlet law), then every
+    component's A side in one ``random_measurements`` draw and every B side
+    in another; one ``einsum`` sums the weighted outer products.
     """
     n_a = int(rng.integers(2, MAX_OUTCOMES_SIDE + 1))
     n_b = int(rng.integers(2, MAX_OUTCOMES_SIDE + 1))
     n_components = int(rng.integers(1, MAX_COMPONENTS + 1))
-    weights = rng.dirichlet(np.ones(n_components))
-    table = np.zeros((n_a * n_b, dim_a + 1, dim_b + 1))
-    for w in weights:
-        side_a = random_measurement(dim_a, rng, n_outcomes=n_a)
-        side_b = random_measurement(dim_b, rng, n_outcomes=n_b)
-        outer = side_a[:, None, :, None] * side_b[None, :, None, :]
-        table += w * outer.reshape(table.shape)
-    return table
+    weights = rng.standard_exponential(n_components)
+    weights /= weights.sum()
+    side_a = random_measurements(n_components, dim_a, n_a, rng)
+    side_b = random_measurements(n_components, dim_b, n_b, rng)
+    table = np.einsum("k,kam,kbn->abmn", weights, side_a, side_b)
+    return table.reshape(n_a * n_b, dim_a + 1, dim_b + 1)
 
 
 def sign_row_encodings(phi: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -194,10 +199,13 @@ def sign_row_encodings(phi: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 def _random_product_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Matrix ``(1, a) (1, b)^t`` of two states drawn uniformly from the ball, a first."""
-    a = np.concatenate(([1.0], random_ball_point(dim, rng)))
-    b = np.concatenate(([1.0], random_ball_point(dim, rng)))
-    return np.outer(a, b)
+    """Matrix ``(1, a) (1, b)^t`` of two states drawn uniformly from the ball.
+
+    Both radii come first, then both directions, a's before b's.
+    """
+    rows = np.ones((2, dim + 1))
+    rows[:, 1:] = rng.random((2, 1)) ** (1.0 / dim) * random_directions(2, dim, rng)
+    return np.outer(rows[0], rows[1])
 
 
 def _max_rate(conditional: np.ndarray, best: float) -> float:
@@ -232,7 +240,8 @@ def separable_baseline(dim: int, trials: int, seed: int) -> float:
     for _ in range(trials):
         phi = _random_product_state(dim, rng)
         n_messages = int(rng.integers(2, 2**n_bits + 1))
-        labels = rng.choice(2**n_bits, size=n_messages, replace=False)
+        # A uniform ordered subset, as ``rng.choice(..., replace=False)`` gives.
+        labels = rng.random(2**n_bits).argsort()[:n_messages]
         encoded = sign_row_encodings(phi, signs[labels])
         if rng.random() < BELL_FRACTION:
             effect_stack = bell_effects

@@ -1,5 +1,8 @@
 """Shared fixtures: deliberately broken building blocks for mutation tests."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from gptlab import hadamard
@@ -112,32 +115,70 @@ def nan_embedded_state(monkeypatch):
 
 
 @pytest.fixture
-def run_search():
-    """Run a randomized search with or without the optimiser's early exit.
+def perfectly_read_tetrahedron(monkeypatch):
+    """Feed ``capacity_search`` tetrahedron states read by over-long effects.
+
+    Every state direction is the next vertex t_k of a regular tetrahedron,
+    and every measurement is the effects (1, 3 t_k)/4: they sum to the unit
+    and give p(k|j) = delta_jk on pure vertex states, but leave the ball
+    (down to -1/2), so up to two bits get through.
+    """
+    from gptlab import hst
+
+    vertices = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+    cycle = itertools.cycle(vertices)
+
+    def vertex_rows(count, dim, rng):
+        return np.array([next(cycle) for _ in range(count)])
+
+    monkeypatch.setattr(hst, "random_directions", vertex_rows)
+    effects = 0.25 * np.insert(3 * vertices, 0, 1.0, axis=1)
+    monkeypatch.setattr(hst, "random_measurement", lambda dim, rng: effects)
+
+
+@pytest.fixture
+def search_tables():
+    """Run a randomized search and keep every table's Blahut-Arimoto result.
 
     ``run(search, *args, early_exit=True)`` returns the search's maximum and
-    the Blahut-Arimoto iterations spent over all its tables.  With
+    the list of ``CapacityResult``s of all its tables, in order.  With
     ``early_exit=False`` every table's ``incumbent`` is dropped, so each
-    table runs to its bracket or its iteration cap: the oracle the pruned
-    search must match bit for bit.
+    table runs to its bracket or its iteration cap.
     """
     from gptlab import capacity, protocols
 
     original = capacity.blahut_arimoto
 
     def run(search, *args, early_exit=True):
-        iterations = []
+        results = []
 
-        def counted(conditional, tol, max_iter, *, incumbent):
+        def recorded(conditional, tol, max_iter, *, incumbent):
             result = original(
                 conditional, tol, max_iter, incumbent=incumbent if early_exit else None
             )
-            iterations.append(result.iterations)
+            results.append(result)
             return result
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(capacity, "blahut_arimoto", counted)
-            patch.setattr(protocols, "blahut_arimoto", counted)
-            return search(*args), sum(iterations)
+            patch.setattr(capacity, "blahut_arimoto", recorded)
+            patch.setattr(protocols, "blahut_arimoto", recorded)
+            return search(*args), results
+
+    return run
+
+
+@pytest.fixture
+def run_search(search_tables):
+    """Run a randomized search with or without the optimiser's early exit.
+
+    ``run(search, *args, early_exit=True)`` returns the search's maximum and
+    the Blahut-Arimoto iterations spent over all its tables.  With
+    ``early_exit=False`` each table runs in full: the oracle the pruned
+    search must match bit for bit.
+    """
+
+    def run(search, *args, early_exit=True):
+        best, results = search_tables(search, *args, early_exit=early_exit)
+        return best, sum(result.iterations for result in results)
 
     return run

@@ -14,11 +14,14 @@ from gptlab import (
     OPT_TOL,
     TheoryConfig,
     blahut_arimoto,
+    capacity_search,
     dc_capacity_lower_bound,
     dense_coding,
     dimension_upper_bound,
     lt_optimal_info,
     lt_optimal_product,
+    product_decoding_baseline,
+    separable_baseline,
     weak_entanglement_bound,
     weak_thresholds,
 )
@@ -271,3 +274,34 @@ class TestBounds:
                 capacity = blahut_arimoto(run.channel.conditional).capacity_bits
                 assert run.info_bits <= bound + OPT_TOL
                 assert capacity <= bound + OPT_TOL
+
+
+CERTIFIED_RUNS = (
+    [(capacity_search, (dim, 500, seed)) for dim in (2, 3, 7, 15) for seed in range(4)]
+    + [(separable_baseline, (3, 300, seed)) for seed in range(4)]
+    + [(product_decoding_baseline, (2, 150, seed)) for seed in range(4)]
+)
+
+
+class TestCertifiedCeiling:
+    """The one-bit ceiling, certified by each table's dual upper bound.
+
+    A table the optimiser stopped early already has its bound below the
+    running best; every other table ran to its bracket or iteration cap.
+    """
+
+    @pytest.mark.parametrize(
+        "search, args",
+        CERTIFIED_RUNS,
+        ids=[f"{search.__name__}-{'-'.join(map(str, args))}" for search, args in CERTIFIED_RUNS],
+    )
+    def test_every_table_is_certified_within_one_bit(self, search_tables, search, args):
+        _, tables = search_tables(search, *args)
+        assert len(tables) == args[1]
+        assert max(table.upper_bits for table in tables) <= 1.0 + OPT_TOL
+
+    def test_perfectly_read_tetrahedron_breaks_the_certificate(
+        self, search_tables, perfectly_read_tetrahedron
+    ):
+        _, tables = search_tables(capacity_search, 3, 20, 0)
+        assert max(table.upper_bits for table in tables) > 1.0 + OPT_TOL

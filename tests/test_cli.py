@@ -401,6 +401,17 @@ class TestArgumentErrors:
         assert "--n-bits must be between 1 and 12" in err
         assert "Traceback" not in err
 
+    def test_out_of_memory_exits_four(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(protocols, "dense_coding", exhausted)
+        code, out, err = run_cli(capsys, "dense-coding", "--n-bits", "3", "--format", "json")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert err.count("\n") == 1
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])

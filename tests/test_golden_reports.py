@@ -5,7 +5,12 @@ Each report below holds only dyadic-exact numbers (sums and products of
 do not depend on the BLAS or libm build.  The digests were recorded with
 gptlab 0.1.0; a report whose bytes change is a schema or behaviour change
 and must update this table on purpose.  Reports that carry Blahut-Arimoto
-or libm floats are left out.
+or libm floats are left out, except the two ``verify --suite baseline``
+reports: they pin the falsifiers' random stream (the draw layout of
+``random_measurements``, the state rows and the product measurements), so
+a change to that layout must re-record them on purpose.  Their maxima are
+libm and BLAS floats; they were recorded with numpy 2.4.6 (OpenBLAS) on an
+AVX-512 x86-64 host.
 """
 
 import contextlib
@@ -61,6 +66,8 @@ GOLDEN = {
     "verify --suite group --format json": "96418a43d38252ac194229fe019daf1ca8fab5d25089d976f68e210442c26b64",
     "verify --suite lemmas --format json": "0ffa7147e9cdafcc9a1c40327691ae61e499e830d70d9a15ef8cb032fe031134",
     "verify --suite tomography --format json": "d7f9ec5e6d66b6b0105c94a9929a59db24c1b1740b9bc5639b595327a591b3f0",
+    "verify --suite baseline --trials 64 --seed 0 --format json": "5925f72a6289c8db67616733b42c210b1867211f1997c944791d2b69c240afb6",
+    "verify --suite baseline --trials 1000 --seed 7 --format csv": "a708636879395a7d09749de0e380c2404f198ebf9120a97e7610ac078c4f2c49",
 }
 
 

@@ -1,7 +1,5 @@
 """Tests for the single-system ball model and its one-bit capacity."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +10,7 @@ from gptlab import (
     OPT_TOL,
     DomainError,
     Effect,
+    GptError,
     Measurement,
     TheoryConfig,
     capacity_search,
@@ -22,17 +21,18 @@ from gptlab import (
     unit_effect,
     validate_measurement,
 )
-from gptlab import hst
 from gptlab.hst import (
     MAX_COMPONENTS,
     MAX_OUTCOMES,
     canonical_measurement,
+    effect_probability_range,
     make_effect,
     make_extremal_effect,
     make_state,
     random_direction,
     random_directions,
     random_measurement,
+    random_measurements,
     random_pure_state,
     random_state,
 )
@@ -169,24 +169,38 @@ class TestRandomFamilies:
             assert validate_measurement(meas, theory).passed
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_measurement_matches_the_effect_loop(self, seed):
-        # Reference: the same draws summed effect by effect from the
-        # canonical measurements and the unit effect.
-        dim = 3
-        table = random_measurement(dim, np.random.default_rng(seed))
-        rng = np.random.default_rng(seed)
-        n_outcomes = int(rng.integers(2, MAX_OUTCOMES + 1))
-        weights = rng.dirichlet(np.ones(int(rng.integers(1, MAX_COMPONENTS + 1))))
-        expected = np.zeros((n_outcomes, dim + 1))
-        for w in weights:
-            if rng.random() < 0.15:
-                expected[rng.integers(n_outcomes)] += w * unit_effect(dim).entries
-            else:
-                pair = canonical_measurement(random_direction(dim, rng))
-                slots = rng.choice(n_outcomes, size=2, replace=False)
-                for slot, e in zip(slots, pair.effects):
-                    expected[slot] += w * e.entries
-        assert np.array_equal(table, expected)
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    @pytest.mark.parametrize("dim", [1, 3, 15])
+    def test_random_measurements_match_the_component_loop(self, dim, count, seed):
+        n_outcomes = 2 + seed
+        stack = random_measurements(count, dim, n_outcomes, np.random.default_rng(seed))
+        oracle = measurement_loop_oracle(count, dim, n_outcomes, np.random.default_rng(seed))
+        assert stack.shape == (count, n_outcomes, dim + 1)
+        assert np.array_equal(stack, oracle)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_measurement_is_the_one_row_case(self, seed):
+        rng, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        table = random_measurement(3, rng)
+        n_outcomes = int(batched.integers(2, MAX_OUTCOMES + 1))
+        assert np.array_equal(table, random_measurements(1, 3, n_outcomes, batched)[0])
+        assert rng.bit_generator.state == batched.bit_generator.state
+
+    @pytest.mark.parametrize("n_outcomes", range(2, MAX_OUTCOMES + 1))
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_random_measurements_are_physical(self, count, n_outcomes):
+        rng = np.random.default_rng(100 * count + n_outcomes)
+        for dim in range(1, 16):
+            stack = random_measurements(count, dim, n_outcomes, rng)
+            unit = unit_effect(dim).entries
+            assert np.abs(stack.sum(axis=1) - unit).max(initial=0.0) <= EXACT_TOL
+            for row in stack.reshape(-1, dim + 1):
+                lo, hi = effect_probability_range(Effect(row))
+                assert -EXACT_TOL <= lo and hi <= 1.0 + EXACT_TOL
+
+    def test_random_measurements_need_two_outcomes(self):
+        with pytest.raises(GptError, match="outcomes"):
+            random_measurements(1, 3, 1, np.random.default_rng(0))
 
     def test_capacity_search_never_beats_one_bit(self):
         best = capacity_search(3, trials=150, seed=0)
@@ -201,14 +215,32 @@ class TestRandomFamilies:
         assert best.hex() == oracle.hex()
         assert spent < full
 
-    def test_perfectly_read_tetrahedron_fires_the_gate(self, monkeypatch):
-        # States on the tetrahedron vertices t_k, read by the effects
-        # (1, 3 t_k)/4: they sum to the unit and give p(k|j) = delta_jk, but
-        # leave the ball (down to -1/2), so up to two bits get through.
-        vertices = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
-        cycle = itertools.cycle(vertices)
-        monkeypatch.setattr(hst, "random_direction", lambda dim, rng: next(cycle))
-        monkeypatch.setattr(hst, "random_ball_point", lambda dim, rng: next(cycle))
-        effects = 0.25 * np.insert(3 * vertices, 0, 1.0, axis=1)
-        monkeypatch.setattr(hst, "random_measurement", lambda dim, rng: effects)
+    def test_perfectly_read_tetrahedron_fires_the_gate(self, perfectly_read_tetrahedron):
         assert capacity_search(3, trials=20, seed=0) > 1.0 + OPT_TOL
+
+
+def measurement_loop_oracle(count, dim, n_outcomes, rng):
+    """``random_measurements`` from the same draws, one component at a time.
+
+    Consumes the counts, exponentials, uniform rows and directions in the
+    order the stacked draw takes them, then adds each component's effects
+    (the unit, or a canonical pair) to its slots in component order.
+    """
+    owner = np.repeat(np.arange(count), rng.integers(1, MAX_COMPONENTS + 1, size=count))
+    exponentials = rng.standard_exponential(owner.size)
+    coins = rng.random((owner.size, n_outcomes + 1))
+    directions = random_directions(owner.size, dim, rng)
+    totals = np.zeros(count)
+    for k, measurement in enumerate(owner):
+        totals[measurement] += exponentials[k]
+    expected = np.zeros((count, n_outcomes, dim + 1))
+    for k, measurement in enumerate(owner):
+        w = exponentials[k] / totals[measurement]
+        first, second = np.argsort(coins[k, 1:])[:2]
+        if coins[k, 0] < 0.15:
+            expected[measurement, first] += w * unit_effect(dim).entries
+        else:
+            pair = canonical_measurement(directions[k])
+            expected[measurement, first] += w * pair.effects[0].entries
+            expected[measurement, second] += w * pair.effects[1].entries
+    return expected

@@ -34,7 +34,7 @@ from gptlab.hst import (
     make_extremal_effect,
     make_state,
     random_direction,
-    random_measurement,
+    random_measurements,
     random_pure_state,
     random_state,
 )
@@ -204,20 +204,24 @@ class TestSeparableBaseline:
             separable_baseline(4, trials=1, seed=0)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_product_measurement_matches_the_outer_product_loop(self, seed):
-        dim_a, dim_b = 3, 1
+    @pytest.mark.parametrize("dims", [(3, 1), (3, 3), (7, 2)], ids=["3x1", "3x3", "7x2"])
+    def test_random_product_measurement_matches_the_component_loop(self, dims, seed):
+        # Reference: the same draws, each component's weighted outer
+        # products added outcome by outcome in component order.
+        dim_a, dim_b = dims
         table = random_product_measurement(dim_a, dim_b, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         n_a = int(rng.integers(2, MAX_OUTCOMES_SIDE + 1))
         n_b = int(rng.integers(2, MAX_OUTCOMES_SIDE + 1))
-        weights = rng.dirichlet(np.ones(int(rng.integers(1, MAX_COMPONENTS + 1))))
+        weights = rng.standard_exponential(int(rng.integers(1, MAX_COMPONENTS + 1)))
+        weights /= weights.sum()
+        sides_a = random_measurements(weights.size, dim_a, n_a, rng)
+        sides_b = random_measurements(weights.size, dim_b, n_b, rng)
         expected = np.zeros((n_a * n_b, dim_a + 1, dim_b + 1))
-        for w in weights:
-            side_a = random_measurement(dim_a, rng, n_outcomes=n_a)
-            side_b = random_measurement(dim_b, rng, n_outcomes=n_b)
+        for w, side_a, side_b in zip(weights, sides_a, sides_b):
             for y1 in range(n_a):
                 for y2 in range(n_b):
-                    expected[y1 * n_b + y2] += w * np.outer(side_a[y1], side_b[y2])
+                    expected[y1 * n_b + y2] += np.outer(w * side_a[y1], side_b[y2])
         assert np.array_equal(table, expected)
         unit = bipartite_unit(dim_a, dim_b).matrix
         assert np.abs(table.sum(axis=0) - unit).max() <= EXACT_TOL
