@@ -60,7 +60,11 @@ def blahut_arimoto(
     unable to beat it, and the loop stops early, unconverged, with
     ``upper_bits <= incumbent - EXACT_TOL``.  Its lower bound is then below
     the incumbent, so a running maximum is exactly what the full run would
-    give.  A table that could beat the incumbent runs as without it.
+    give.  A table that could beat the incumbent runs as without it, so a
+    running maximum over many tables does not depend on their order.
+
+    ``max_iter`` must be a non-negative integer; with 0 no iteration runs
+    and ``upper_bits`` is inf.  A bool ``incumbent`` is refused.
     """
     p = np.asarray(conditional, dtype=float)
     if p.ndim != 2 or p.shape[0] < 1:
@@ -70,9 +74,20 @@ def blahut_arimoto(
         raise DomainError("conditional rows must be probability vectors")
     if not 0 < tol < np.inf:
         raise GptError(f"tol must be positive and finite, got {tol!r}")
+    # bool is an Integral (and so a Real): True would count as 1.
+    if not (
+        isinstance(max_iter, numbers.Integral)
+        and not isinstance(max_iter, bool)
+        and max_iter >= 0
+    ):
+        raise GptError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     if incumbent is None:
         stop_at = -math.inf
-    elif isinstance(incumbent, numbers.Real) and math.isfinite(incumbent):
+    elif (
+        isinstance(incumbent, numbers.Real)
+        and not isinstance(incumbent, bool)
+        and math.isfinite(incumbent)
+    ):
         stop_at = incumbent - EXACT_TOL
     else:
         raise GptError(f"incumbent must be a finite real number, got {incumbent!r}")
@@ -90,7 +105,7 @@ def blahut_arimoto(
     lower, upper = 0.0, math.inf
     converged = False
     iterations = 0
-    for iterations in range(1, int(max_iter) + 1):
+    for iterations in range(1, max_iter + 1):
         p_y = prior @ p
         log_py = np.zeros_like(p_y)
         np.log2(p_y, out=log_py, where=p_y > 0)
@@ -145,8 +160,9 @@ def weak_entanglement_bound(lam: float, n_bits: int) -> float:
     """Dense-coding bound ``log2(1 + |lambda| (2^N - 1))`` for weak models."""
     if n_bits < 2:
         raise GptError("the weak-entanglement bound needs n_bits >= 2")
-    if abs(lam) > 1.0:
-        raise DomainError("lambda must lie in [-1, 1]")
+    # Written so that a non-finite lambda fails the check.
+    if not abs(lam) <= 1.0:
+        raise DomainError(f"lambda must lie in [-1, 1], got {lam!r}")
     return float(np.log2(1.0 + abs(lam) * (2**n_bits - 1)))
 
 

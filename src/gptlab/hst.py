@@ -224,7 +224,11 @@ def capacity_search(dim: int, trials: int, seed: int) -> float:
     gets the running best as ``incumbent`` and stops as soon as its dual
     bound certifies that the table cannot beat it; the maximum is the same
     bit for bit as with full runs, since a stopped table's rate lies below
-    the running best.
+    the running best.  Unlike the separable baselines (see
+    ``protocols.separable_baseline``), the tables run in draw order: the
+    running best starts at the antipodal one bit, which no random table
+    beat (0 of 4,000 tables at dims 3 and 15), so ranking the tables first
+    would only add its cost (about 3% of a 100-trial search).
     """
     from .capacity import blahut_arimoto
 

@@ -141,9 +141,10 @@ def search_tables():
     """Run a randomized search and keep every table's Blahut-Arimoto result.
 
     ``run(search, *args, early_exit=True)`` returns the search's maximum and
-    the list of ``CapacityResult``s of all its tables, in order.  With
-    ``early_exit=False`` every table's ``incumbent`` is dropped, so each
-    table runs to its bracket or its iteration cap.
+    the list of ``CapacityResult``s of all its tables, in the order they
+    were optimised; ``run.tables`` holds the tables of the last run in the
+    same order.  With ``early_exit=False`` every table's ``incumbent`` is
+    dropped, so each table runs to its bracket or its iteration cap.
     """
     from gptlab import capacity, protocols
 
@@ -151,12 +152,14 @@ def search_tables():
 
     def run(search, *args, early_exit=True):
         results = []
+        run.tables = []
 
         def recorded(conditional, tol, max_iter, *, incumbent):
             result = original(
                 conditional, tol, max_iter, incumbent=incumbent if early_exit else None
             )
             results.append(result)
+            run.tables.append(conditional)
             return result
 
         with pytest.MonkeyPatch.context() as patch:

@@ -211,6 +211,31 @@ class TestBlahutArimoto:
         with pytest.raises(GptError, match="incumbent"):
             blahut_arimoto(np.eye(2), incumbent=incumbent)
 
+    @pytest.mark.parametrize("incumbent", [True, False, np.True_])
+    def test_rejects_a_bool_incumbent(self, incumbent):
+        with pytest.raises(GptError, match="incumbent"):
+            blahut_arimoto(np.eye(2), incumbent=incumbent)
+
+    @pytest.mark.parametrize(
+        "max_iter", [math.nan, math.inf, 2.5, 2.0, -1, "3", True, np.float64(3.0)]
+    )
+    def test_rejects_a_max_iter_that_is_not_a_non_negative_integer(self, max_iter):
+        with pytest.raises(GptError, match="max_iter"):
+            blahut_arimoto(np.eye(2), max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [1, np.int64(1), np.uint8(1)])
+    def test_accepts_any_integer_max_iter(self, max_iter):
+        result = blahut_arimoto(np.eye(2), max_iter=max_iter)
+        assert result.iterations == 1
+        assert result.capacity_bits == 1.0
+
+    def test_zero_max_iter_runs_no_iteration(self):
+        result = blahut_arimoto(np.eye(2), max_iter=0)
+        assert result.iterations == 0
+        assert not result.converged
+        assert result.capacity_bits == 0.0
+        assert result.upper_bits == math.inf
+
     def test_incumbent_is_keyword_only(self):
         with pytest.raises(TypeError):
             blahut_arimoto(np.eye(2), 1e-6, 60, 1.0)
@@ -258,6 +283,11 @@ class TestBounds:
             t0, t1 = weak_thresholds(n_bits)
             assert weak_entanglement_bound(t0, n_bits) == 1.0
             assert weak_entanglement_bound(t1, n_bits) == 2.0
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_weak_bound_rejects_a_non_finite_lambda(self, lam):
+        with pytest.raises(DomainError):
+            weak_entanglement_bound(lam, 3)
 
     def test_weak_bound_edge_values(self):
         assert weak_entanglement_bound(0.0, 3) == 0.0

@@ -1,5 +1,7 @@
 """Tests for dense coding, classification, baselines, teleportation, swapping."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -40,9 +42,22 @@ from gptlab.hst import (
 )
 from gptlab.protocols import (
     MAX_OUTCOMES_SIDE,
+    SEARCH_BLOCK,
     random_product_measurement,
     sign_row_encodings,
 )
+
+
+def draw_order_max(tables, best):
+    """The baselines' search loop before best-first ordering.
+
+    Every table is optimised in draw order, with the running best as its
+    ``incumbent``, exactly as the baselines did one table at a time.
+    """
+    for table in tables:
+        result = protocols.blahut_arimoto(table, tol=1e-8, max_iter=400, incumbent=best)
+        best = max(best, result.capacity_bits)
+    return best
 
 
 def teleport_joint_oracle(e_x, e_y, omega, phi_corrected) -> float:
@@ -142,6 +157,89 @@ class TestClassify:
     def test_rejects_negative_inputs(self):
         with pytest.raises(GptError):
             classify(-0.1, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_rejects_a_non_finite_capacity(self, bad, position):
+        capacities = [2.0, 1.0]
+        capacities[position] = bad
+        with pytest.raises(GptError):
+            classify(*capacities)
+
+
+BEST_FIRST_RUNS = [(separable_baseline, (dim, 40)) for dim in (1, 3, 7)] + [
+    (product_decoding_baseline, (n_bits, 40)) for n_bits in (1, 2, 3)
+]
+BEST_FIRST_IDS = [f"{search.__name__}-{args[0]}" for search, args in BEST_FIRST_RUNS]
+
+
+class TestBestFirstSearch:
+    """Ranking a block's tables changes the work done, never the maximum."""
+
+    @pytest.mark.parametrize("search, args", BEST_FIRST_RUNS, ids=BEST_FIRST_IDS)
+    def test_same_maximum_as_the_draw_order_oracle_with_less_work(
+        self, monkeypatch, search_tables, search, args
+    ):
+        spent, oracle_spent = [], []
+        for seed in range(12):
+            best, tables = search_tables(search, *args, seed)
+            assert len(tables) == args[1]  # one optimiser call per table
+            scores = [protocols._ceiling_bits(t) for t in search_tables.tables]
+            assert scores == sorted(scores, reverse=True)  # one block, best first
+            for score, table in zip(scores, tables):
+                assert table.capacity_bits <= score + EXACT_TOL
+            with monkeypatch.context() as patch:
+                patch.setattr(protocols, "_best_first_max", draw_order_max)
+                oracle, oracle_tables = search_tables(search, *args, seed)
+            assert best.hex() == oracle.hex()
+            spent.append(sum(t.iterations for t in tables))
+            oracle_spent.append(sum(t.iterations for t in oracle_tables))
+            assert spent[-1] <= oracle_spent[-1]
+        assert sum(spent) < sum(oracle_spent)
+
+    @pytest.mark.parametrize("trials", [SEARCH_BLOCK - 1, SEARCH_BLOCK, SEARCH_BLOCK + 1])
+    @pytest.mark.parametrize(
+        "search, args",
+        [(separable_baseline, (3,)), (product_decoding_baseline, (1,))],
+        ids=["separable", "product_decoding"],
+    )
+    def test_block_edges_match_the_draw_order_oracle(
+        self, monkeypatch, search_tables, search, args, trials
+    ):
+        blocks = []  # (tables, incoming best, outgoing best) per block
+        best_first_max = protocols._best_first_max
+
+        def recorded(tables, best):
+            blocks.append((len(tables), best, best_first_max(tables, best)))
+            return blocks[-1][2]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(protocols, "_best_first_max", recorded)
+            best, tables = search_tables(search, *args, trials, 5)
+        assert len(tables) == trials
+        assert [size for size, _, _ in blocks] == [
+            min(SEARCH_BLOCK, trials - start) for start in range(0, trials, SEARCH_BLOCK)
+        ]
+        # The running best is carried into the next block, not restarted.
+        assert [incoming for _, incoming, _ in blocks] == [0.0] + [
+            outgoing for _, _, outgoing in blocks[:-1]
+        ]
+        monkeypatch.setattr(protocols, "_best_first_max", draw_order_max)
+        assert best.hex() == search(*args, trials, 5).hex()
+
+    @pytest.mark.parametrize("search, args", BEST_FIRST_RUNS, ids=BEST_FIRST_IDS)
+    def test_worst_first_keeps_the_maximum(self, monkeypatch, run_search, search, args):
+        best, spent = run_search(search, *args, 3)
+        ceiling = protocols._ceiling_bits
+        monkeypatch.setattr(protocols, "_ceiling_bits", lambda table: -ceiling(table))
+        worst, worst_spent = run_search(search, *args, 3)
+        assert worst.hex() == best.hex()
+        assert worst_spent >= spent
+
+    def test_every_full_run_lies_below_its_ceiling(self, search_tables):
+        _, tables = search_tables(separable_baseline, 3, 100, 2, early_exit=False)
+        for table, result in zip(search_tables.tables, tables):
+            assert result.capacity_bits <= protocols._ceiling_bits(table) + EXACT_TOL
 
 
 class TestSeparableBaseline:
