@@ -1,10 +1,12 @@
 """Channel-capacity numerics and analytic capacity bounds.
 
 ``blahut_arimoto`` maximises mutual information over input priors for a
-fixed conditional table.  The remaining functions expose the closed-form
-bounds used to sandwich the dense-coding rates: the protocol-derived lower
-bound, the ``2N`` state-space dimension bound, and the weak-entanglement
-bound ``log2(1 + |lambda| (2^N - 1))`` with its two thresholds.
+fixed conditional table, and ``search_max`` runs it best first over the
+random tables of a one-bit falsifier.  The remaining functions expose the
+closed-form bounds used to sandwich the dense-coding rates: the
+protocol-derived lower bound, the ``2N`` state-space dimension bound, and
+the weak-entanglement bound ``log2(1 + |lambda| (2^N - 1))`` with its two
+thresholds.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .core import EXACT_TOL, Channel, DomainError, GptError, mutual_information
 
 BA_DEFAULT_TOL = 1e-10
 BA_DEFAULT_MAX_ITER = 100_000
+# Tables a randomized search draws before optimising them best first.
+SEARCH_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +68,7 @@ def blahut_arimoto(
     running maximum over many tables does not depend on their order.
 
     ``max_iter`` must be a non-negative integer; with 0 no iteration runs
-    and ``upper_bits`` is inf.  A bool ``incumbent`` is refused.
+    and ``upper_bits`` is inf.  A bool ``tol`` or ``incumbent`` is refused.
     """
     p = np.asarray(conditional, dtype=float)
     if p.ndim != 2 or p.shape[0] < 1:
@@ -72,7 +76,8 @@ def blahut_arimoto(
     # Written so that a non-finite entry or tol fails the check.
     if not (p.min() >= -1e-12 and np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9):
         raise DomainError("conditional rows must be probability vectors")
-    if not 0 < tol < np.inf:
+    # bool is a Real: True would run with tol 1.
+    if isinstance(tol, (bool, np.bool_)) or not 0 < tol < np.inf:
         raise GptError(f"tol must be positive and finite, got {tol!r}")
     # bool is an Integral (and so a Real): True would count as 1.
     if not (
@@ -131,6 +136,54 @@ def blahut_arimoto(
     )
 
 
+def _ceiling_bits(conditional: np.ndarray) -> float:
+    """Upper bound ``log2 sum_y max_x p(y|x)`` on a table's capacity.
+
+    This is the Renyi-infinity bound.  With ``S = sum_y max_x p(y|x)`` and
+    the output law ``q(y) = max_x p(y|x) / S``, every row has
+    ``D(p(.|x) || q) <= log2 S`` since ``p(y|x) <= max_x p(y|x)``, and the
+    mutual information of any prior is at most ``max_x D(p(.|x) || q)``.
+    One reduction per table.
+    """
+    return float(np.log2(conditional.max(axis=0).sum()))
+
+
+def _best_first_max(tables: list, best: float, tol: float, max_iter: int) -> float:
+    """Running maximum of ``best`` and the rates of ``tables``, best first.
+
+    One ``blahut_arimoto`` call per table, in descending order of
+    ``_ceiling_bits``, each with the running best as ``incumbent``.
+    """
+    scores = [_ceiling_bits(table) for table in tables]
+    for i in sorted(range(len(tables)), key=scores.__getitem__, reverse=True):
+        result = blahut_arimoto(tables[i], tol=tol, max_iter=max_iter, incumbent=best)
+        best = max(best, result.capacity_bits)
+    return best
+
+
+def search_max(draw_table, trials: int, best: float, tol: float, max_iter: int) -> float:
+    """Running maximum of ``best`` and the rates of ``trials`` random tables.
+
+    The search policy of the one-bit falsifiers.  ``draw_table()`` returns
+    the next table of the search's random stream; the tables are drawn in
+    order, ``SEARCH_BLOCK`` at a time, and each block is optimised best
+    first with ``tol`` and ``max_iter`` (see ``_best_first_max``), the
+    running best carried across blocks.  The tables most likely to set the
+    maximum run first and the rest stop early, but the order only changes
+    the work: a table either runs exactly as it would alone, or stops with
+    its dual bound at most ``best - EXACT_TOL``, below a rate already
+    found, and the table that attains the maximum never stops.  So the
+    result is the same bit for bit as in draw order.  ``trials`` must be
+    at least 1.
+    """
+    if trials < 1:
+        raise GptError("trials must be >= 1")
+    for start in range(0, trials, SEARCH_BLOCK):
+        tables = [draw_table() for _ in range(min(SEARCH_BLOCK, trials - start))]
+        best = _best_first_max(tables, best, tol, max_iter)
+    return best
+
+
 def dc_capacity_lower_bound(theory, seed: int = 0) -> float:
     """Certified dense-coding rate of the theory's explicit protocol.
 
@@ -160,8 +213,8 @@ def weak_entanglement_bound(lam: float, n_bits: int) -> float:
     """Dense-coding bound ``log2(1 + |lambda| (2^N - 1))`` for weak models."""
     if n_bits < 2:
         raise GptError("the weak-entanglement bound needs n_bits >= 2")
-    # Written so that a non-finite lambda fails the check.
-    if not abs(lam) <= 1.0:
+    # Written so that a non-finite lambda fails the check; True would be 1.
+    if isinstance(lam, (bool, np.bool_)) or not abs(lam) <= 1.0:
         raise DomainError(f"lambda must lie in [-1, 1], got {lam!r}")
     return float(np.log2(1.0 + abs(lam) * (2**n_bits - 1)))
 

@@ -256,8 +256,10 @@ def cmd_swap(args) -> int:
 
 
 def cmd_lambda_tau_table(args) -> int:
-    if args.n_max < 2:
-        raise DomainError("--n-max must be >= 2")
+    if not 2 <= args.n_max <= variants.LT_MAX_N_BITS:
+        raise DomainError(
+            f"--n-max must be between 2 and {variants.LT_MAX_N_BITS}, got {args.n_max}"
+        )
     entries = []
     for n in range(2, args.n_max + 1):
         info = variants.lt_optimal_info(n)

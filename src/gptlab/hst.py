@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .capacity import search_max
 from .core import (
     EXACT_TOL,
     Channel,
@@ -28,8 +29,6 @@ from .core import (
 MAX_DIM = 2**20
 # Sizes of the random protocols the falsifiers draw, and the
 # Blahut-Arimoto settings ``capacity_search`` optimises each prior with.
-# A table stops earlier once its dual bound shows it cannot beat the
-# running best; the maximum is still the one these settings give.
 MAX_STATES = 8
 MAX_OUTCOMES = 8
 MAX_COMPONENTS = 8
@@ -213,28 +212,20 @@ def capacity_search(dim: int, trials: int, seed: int) -> float:
     """Best information rate found over random single-system protocols.
 
     Each trial draws 2 to ``MAX_STATES`` encoding states and a random
-    measurement, then optimises the input prior.  The states are the rows
-    of one array: one uniform pair per state (pure with probability 1/2,
-    otherwise radius ``u ** (1/dim)``, uniform in the ball) and one
-    ``random_directions`` draw.  The antipodal protocol is
-    always included, so the result is at least 1 bit; the returned maximum
-    must never exceed 1 by more than optimizer slack.  The per-trial prior
-    optimisation reports an achieved rate (a lower bound), so looser
-    optimizer settings never inflate the maximum.  Each table's optimiser
-    gets the running best as ``incumbent`` and stops as soon as its dual
-    bound certifies that the table cannot beat it; the maximum is the same
-    bit for bit as with full runs, since a stopped table's rate lies below
-    the running best.  Unlike the separable baselines (see
-    ``protocols.separable_baseline``), the tables run in draw order: the
-    running best starts at the antipodal one bit, which no random table
-    beat (0 of 4,000 tables at dims 3 and 15), so ranking the tables first
-    would only add its cost (about 3% of a 100-trial search).
+    measurement, and its table's input prior is optimised.  The states are
+    the rows of one array: one uniform pair per state (pure with
+    probability 1/2, otherwise radius ``u ** (1/dim)``, uniform in the
+    ball) and one ``random_directions`` draw.  The search starts from the
+    antipodal protocol's one bit, so the result is at least 1 bit; the
+    returned maximum must never exceed 1 by more than optimizer slack.
+    The tables are searched by ``capacity.search_max`` with ``BA_TOL`` and
+    ``BA_MAX_ITER``: best first, each optimiser reporting an achieved rate
+    (a lower bound), so looser settings never inflate the maximum.
+    ``trials`` must be at least 1.
     """
-    from .capacity import blahut_arimoto
-
     rng = np.random.default_rng(seed)
-    best = mutual_information(one_bit_protocol(dim))
-    for _ in range(trials):
+
+    def draw_table():
         n_states = int(rng.integers(2, MAX_STATES + 1))
         coins = rng.random((2, n_states))
         radii = np.where(coins[0] < 0.5, 1.0, coins[1] ** (1.0 / dim))
@@ -242,9 +233,7 @@ def capacity_search(dim: int, trials: int, seed: int) -> float:
         rows[:, 1:] = radii[:, None] * random_directions(n_states, dim, rng)
         effect_rows = random_measurement(dim, rng)
         # One mat-vec per state, as a stack: a single gemm would round differently.
-        conditional = (effect_rows @ rows[:, :, None])[..., 0]
-        result = blahut_arimoto(
-            conditional, tol=BA_TOL, max_iter=BA_MAX_ITER, incumbent=best
-        )
-        best = max(best, result.capacity_bits)
-    return best
+        return (effect_rows @ rows[:, :, None])[..., 0]
+
+    best = mutual_information(one_bit_protocol(dim))
+    return search_max(draw_table, trials, best, BA_TOL, BA_MAX_ITER)

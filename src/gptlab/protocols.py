@@ -20,8 +20,8 @@ tried at N = 1..6); the teleport reports are byte-stable.
 The separable baselines re-run dense coding with product resources and
 check that nothing beats the single-system rate of 1 bit.  Their random
 product states and product measurements are drawn as stacked arrays, one
-generator call per quantity (see ``hst.random_measurements``), and each
-block of their tables is optimised best first (see ``_best_first_max``).
+generator call per quantity (see ``hst.random_measurements``), and their
+tables are searched best first by ``capacity.search_max``.
 
 The converse statement that teleportation needs a classical channel of N
 bits is an impossibility argument, not an algorithm, and is out of scope
@@ -36,7 +36,8 @@ from enum import Enum
 import numpy as np
 
 from . import variants
-from .capacity import blahut_arimoto
+# Bound here too: bench/test_bench.py checks that tracing wraps this name.
+from .capacity import blahut_arimoto, search_max  # noqa: F401
 from .core import (
     EXACT_TOL,
     OPT_TOL,
@@ -60,9 +61,9 @@ from .hst import (
 # separable baseline decodes with the Bell-type measurement instead.
 MAX_OUTCOMES_SIDE = 4
 BELL_FRACTION = 0.3
-# Trials the baselines draw before optimising them best first (see
-# ``_best_first_max``).
-SEARCH_BLOCK = 256
+# Blahut-Arimoto settings the baselines optimise each prior with.
+BASELINE_BA_TOL = 1e-8
+BASELINE_BA_MAX_ITER = 400
 
 
 class ProtocolLabel(Enum):
@@ -213,52 +214,6 @@ def _random_product_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return np.outer(rows[0], rows[1])
 
 
-def _ceiling_bits(conditional: np.ndarray) -> float:
-    """Upper bound ``log2 sum_y max_x p(y|x)`` on a table's capacity.
-
-    This is the Renyi-infinity bound.  With ``S = sum_y max_x p(y|x)`` and
-    the output law ``q(y) = max_x p(y|x) / S``, every row has
-    ``D(p(.|x) || q) <= log2 S`` since ``p(y|x) <= max_x p(y|x)``, and the
-    mutual information of any prior is at most ``max_x D(p(.|x) || q)``.
-    One reduction per table.
-    """
-    return float(np.log2(conditional.max(axis=0).sum()))
-
-
-def _best_first_max(tables: list, best: float) -> float:
-    """Running maximum of ``best`` and the achieved rates of ``tables``.
-
-    The tables are optimised in descending order of ``_ceiling_bits``, each
-    with the running best as ``incumbent``, so that the tables most likely
-    to set the maximum run first and the rest stop early.  The order only
-    changes the work done, not the result: a table either runs exactly as
-    it would alone, or stops with its dual bound at most ``best -
-    EXACT_TOL``, below a rate already found; the table that attains the
-    maximum never stops, since its dual bound never falls below its rate.
-    Every table gets one ``blahut_arimoto`` call.
-    """
-    scores = [_ceiling_bits(table) for table in tables]
-    for i in sorted(range(len(tables)), key=scores.__getitem__, reverse=True):
-        result = blahut_arimoto(tables[i], tol=1e-8, max_iter=400, incumbent=best)
-        best = max(best, result.capacity_bits)
-    return best
-
-
-def _block_search(draw_table, trials: int) -> float:
-    """Best rate over ``trials`` tables, drawn in blocks of ``SEARCH_BLOCK``.
-
-    ``draw_table()`` returns the next table of the search's random stream;
-    the tables are drawn in the same order as one at a time, and each
-    block is optimised best first with the running best carried across
-    blocks.
-    """
-    best = 0.0
-    for start in range(0, trials, SEARCH_BLOCK):
-        tables = [draw_table() for _ in range(min(SEARCH_BLOCK, trials - start))]
-        best = _best_first_max(tables, best)
-    return best
-
-
 def separable_baseline(dim: int, trials: int, seed: int) -> float:
     """Best dense-coding rate over random product-state protocols.
 
@@ -266,21 +221,11 @@ def separable_baseline(dim: int, trials: int, seed: int) -> float:
     of the discrete rotations, and decodes either with the Bell-type
     measurement or with a random convex-product measurement; the input
     prior is then optimised.  Product resources cannot beat one bit, so the
-    returned maximum must stay below ``1 + OPT_TOL``.
-
-    The tables are drawn from the random stream in trial order,
-    ``SEARCH_BLOCK`` at a time, and each block is optimised best first: in
-    descending order of the upper bound ``log2 sum_y max_x p(y|x)``, each
-    with the running best as ``incumbent`` (see ``blahut_arimoto``).  A
-    table that cannot beat the running best stops early; one that can runs
-    in full.  The maximum is therefore the same bit for bit in any order,
-    and ranking only moves the full runs to the tables likely to set it.
-    (``hst.capacity_search`` keeps its draw order: its running best starts
-    at the antipodal one bit, which random tables do not beat, so ranking
-    would save nothing.)
+    returned maximum must stay below ``1 + OPT_TOL``.  The tables are
+    searched by ``capacity.search_max`` from 0 bits, with
+    ``BASELINE_BA_TOL`` and ``BASELINE_BA_MAX_ITER``; ``trials`` must be at
+    least 1.
     """
-    if trials < 1:
-        raise GptError("trials must be >= 1")
     n_bits = _n_bits_for_dim(dim)
     rng = np.random.default_rng(seed)
     signs = hadamard_basis(n_bits)
@@ -298,19 +243,16 @@ def separable_baseline(dim: int, trials: int, seed: int) -> float:
             effect_stack = random_product_measurement(dim, dim, rng)
         return np.einsum("ymn,xmn->xy", effect_stack, encoded)
 
-    return _block_search(draw_table, trials)
+    return search_max(draw_table, trials, 0.0, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER)
 
 
 def product_decoding_baseline(n_bits: int, trials: int, seed: int) -> float:
     """Best rate with convex-product decodings on arbitrary shared states.
 
     The shared state may be entangled here; only the decoding is separable,
-    and one bit remains the ceiling.  The tables are drawn and optimised
-    as in ``separable_baseline``: in blocks of ``SEARCH_BLOCK``, best first,
-    with the same maximum bit for bit as in draw order.
+    and one bit remains the ceiling.  The tables are searched as in
+    ``separable_baseline``.
     """
-    if trials < 1:
-        raise GptError("trials must be >= 1")
     dim = 2**n_bits - 1
     rng = np.random.default_rng(seed)
     signs = hadamard_basis(n_bits)
@@ -324,7 +266,7 @@ def product_decoding_baseline(n_bits: int, trials: int, seed: int) -> float:
         effect_stack = random_product_measurement(dim, dim, rng)
         return np.einsum("ymn,xmn->xy", effect_stack, encoded)
 
-    return _block_search(draw_table, trials)
+    return search_max(draw_table, trials, 0.0, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER)
 
 
 def no_signalling_spread(n_bits: int, trials: int, seed: int) -> float:

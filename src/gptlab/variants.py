@@ -56,6 +56,10 @@ from .hadamard import hadamard_basis, hadamard_vector
 
 # Random product states and effects ``constructed_family`` adds per theory.
 FAMILY_RANDOM_PAIRS = 20
+# Largest N whose 2^N is a finite double: the lambda-tau closed forms
+# (``lt_optimal_product``, ``lt_peak_probability``, ``lt_optimal_info``)
+# are computed in floats.
+LT_MAX_N_BITS = 1023
 
 # --------------------------------------------------------------------------
 # the diagonal model layer
@@ -195,18 +199,23 @@ def lt_channel(theory: TheoryConfig) -> Channel:
     return dense_coding_channel(theory)
 
 
+def _check_lt_closed_form(n_bits: int) -> None:
+    if not 2 <= n_bits <= LT_MAX_N_BITS:
+        raise GptError(
+            f"the lambda-tau closed forms need n_bits in [2, {LT_MAX_N_BITS}], got {n_bits}"
+        )
+
+
 def lt_optimal_product(n_bits: int) -> float:
     """The admissible ``lambda tau`` value maximising the rate."""
-    if n_bits < 2:
-        raise GptError("the lambda-tau model needs n_bits >= 2")
-    return 1.0 / (2**n_bits - 3)
+    _check_lt_closed_form(n_bits)
+    return 1.0 / (2.0**n_bits - 3)
 
 
 def lt_peak_probability(n_bits: int) -> float:
     """Largest achievable correct-decoding probability ``Q_N``."""
-    if n_bits < 2:
-        raise GptError("the lambda-tau model needs n_bits >= 2")
-    size = 2**n_bits
+    _check_lt_closed_form(n_bits)
+    size = 2.0**n_bits
     return 2.0 ** (-n_bits + 1) * (size - 2) / (size - 3)
 
 
@@ -219,7 +228,7 @@ def _symmetric_output_entropy(p: float, n_bits: int) -> float:
     h = 0.0
     if 0.0 < p < 1.0:
         h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
-    return float(h + (1.0 - p) * np.log2(2**n_bits - 1))
+    return float(h + (1.0 - p) * np.log2(2.0**n_bits - 1))
 
 
 def lt_optimal_info(n_bits: int) -> float:

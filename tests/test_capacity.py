@@ -133,6 +133,11 @@ class TestBlahutArimoto:
         with pytest.raises(GptError):
             blahut_arimoto(np.eye(2), tol=tol)
 
+    @pytest.mark.parametrize("tol", [True, np.True_])
+    def test_rejects_a_bool_tol(self, tol):
+        with pytest.raises(GptError, match="tol"):
+            blahut_arimoto(np.eye(2), tol=tol)
+
     @pytest.mark.parametrize("size", range(1, 9))
     def test_identity_bounds_sandwich_the_closed_form(self, size):
         result = blahut_arimoto(np.eye(size))
@@ -286,6 +291,11 @@ class TestBounds:
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_weak_bound_rejects_a_non_finite_lambda(self, lam):
+        with pytest.raises(DomainError):
+            weak_entanglement_bound(lam, 3)
+
+    @pytest.mark.parametrize("lam", [True, False, np.True_])
+    def test_weak_bound_rejects_a_bool_lambda(self, lam):
         with pytest.raises(DomainError):
             weak_entanglement_bound(lam, 3)
 

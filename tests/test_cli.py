@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from gptlab import protocols
 from gptlab.cli import main
 from gptlab.hadamard import bell_measurement
+from gptlab.variants import LT_MAX_N_BITS
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +243,28 @@ class TestRateTableCommand:
         code, _, err = run_cli(capsys, "lambda-tau-table", "--n-max", "1")
         assert code == 2
         assert "n-max" in err
+
+    @pytest.mark.parametrize("n_max", [LT_MAX_N_BITS + 1, 1_000_000_000])
+    def test_rejects_n_max_above_the_cap(self, capsys, n_max):
+        code, out, err = run_cli(capsys, "lambda-tau-table", "--n-max", str(n_max))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: --n-max must be between 2 and {LT_MAX_N_BITS}, got {n_max}"
+        ]
+
+    @pytest.mark.parametrize("n_max", [65, LT_MAX_N_BITS])
+    def test_rows_past_64_bits_are_finite(self, capsys, n_max):
+        code, out, _ = run_cli(
+            capsys, "lambda-tau-table", "--n-max", str(n_max), "--format", "json"
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [r["n_bits"] for r in rows] == list(range(2, n_max + 1))
+        last = rows[-1]
+        assert math.isfinite(last["info_bits"])
+        assert last["peak_probability"] == 2.0 ** (1 - n_max)
+        assert last["lambda_tau"] == 2.0 ** -n_max
 
 
 class TestVerifyCommand:

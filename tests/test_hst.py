@@ -215,6 +215,11 @@ class TestRandomFamilies:
         assert best.hex() == oracle.hex()
         assert spent < full
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_capacity_search_needs_a_trial(self, trials):
+        with pytest.raises(GptError, match="trials"):
+            capacity_search(3, trials=trials, seed=0)
+
     def test_perfectly_read_tetrahedron_fires_the_gate(self, perfectly_read_tetrahedron):
         assert capacity_search(3, trials=20, seed=0) > 1.0 + OPT_TOL
 

@@ -28,11 +28,12 @@ from gptlab import (
     separable_baseline,
     teleport,
 )
-from gptlab import protocols
-from gptlab.capacity import blahut_arimoto
+from gptlab import capacity, protocols
+from gptlab.capacity import SEARCH_BLOCK, blahut_arimoto
 from gptlab.core import Effect, unit_effect
 from gptlab.hst import (
     MAX_COMPONENTS,
+    capacity_search,
     make_extremal_effect,
     make_state,
     random_direction,
@@ -42,22 +43,32 @@ from gptlab.hst import (
 )
 from gptlab.protocols import (
     MAX_OUTCOMES_SIDE,
-    SEARCH_BLOCK,
     random_product_measurement,
     sign_row_encodings,
 )
 
 
-def draw_order_max(tables, best):
-    """The baselines' search loop before best-first ordering.
+def draw_order_max(tables, best, tol, max_iter):
+    """The falsifiers' search loop without best-first ordering.
 
-    Every table is optimised in draw order, with the running best as its
-    ``incumbent``, exactly as the baselines did one table at a time.
+    Every table is optimised in draw order with the search's ``tol`` and
+    ``max_iter`` and the running best as its ``incumbent``, one table at a
+    time.
     """
     for table in tables:
-        result = protocols.blahut_arimoto(table, tol=1e-8, max_iter=400, incumbent=best)
+        result = capacity.blahut_arimoto(table, tol=tol, max_iter=max_iter, incumbent=best)
         best = max(best, result.capacity_bits)
     return best
+
+
+def ba_summary(result):
+    """A ``CapacityResult``'s rate, dual bound and stopping data, exactly."""
+    return (
+        result.capacity_bits.hex(),
+        result.upper_bits.hex(),
+        result.iterations,
+        result.converged,
+    )
 
 
 def teleport_joint_oracle(e_x, e_y, omega, phi_corrected) -> float:
@@ -167,9 +178,11 @@ class TestClassify:
             classify(*capacities)
 
 
-BEST_FIRST_RUNS = [(separable_baseline, (dim, 40)) for dim in (1, 3, 7)] + [
-    (product_decoding_baseline, (n_bits, 40)) for n_bits in (1, 2, 3)
-]
+BEST_FIRST_RUNS = (
+    [(capacity_search, (dim, 40)) for dim in (2, 3, 7, 15)]
+    + [(separable_baseline, (dim, 40)) for dim in (1, 3, 7)]
+    + [(product_decoding_baseline, (n_bits, 40)) for n_bits in (1, 2, 3)]
+)
 BEST_FIRST_IDS = [f"{search.__name__}-{args[0]}" for search, args in BEST_FIRST_RUNS]
 
 
@@ -184,62 +197,98 @@ class TestBestFirstSearch:
         for seed in range(12):
             best, tables = search_tables(search, *args, seed)
             assert len(tables) == args[1]  # one optimiser call per table
-            scores = [protocols._ceiling_bits(t) for t in search_tables.tables]
+            ranked = search_tables.tables
+            scores = [capacity._ceiling_bits(t) for t in ranked]
             assert scores == sorted(scores, reverse=True)  # one block, best first
             for score, table in zip(scores, tables):
                 assert table.capacity_bits <= score + EXACT_TOL
             with monkeypatch.context() as patch:
-                patch.setattr(protocols, "_best_first_max", draw_order_max)
+                patch.setattr(capacity, "_best_first_max", draw_order_max)
                 oracle, oracle_tables = search_tables(search, *args, seed)
             assert best.hex() == oracle.hex()
             spent.append(sum(t.iterations for t in tables))
             oracle_spent.append(sum(t.iterations for t in oracle_tables))
             assert spent[-1] <= oracle_spent[-1]
-        assert sum(spent) < sum(oracle_spent)
+            if search is capacity_search:
+                # The incumbent stays at the antipodal one bit, so every
+                # table gets the same result as in draw order.
+                oracle_by_table = {
+                    t.tobytes(): r for t, r in zip(search_tables.tables, oracle_tables)
+                }
+                for table, result in zip(ranked, tables):
+                    expected = oracle_by_table[table.tobytes()]
+                    assert ba_summary(result) == ba_summary(expected)
+        if search is not capacity_search:
+            assert sum(spent) < sum(oracle_spent)
 
     @pytest.mark.parametrize("trials", [SEARCH_BLOCK - 1, SEARCH_BLOCK, SEARCH_BLOCK + 1])
     @pytest.mark.parametrize(
-        "search, args",
-        [(separable_baseline, (3,)), (product_decoding_baseline, (1,))],
-        ids=["separable", "product_decoding"],
+        "search, args, first_best",
+        [
+            (capacity_search, (3,), 1.0),
+            (separable_baseline, (3,), 0.0),
+            (product_decoding_baseline, (1,), 0.0),
+        ],
+        ids=["capacity_search", "separable", "product_decoding"],
     )
     def test_block_edges_match_the_draw_order_oracle(
-        self, monkeypatch, search_tables, search, args, trials
+        self, monkeypatch, search_tables, search, args, first_best, trials
     ):
         blocks = []  # (tables, incoming best, outgoing best) per block
-        best_first_max = protocols._best_first_max
+        best_first_max = capacity._best_first_max
 
-        def recorded(tables, best):
-            blocks.append((len(tables), best, best_first_max(tables, best)))
+        def recorded(tables, best, tol, max_iter):
+            blocks.append((len(tables), best, best_first_max(tables, best, tol, max_iter)))
             return blocks[-1][2]
 
         with monkeypatch.context() as patch:
-            patch.setattr(protocols, "_best_first_max", recorded)
+            patch.setattr(capacity, "_best_first_max", recorded)
             best, tables = search_tables(search, *args, trials, 5)
         assert len(tables) == trials
         assert [size for size, _, _ in blocks] == [
             min(SEARCH_BLOCK, trials - start) for start in range(0, trials, SEARCH_BLOCK)
         ]
         # The running best is carried into the next block, not restarted.
-        assert [incoming for _, incoming, _ in blocks] == [0.0] + [
+        assert [incoming for _, incoming, _ in blocks] == [first_best] + [
             outgoing for _, _, outgoing in blocks[:-1]
         ]
-        monkeypatch.setattr(protocols, "_best_first_max", draw_order_max)
+        monkeypatch.setattr(capacity, "_best_first_max", draw_order_max)
         assert best.hex() == search(*args, trials, 5).hex()
 
     @pytest.mark.parametrize("search, args", BEST_FIRST_RUNS, ids=BEST_FIRST_IDS)
     def test_worst_first_keeps_the_maximum(self, monkeypatch, run_search, search, args):
         best, spent = run_search(search, *args, 3)
-        ceiling = protocols._ceiling_bits
-        monkeypatch.setattr(protocols, "_ceiling_bits", lambda table: -ceiling(table))
+        ceiling = capacity._ceiling_bits
+        monkeypatch.setattr(capacity, "_ceiling_bits", lambda table: -ceiling(table))
         worst, worst_spent = run_search(search, *args, 3)
         assert worst.hex() == best.hex()
         assert worst_spent >= spent
 
-    def test_every_full_run_lies_below_its_ceiling(self, search_tables):
-        _, tables = search_tables(separable_baseline, 3, 100, 2, early_exit=False)
+    @pytest.mark.parametrize(
+        "search, args", [(capacity_search, (3,)), (separable_baseline, (3,))]
+    )
+    def test_every_full_run_lies_below_its_ceiling(self, search_tables, search, args):
+        _, tables = search_tables(search, *args, 100, 2, early_exit=False)
         for table, result in zip(search_tables.tables, tables):
-            assert result.capacity_bits <= protocols._ceiling_bits(table) + EXACT_TOL
+            assert result.capacity_bits <= capacity._ceiling_bits(table) + EXACT_TOL
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_no_trials_is_refused_before_any_draw(self, trials):
+        def draw_table():
+            raise AssertionError("drew a table")
+
+        with pytest.raises(GptError, match="trials"):
+            capacity.search_max(draw_table, trials, 0.0, 1e-8, 400)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    @pytest.mark.parametrize(
+        "search, args",
+        [(separable_baseline, (3,)), (product_decoding_baseline, (2,))],
+        ids=["separable", "product_decoding"],
+    )
+    def test_baselines_need_a_trial(self, search, args, trials):
+        with pytest.raises(GptError, match="trials"):
+            search(*args, trials, 0)
 
 
 class TestSeparableBaseline:

@@ -11,6 +11,7 @@ from gptlab import (
     BipartiteEffect,
     BipartiteState,
     DomainError,
+    GptError,
     TheoryConfig,
     bipartite_contract,
     dense_coding,
@@ -194,6 +195,14 @@ class TestLambdaTauOptimum:
     def test_single_bit_rejected(self):
         with pytest.raises(DomainError):
             lt_optimal_info(1)
+
+    @pytest.mark.parametrize(
+        "closed_form", [lt_optimal_product, lt_peak_probability, lt_optimal_info]
+    )
+    def test_closed_forms_stop_where_two_to_the_n_overflows(self, closed_form):
+        assert closed_form(variants.LT_MAX_N_BITS) >= 0.0
+        with pytest.raises(GptError, match="n_bits"):
+            closed_form(variants.LT_MAX_N_BITS + 1)
 
 
 class TestEmbeddedTheory:
