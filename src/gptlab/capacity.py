@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EXACT_TOL, Channel, DomainError, GptError, mutual_information
+from .core import EXACT_TOL, Channel, DomainError, GptError, _is_integer, mutual_information
 
 BA_DEFAULT_TOL = 1e-10
 BA_DEFAULT_MAX_ITER = 100_000
@@ -80,11 +80,7 @@ def blahut_arimoto(
     if isinstance(tol, (bool, np.bool_)) or not 0 < tol < np.inf:
         raise GptError(f"tol must be positive and finite, got {tol!r}")
     # bool is an Integral (and so a Real): True would count as 1.
-    if not (
-        isinstance(max_iter, numbers.Integral)
-        and not isinstance(max_iter, bool)
-        and max_iter >= 0
-    ):
+    if not (_is_integer(max_iter) and max_iter >= 0):
         raise GptError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     if incumbent is None:
         stop_at = -math.inf
@@ -174,10 +170,10 @@ def search_max(draw_table, trials: int, best: float, tol: float, max_iter: int) 
     its dual bound at most ``best - EXACT_TOL``, below a rate already
     found, and the table that attains the maximum never stops.  So the
     result is the same bit for bit as in draw order.  ``trials`` must be
-    at least 1.
+    an integer of at least 1; a bool is refused.
     """
-    if trials < 1:
-        raise GptError("trials must be >= 1")
+    if not (_is_integer(trials) and trials >= 1):
+        raise GptError(f"trials must be an integer >= 1, got {trials!r}")
     for start in range(0, trials, SEARCH_BLOCK):
         tables = [draw_table() for _ in range(min(SEARCH_BLOCK, trials - start))]
         best = _best_first_max(tables, best, tol, max_iter)

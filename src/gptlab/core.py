@@ -19,6 +19,7 @@ take explicit seeds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,6 +254,10 @@ class ValidationReport:
         return self.passed
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TheoryConfig:
     """Selects the base hypersphere model or one of its deformations.
@@ -272,11 +277,18 @@ class TheoryConfig:
     def __post_init__(self):
         if self.kind not in THEORY_KINDS:
             raise DomainError(f"unknown theory kind {self.kind!r}")
+        # bool is an Integral and a Real: True would count as 1.
+        if not _is_integer(self.n_bits):
+            raise DomainError(f"n_bits must be an integer, got {self.n_bits!r}")
         if not 1 <= self.n_bits <= MAX_N_BITS:
             raise DomainError(f"n_bits must be between 1 and {MAX_N_BITS}")
         for name, value in (("lambda", self.lam), ("tau", self.tau)):
-            if value is not None and not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
+            if value is not None and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise DomainError(f"{name} must be a finite real number, got {value!r}")
         if self.kind != "base" and self.n_bits < 2:
             raise DomainError(f"the {self.kind} model needs n_bits >= 2")
         if self.kind == "lambda-tau":
@@ -293,8 +305,10 @@ class TheoryConfig:
                     f"{prod!r} for N={self.n_bits}"
                 )
         elif self.kind == "embedded":
-            if self.m is None or self.m < 1:
-                raise DomainError("embedding sphere dimension m must be >= 1")
+            if not (_is_integer(self.m) and self.m >= 1):
+                raise DomainError(
+                    f"embedding sphere dimension m must be an integer >= 1, got {self.m!r}"
+                )
         elif self.kind == "weak":
             if self.lam is None:
                 raise DomainError("the weakly entangled model needs lambda")

@@ -214,7 +214,7 @@ def _random_product_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return np.outer(rows[0], rows[1])
 
 
-def separable_baseline(dim: int, trials: int, seed: int) -> float:
+def separable_baseline(dim: int, trials: int, seed: int, best: float = 0.0) -> float:
     """Best dense-coding rate over random product-state protocols.
 
     Each trial shares a random product state, encodes with a random subset
@@ -222,9 +222,11 @@ def separable_baseline(dim: int, trials: int, seed: int) -> float:
     measurement or with a random convex-product measurement; the input
     prior is then optimised.  Product resources cannot beat one bit, so the
     returned maximum must stay below ``1 + OPT_TOL``.  The tables are
-    searched by ``capacity.search_max`` from 0 bits, with
-    ``BASELINE_BA_TOL`` and ``BASELINE_BA_MAX_ITER``; ``trials`` must be at
-    least 1.
+    searched by ``capacity.search_max`` from ``best`` bits, with
+    ``BASELINE_BA_TOL`` and ``BASELINE_BA_MAX_ITER``, and the result is the
+    maximum of ``best`` and their rates; a caller that splits one search
+    into seeded chunks passes the running best so that no chunk optimises
+    a table already beaten.  ``trials`` must be at least 1.
     """
     n_bits = _n_bits_for_dim(dim)
     rng = np.random.default_rng(seed)
@@ -243,7 +245,7 @@ def separable_baseline(dim: int, trials: int, seed: int) -> float:
             effect_stack = random_product_measurement(dim, dim, rng)
         return np.einsum("ymn,xmn->xy", effect_stack, encoded)
 
-    return search_max(draw_table, trials, 0.0, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER)
+    return search_max(draw_table, trials, best, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER)
 
 
 def product_decoding_baseline(n_bits: int, trials: int, seed: int) -> float:

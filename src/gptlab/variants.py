@@ -32,6 +32,7 @@ satisfy: unit-bounded marginal and correlation columns for states, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,25 +220,27 @@ def lt_peak_probability(n_bits: int) -> float:
     return 2.0 ** (-n_bits + 1) * (size - 2) / (size - 3)
 
 
-def _symmetric_output_entropy(p: float, n_bits: int) -> float:
-    """Entropy of an output hitting one symbol with probability p.
-
-    The remaining mass spreads evenly over the other ``2^N - 1`` symbols:
-    ``H(p) = h(p) + (1 - p) log2(2^N - 1)``.
-    """
-    h = 0.0
-    if 0.0 < p < 1.0:
-        h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
-    return float(h + (1.0 - p) * np.log2(2.0**n_bits - 1))
-
-
 def lt_optimal_info(n_bits: int) -> float:
-    """Best rate ``N - H(Q_N)`` inside the deformed protocol family."""
+    """Best rate ``N - H(Q_N)`` inside the deformed protocol family.
+
+    The optimal channel's output puts ``Q = Q_N`` on one symbol and spreads
+    the rest evenly over the other ``d - 1``, ``d = 2^N``.  With
+    ``e = 1/(d - 3)``, ``d Q = 2 (1 + e)`` and ``d (1 - Q)/(d - 1) = 1 - e``,
+    so ``N - H(Q) = Q (1 + log2(1 + e)) + (1 - Q) log2(1 - e)``.  This sum
+    of small terms does not cancel against ``N``: the rate, about
+    ``0.557 * 2^-N``, stays positive up to ``LT_MAX_N_BITS``.  At ``N = 2``,
+    ``Q = 1`` and the rate is exactly 2.
+    """
     if n_bits < 2:
         raise DomainError(
             "n_bits must be >= 2; a single bit has no continuous rotations"
         )
-    return n_bits - _symmetric_output_entropy(lt_peak_probability(n_bits), n_bits)
+    peak = lt_peak_probability(n_bits)
+    excess = lt_optimal_product(n_bits)
+    info = peak * (1.0 + math.log1p(excess) / math.log(2.0))
+    if peak < 1.0:
+        info += (1.0 - peak) * math.log1p(-excess) / math.log(2.0)
+    return info
 
 
 # --------------------------------------------------------------------------

@@ -312,7 +312,7 @@ class TestVerifyCommand:
 
         counts = []
 
-        def separable(dim, n, seed):
+        def separable(dim, n, seed, best):
             counts.append(n)
             return 0.5
 
@@ -328,6 +328,37 @@ class TestVerifyCommand:
         assert 1 <= len(counts) <= 8
         assert min(counts) >= 1
         assert max(counts) - min(counts) <= 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("trials", [1, 8, 9, 64, 1000])
+    def test_baseline_chunks_carry_the_running_best(self, monkeypatch, trials, seed):
+        from gptlab import capacity
+        from gptlab import cli as cli_module
+
+        spent = []
+        blahut_arimoto = capacity.blahut_arimoto
+
+        def counting(*args, **kwargs):
+            result = blahut_arimoto(*args, **kwargs)
+            spent.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(capacity, "blahut_arimoto", counting)
+        monkeypatch.setattr(protocols, "product_decoding_baseline", lambda n, t, s: 0.5)
+        # The oracle: every chunk searched from 0 bits, then the maximum.
+        seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(8)]
+        counts = [trials // 8 + (i < trials % 8) for i in range(8)]
+        oracle = max(
+            protocols.separable_baseline(3, count, s) for count, s in zip(counts, seeds) if count
+        )
+        oracle_spent = sum(spent)
+        spent.clear()
+        best = cli_module._suite_baseline(seed, trials)["separable_max_bits"]
+        assert best.hex() == oracle.hex()
+        if trials == 1:  # one chunk: no earlier best to carry
+            assert sum(spent) == oracle_spent
+        else:
+            assert sum(spent) < oracle_spent
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one_exit_two(self, capsys, trials):
@@ -441,3 +472,35 @@ class TestArgumentErrors:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "gptlab" in capsys.readouterr().out
+
+
+class TestSharedParser:
+    def test_main_builds_the_parser_at_most_once(self, capsys, monkeypatch):
+        from gptlab import cli as cli_module
+
+        built = []
+        build_parser = cli_module.build_parser
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli_module, "build_parser", counting)
+        cli_module._shared_parser.cache_clear()
+        try:
+            for n_bits in ("1", "2", "3"):
+                assert run_cli(capsys, "dense-coding", "--n-bits", n_bits)[0] == 0
+            for argv, code in ((["verify", "--suite", "bogus"], 2), (["--version"], 0)):
+                with pytest.raises(SystemExit) as excinfo:
+                    main(argv)
+                assert excinfo.value.code == code
+            assert run_cli(capsys, "swap", "--n-bits", "2")[0] == 0
+            assert run_cli(capsys, "teleport", "--n-bits", "13")[0] == 2
+        finally:
+            cli_module._shared_parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        from gptlab.cli import build_parser
+
+        assert build_parser() is not build_parser()

@@ -78,3 +78,19 @@ def test_report_bytes_match_the_golden_digest(command):
         code = main(command.split())
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[command]
+
+
+def test_reports_after_an_argument_error_and_version_match_the_golden_digests():
+    # ``main`` parses every call with one shared parser; an argument error
+    # or ``--version`` that leaves through SystemExit must not change it.
+    for argv, code in ((["dense-coding", "--n-bits", "x"], 2), (["--version"], 0)):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ), pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == code
+    for command in sorted(GOLDEN):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(command.split()) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[command], command

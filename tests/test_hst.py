@@ -215,7 +215,7 @@ class TestRandomFamilies:
         assert best.hex() == oracle.hex()
         assert spent < full
 
-    @pytest.mark.parametrize("trials", [0, -5])
+    @pytest.mark.parametrize("trials", [0, -5, 2.5, True])
     def test_capacity_search_needs_a_trial(self, trials):
         with pytest.raises(GptError, match="trials"):
             capacity_search(3, trials=trials, seed=0)

@@ -272,7 +272,7 @@ class TestBestFirstSearch:
         for table, result in zip(search_tables.tables, tables):
             assert result.capacity_bits <= capacity._ceiling_bits(table) + EXACT_TOL
 
-    @pytest.mark.parametrize("trials", [0, -5])
+    @pytest.mark.parametrize("trials", [0, -5, 2.5, True])
     def test_no_trials_is_refused_before_any_draw(self, trials):
         def draw_table():
             raise AssertionError("drew a table")
@@ -280,7 +280,7 @@ class TestBestFirstSearch:
         with pytest.raises(GptError, match="trials"):
             capacity.search_max(draw_table, trials, 0.0, 1e-8, 400)
 
-    @pytest.mark.parametrize("trials", [0, -5])
+    @pytest.mark.parametrize("trials", [0, -5, 2.5, True])
     @pytest.mark.parametrize(
         "search, args",
         [(separable_baseline, (3,)), (product_decoding_baseline, (2,))],

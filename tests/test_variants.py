@@ -1,5 +1,7 @@
 """Tests for the deformed theories and the matrix-norm validators."""
 
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,59 @@ from gptlab.variants import (
 )
 
 ROUNDED_REFERENCE_RATES = {2: 2.0, 3: 0.15, 4: 0.05, 5: 0.02}
+
+
+def lt_optimal_info_reference(n_bits):
+    """``N - H(Q_N)`` in decimal arithmetic, from the exact rational ``Q_N``.
+
+    The difference cancels about ``0.30103 N`` leading digits, so the
+    working precision grows with N.
+    """
+    d = 2**n_bits
+    with decimal.localcontext() as ctx:
+        ctx.prec = int(0.30103 * n_bits) + 40
+        peak = decimal.Decimal(2 * (d - 2)) / decimal.Decimal(d * (d - 3))
+        entropy = -peak * peak.ln()
+        if peak < 1:
+            entropy -= (1 - peak) * ((1 - peak) / (d - 1)).ln()
+        return float(n_bits - entropy / decimal.Decimal(2).ln())
+
+
+class TestTheoryConfigTypes:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TheoryConfig.base(3.0),
+            lambda: TheoryConfig.base(True),
+            lambda: TheoryConfig.weak(3, True),
+            lambda: TheoryConfig.weak(3, np.True_),
+            lambda: TheoryConfig.weak(3, "0.2"),
+            lambda: TheoryConfig.lambda_tau(3, True, 0.2),
+            lambda: TheoryConfig.lambda_tau(3, 0.2, False),
+            lambda: TheoryConfig.embedded(3, True),
+            lambda: TheoryConfig.embedded(3, 2.5),
+            lambda: TheoryConfig.embedded(3, None),
+        ],
+        ids=[
+            "base-float-n",
+            "base-bool-n",
+            "weak-bool-lambda",
+            "weak-numpy-bool-lambda",
+            "weak-str-lambda",
+            "lambda-tau-bool-lambda",
+            "lambda-tau-bool-tau",
+            "embedded-bool-m",
+            "embedded-float-m",
+            "embedded-no-m",
+        ],
+    )
+    def test_rejects_a_non_numeric_or_bool_parameter(self, build):
+        with pytest.raises(DomainError):
+            build()
+
+    def test_accepts_numpy_numbers(self):
+        assert TheoryConfig.embedded(np.int64(3), np.int32(2)).local_dim == 9
+        assert TheoryConfig.weak(3, np.float64(0.2)).lam == 0.2
 
 
 def tl_witness_loop_oracle(theory, trials, seed):
@@ -188,9 +243,15 @@ class TestLambdaTauOptimum:
             capacity = blahut_arimoto(lt_channel(theory).conditional).capacity_bits
             assert abs(capacity - lt_optimal_info(n_bits)) < 1e-6
 
-    def test_decreasing_in_n(self):
-        values = [lt_optimal_info(n) for n in range(2, 8)]
+    def test_positive_and_decreasing_in_n(self):
+        values = [lt_optimal_info(n) for n in range(2, variants.LT_MAX_N_BITS + 1)]
+        assert values[-1] > 0.0
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("n_bits", [*range(2, 130), *range(130, 1001, 29)])
+    def test_matches_a_decimal_reference(self, n_bits):
+        reference = lt_optimal_info_reference(n_bits)
+        assert abs(lt_optimal_info(n_bits) - reference) <= 1e-12 * reference
 
     def test_single_bit_rejected(self):
         with pytest.raises(DomainError):
