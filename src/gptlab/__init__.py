@@ -85,8 +85,11 @@ from .variants import (
     dense_coding_channel,
     embedded_dense_coding,
     embedded_transformation,
+    family_matrices,
     lemma_effect_check,
+    lemma_effect_checks,
     lemma_state_check,
+    lemma_state_checks,
     lt_admissibility_witness,
     lt_channel,
     lt_optimal_info,

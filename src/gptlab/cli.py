@@ -424,13 +424,13 @@ def _suite_lemmas(seed: int, trials: int) -> dict:
         TheoryConfig.embedded(3, 4),
     ]
     for theory in theories:
-        states, effects = variants.constructed_family(theory, seed=seed)
+        states, effects = variants.family_matrices(theory, seed)
         key = f"{theory.kind}_n{theory.n_bits}"
         checks[f"states_{key}"] = all(
-            variants.lemma_state_check(phi).passed for phi in states
+            report.passed for report in variants.lemma_state_checks(states)
         )
         checks[f"effects_{key}"] = all(
-            variants.lemma_effect_check(e).passed for e in effects
+            report.passed for report in variants.lemma_effect_checks(effects)
         )
     return checks
 

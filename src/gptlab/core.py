@@ -444,7 +444,29 @@ def reduced_states(phi: BipartiteState) -> tuple:
 
 
 def mix_bipartite(phis, weights) -> BipartiteState:
+    """Convex mixture ``sum_i w_i phi_i`` of same-shaped bipartite states.
+
+    The weights must be finite, non-negative and sum to 1 within
+    ``EXACT_TOL`` (``DomainError``); an empty list, a weight count other
+    than the state count or states of different shapes raise ``GptError``.
+    """
+    phis = list(phis)
     weights = np.asarray(weights, dtype=float)
+    if not phis or weights.shape != (len(phis),):
+        raise GptError(
+            f"need one weight per state for a non-empty list, got {len(phis)} "
+            f"states and weights of shape {weights.shape}"
+        )
+    if len({p.matrix.shape for p in phis}) != 1:
+        raise GptError("mixed states must all have the same shape")
+    if not (
+        np.isfinite(weights).all()
+        and (weights >= 0.0).all()
+        and abs(weights.sum() - 1.0) <= EXACT_TOL
+    ):
+        raise DomainError(
+            f"mixture weights must be finite, non-negative and sum to 1, got {weights.tolist()!r}"
+        )
     stacked = np.stack([p.matrix for p in phis])
     return BipartiteState(np.tensordot(weights, stacked, axes=1))
 

@@ -34,6 +34,7 @@ from .core import (
     Measurement,
     Transformation,
     ValidationReport,
+    _is_integer,
     bipartite_contract,
     bipartite_unit,
 )
@@ -129,8 +130,11 @@ def verify_max_tensor_membership(
     When ``phi`` is one of the pure entangled states the probability must
     also equal ``(1 + alpha . T_hat beta)/4 <= 1/2`` for its rotation block.
     All probes are evaluated as one stack; every check is written so that
-    a non-finite value fails it.
+    a non-finite value fails it.  ``trials`` must be an integer of at
+    least 1.
     """
+    if not (_is_integer(trials) and trials >= 1):
+        raise GptError(f"trials must be an integer >= 1, got {trials!r}")
     dim = 2**n_bits - 1
     violations = []
 

@@ -47,6 +47,7 @@ from .core import (
     GptError,
     State,
     TheoryConfig,
+    _is_integer,
     mutual_information,
 )
 from .hadamard import bell_measurement, hadamard_basis
@@ -276,8 +277,11 @@ def no_signalling_spread(n_bits: int, trials: int, seed: int) -> float:
 
     For effects ``e_(y1) (x) f_(y2)`` measured on the encoded states
     ``T_x phi_0``, the marginal ``p(y2|x)`` may not depend on x; returns the
-    maximum spread observed (should vanish to rounding).
+    maximum spread observed (should vanish to rounding).  ``trials`` must
+    be an integer of at least 1.
     """
+    if not (_is_integer(trials) and trials >= 1):
+        raise GptError(f"trials must be an integer >= 1, got {trials!r}")
     dim = 2**n_bits - 1
     rng = np.random.default_rng(seed)
     encoded = sign_row_encodings(np.eye(2**n_bits), hadamard_basis(n_bits))  # phi_0 = I
@@ -315,8 +319,8 @@ def teleport(
         )
     if not np.linalg.norm(input_state.r) <= 1.0 + EXACT_TOL:
         raise DomainError("input state lies outside the unit ball")
-    if n_effects < 0:
-        raise GptError(f"n_effects must be >= 0, got {n_effects}")
+    if not (_is_integer(n_effects) and n_effects >= 0):
+        raise GptError(f"n_effects must be an integer >= 0, got {n_effects!r}")
 
     # Extremal effects (1, m)/2 along n_effects + 1 random m, one draw: the
     # probes are the first n_effects plus the unit u, and the pair is the

@@ -24,10 +24,15 @@ effect constructor and one dense-coding channel builder serve all kinds.
   Bell-type effects.  Correlations of size ``lambda`` cap the dense-coding
   rate at ``log2(1 + |lambda| (2^N - 1))``.
 
-``lemma_state_check`` and ``lemma_effect_check`` enforce the matrix-norm
+``lemma_state_checks`` and ``lemma_effect_checks`` enforce the matrix-norm
 constraints that every bipartite state and effect of two ball systems must
 satisfy: unit-bounded marginal and correlation columns for states, and
-``min(gamma, 1 - gamma)``-bounded blocks for effects.
+``min(gamma, 1 - gamma)``-bounded blocks for effects.  They take a
+``(k, rows, cols)`` stack and return one report per row;
+``lemma_state_check`` and ``lemma_effect_check`` are their one-row case.
+``family_matrices`` builds the states and effects a theory constructs as
+two such stacks, and ``constructed_family`` wraps their rows in value
+objects.
 """
 
 from __future__ import annotations
@@ -49,11 +54,11 @@ from .core import (
     TheoryConfig,
     Transformation,
     ValidationReport,
+    _is_integer,
     bipartite_contract,
-    product_effect,
-    product_state,
 )
 from .hadamard import hadamard_basis, hadamard_vector
+from .hst import random_directions
 
 # Random product states and effects ``constructed_family`` adds per theory.
 FAMILY_RANDOM_PAIRS = 20
@@ -168,10 +173,14 @@ def lt_rotated_witness(lam: float, n_bits: int) -> BipartiteState:
     ``lambda tau`` from above; probing both against the aligned effect
     yields the admissibility window.
     """
+    return BipartiteState(np.diag(_lt_witness_diagonal(lam, n_bits)))
+
+
+def _lt_witness_diagonal(lam: float, n_bits: int) -> np.ndarray:
     diag = np.full(2**n_bits, -lam)
     diag[0] = 1.0
     diag[1] = lam
-    return BipartiteState(np.diag(diag))
+    return diag
 
 
 def lt_admissibility_witness(n_bits: int, lam: float, tau: float) -> tuple:
@@ -324,11 +333,11 @@ def tl_violation_witness(
     normalisation components), while the states themselves differ by an
     entrywise L1 distance of ``2^N`` from the reference state.  All trials
     are evaluated as one contraction; every check is written so that a
-    non-finite value fails it.
+    non-finite value fails it.  ``trials`` must be an integer of at least 1.
     """
     _require_kind(theory, "embedded")
-    if trials < 1:
-        raise GptError("trials must be >= 1")
+    if not (_is_integer(trials) and trials >= 1):
+        raise GptError(f"trials must be an integer >= 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     states = np.stack([theory_state(mu, theory).matrix for mu in range(theory.hadamard_dim)])
     distances = tuple(float(d) for d in np.abs(states[0] - states).sum(axis=(1, 2)))
@@ -383,59 +392,156 @@ def weak_dense_coding(theory: TheoryConfig) -> Channel:
 # matrix-norm validators for bipartite states and effects
 
 
-def lemma_state_check(phi: BipartiteState) -> ValidationReport:
+# Shared by every row that meets its bounds; reports are immutable.
+_PASSED = ValidationReport(passed=True)
+
+
+def _matrix_stack(matrices) -> np.ndarray:
+    stack = np.asarray(matrices, dtype=float)
+    if stack.ndim != 3 or 0 in stack.shape[1:]:
+        raise GptError(
+            f"expected a (k, rows, cols) stack of non-empty matrices, got shape {stack.shape}"
+        )
+    return stack
+
+
+def _norm_table(stack: np.ndarray) -> np.ndarray:
+    """Per matrix: the norms of its first column and first row past the
+    corner entry, then the column norms of its core block.
+
+    The arithmetic is that of ``np.linalg.norm``: for one vector, the
+    square root of one dot product taken on a contiguous copy (``vecdot``
+    over contiguous rows makes the same call per row; a strided dot sums
+    in another order); with ``axis=0``, the square root of the squares
+    summed down each column.  So every norm is the same bit for bit as on
+    one matrix.
+    """
+    first_column = np.ascontiguousarray(stack[:, 1:, 0])
+    first_row = stack[:, 0, 1:]
+    core = stack[:, 1:, 1:]
+    table = np.empty((len(stack), 1 + stack.shape[2]))
+    table[:, 0] = np.vecdot(first_column, first_column)
+    table[:, 1] = np.vecdot(first_row, first_row)
+    np.add.reduce(core * core, axis=1, out=table[:, 2:])
+    return np.sqrt(table, out=table)
+
+
+def _norm_violations(norms, bad, bound, names, column_check) -> list:
+    """Violation dicts of one row of ``_norm_table`` against its bound."""
+    violations = [
+        {"check": name, "value": float(norms[j]), "bound": bound}
+        for j, name in enumerate(names)
+        if bad[j]
+    ]
+    violations += [
+        {"check": column_check, "column": int(k), "value": float(norms[2 + k]), "bound": bound}
+        for k in np.flatnonzero(bad[2:])
+    ]
+    return violations
+
+
+def lemma_state_checks(matrices) -> list:
     """Norm bounds every bipartite state of two ball systems satisfies.
 
-    The marginals obey ``||a|| <= 1`` and ``||b|| <= 1`` and every column
-    of the correlation block obeys ``||c_k|| <= 1``.  A non-finite norm
-    fails its bound.
+    ``matrices`` is a ``(k, rows, cols)`` stack of state matrices
+    ``[[1, b^t], [a, C]]``; returns one ``ValidationReport`` per row.  The
+    marginals obey ``||a|| <= 1`` and ``||b|| <= 1`` and every column of
+    the correlation block obeys ``||c_k|| <= 1``.  A non-finite norm fails
+    its bound.  All rows are evaluated at once.
     """
-    violations = []
-    for name, vec in (("a_norm", phi.a), ("b_norm", phi.b)):
-        norm = float(np.linalg.norm(vec))
-        if not norm <= 1.0 + EXACT_TOL:
-            violations.append({"check": name, "value": norm, "bound": 1.0})
-    col_norms = np.linalg.norm(phi.correlations, axis=0)
-    for k in np.flatnonzero(~(col_norms <= 1.0 + EXACT_TOL)):
-        violations.append(
-            {
-                "check": "correlation_column_norm",
-                "column": int(k),
-                "value": float(col_norms[k]),
-                "bound": 1.0,
-            }
+    stack = _matrix_stack(matrices)
+    norms = _norm_table(stack)
+    bad = ~(norms <= 1.0 + EXACT_TOL)
+    reports = [_PASSED] * len(stack)
+    for i in np.flatnonzero(bad.any(axis=1)):
+        violations = _norm_violations(
+            norms[i], bad[i], 1.0, ("a_norm", "b_norm"), "correlation_column_norm"
         )
-    return ValidationReport(passed=not violations, violations=tuple(violations))
+        reports[i] = ValidationReport(passed=False, violations=tuple(violations))
+    return reports
+
+
+def lemma_effect_checks(matrices) -> list:
+    """Norm bounds every bipartite effect of two ball systems satisfies.
+
+    ``matrices`` is a ``(k, rows, cols)`` stack of effect matrices
+    ``[[gamma, beta^t], [alpha, Gamma]]``; returns one ``ValidationReport``
+    per row.  With ``gamma`` the normalisation entry, all of ``||alpha||``,
+    ``||beta||`` and the columns of the core block are bounded by
+    ``min(gamma, 1 - gamma)``; equivalently the gamma-factored form has
+    unit-bounded blocks.  A non-finite gamma or norm fails its bound.  All
+    rows are evaluated at once.
+    """
+    stack = _matrix_stack(matrices)
+    gamma = stack[:, 0, 0]
+    cap = np.minimum(gamma, 1.0 - gamma)
+    norms = _norm_table(stack)
+    bad = ~(norms <= (cap + EXACT_TOL)[:, None])
+    bad_gamma = ~((-EXACT_TOL <= gamma) & (gamma <= 1.0 + EXACT_TOL))
+    reports = [_PASSED] * len(stack)
+    for i in np.flatnonzero(bad_gamma | bad.any(axis=1)):
+        violations = []
+        if bad_gamma[i]:
+            violations.append(
+                {"check": "gamma_range", "value": float(gamma[i]), "bound": (0.0, 1.0)}
+            )
+        violations += _norm_violations(
+            norms[i], bad[i], float(cap[i]), ("alpha_norm", "beta_norm"), "core_column_norm"
+        )
+        reports[i] = ValidationReport(passed=False, violations=tuple(violations))
+    return reports
+
+
+def lemma_state_check(phi: BipartiteState) -> ValidationReport:
+    """``lemma_state_checks`` of the one state ``phi``."""
+    return lemma_state_checks(phi.matrix[None])[0]
 
 
 def lemma_effect_check(effect: BipartiteEffect) -> ValidationReport:
-    """Norm bounds every bipartite effect of two ball systems satisfies.
+    """``lemma_effect_checks`` of the one effect ``effect``."""
+    return lemma_effect_checks(effect.matrix[None])[0]
 
-    With ``gamma`` the normalisation entry, all of ``||alpha||``,
-    ``||beta||`` and the columns of the core block are bounded by
-    ``min(gamma, 1 - gamma)``; equivalently the gamma-factored form has
-    unit-bounded blocks.  A non-finite gamma or norm fails its bound.
+
+def family_matrices(theory: TheoryConfig, seed: int = 0) -> tuple:
+    """``constructed_family`` as ``(k, w, w)`` state and effect stacks.
+
+    The states are the ``2^N`` entangled states ``diag(1, s d_mu[1:])``,
+    then, for the lambda-tau kind, its rotated witness, then
+    ``FAMILY_RANDOM_PAIRS`` pure product states ``omega_a omega_b^t``; the
+    effects are the ``2^N`` decoding effects, then the product effects
+    ``(omega_a / 2)(omega_b / 2)^t`` of the same pure states.  The pure
+    states come from one ``random_directions`` draw, A side then B side
+    per pair, which is the stream of successive ``random_pure_state``
+    calls.  Every row equals the matrix of the value object
+    ``constructed_family`` wraps it in, bit for bit.
     """
-    violations = []
-    gamma = effect.gamma
-    if not -EXACT_TOL <= gamma <= 1.0 + EXACT_TOL:
-        violations.append({"check": "gamma_range", "value": gamma, "bound": (0.0, 1.0)})
-    cap = min(gamma, 1.0 - gamma)
-    for name, vec in (("alpha_norm", effect.alpha), ("beta_norm", effect.beta)):
-        norm = float(np.linalg.norm(vec))
-        if not norm <= cap + EXACT_TOL:
-            violations.append({"check": name, "value": norm, "bound": cap})
-    col_norms = np.linalg.norm(effect.block, axis=0)
-    for k in np.flatnonzero(~(col_norms <= cap + EXACT_TOL)):
-        violations.append(
-            {
-                "check": "core_column_norm",
-                "column": int(k),
-                "value": float(col_norms[k]),
-                "bound": cap,
-            }
-        )
-    return ValidationReport(passed=not violations, violations=tuple(violations))
+    rng = np.random.default_rng(seed)
+    size = theory.hadamard_dim
+    width = 1 + theory.local_dim
+    state_scale, effect_scale = correlation_scales(theory)
+    signs = hadamard_basis(theory.n_bits)
+    diagonals = [_diagonals(signs, state_scale, width)]
+    if theory.kind == "lambda-tau":
+        diagonals.append(_lt_witness_diagonal(theory.lam, theory.n_bits)[None])
+    diagonals = np.concatenate(diagonals)
+    entangled = len(diagonals)
+    where = np.arange(width)
+
+    states = np.zeros((entangled + FAMILY_RANDOM_PAIRS, width, width))
+    states[:entangled, where, where] = diagonals
+    effects = np.zeros((size + FAMILY_RANDOM_PAIRS, width, width))
+    effects[:size, where, where] = 2.0**-theory.n_bits * _diagonals(signs, effect_scale, width)
+
+    # Row 2j is pair j's A side and row 2j + 1 its B side.
+    sides = np.zeros((2 * FAMILY_RANDOM_PAIRS, width))
+    sides[:, 0] = 1.0
+    sides[:, width - theory.active_dim :] = random_directions(
+        2 * FAMILY_RANDOM_PAIRS, theory.active_dim, rng
+    )
+    states[entangled:] = sides[0::2, :, None] * sides[1::2, None, :]
+    halves = 0.5 * sides
+    effects[size:] = halves[0::2, :, None] * halves[1::2, None, :]
+    return states, effects
 
 
 def constructed_family(theory: TheoryConfig, seed: int = 0) -> tuple:
@@ -444,19 +550,8 @@ def constructed_family(theory: TheoryConfig, seed: int = 0) -> tuple:
     Used by the validator sweeps: every element must pass the lemma
     checks.  Besides the entangled family, ``FAMILY_RANDOM_PAIRS`` random
     pure product states and product effects are added.  Returns
-    ``(states, effects)`` lists.
+    ``(states, effects)`` lists of the value objects over the rows of
+    ``family_matrices``.
     """
-    rng = np.random.default_rng(seed)
-    size = theory.hadamard_dim
-    states = [theory_state(mu, theory) for mu in range(size)]
-    effects = [theory_effect(mu, theory) for mu in range(size)]
-    if theory.kind == "lambda-tau":
-        states.append(lt_rotated_witness(theory.lam, theory.n_bits))
-    for _ in range(FAMILY_RANDOM_PAIRS):
-        sa = theory.random_pure_state(rng)
-        sb = theory.random_pure_state(rng)
-        states.append(product_state(sa, sb))
-        ea = Effect(0.5 * sa.entries)
-        eb = Effect(0.5 * sb.entries)
-        effects.append(product_effect(ea, eb))
-    return states, effects
+    states, effects = family_matrices(theory, seed)
+    return [BipartiteState(m) for m in states], [BipartiteEffect(m) for m in effects]

@@ -292,6 +292,44 @@ class TestVerifyCommand:
         checks = json.loads(out)["suites"]["baseline"]["checks"]
         assert checks["separable_max_bits"] <= 1.0 + 1e-6
 
+    def test_scaled_family_state_fails_the_lemmas_suite(self, capsys, monkeypatch):
+        from gptlab import variants
+
+        honest = variants.family_matrices
+
+        def scaled(theory, seed=0):
+            states, effects = honest(theory, seed)
+            if (theory.kind, theory.n_bits) == ("base", 3):
+                states[5, 1:, 1:] *= 1.01  # unit columns grow past their bound
+            return states, effects
+
+        monkeypatch.setattr(variants, "family_matrices", scaled)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "lemmas", "--format", "json")
+        assert code == 1
+        report = json.loads(out)
+        checks = report["suites"]["lemmas"]["checks"]
+        assert checks["states_base_n3"] is False
+        assert [k for k, v in checks.items() if v is not True] == ["states_base_n3"]
+        assert report["passed"] is False
+
+    def test_lemmas_suite_builds_no_bipartite_value_object(self, capsys, monkeypatch):
+        from gptlab.core import BipartiteEffect, BipartiteState
+
+        built = []
+        for cls in (BipartiteState, BipartiteEffect):
+            honest = cls.__post_init__
+
+            def counting(self, honest=honest):
+                built.append(type(self).__name__)
+                honest(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        code, _, _ = run_cli(capsys, "verify", "--suite", "lemmas")
+        assert code == 0
+        assert built == []
+        run_cli(capsys, "verify", "--suite", "tomography")
+        assert "BipartiteState" in built
+
     def test_verify_repeats_byte_identically(self, capsys):
         args = (
             "verify",

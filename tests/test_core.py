@@ -186,6 +186,41 @@ class TestReducedStates:
             assert np.abs(mixed_right.entries - expect_right).max() < EXACT_TOL
 
 
+class TestMixBipartite:
+    PAIR = (entangled_state(0, 2), entangled_state(3, 2))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[2.0, -1.0], [1.5, -0.5], [0.6, 0.6], [0.5, 0.5 - 1e-9], [np.nan, 1.0], [np.inf, 0.0]],
+    )
+    def test_weights_off_the_simplex_are_refused(self, weights):
+        with pytest.raises(DomainError, match="mixture weights"):
+            mix_bipartite(list(self.PAIR), weights)
+
+    @pytest.mark.parametrize(
+        "phis, weights",
+        [
+            ([], []),
+            (PAIR, [1.0]),
+            (PAIR, [0.25, 0.25, 0.5]),
+            (PAIR, [[0.5, 0.5]]),
+            ((entangled_state(0, 2), entangled_state(0, 1)), [0.5, 0.5]),
+        ],
+        ids=["empty", "short", "long", "matrix", "shapes"],
+    )
+    def test_malformed_mixtures_raise_gpt_error(self, phis, weights):
+        with pytest.raises(GptError) as info:
+            mix_bipartite(list(phis), weights)
+        assert not isinstance(info.value, DomainError)
+
+    def test_weights_within_tolerance_of_one_are_accepted(self):
+        weights = [0.1] * 10  # sums to 0.9999999999999999
+        mix = mix_bipartite([entangled_state(mu % 8, 3) for mu in range(10)], weights)
+        assert abs(mix.matrix[0, 0] - 1.0) <= EXACT_TOL
+        single = mix_bipartite((p for p in self.PAIR[:1]), [1.0])
+        assert np.array_equal(single.matrix, self.PAIR[0].matrix)
+
+
 class TestMutualInformation:
     def test_identity_channel_is_n_bits(self):
         for n_bits in (1, 2, 3, 4):

@@ -286,6 +286,15 @@ class TestMaxTensorMembership:
         report = verify_max_tensor_membership(BipartiteState(bad), 2, trials=200, seed=1)
         assert not report.passed
 
+    @pytest.mark.parametrize("trials", [0, -3, True, 2.5, 1.0])
+    def test_bad_trial_counts_raise_before_any_draw(self, monkeypatch, trials):
+        def no_draw(*args):
+            raise AssertionError("drew probes for a refused trial count")
+
+        monkeypatch.setattr(hadamard, "random_directions", no_draw)
+        with pytest.raises(GptError, match="trials must be an integer >= 1"):
+            verify_max_tensor_membership(entangled_state(0, 2), 2, trials=trials)
+
 
 class TestLocalTomography:
     def test_recovers_entangled_states(self):

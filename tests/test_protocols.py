@@ -393,8 +393,29 @@ class TestSeparableBaseline:
         for n_bits in (2, 3):
             assert no_signalling_spread(n_bits, trials=10, seed=0) <= EXACT_TOL
 
+    @pytest.mark.parametrize("trials", [0, -1, True, 2.5])
+    def test_no_signalling_refuses_bad_trial_counts(self, monkeypatch, trials):
+        def no_draw(*args):
+            raise AssertionError("drew a measurement for a refused trial count")
+
+        monkeypatch.setattr(protocols, "random_measurement", no_draw)
+        with pytest.raises(GptError, match="trials must be an integer >= 1"):
+            no_signalling_spread(2, trials, 0)
+
 
 class TestTeleport:
+    @pytest.mark.parametrize("n_effects", [-1, 2.5, True, 3.0])
+    def test_bad_effect_counts_raise_before_any_draw(self, monkeypatch, n_effects):
+        def no_draw(*args):
+            raise AssertionError("drew probe effects for a refused count")
+
+        monkeypatch.setattr(protocols, "random_directions", no_draw)
+        with pytest.raises(GptError, match="n_effects must be an integer >= 0"):
+            teleport(make_state(np.zeros(3)), 2, n_effects=n_effects)
+
+    def test_zero_probe_effects_still_teleport(self):
+        assert teleport(make_state(np.zeros(3)), 2, n_effects=np.int64(0)).passed
+
     def test_mixed_state_gives_uniform_conditional(self):
         n_bits = 2
         run = teleport(make_state(np.zeros(3)), n_bits, seed=0)

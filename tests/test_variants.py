@@ -42,11 +42,16 @@ from gptlab.core import Effect
 from gptlab.hadamard import hadamard_vector, local_transformation
 from gptlab.hst import random_pure_state
 from gptlab.variants import (
+    FAMILY_RANDOM_PAIRS,
     TlWitnessReport,
     constructed_family,
     embedded_dense_coding,
     embedded_extremal_effect,
     embedded_transformation,
+    family_matrices,
+    lemma_effect_checks,
+    lemma_state_checks,
+    lt_rotated_witness,
     random_rotation,
 )
 
@@ -349,6 +354,11 @@ class TestEmbeddedTheory:
             for distance in report.state_distances[1:]:
                 assert distance == float(2**n_bits)
 
+    @pytest.mark.parametrize("trials", [0, -2, True, 2.5])
+    def test_tl_witness_refuses_bad_trial_counts(self, trials):
+        with pytest.raises(GptError, match="trials must be an integer >= 1"):
+            tl_violation_witness(TheoryConfig.embedded(2, 2), trials=trials, seed=0)
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("n_bits, m", [(2, 2), (3, 4), (4, 3)])
     def test_stacked_trials_match_the_loop(self, n_bits, m, seed):
@@ -509,6 +519,215 @@ class TestLemmaChecks:
                 assert lemma_state_check(phi).passed
             for effect in effects:
                 assert lemma_effect_check(effect).passed
+
+
+def constructed_family_loop_oracle(theory, seed):
+    """The family as one validated value object per state and effect."""
+    rng = np.random.default_rng(seed)
+    size = theory.hadamard_dim
+    states = [theory_state(mu, theory) for mu in range(size)]
+    effects = [theory_effect(mu, theory) for mu in range(size)]
+    if theory.kind == "lambda-tau":
+        states.append(lt_rotated_witness(theory.lam, theory.n_bits))
+    for _ in range(FAMILY_RANDOM_PAIRS):
+        sa = theory.random_pure_state(rng)
+        sb = theory.random_pure_state(rng)
+        states.append(product_state(sa, sb))
+        effects.append(product_effect(Effect(0.5 * sa.entries), Effect(0.5 * sb.entries)))
+    return states, effects
+
+
+def lemma_state_oracle(matrix):
+    """The state bounds checked on one matrix, one norm call per vector."""
+    violations = []
+    for name, vec in (("a_norm", matrix[1:, 0]), ("b_norm", matrix[0, 1:])):
+        norm = float(np.linalg.norm(vec))
+        if not norm <= 1.0 + EXACT_TOL:
+            violations.append({"check": name, "value": norm, "bound": 1.0})
+    col_norms = np.linalg.norm(matrix[1:, 1:], axis=0)
+    for k in np.flatnonzero(~(col_norms <= 1.0 + EXACT_TOL)):
+        violations.append(
+            {
+                "check": "correlation_column_norm",
+                "column": int(k),
+                "value": float(col_norms[k]),
+                "bound": 1.0,
+            }
+        )
+    return not violations, violations
+
+
+def lemma_effect_oracle(matrix):
+    """The effect bounds checked on one matrix, one norm call per vector."""
+    violations = []
+    gamma = float(matrix[0, 0])
+    if not -EXACT_TOL <= gamma <= 1.0 + EXACT_TOL:
+        violations.append({"check": "gamma_range", "value": gamma, "bound": (0.0, 1.0)})
+    cap = min(gamma, 1.0 - gamma)
+    for name, vec in (("alpha_norm", matrix[1:, 0]), ("beta_norm", matrix[0, 1:])):
+        norm = float(np.linalg.norm(vec))
+        if not norm <= cap + EXACT_TOL:
+            violations.append({"check": name, "value": norm, "bound": cap})
+    col_norms = np.linalg.norm(matrix[1:, 1:], axis=0)
+    for k in np.flatnonzero(~(col_norms <= cap + EXACT_TOL)):
+        violations.append(
+            {
+                "check": "core_column_norm",
+                "column": int(k),
+                "value": float(col_norms[k]),
+                "bound": cap,
+            }
+        )
+    return not violations, violations
+
+
+def exact(value):
+    """A violation value with floats spelled out bit for bit."""
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, tuple):
+        return tuple(exact(v) for v in value)
+    return (type(value).__name__, value)
+
+
+def assert_reports_match(reports, stack, oracle):
+    assert len(reports) == len(stack)
+    for report, matrix in zip(reports, stack):
+        passed, violations = oracle(matrix)
+        assert report.passed is passed
+        assert len(report.violations) == len(violations)
+        for got, want in zip(report.violations, violations):
+            assert list(got) == list(want)
+            assert [exact(v) for v in got.values()] == [exact(v) for v in want.values()]
+
+
+SUITE_THEORIES = [
+    TheoryConfig.base(2),
+    TheoryConfig.base(3),
+    TheoryConfig.lambda_tau(2, 0.8, 0.5),
+    TheoryConfig.lambda_tau(3, 0.4, 0.5),
+    TheoryConfig.weak(2, 1.0 / 3.0),
+    TheoryConfig.weak(3, 0.4),
+    TheoryConfig.embedded(2, 2),
+    TheoryConfig.embedded(3, 4),
+]
+
+
+def family_grid():
+    """The suite's theories, base at N = 1..5, lambda-tau at both ends of its
+    window, weak at +-1/(2^N - 1) and embedded with m = 1..4."""
+    theories = list(SUITE_THEORIES)
+    theories += [TheoryConfig.base(n) for n in range(1, 6)]
+    for n in (2, 3, 4):
+        d = 2**n
+        theories.append(TheoryConfig.lambda_tau(n, -1.0 / (d - 1), 1.0))
+        theories.append(TheoryConfig.lambda_tau(n, 1.0, 1.0 / (d - 3)))
+        theories += [TheoryConfig.weak(n, sign / (d - 1)) for sign in (1.0, -1.0)]
+    theories += [TheoryConfig.embedded(n, m) for n in (2, 3) for m in range(1, 5)]
+    return [
+        pytest.param(t, id=f"{t.kind}-n{t.n_bits}-{t.lam}-{t.tau}-{t.m}") for t in theories
+    ]
+
+
+def mutated_families(states, effects):
+    """``(name, states, effects)`` for each corruption of one family."""
+    scaled_states, scaled_effects = states.copy(), effects.copy()
+    scaled_states[:, 1:, 1:] *= 1.01
+    scaled_effects[:, 1:, 1:] *= 1.01
+    nan_states, nan_effects = states.copy(), effects.copy()
+    nan_states[1, 0, 2] = np.nan
+    nan_effects[-1, 2, 1] = np.nan
+    gamma_high, gamma_low = effects.copy(), effects.copy()
+    gamma_high[:, 0, 0] = 1.5
+    gamma_low[:, 0, 0] = -0.1
+    alpha = effects.copy()
+    alpha[:, 1, 0] = 2.0 * np.abs(alpha[:, 0, 0]) + 0.01
+    return [
+        ("scaled_correlations", scaled_states, scaled_effects),
+        ("one_nan", nan_states, nan_effects),
+        ("non_square", states[:, :, :-1], effects[:, :-1, :]),
+        ("gamma_1.5", states, gamma_high),
+        ("gamma_-0.1", states, gamma_low),
+        ("alpha_above_cap", states, alpha),
+    ]
+
+
+class TestStackedLemmaPath:
+    @pytest.mark.parametrize("theory", family_grid())
+    def test_stacks_and_reports_match_the_loop(self, theory):
+        for seed in range(20):
+            states, effects = family_matrices(theory, seed)
+            loop_states, loop_effects = constructed_family_loop_oracle(theory, seed)
+            assert np.array_equal(states, np.stack([phi.matrix for phi in loop_states]))
+            assert np.array_equal(effects, np.stack([e.matrix for e in loop_effects]))
+            assert_reports_match(lemma_state_checks(states), states, lemma_state_oracle)
+            assert_reports_match(lemma_effect_checks(effects), effects, lemma_effect_oracle)
+
+    @pytest.mark.parametrize("theory", SUITE_THEORIES, ids=str)
+    def test_value_objects_wrap_the_stack_rows(self, theory):
+        states, effects = family_matrices(theory, 3)
+        wrapped_states, wrapped_effects = constructed_family(theory, seed=3)
+        assert isinstance(wrapped_states, list) and isinstance(wrapped_effects, list)
+        assert all(type(phi) is BipartiteState for phi in wrapped_states)
+        assert all(type(e) is BipartiteEffect for e in wrapped_effects)
+        assert np.array_equal(np.stack([phi.matrix for phi in wrapped_states]), states)
+        assert np.array_equal(np.stack([e.matrix for e in wrapped_effects]), effects)
+
+    @pytest.mark.parametrize("theory", SUITE_THEORIES, ids=str)
+    def test_mutated_reports_match_the_loop(self, theory):
+        states, effects = family_matrices(theory, 0)
+        for name, bad_states, bad_effects in mutated_families(states, effects):
+            with np.errstate(invalid="ignore"):
+                state_reports = lemma_state_checks(bad_states)
+                effect_reports = lemma_effect_checks(bad_effects)
+                assert_reports_match(state_reports, bad_states, lemma_state_oracle)
+                assert_reports_match(effect_reports, bad_effects, lemma_effect_oracle)
+            # The unit columns of the entangled base and embedded states
+            # cannot take the 1.01 scaling.
+            tight = name == "scaled_correlations" and theory.kind in ("base", "embedded")
+            if tight or name == "one_nan":
+                assert not all(r.passed for r in state_reports), name
+            if name not in ("scaled_correlations", "non_square"):
+                assert not all(r.passed for r in effect_reports), name
+
+    @pytest.mark.parametrize("theory", SUITE_THEORIES, ids=str)
+    def test_one_row_checks_match_the_loop(self, theory):
+        states, effects = family_matrices(theory, 1)
+        for name, bad_states, bad_effects in mutated_families(states, effects):
+            if name == "one_nan":
+                continue  # a NaN state is refused by the constructor
+            for matrix in bad_states:
+                assert_reports_match(
+                    [lemma_state_check(BipartiteState(matrix))], [matrix], lemma_state_oracle
+                )
+            for matrix in bad_effects:
+                assert_reports_match(
+                    [lemma_effect_check(BipartiteEffect(matrix))], [matrix], lemma_effect_oracle
+                )
+
+    @pytest.mark.parametrize("excess, passed", [(0.5e-12, True), (2e-12, False)])
+    def test_bounds_allow_exactly_the_tolerance(self, excess, passed):
+        states = np.stack([np.eye(3)] * 3)
+        states[0, 1, 0] = states[1, 0, 2] = states[2, 2, 2] = 1.0 + excess
+        assert [r.passed for r in lemma_state_checks(states)] == [passed] * 3
+        effects = np.zeros((3, 3, 3))
+        effects[:, 0, 0] = 0.25
+        effects[0, 1, 0] = effects[1, 0, 2] = effects[2, 2, 2] = 0.25 + excess
+        assert [r.passed for r in lemma_effect_checks(effects)] == [passed] * 3
+        gammas = np.zeros((2, 2, 2))
+        gammas[:, 0, 0] = (-excess, 1.0 + excess)
+        assert [r.passed for r in lemma_effect_checks(gammas)] == [passed] * 2
+
+    def test_passing_rows_share_one_empty_report(self):
+        reports = lemma_state_checks(family_matrices(TheoryConfig.base(2), 0)[0])
+        assert all(r.passed and r.violations == () for r in reports)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 4, 4), (3, 0, 4), (3, 4, 0)])
+    def test_stack_must_hold_non_empty_matrices(self, shape):
+        with pytest.raises(GptError, match="stack"):
+            lemma_state_checks(np.zeros(shape))
+        with pytest.raises(GptError, match="stack"):
+            lemma_effect_checks(np.zeros(shape))
 
 
 def stacked_channel_oracle(theory, rotation_seed=0):
