@@ -10,7 +10,6 @@ and the deformed models that trade the effect away.
 from .capacity import (
     CapacityResult,
     blahut_arimoto,
-    dc_capacity_lower_bound,
     dimension_upper_bound,
     weak_entanglement_bound,
     weak_thresholds,
@@ -72,6 +71,7 @@ from .protocols import (
     SwapRun,
     TeleportationRun,
     classify,
+    dc_capacity_lower_bound,
     dense_coding,
     entanglement_swap,
     no_signalling_spread,

@@ -3,10 +3,10 @@
 ``blahut_arimoto`` maximises mutual information over input priors for a
 fixed conditional table, and ``search_max`` runs it best first over the
 random tables of a one-bit falsifier.  The remaining functions expose the
-closed-form bounds used to sandwich the dense-coding rates: the
-protocol-derived lower bound, the ``2N`` state-space dimension bound, and
-the weak-entanglement bound ``log2(1 + |lambda| (2^N - 1))`` with its two
-thresholds.
+closed-form bounds used to sandwich the dense-coding rates: the ``2N``
+state-space dimension bound, and the weak-entanglement bound
+``log2(1 + |lambda| (2^N - 1))`` with its two thresholds.  The
+protocol-derived lower bound is ``protocols.dc_capacity_lower_bound``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EXACT_TOL, Channel, DomainError, GptError, _is_integer, mutual_information
+from .core import EXACT_TOL, Channel, DomainError, GptError, _check_count, mutual_information
 
 BA_DEFAULT_TOL = 1e-10
 BA_DEFAULT_MAX_ITER = 100_000
@@ -79,9 +79,7 @@ def blahut_arimoto(
     # bool is a Real: True would run with tol 1.
     if isinstance(tol, (bool, np.bool_)) or not 0 < tol < np.inf:
         raise GptError(f"tol must be positive and finite, got {tol!r}")
-    # bool is an Integral (and so a Real): True would count as 1.
-    if not (_is_integer(max_iter) and max_iter >= 0):
-        raise GptError(f"max_iter must be a non-negative integer, got {max_iter!r}")
+    _check_count("max_iter", max_iter, 0)
     if incumbent is None:
         stop_at = -math.inf
     elif (
@@ -172,25 +170,11 @@ def search_max(draw_table, trials: int, best: float, tol: float, max_iter: int) 
     result is the same bit for bit as in draw order.  ``trials`` must be
     an integer of at least 1; a bool is refused.
     """
-    if not (_is_integer(trials) and trials >= 1):
-        raise GptError(f"trials must be an integer >= 1, got {trials!r}")
+    _check_count("trials", trials, 1)
     for start in range(0, trials, SEARCH_BLOCK):
         tables = [draw_table() for _ in range(min(SEARCH_BLOCK, trials - start))]
         best = _best_first_max(tables, best, tol, max_iter)
     return best
-
-
-def dc_capacity_lower_bound(theory, seed: int = 0) -> float:
-    """Certified dense-coding rate of the theory's explicit protocol.
-
-    Running the protocol and measuring its mutual information yields a
-    lower bound on both the dense-coding capacity and the two-system
-    classical capacity (the encoded states can simply be prepared).
-    """
-    from .protocols import dense_coding
-
-    run = dense_coding(theory.n_bits, theory=theory, seed=seed)
-    return run.info_bits
 
 
 def dimension_upper_bound(n_bits: int) -> float:
@@ -200,15 +184,13 @@ def dimension_upper_bound(n_bits: int) -> float:
     dimension, and a pair of ``2^N - 1`` ball systems lives in the
     ``(2^N)^2 = 2^(2N)``-dimensional matrix space.
     """
-    if n_bits < 1:
-        raise GptError("n_bits must be >= 1")
+    _check_count("n_bits", n_bits, 1)
     return float(2 * n_bits)
 
 
 def weak_entanglement_bound(lam: float, n_bits: int) -> float:
     """Dense-coding bound ``log2(1 + |lambda| (2^N - 1))`` for weak models."""
-    if n_bits < 2:
-        raise GptError("the weak-entanglement bound needs n_bits >= 2")
+    _check_count("n_bits", n_bits, 2)
     # Written so that a non-finite lambda fails the check; True would be 1.
     if isinstance(lam, (bool, np.bool_)) or not abs(lam) <= 1.0:
         raise DomainError(f"lambda must lie in [-1, 1], got {lam!r}")
@@ -221,8 +203,7 @@ def weak_thresholds(n_bits: int) -> tuple:
     At the first threshold the bound equals 1 bit (no superdense coding
     below it); at the second it equals 2 bits (no hyperdense coding).
     """
-    if n_bits < 2:
-        raise GptError("thresholds need n_bits >= 2")
+    _check_count("n_bits", n_bits, 2)
     denom = 2**n_bits - 1
     return (1.0 / denom, 3.0 / denom)
 

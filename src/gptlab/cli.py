@@ -344,8 +344,7 @@ def _suite_consistency(seed: int, trials: int) -> dict:
         effects = np.stack([e.matrix for e in hadamard.bell_measurement(n).effects])
 
         states = np.ones((draws, dim + 1))
-        for row in states:
-            row[1:] = hst.random_ball_point(dim, rng)
+        states[:, 1:] = hst.random_ball_points(draws, dim, rng)
         moved = np.einsum("xij,sj->xsi", transforms, states)
         norm_gap = np.linalg.norm(moved[..., 1:], axis=-1) - np.linalg.norm(
             states[:, 1:], axis=-1
@@ -392,10 +391,9 @@ def _suite_tomography(seed: int, trials: int) -> dict:
             for mu in range(size)
         )
         checks[f"entangled_recovered_n{n}"] = entangled_ok
-        # Five product states, each drawing its A side, then its B side.
+        # Five product states, row 2k their A side and row 2k + 1 their B side.
         sides = np.ones((5, 2, dim + 1))
-        for row in sides.reshape(10, -1):
-            row[1:] = hst.random_ball_point(dim, rng)
+        sides[..., 1:] = hst.random_ball_points(10, dim, rng).reshape(5, 2, dim)
         products = [BipartiteState(np.outer(a, b)) for a, b in sides]
         checks[f"products_recovered_n{n}"] = all(
             np.abs(hadamard.local_tomography(phi).matrix - phi.matrix).max() <= EXACT_TOL

@@ -97,6 +97,18 @@ class Effect:
         return self.entries.size - 1
 
 
+def effect_probability_range(effect: Effect) -> tuple:
+    """Exact min/max of ``e . omega`` over the unit ball of states.
+
+    On ``omega = (1, r)`` with ``||r|| <= 1`` the effect ``(e_0, a)`` takes
+    ``e_0 + a . r``, which ranges over ``[e_0 - ||a||, e_0 + ||a||]`` and
+    meets its ends at ``r = -+a/||a||``.
+    """
+    base = float(effect.entries[0])
+    span = float(np.linalg.norm(effect.entries[1:]))
+    return base - span, base + span
+
+
 @dataclass(frozen=True)
 class Measurement:
     """Ordered collection of effects that sum to the unit effect."""
@@ -258,6 +270,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value, minimum: int, error=GptError) -> None:
+    """Raise ``error`` unless ``value`` is a non-bool integer >= ``minimum``."""
+    # bool is an Integral (and so a Real): True would count as 1.
+    if not (_is_integer(value) and value >= minimum):
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TheoryConfig:
     """Selects the base hypersphere model or one of its deformations.
@@ -305,10 +324,7 @@ class TheoryConfig:
                     f"{prod!r} for N={self.n_bits}"
                 )
         elif self.kind == "embedded":
-            if not (_is_integer(self.m) and self.m >= 1):
-                raise DomainError(
-                    f"embedding sphere dimension m must be an integer >= 1, got {self.m!r}"
-                )
+            _check_count("embedding sphere dimension m", self.m, 1, DomainError)
         elif self.kind == "weak":
             if self.lam is None:
                 raise DomainError("the weakly entangled model needs lambda")
@@ -375,21 +391,6 @@ class TheoryConfig:
         entries[0] = 1.0
         entries[self.local_dim + 1 - active :] = direction
         return State(entries)
-
-    def mixed_state(self) -> State:
-        entries = np.zeros(self.local_dim + 1)
-        entries[0] = 1.0
-        return State(entries)
-
-    def generating_states(self) -> list:
-        """Finite family spanning the local state space's extreme directions."""
-        states = [self.mixed_state()]
-        for k in range(self.active_dim):
-            axis = np.zeros(self.active_dim)
-            axis[k] = 1.0
-            states.append(self.state_from_direction(axis))
-            states.append(self.state_from_direction(-axis))
-        return states
 
     def random_pure_state(self, rng: np.random.Generator) -> State:
         v = rng.standard_normal(self.active_dim)
@@ -487,9 +488,13 @@ def mutual_information(channel: Channel) -> float:
 def validate_measurement(measurement: Measurement, theory: TheoryConfig) -> ValidationReport:
     """Check completeness and probability bounds against ``theory``.
 
-    The probe family is the theory's generating states plus, for every
-    effect, the pure states aligned with that effect's active block, which
-    witness its extreme probabilities on the ball.
+    Local states move only in the theory's active block, so each effect
+    takes exactly the ``effect_probability_range`` of its normalisation
+    entry plus its active block.  An effect fails at each end of that range
+    outside ``[0, 1]``, witnessed by the pure state aligned with the block
+    (the high end) or opposed to it (the low end); with a zero block the
+    witness is the maximally mixed state.  A non-finite entry makes every
+    probability NaN, which fails both ends.
     """
     violations = []
     size = measurement.effects[0].entries.size
@@ -514,22 +519,20 @@ def validate_measurement(measurement: Measurement, theory: TheoryConfig) -> Vali
             }
         )
 
-    probes = theory.generating_states()
     for i, e in enumerate(measurement.effects):
-        aligned = e.entries[size - theory.active_dim :]
-        norm = np.linalg.norm(aligned)
-        effect_probes = list(probes)
-        if norm > EXACT_TOL:
-            effect_probes.append(theory.state_from_direction(aligned / norm))
-            effect_probes.append(theory.state_from_direction(-aligned / norm))
-        for s in effect_probes:
-            p = contract(e, s)
+        active = e.entries[size - theory.active_dim :]
+        ends = effect_probability_range(Effect(np.concatenate((e.entries[:1], active))))
+        if not np.isfinite(e.entries).all():
+            ends = (math.nan, math.nan)
+        norm = np.linalg.norm(active)
+        direction = active / norm if norm > 0 else np.zeros_like(active)
+        for sign, p in ((1.0, ends[1]), (-1.0, ends[0])):
             if not -EXACT_TOL <= p <= 1.0 + EXACT_TOL:
                 violations.append(
                     {
                         "check": "probability_range",
                         "effect_index": i,
-                        "state_r": [float(v) for v in s.r],
+                        "state_r": theory.state_from_direction(sign * direction).r.tolist(),
                         "value": p,
                     }
                 )

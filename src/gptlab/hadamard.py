@@ -34,7 +34,7 @@ from .core import (
     Measurement,
     Transformation,
     ValidationReport,
-    _is_integer,
+    _check_count,
     bipartite_contract,
     bipartite_unit,
 )
@@ -42,8 +42,7 @@ from .hst import random_directions
 
 
 def _check_label(label: int, n_bits: int) -> None:
-    if n_bits < 1:
-        raise GptError("n_bits must be >= 1")
+    _check_count("n_bits", n_bits, 1)
     if not 0 <= label < 2**n_bits:
         raise GptError(f"label {label} out of range for {n_bits} bits")
 
@@ -133,8 +132,7 @@ def verify_max_tensor_membership(
     a non-finite value fails it.  ``trials`` must be an integer of at
     least 1.
     """
-    if not (_is_integer(trials) and trials >= 1):
-        raise GptError(f"trials must be an integer >= 1, got {trials!r}")
+    _check_count("trials", trials, 1)
     dim = 2**n_bits - 1
     violations = []
 

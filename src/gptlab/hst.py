@@ -23,6 +23,7 @@ from .core import (
     Measurement,
     State,
     contract,
+    effect_probability_range,
     mutual_information,
 )
 
@@ -76,13 +77,6 @@ def make_effect(weight: float, direction) -> Effect:
             f"effect takes probabilities in [{lo!r}, {hi!r}] on the ball"
         )
     return e
-
-
-def effect_probability_range(effect: Effect) -> tuple:
-    """Exact min/max of ``e . omega`` over the unit ball of states."""
-    base = float(effect.entries[0])
-    span = float(np.linalg.norm(effect.entries[1:]))
-    return base - span, base + span
 
 
 def canonical_measurement(direction) -> Measurement:
@@ -141,15 +135,19 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> State:
     return make_state(random_direction(dim, rng))
 
 
-def random_ball_point(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Point drawn uniformly from the unit ball."""
-    radius = rng.random() ** (1.0 / dim)
-    return radius * random_direction(dim, rng)
+def random_ball_points(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` points drawn uniformly from the unit ball, as rows.
+
+    All radii ``u ** (1/dim)`` come first, then one ``random_directions``
+    draw.
+    """
+    radii = rng.random(count) ** (1.0 / dim)
+    return radii[:, None] * random_directions(count, dim, rng)
 
 
 def random_state(dim: int, rng: np.random.Generator) -> State:
     """State drawn uniformly from the unit ball."""
-    return make_state(random_ball_point(dim, rng))
+    return make_state(random_ball_points(1, dim, rng)[0])
 
 
 def random_measurements(

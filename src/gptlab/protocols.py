@@ -43,16 +43,17 @@ from .core import (
     OPT_TOL,
     BipartiteState,
     Channel,
-    DomainError,
     GptError,
     State,
     TheoryConfig,
-    _is_integer,
+    _check_count,
     mutual_information,
 )
 from .hadamard import bell_measurement, hadamard_basis
 from .hst import (
     MAX_COMPONENTS,
+    make_state,
+    random_ball_points,
     random_directions,
     random_measurement,
     random_measurements,
@@ -138,6 +139,16 @@ def dense_coding(n_bits: int, theory: TheoryConfig | None = None, seed: int = 0)
     )
 
 
+def dc_capacity_lower_bound(theory: TheoryConfig, seed: int = 0) -> float:
+    """Certified dense-coding rate of the theory's explicit protocol.
+
+    Running the protocol and measuring its mutual information yields a
+    lower bound on both the dense-coding capacity and the two-system
+    classical capacity (the encoded states can simply be prepared).
+    """
+    return dense_coding(theory.n_bits, theory=theory, seed=seed).info_bits
+
+
 def classify(dc_info_bits: float, local_capacity_bits: float) -> Classification:
     """Grade a dense-coding rate against the local classical capacity.
 
@@ -211,7 +222,7 @@ def _random_product_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     Both radii come first, then both directions, a's before b's.
     """
     rows = np.ones((2, dim + 1))
-    rows[:, 1:] = rng.random((2, 1)) ** (1.0 / dim) * random_directions(2, dim, rng)
+    rows[:, 1:] = random_ball_points(2, dim, rng)
     return np.outer(rows[0], rows[1])
 
 
@@ -280,8 +291,7 @@ def no_signalling_spread(n_bits: int, trials: int, seed: int) -> float:
     maximum spread observed (should vanish to rounding).  ``trials`` must
     be an integer of at least 1.
     """
-    if not (_is_integer(trials) and trials >= 1):
-        raise GptError(f"trials must be an integer >= 1, got {trials!r}")
+    _check_count("trials", trials, 1)
     dim = 2**n_bits - 1
     rng = np.random.default_rng(seed)
     encoded = sign_row_encodings(np.eye(2**n_bits), hadamard_basis(n_bits))  # phi_0 = I
@@ -317,10 +327,8 @@ def teleport(
         raise GptError(
             f"input state has dimension {input_state.dim}, expected {dim}"
         )
-    if not np.linalg.norm(input_state.r) <= 1.0 + EXACT_TOL:
-        raise DomainError("input state lies outside the unit ball")
-    if not (_is_integer(n_effects) and n_effects >= 0):
-        raise GptError(f"n_effects must be an integer >= 0, got {n_effects!r}")
+    make_state(input_state.r)  # refuses a state outside the unit ball
+    _check_count("n_effects", n_effects, 0)
 
     # Extremal effects (1, m)/2 along n_effects + 1 random m, one draw: the
     # probes are the first n_effects plus the unit u, and the pair is the

@@ -54,11 +54,11 @@ from .core import (
     TheoryConfig,
     Transformation,
     ValidationReport,
-    _is_integer,
+    _check_count,
     bipartite_contract,
 )
 from .hadamard import hadamard_basis, hadamard_vector
-from .hst import random_directions
+from .hst import make_extremal_effect, random_directions
 
 # Random product states and effects ``constructed_family`` adds per theory.
 FAMILY_RANDOM_PAIRS = 20
@@ -190,8 +190,7 @@ def lt_admissibility_witness(n_bits: int, lam: float, tau: float) -> tuple:
     computed by direct contraction; either leaving ``[0, 1]`` certifies the
     parameters as inadmissible.
     """
-    if n_bits < 2:
-        raise GptError("the lambda-tau model needs n_bits >= 2")
+    _check_count("n_bits", n_bits, 2)
     aligned = hadamard_vector(0, n_bits)
     effect = BipartiteEffect(
         2.0**-n_bits * np.diag(_diagonals(aligned, tau, aligned.size))
@@ -210,7 +209,8 @@ def lt_channel(theory: TheoryConfig) -> Channel:
 
 
 def _check_lt_closed_form(n_bits: int) -> None:
-    if not 2 <= n_bits <= LT_MAX_N_BITS:
+    _check_count("n_bits", n_bits, 2)
+    if n_bits > LT_MAX_N_BITS:
         raise GptError(
             f"the lambda-tau closed forms need n_bits in [2, {LT_MAX_N_BITS}], got {n_bits}"
         )
@@ -240,10 +240,8 @@ def lt_optimal_info(n_bits: int) -> float:
     ``0.557 * 2^-N``, stays positive up to ``LT_MAX_N_BITS``.  At ``N = 2``,
     ``Q = 1`` and the rate is exactly 2.
     """
-    if n_bits < 2:
-        raise DomainError(
-            "n_bits must be >= 2; a single bit has no continuous rotations"
-        )
+    # A single bit has no continuous rotations.
+    _check_count("n_bits", n_bits, 2, DomainError)
     peak = lt_peak_probability(n_bits)
     excess = lt_optimal_product(n_bits)
     info = peak * (1.0 + math.log1p(excess) / math.log(2.0))
@@ -262,10 +260,8 @@ def embedded_extremal_effect(direction, theory: TheoryConfig) -> Effect:
     direction = np.asarray(direction, dtype=float)
     if direction.size != theory.m:
         raise GptError(f"direction must have {theory.m} components")
-    norm = np.linalg.norm(direction)
-    if not abs(norm - 1.0) <= EXACT_TOL:
-        raise DomainError(f"effect direction has norm {norm!r}, expected 1")
-    return Effect(0.5 * theory.state_from_direction(direction).entries)
+    extremal = make_extremal_effect(direction).entries
+    return Effect(np.insert(extremal, 1, np.zeros(theory.ball_dim)))
 
 
 def random_rotation(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -336,20 +332,19 @@ def tl_violation_witness(
     non-finite value fails it.  ``trials`` must be an integer of at least 1.
     """
     _require_kind(theory, "embedded")
-    if not (_is_integer(trials) and trials >= 1):
-        raise GptError(f"trials must be an integer >= 1, got {trials!r}")
+    _check_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
     states = np.stack([theory_state(mu, theory).matrix for mu in range(theory.hadamard_dim)])
     distances = tuple(float(d) for d in np.abs(states[0] - states).sum(axis=(1, 2)))
 
-    # Row [t, side] is the local effect mix0 (1, 0_n, w/|w|)/2 + mix1 u,
-    # drawn side by side in trial order; mix weighs (extremal, unit, zero).
+    # Row [t, side] is the local effect mix0 (1, 0_n, m)/2 + mix1 u, where
+    # mix weighs (extremal, unit, zero): every mix is drawn first, then
+    # every direction m, both side by side in trial order.
+    mix = rng.dirichlet(np.ones(3), size=(trials, 2))
+    directions = random_directions(2 * trials, theory.m, rng).reshape(trials, 2, -1)
     effects = np.zeros((trials, 2, 1 + theory.local_dim))
-    for row in effects.reshape(2 * trials, -1):
-        w = rng.standard_normal(theory.m)
-        mix = rng.dirichlet(np.ones(3))
-        row[0] = 0.5 * mix[0] + mix[1]
-        row[1 + theory.ball_dim :] = 0.5 * mix[0] * (w / np.linalg.norm(w))
+    effects[..., 0] = 0.5 * mix[..., 0] + mix[..., 1]
+    effects[..., 1 + theory.ball_dim :] = 0.5 * mix[..., :1] * directions
     probs = np.einsum("ti,sij,tj->ts", effects[:, 0], states, effects[:, 1])
     spread = probs.max(axis=1) - probs.min(axis=1)
     expected = effects[:, 0, 0] * effects[:, 1, 0]

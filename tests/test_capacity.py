@@ -254,7 +254,36 @@ class TestBlahutArimoto:
         assert abs(result.capacity_bits - 0.15356065532898455) < 1e-6
 
 
+class TestBitCounts:
+    @pytest.mark.parametrize("n_bits", [2.5, 2.0, True, np.float64(3.0), "3"])
+    @pytest.mark.parametrize(
+        "bound",
+        [dimension_upper_bound, weak_thresholds, lambda n: weak_entanglement_bound(0.5, n)],
+        ids=["dimension", "thresholds", "weak"],
+    )
+    def test_bounds_refuse_a_non_integer_bit_count(self, bound, n_bits):
+        with pytest.raises(GptError, match="n_bits must be an integer"):
+            bound(n_bits)
+
+    def test_bounds_accept_numpy_integers(self):
+        assert dimension_upper_bound(np.int64(3)) == 6.0
+        assert weak_thresholds(np.int32(2)) == weak_thresholds(2)
+        assert weak_entanglement_bound(1.0, np.uint8(3)) == 3.0
+
+    def test_max_iter_message_names_the_minimum(self):
+        with pytest.raises(GptError, match=r"^max_iter must be an integer >= 0, got -1$"):
+            blahut_arimoto(np.eye(2), max_iter=-1)
+
+
 class TestBounds:
+    def test_dc_lower_bound_is_exported_from_protocols(self):
+        # The bound runs a protocol, so it lives in the protocol layer.
+        import gptlab
+        from gptlab import capacity, protocols
+
+        assert gptlab.dc_capacity_lower_bound is protocols.dc_capacity_lower_bound
+        assert not hasattr(capacity, "dc_capacity_lower_bound")
+
     def test_dc_lower_bound_matches_protocol(self):
         for n_bits in (1, 2, 4):
             assert dc_capacity_lower_bound(TheoryConfig.base(n_bits)) == float(n_bits)

@@ -32,6 +32,7 @@ from gptlab import (
     unit_effect,
     validate_measurement,
 )
+from gptlab.core import _check_count
 from gptlab.hst import (
     canonical_measurement,
     make_extremal_effect,
@@ -336,6 +337,161 @@ class TestValidateMeasurement:
             total = sum(contract(e, state) for e in meas.effects)
             assert abs(total - 1.0) < EXACT_TOL
             assert validate_measurement(meas, theory).passed
+
+
+def probe_loop_validate(measurement, theory):
+    """The sampled range check: the mixed state, the +-axis states of the
+    active block and, per effect, the pure states aligned with and opposed
+    to its active block, one contraction per probe."""
+    size = theory.local_dim + 1
+    mixed = np.zeros(size)
+    mixed[0] = 1.0
+    probes = [State(mixed)]
+    for k in range(theory.active_dim):
+        axis = np.zeros(theory.active_dim)
+        axis[k] = 1.0
+        probes += [theory.state_from_direction(axis), theory.state_from_direction(-axis)]
+    total = np.sum([e.entries for e in measurement.effects], axis=0)
+    violations = [
+        {
+            "check": "completeness",
+            "component": int(k),
+            "value": float(total[k]),
+            "expected": float(mixed[k]),
+        }
+        for k in np.flatnonzero(~(np.abs(total - mixed) <= EXACT_TOL))
+    ]
+    for i, e in enumerate(measurement.effects):
+        aligned = e.entries[size - theory.active_dim :]
+        norm = np.linalg.norm(aligned)
+        effect_probes = list(probes)
+        if norm > EXACT_TOL:
+            effect_probes.append(theory.state_from_direction(aligned / norm))
+            effect_probes.append(theory.state_from_direction(-aligned / norm))
+        for state in effect_probes:
+            p = contract(e, state)
+            if not -EXACT_TOL <= p <= 1.0 + EXACT_TOL:
+                violations.append(
+                    {"check": "probability_range", "effect_index": i, "value": p}
+                )
+    return not violations, violations
+
+
+ORACLE_THEORIES = [TheoryConfig.base(n) for n in (1, 2, 3, 4)] + [
+    TheoryConfig.embedded(2, 2),
+    TheoryConfig.embedded(3, 4),
+]
+
+
+def grid_measurement(theory, rng, complete):
+    """Two to four effects whose active norms sit near the ball's limits.
+
+    Each effect has weight w in {0, 1/2, 1, uniform} and an active block of
+    norm 0, 1e-13, or min(w, 1 - w) (the largest valid norm) times
+    1 + delta for a small delta of either sign.  Embedded effects also get
+    non-zero entries in the frozen block, which no local state sees.  A
+    complete measurement ends with the unit minus the other effects.
+    """
+    size = theory.local_dim + 1
+    active = theory.active_dim
+    rows = []
+    for _ in range(int(rng.integers(2, 5))):
+        w = float(rng.choice([0.0, 0.5, 1.0, rng.random()]))
+        scale = min(w, 1.0 - w) * (1.0 + float(rng.choice([-1e-3, -5e-13, 0.0, 5e-11, 1e-3])))
+        norm = float(rng.choice([0.0, 1e-13, scale, scale, scale]))
+        direction = rng.standard_normal(active)
+        row = np.zeros(size)
+        row[0] = w
+        row[size - active :] = norm * direction / np.linalg.norm(direction)
+        if theory.kind == "embedded":
+            row[1 : size - active] = rng.standard_normal(size - 1 - active)
+        rows.append(row)
+    if complete:
+        rows[-1] = unit_effect(theory.local_dim).entries - np.sum(rows[:-1], axis=0)
+    return Measurement(tuple(Effect(row) for row in rows))
+
+
+def failing_effects(violations):
+    return {v["effect_index"] for v in violations if v["check"] == "probability_range"}
+
+
+class TestClosedFormValidation:
+    """``validate_measurement`` against the probe loop it replaces."""
+
+    @pytest.mark.parametrize("complete", [True, False])
+    @pytest.mark.parametrize("theory", ORACLE_THEORIES, ids=lambda t: f"{t.kind}-{t.n_bits}")
+    def test_verdicts_match_the_probe_loop(self, theory, complete):
+        rng = np.random.default_rng(theory.local_dim + 100 * complete)
+        range_failures = 0
+        for _ in range(150):
+            measurement = grid_measurement(theory, rng, complete)
+            report = validate_measurement(measurement, theory)
+            passed, violations = probe_loop_validate(measurement, theory)
+            assert report.passed is passed
+            assert {v["check"] for v in report.violations} == {v["check"] for v in violations}
+            assert failing_effects(report.violations) == failing_effects(violations)
+            completeness = [v for v in report.violations if v["check"] == "completeness"]
+            assert completeness == [v for v in violations if v["check"] == "completeness"]
+            range_failures += bool(failing_effects(violations))
+        # The grid must exercise both verdicts of the range check.
+        assert 10 <= range_failures <= 140
+
+    @pytest.mark.parametrize("theory", ORACLE_THEORIES, ids=lambda t: f"{t.kind}-{t.n_bits}")
+    def test_long_effect_fails_at_its_aligned_state(self, theory):
+        m = np.random.default_rng(5).standard_normal(theory.active_dim)
+        m /= np.linalg.norm(m)
+        hot = np.zeros(theory.local_dim + 1)
+        hot[0] = 0.5
+        hot[1 + theory.local_dim - theory.active_dim :] = 0.505 * m
+        effects = (Effect(hot), Effect(unit_effect(theory.local_dim).entries - hot))
+        report = validate_measurement(Measurement(effects), theory)
+        assert not report.passed
+        high, low = [v for v in report.violations if v["effect_index"] == 0]
+        aligned = theory.state_from_direction(m).r
+        assert np.allclose(high["state_r"], aligned, rtol=0.0, atol=EXACT_TOL)
+        assert np.allclose(low["state_r"], -aligned, rtol=0.0, atol=EXACT_TOL)
+        assert abs(high["value"] - 1.005) <= EXACT_TOL
+        assert abs(low["value"] + 0.005) <= EXACT_TOL
+        assert failing_effects(report.violations) == {0, 1}
+
+    def test_zero_block_is_witnessed_by_the_mixed_state(self):
+        theory = TheoryConfig.embedded(2, 2)
+        heavy = np.zeros(theory.local_dim + 1)
+        heavy[0] = 1.5
+        heavy[1] = 0.25  # frozen block: no local state sees it
+        report = validate_measurement(Measurement((Effect(heavy),)), theory)
+        ranges = [v for v in report.violations if v["check"] == "probability_range"]
+        assert [v["value"] for v in ranges] == [1.5, 1.5]
+        assert all(not any(v["state_r"]) for v in ranges)
+
+    @pytest.mark.parametrize("where", ["normalisation", "active", "frozen"])
+    def test_nan_entry_fails(self, where):
+        theory = TheoryConfig.embedded(2, 2)
+        m = np.array([0.6, 0.8])
+        first = canonical_measurement(m).effects[0].entries
+        entries = np.insert(first, 1, np.zeros(theory.ball_dim))
+        entries[{"normalisation": 0, "active": -1, "frozen": 1}[where]] = math.nan
+        effects = (Effect(entries), Effect(unit_effect(theory.local_dim).entries - entries))
+        report = validate_measurement(Measurement(effects), theory)
+        assert not report.passed
+        assert failing_effects(report.violations) == {0, 1}
+        passed, violations = probe_loop_validate(Measurement(effects), theory)
+        assert failing_effects(violations) == {0, 1} and not passed
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    def test_accepts_integers_at_or_above_the_minimum(self, value):
+        _check_count("trials", value, 3)
+
+    @pytest.mark.parametrize("value", [2, 2.5, 3.0, True, np.True_, "3", None])
+    def test_refuses_anything_else(self, value):
+        with pytest.raises(GptError, match=r"^trials must be an integer >= 3, got "):
+            _check_count("trials", value, 3)
+
+    def test_raises_the_requested_class(self):
+        with pytest.raises(DomainError, match="n_bits must be an integer >= 2, got 1"):
+            _check_count("n_bits", 1, 2, DomainError)
 
 
 class TestStateInvariants:

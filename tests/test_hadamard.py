@@ -15,6 +15,7 @@ from gptlab import (
     elementwise_product,
     entangled_effect,
     entangled_state,
+    entanglement_swap,
     hadamard_basis,
     hadamard_vector,
     local_tomography,
@@ -82,6 +83,20 @@ class TestSignVectors:
     def test_label_out_of_range(self):
         with pytest.raises(GptError):
             hadamard_vector(4, 2)
+
+    @pytest.mark.parametrize("n_bits", [2.0, True, np.float64(2.0), 0])
+    @pytest.mark.parametrize(
+        "build",
+        [hadamard_basis, lambda n: hadamard_vector(1, n), lambda n: entanglement_swap(n)],
+        ids=["basis", "vector", "swap"],
+    )
+    def test_refuses_a_bit_count_that_is_not_a_positive_integer(self, build, n_bits):
+        with pytest.raises(GptError, match="n_bits must be an integer >= 1"):
+            build(n_bits)
+
+    def test_accepts_numpy_bit_counts(self):
+        assert np.array_equal(hadamard_basis(np.int64(2)), hadamard_basis(2))
+        assert np.array_equal(hadamard_vector(1, np.uint8(2)), hadamard_vector(1, 2))
 
 
 class TestGroupLaws:

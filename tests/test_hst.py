@@ -33,6 +33,7 @@ from gptlab.hst import (
     random_directions,
     random_measurement,
     random_measurements,
+    random_ball_points,
     random_pure_state,
     random_state,
 )
@@ -151,6 +152,34 @@ class TestOneBitProtocol:
         ch = one_bit_protocol(3, encode_direction=encode, decode_direction=decode)
         assert np.array_equal(ch.conditional, np.full((2, 2), 0.5))
         assert mutual_information(ch) == 0.0
+
+
+class TestRandomBallPoints:
+    @pytest.mark.parametrize("count, dim", [(1, 1), (5, 3), (40, 7)])
+    def test_radii_come_first_then_one_direction_draw(self, count, dim):
+        points = random_ball_points(count, dim, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        radii = rng.random(count) ** (1.0 / dim)
+        directions = random_directions(count, dim, rng)
+        assert points.shape == (count, dim)
+        assert np.array_equal(points, radii[:, None] * directions)
+        assert (np.linalg.norm(points, axis=1) <= 1.0 + EXACT_TOL).all()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_state_is_the_one_row_case(self, seed):
+        state = random_state(7, np.random.default_rng(seed))
+        assert np.array_equal(state.r, random_ball_points(1, 7, np.random.default_rng(seed))[0])
+
+    def test_radius_law_is_uniform_in_the_ball(self):
+        # P(|r| <= 1/2) = 2^-dim for a uniform point of the dim-ball.
+        points = random_ball_points(20_000, 3, np.random.default_rng(0))
+        inner = np.mean(np.linalg.norm(points, axis=1) <= 0.5)
+        assert abs(inner - 0.125) < 0.01
+
+    def test_effect_range_lives_in_core(self):
+        from gptlab import core, hst
+
+        assert hst.effect_probability_range is core.effect_probability_range
 
 
 class TestRandomFamilies:

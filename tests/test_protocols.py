@@ -8,8 +8,10 @@ import pytest
 from gptlab import (
     EXACT_TOL,
     OPT_TOL,
+    DomainError,
     GptError,
     ProtocolLabel,
+    State,
     TheoryConfig,
     bipartite_contract,
     bipartite_unit,
@@ -37,6 +39,7 @@ from gptlab.hst import (
     make_extremal_effect,
     make_state,
     random_direction,
+    random_directions,
     random_measurements,
     random_pure_state,
     random_state,
@@ -292,6 +295,18 @@ class TestBestFirstSearch:
 
 
 class TestSeparableBaseline:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim", [1, 3, 7, 15])
+    def test_random_product_state_matches_the_inline_draw(self, dim, seed):
+        inline = np.random.default_rng(seed)
+        rows = np.ones((2, dim + 1))
+        rows[:, 1:] = inline.random((2, 1)) ** (1.0 / dim) * random_directions(2, dim, inline)
+        rng = np.random.default_rng(seed)
+        phi = protocols._random_product_state(dim, rng)
+        assert np.array_equal(phi, np.outer(rows[0], rows[1]))
+        # Both leave the stream at the same place.
+        assert rng.random() == inline.random()
+
     def test_never_beats_one_bit(self):
         best = separable_baseline(3, trials=300, seed=0)
         assert best <= 1.0 + OPT_TOL
@@ -460,6 +475,16 @@ class TestTeleport:
     def test_rejects_negative_effect_count(self):
         with pytest.raises(GptError, match="n_effects"):
             teleport(make_state(np.zeros(3)), 2, n_effects=-1)
+
+    @pytest.mark.parametrize("excess", [1e-9, 0.5])
+    def test_rejects_a_state_outside_the_ball(self, excess):
+        # State checks only the normalisation entry, so it can leave the ball.
+        outside = State(np.array([1.0, 0.6, 0.8 + excess, 0.0]))
+        with pytest.raises(DomainError, match="norm"):
+            teleport(outside, 2)
+
+    def test_accepts_a_state_on_the_sphere(self):
+        assert teleport(State(np.array([1.0, 0.6, 0.8, 0.0])), 2).passed
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("n_bits", [1, 2, 3, 4])

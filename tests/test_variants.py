@@ -112,19 +112,24 @@ class TestTheoryConfigTypes:
 
 
 def tl_witness_loop_oracle(theory, trials, seed):
-    """The per-trial TL witness loop, one validated effect per local draw."""
+    """The per-trial TL witness loop, one validated effect per local draw.
+
+    Every mix is drawn first, one Dirichlet call per local effect, then
+    every direction, one Gaussian vector per local effect, both side by
+    side in trial order.
+    """
     rng = np.random.default_rng(seed)
     states = [variants.theory_state(mu, theory) for mu in range(2**theory.n_bits)]
     distances = tuple(float(np.abs(states[0].matrix - s.matrix).sum()) for s in states)
     violations = []
     max_spread = 0.0
     unit = Effect(np.concatenate(([1.0], np.zeros(theory.local_dim))))
-    for _ in range(trials):
+    mixes = [[rng.dirichlet(np.ones(3)) for _side in range(2)] for _ in range(trials)]
+    for t in range(trials):
         effects = []
-        for _side in range(2):
+        for mix in mixes[t]:
             w = rng.standard_normal(theory.m)
             extremal = embedded_extremal_effect(w / np.linalg.norm(w), theory)
-            mix = rng.dirichlet(np.ones(3))
             effects.append(Effect(mix[0] * extremal.entries + mix[1] * unit.entries))
         joint = product_effect(effects[0], effects[1])
         probs = np.array([bipartite_contract(joint, s) for s in states])
@@ -261,6 +266,28 @@ class TestLambdaTauOptimum:
     def test_single_bit_rejected(self):
         with pytest.raises(DomainError):
             lt_optimal_info(1)
+
+    @pytest.mark.parametrize("n_bits", [3.5, 3.0, True, np.float64(3.0)])
+    @pytest.mark.parametrize(
+        "closed_form, error",
+        [
+            (lt_optimal_product, GptError),
+            (lt_peak_probability, GptError),
+            (lt_optimal_info, DomainError),
+            (lambda n: lt_admissibility_witness(n, 0.5, 0.5), GptError),
+        ],
+        ids=["product", "peak", "info", "witness"],
+    )
+    def test_closed_forms_refuse_a_non_integer_bit_count(self, closed_form, error, n_bits):
+        with pytest.raises(error, match="n_bits must be an integer >= 2"):
+            closed_form(n_bits)
+
+    def test_closed_forms_accept_numpy_bit_counts(self):
+        assert lt_optimal_product(np.int64(3)) == lt_optimal_product(3)
+        assert lt_optimal_info(np.int32(3)) == lt_optimal_info(3)
+        assert lt_admissibility_witness(np.int16(3), 0.5, 0.5) == lt_admissibility_witness(
+            3, 0.5, 0.5
+        )
 
     @pytest.mark.parametrize(
         "closed_form", [lt_optimal_product, lt_peak_probability, lt_optimal_info]
