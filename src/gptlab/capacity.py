@@ -184,13 +184,12 @@ def dimension_upper_bound(n_bits: int) -> float:
     dimension, and a pair of ``2^N - 1`` ball systems lives in the
     ``(2^N)^2 = 2^(2N)``-dimensional matrix space.
     """
-    _check_count("n_bits", n_bits, 1)
-    return float(2 * n_bits)
+    return float(2 * _check_count("n_bits", n_bits, 1))
 
 
 def weak_entanglement_bound(lam: float, n_bits: int) -> float:
     """Dense-coding bound ``log2(1 + |lambda| (2^N - 1))`` for weak models."""
-    _check_count("n_bits", n_bits, 2)
+    n_bits = _check_count("n_bits", n_bits, 2)
     # Written so that a non-finite lambda fails the check; True would be 1.
     if isinstance(lam, (bool, np.bool_)) or not abs(lam) <= 1.0:
         raise DomainError(f"lambda must lie in [-1, 1], got {lam!r}")
@@ -203,8 +202,7 @@ def weak_thresholds(n_bits: int) -> tuple:
     At the first threshold the bound equals 1 bit (no superdense coding
     below it); at the second it equals 2 bits (no hyperdense coding).
     """
-    _check_count("n_bits", n_bits, 2)
-    denom = 2**n_bits - 1
+    denom = 2 ** _check_count("n_bits", n_bits, 2) - 1
     return (1.0 / denom, 3.0 / denom)
 
 

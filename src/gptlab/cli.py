@@ -3,10 +3,13 @@
 Subcommands run the protocols and validator suites and emit reports as a
 plain table, JSON or CSV.  Output is deterministic for a fixed command
 line and seed (stable key order, round-trip float formatting); wall time
-goes to stderr so report bytes stay reproducible.
+goes to stderr so report bytes stay reproducible.  Each ``cmd_*`` returns
+``(report, rows, code)`` and ``main`` renders it once, building only the
+format asked for: ``rows`` yields the CSV rows and runs for ``csv`` only.
 
 Exit codes: 0 success, 1 validation failure, 2 domain or flag error,
-3 protocol falsification (including a JSON report that would hold NaN or inf).
+3 protocol falsification (including a JSON report that would hold NaN or inf),
+4 out of memory.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .core import (
     EXACT_TOL,
     MAX_N_BITS,
     OPT_TOL,
+    THEORY_KINDS,
     BipartiteState,
     DomainError,
     GptError,
@@ -61,59 +65,65 @@ def _jsonable(value):
     return value
 
 
-def _emit(report: dict, rows: list, args) -> None:
-    if args.format == "json":
+def _emit(report: dict, rows, args) -> None:
+    """Render ``report`` in ``args.format`` and write it to stdout or ``--out``.
+
+    ``rows`` is a zero-argument callable yielding the CSV rows; it is called
+    for ``--format csv`` only.  The whole text is built before anything is
+    written, so a JSON report holding NaN or inf writes nothing.
+    """
+    buffer = io.StringIO()
+    if args.format == "csv":
+        csv.writer(buffer, lineterminator="\n").writerows(rows())
+    elif args.format == "json":
         try:
-            text = json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False)
+            json.dump(_jsonable(report), buffer, sort_keys=True, indent=2, allow_nan=False)
         except ValueError as exc:
             raise ProtocolFalsified(f"the report holds a non-finite value ({exc})") from exc
-        text += "\n"
-    elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        for row in rows:
-            writer.writerow(row)
-        text = buffer.getvalue()
+        buffer.write("\n")
     else:
-        text = _format_table(report)
+        buffer.write(_format_table(_jsonable(report)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.write(buffer.getvalue())
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(buffer.getvalue())
 
 
 def _format_table(report: dict, indent: str = "") -> str:
+    """Indented ``key: value`` lines of a report already passed through ``_jsonable``."""
     lines = []
     for key, value in report.items():
-        value = _jsonable(value)
         if isinstance(value, dict):
             lines.append(f"{indent}{key}:")
             lines.append(_format_table(value, indent + "  "))
-        elif (
-            isinstance(value, list)
-            and value
-            and all(isinstance(v, dict) for v in value)
-        ):
+        elif isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
             lines.append(f"{indent}{key}:")
             for i, item in enumerate(value):
                 lines.append(f"{indent}  [{i}]")
                 lines.append(_format_table(item, indent + "    "))
-        elif (
-            isinstance(value, list)
-            and value
-            and all(isinstance(v, list) for v in value)
-        ):
+        elif isinstance(value, list) and value and all(isinstance(v, list) for v in value):
             lines.append(f"{indent}{key}:")
             for row in value:
-                lines.append(
-                    indent + "  " + " ".join(f"{float(v):10.6g}" for v in row)
-                )
+                lines.append(indent + "  " + " ".join(f"{v:10.6g}" for v in row))
         elif isinstance(value, list):
             lines.append(f"{indent}{key}: " + " ".join(str(v) for v in value))
         else:
             lines.append(f"{indent}{key}: {value}")
     return "\n".join(line for line in lines if line) + ("\n" if not indent else "")
+
+
+def _indexed_rows(table, trailer, columns=None):
+    """CSV rows of a table indexed by the input x: a header, one row per x,
+    a blank row, then the ``trailer`` rows.  Columns default to ``y0, y1, ...``.
+    """
+    if columns is None:
+        columns = [f"y{y}" for y in range(table.shape[1])]
+    yield ["x", *columns]
+    for x, row in enumerate(table):
+        yield [x, *row.tolist()]
+    yield []
+    yield from trailer
 
 
 def _check_n_bits(args) -> None:
@@ -140,7 +150,7 @@ def _theory_from_args(args) -> TheoryConfig:
     raise DomainError(f"unknown theory {kind!r}")
 
 
-def cmd_dense_coding(args) -> int:
+def cmd_dense_coding(args) -> tuple:
     _check_n_bits(args)
     theory = _theory_from_args(args)
     run = protocols.dense_coding(args.n_bits, theory=theory, seed=args.seed)
@@ -175,21 +185,16 @@ def cmd_dense_coding(args) -> int:
         },
         "channel": {
             "prior": run.channel.prior,
-            "conditional": run.channel.conditional,
+            "conditional": conditional,
         },
         "info_bits": run.info_bits,
         "bounds": bounds,
         "classification": grade.label.value,
         "validators": validators,
     }
-    rows = [["x"] + [f"y{y}" for y in range(run.channel.n_outputs)]]
-    for x, row in enumerate(run.channel.conditional):
-        rows.append([x] + [repr(float(v)) for v in row])
-    rows.append([])
-    rows.append(["info_bits", repr(run.info_bits)])
-    rows.append(["classification", grade.label.value])
-    _emit(report, rows, args)
-    return 0
+    trailer = [["info_bits", run.info_bits], ["classification", grade.label.value]]
+    rows = functools.partial(_indexed_rows, conditional, trailer)
+    return report, rows, 0
 
 
 def _parse_state_spec(spec: str, dim: int, seed: int):
@@ -209,7 +214,7 @@ def _parse_state_spec(spec: str, dim: int, seed: int):
     raise DomainError(f"--state must be 'random' or 'axis:k', got {spec!r}")
 
 
-def cmd_teleport(args) -> int:
+def cmd_teleport(args) -> tuple:
     _check_n_bits(args)
     dim = 2**args.n_bits - 1
     state = _parse_state_spec(args.state, dim, args.seed)
@@ -224,16 +229,12 @@ def cmd_teleport(args) -> int:
         "max_residual": run.max_residual,
         "passed": run.passed,
     }
-    rows = [["x", "p_x"]]
-    for x, p in enumerate(run.outcome_priors):
-        rows.append([x, repr(float(p))])
-    rows.append([])
-    rows.append(["max_residual", repr(run.max_residual)])
-    _emit(report, rows, args)
-    return 0 if run.passed else 3
+    trailer = [["max_residual", run.max_residual]]
+    rows = functools.partial(_indexed_rows, run.outcome_priors[:, None], trailer, ["p_x"])
+    return report, rows, 0 if run.passed else 3
 
 
-def cmd_swap(args) -> int:
+def cmd_swap(args) -> tuple:
     _check_n_bits(args)
     run = protocols.entanglement_swap(args.n_bits, label=args.mu, seed=args.seed)
     report = {
@@ -247,16 +248,12 @@ def cmd_swap(args) -> int:
         "max_residual": run.max_residual,
         "passed": run.passed,
     }
-    rows = [["x"] + [f"y{y}" for y in range(run.conditional.shape[1])]]
-    for x, row in enumerate(run.conditional):
-        rows.append([x] + [repr(float(v)) for v in row])
-    rows.append([])
-    rows.append(["max_residual", repr(run.max_residual)])
-    _emit(report, rows, args)
-    return 0 if run.passed else 3
+    trailer = [["max_residual", run.max_residual]]
+    rows = functools.partial(_indexed_rows, run.conditional, trailer)
+    return report, rows, 0 if run.passed else 3
 
 
-def cmd_lambda_tau_table(args) -> int:
+def cmd_lambda_tau_table(args) -> tuple:
     if not 2 <= args.n_max <= variants.LT_MAX_N_BITS:
         raise DomainError(
             f"--n-max must be between 2 and {variants.LT_MAX_N_BITS}, got {args.n_max}"
@@ -280,20 +277,15 @@ def cmd_lambda_tau_table(args) -> int:
         "n_max": args.n_max,
         "rows": entries,
     }
-    rows = [["n_bits", "info_bits", "lambda_tau", "reference_bits", "agrees"]]
-    for row in entries:
-        rows.append(
-            [
-                row["n_bits"],
-                repr(row["info_bits"]),
-                repr(row["lambda_tau"]),
-                repr(row.get("reference_bits", "")),
-                row.get("agrees", ""),
-            ]
-        )
-    _emit(report, rows, args)
+    columns = ("n_bits", "info_bits", "lambda_tau", "reference_bits", "agrees")
+
+    def rows():
+        yield list(columns)
+        for row in entries:
+            yield [row.get(key, "") for key in columns]
+
     disagreement = any(r.get("agrees") is False for r in entries)
-    return 1 if disagreement else 0
+    return report, rows, 1 if disagreement else 0
 
 
 # --------------------------------------------------------------------------
@@ -379,33 +371,22 @@ def _suite_consistency(seed: int, trials: int) -> dict:
 def _suite_tomography(seed: int, trials: int) -> dict:
     checks = {}
     rng = np.random.default_rng(seed)
+
+    def recovered(phi) -> bool:
+        return bool(np.abs(hadamard.local_tomography(phi).matrix - phi.matrix).max() <= EXACT_TOL)
+
     for n in (1, 2, 3):
-        size = 2**n
-        dim = size - 1
-        entangled_ok = all(
-            np.abs(
-                hadamard.local_tomography(hadamard.entangled_state(mu, n)).matrix
-                - hadamard.entangled_state(mu, n).matrix
-            ).max()
-            <= EXACT_TOL
-            for mu in range(size)
-        )
-        checks[f"entangled_recovered_n{n}"] = entangled_ok
+        dim = 2**n - 1
+        entangled = [hadamard.entangled_state(mu, n) for mu in range(dim + 1)]
+        checks[f"entangled_recovered_n{n}"] = all(recovered(phi) for phi in entangled)
         # Five product states, row 2k their A side and row 2k + 1 their B side.
         sides = np.ones((5, 2, dim + 1))
         sides[..., 1:] = hst.random_ball_points(10, dim, rng).reshape(5, 2, dim)
-        products = [BipartiteState(np.outer(a, b)) for a, b in sides]
         checks[f"products_recovered_n{n}"] = all(
-            np.abs(hadamard.local_tomography(phi).matrix - phi.matrix).max() <= EXACT_TOL
-            for phi in products
+            recovered(BipartiteState(np.outer(a, b))) for a, b in sides
         )
-        mix = mix_bipartite(
-            [hadamard.entangled_state(0, n), hadamard.entangled_state(size - 1, n)],
-            [0.5, 0.5],
-        )
-        checks[f"mixtures_recovered_n{n}"] = bool(
-            np.abs(hadamard.local_tomography(mix).matrix - mix.matrix).max() <= EXACT_TOL
-        )
+        mix = mix_bipartite([entangled[0], entangled[-1]], [0.5, 0.5])
+        checks[f"mixtures_recovered_n{n}"] = recovered(mix)
     return checks
 
 
@@ -462,7 +443,7 @@ SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     if args.trials < 1:
         raise DomainError(f"--trials must be >= 1, got {args.trials}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
@@ -481,13 +462,15 @@ def cmd_verify(args) -> int:
         "suites": suites,
         "passed": all_passed,
     }
-    rows = [["suite", "check", "value"]]
-    for name, data in suites.items():
-        for check, value in data["checks"].items():
-            rows.append([name, check, value])
-    rows.append(["all", "passed", all_passed])
-    _emit(report, rows, args)
-    return 0 if all_passed else 1
+
+    def rows():
+        yield ["suite", "check", "value"]
+        for name, data in suites.items():
+            for check, value in data["checks"].items():
+                yield [name, check, value]
+        yield ["all", "passed", all_passed]
+
+    return report, rows, 0 if all_passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,11 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dense-coding", help="run a dense-coding protocol")
     p.add_argument("--n-bits", type=int, required=True)
-    p.add_argument(
-        "--theory",
-        choices=("base", "lambda-tau", "embedded", "weak"),
-        default="base",
-    )
+    p.add_argument("--theory", choices=THEORY_KINDS, default="base")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--m", type=int, default=None)
@@ -537,11 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lambda_tau_table)
 
     p = sub.add_parser("verify", help="run validator suites")
-    p.add_argument(
-        "--suite",
-        choices=("group", "consistency", "tomography", "lemmas", "baseline", "all"),
-        default="all",
-    )
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--trials", type=int, default=1000)
     add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -564,13 +539,11 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        code = args.func(args)
+        report, rows, code = args.func(args)
+        _emit(report, rows, args)
     except ProtocolFalsified as exc:
         print(f"protocol falsified: {exc}", file=sys.stderr)
         return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

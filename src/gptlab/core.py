@@ -270,11 +270,17 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_count(name: str, value, minimum: int, error=GptError) -> None:
-    """Raise ``error`` unless ``value`` is a non-bool integer >= ``minimum``."""
+def _check_count(name: str, value, minimum: int, error=GptError) -> int:
+    """Return ``value`` as an ``int``; raise ``error`` unless it is a non-bool
+    integer >= ``minimum``.
+
+    Callers compute with the returned ``int``: numpy integers wrap around
+    (``-np.uint8(3)`` is 253, ``2**np.int8(8)`` is 0).
+    """
     # bool is an Integral (and so a Real): True would count as 1.
     if not (_is_integer(value) and value >= minimum):
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -299,6 +305,8 @@ class TheoryConfig:
         # bool is an Integral and a Real: True would count as 1.
         if not _is_integer(self.n_bits):
             raise DomainError(f"n_bits must be an integer, got {self.n_bits!r}")
+        # Stored as int, as ``_check_count`` returns counts: numpy integers wrap.
+        object.__setattr__(self, "n_bits", int(self.n_bits))
         if not 1 <= self.n_bits <= MAX_N_BITS:
             raise DomainError(f"n_bits must be between 1 and {MAX_N_BITS}")
         for name, value in (("lambda", self.lam), ("tau", self.tau)):
@@ -324,7 +332,8 @@ class TheoryConfig:
                     f"{prod!r} for N={self.n_bits}"
                 )
         elif self.kind == "embedded":
-            _check_count("embedding sphere dimension m", self.m, 1, DomainError)
+            m = _check_count("embedding sphere dimension m", self.m, 1, DomainError)
+            object.__setattr__(self, "m", m)
         elif self.kind == "weak":
             if self.lam is None:
                 raise DomainError("the weakly entangled model needs lambda")

@@ -35,21 +35,25 @@ from .core import (
     Transformation,
     ValidationReport,
     _check_count,
+    _is_integer,
     bipartite_contract,
     bipartite_unit,
 )
 from .hst import random_directions
 
 
-def _check_label(label: int, n_bits: int) -> None:
-    _check_count("n_bits", n_bits, 1)
-    if not 0 <= label < 2**n_bits:
+def _check_label(label: int, n_bits: int) -> int:
+    """Return ``n_bits`` as an int; raise unless ``label`` is a non-bool
+    integer in ``[0, 2^N)``."""
+    n_bits = _check_count("n_bits", n_bits, 1)
+    if not (_is_integer(label) and 0 <= label < 2**n_bits):
         raise GptError(f"label {label} out of range for {n_bits} bits")
+    return n_bits
 
 
 def hadamard_vector(label: int, n_bits: int) -> np.ndarray:
     """Sign vector with components ``(-1)^parity(label AND nu)``."""
-    _check_label(label, n_bits)
+    n_bits = _check_label(label, n_bits)
     nu = np.arange(2**n_bits, dtype=np.uint64)
     parity = np.bitwise_count(nu & np.uint64(label)) & 1
     return 1 - 2 * parity.astype(np.int64)
@@ -57,7 +61,7 @@ def hadamard_vector(label: int, n_bits: int) -> np.ndarray:
 
 def hadamard_basis(n_bits: int) -> np.ndarray:
     """All ``2^N`` sign vectors, stacked as rows (a Hadamard matrix)."""
-    _check_label(0, n_bits)
+    n_bits = _check_count("n_bits", n_bits, 1)
     nu = np.arange(2**n_bits, dtype=np.uint64)
     parity = np.bitwise_count(nu[:, None] & nu) & 1
     return 1 - 2 * parity.astype(np.int64)
@@ -77,12 +81,13 @@ def entangled_state(label: int, n_bits: int) -> BipartiteState:
 
 def entangled_effect(label: int, n_bits: int) -> BipartiteEffect:
     """Bell-type effect ``2^-N diag(d_label)``."""
-    scale = 2.0 ** (-n_bits)
-    return BipartiteEffect(scale * np.diag(hadamard_vector(label, n_bits)))
+    n_bits = _check_label(label, n_bits)
+    return BipartiteEffect(2.0**-n_bits * np.diag(hadamard_vector(label, n_bits)))
 
 
 def bell_measurement(n_bits: int) -> Measurement:
     """The ``2^N``-outcome measurement that distinguishes the entangled set."""
+    n_bits = _check_count("n_bits", n_bits, 1)
     return Measurement(tuple(entangled_effect(mu, n_bits) for mu in range(2**n_bits)))
 
 

@@ -49,7 +49,7 @@ from .core import (
     _check_count,
     mutual_information,
 )
-from .hadamard import bell_measurement, hadamard_basis
+from .hadamard import _check_label, bell_measurement, hadamard_basis
 from .hst import (
     MAX_COMPONENTS,
     make_state,
@@ -131,7 +131,7 @@ def dense_coding(n_bits: int, theory: TheoryConfig | None = None, seed: int = 0)
         )
     channel = variants.dense_coding_channel(theory, rotation_seed=seed)
     return DenseCodingRun(
-        n_bits=n_bits,
+        n_bits=theory.n_bits,
         theory=theory,
         initial_state=variants.theory_state(0, theory),
         channel=channel,
@@ -322,6 +322,7 @@ def teleport(
     attaining it.  The joint table uses a canonical two-outcome receiver
     measurement, so its rows sum to the outcome prior ``p_x = 2^-N``.
     """
+    n_bits = _check_count("n_bits", n_bits, 1)
     dim = 2**n_bits - 1
     if input_state.dim != dim:
         raise GptError(
@@ -374,10 +375,10 @@ def entanglement_swap(n_bits: int, label: int | None = 0, seed: int = 0) -> Swap
     on the far pair must reproduce ``phi_label``:
     ``p(y|x) = E'_y . phi_label = delta_(y,label)``.
     """
+    n_bits = _check_count("n_bits", n_bits, 1)
     if label is None:
         label = int(np.random.default_rng(seed).integers(2**n_bits))
-    if not 0 <= label < 2**n_bits:
-        raise GptError(f"label {label} out of range for {n_bits} bits")
+    _check_label(label, n_bits)
     # Every state and effect is diagonal, so each contraction is a sum over
     # one index.  Rows of ``signs`` are the diagonals of the Bell-type
     # effects (times 2^N) and of the corrections T_x.

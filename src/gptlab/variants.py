@@ -190,7 +190,7 @@ def lt_admissibility_witness(n_bits: int, lam: float, tau: float) -> tuple:
     computed by direct contraction; either leaving ``[0, 1]`` certifies the
     parameters as inadmissible.
     """
-    _check_count("n_bits", n_bits, 2)
+    n_bits = _check_count("n_bits", n_bits, 2)
     aligned = hadamard_vector(0, n_bits)
     effect = BipartiteEffect(
         2.0**-n_bits * np.diag(_diagonals(aligned, tau, aligned.size))
@@ -208,23 +208,24 @@ def lt_channel(theory: TheoryConfig) -> Channel:
     return dense_coding_channel(theory)
 
 
-def _check_lt_closed_form(n_bits: int) -> None:
-    _check_count("n_bits", n_bits, 2)
+def _check_lt_closed_form(n_bits: int) -> int:
+    n_bits = _check_count("n_bits", n_bits, 2)
     if n_bits > LT_MAX_N_BITS:
         raise GptError(
             f"the lambda-tau closed forms need n_bits in [2, {LT_MAX_N_BITS}], got {n_bits}"
         )
+    return n_bits
 
 
 def lt_optimal_product(n_bits: int) -> float:
     """The admissible ``lambda tau`` value maximising the rate."""
-    _check_lt_closed_form(n_bits)
+    n_bits = _check_lt_closed_form(n_bits)
     return 1.0 / (2.0**n_bits - 3)
 
 
 def lt_peak_probability(n_bits: int) -> float:
     """Largest achievable correct-decoding probability ``Q_N``."""
-    _check_lt_closed_form(n_bits)
+    n_bits = _check_lt_closed_form(n_bits)
     size = 2.0**n_bits
     return 2.0 ** (-n_bits + 1) * (size - 2) / (size - 3)
 
@@ -241,7 +242,7 @@ def lt_optimal_info(n_bits: int) -> float:
     ``Q = 1`` and the rate is exactly 2.
     """
     # A single bit has no continuous rotations.
-    _check_count("n_bits", n_bits, 2, DomainError)
+    n_bits = _check_count("n_bits", n_bits, 2, DomainError)
     peak = lt_peak_probability(n_bits)
     excess = lt_optimal_product(n_bits)
     info = peak * (1.0 + math.log1p(excess) / math.log(2.0))

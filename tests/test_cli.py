@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from gptlab import cli as cli_module
 from gptlab import protocols
 from gptlab.cli import main
 from gptlab.hadamard import bell_measurement
@@ -239,6 +240,15 @@ class TestRateTableCommand:
         rates = [r["info_bits"] for r in rows]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
+    def test_csv_leaves_missing_reference_cells_empty(self, capsys):
+        code, out, _ = run_cli(capsys, "lambda-tau-table", "--n-max", "6", "--format", "csv")
+        assert code == 0
+        assert "'" not in out
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["n_bits", "info_bits", "lambda_tau", "reference_bits", "agrees"]
+        assert rows[4][3:] == ["0.02", "True"]
+        assert rows[5][0] == "6" and rows[5][3:] == ["", ""]
+
     def test_rejects_small_n_max(self, capsys):
         code, _, err = run_cli(capsys, "lambda-tau-table", "--n-max", "1")
         assert code == 2
@@ -346,7 +356,6 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("trials", [1, 10, 100, 1000])
     def test_baseline_runs_exactly_the_requested_trials(self, capsys, monkeypatch, trials):
-        from gptlab import cli as cli_module
 
         counts = []
 
@@ -371,7 +380,6 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("trials", [1, 8, 9, 64, 1000])
     def test_baseline_chunks_carry_the_running_best(self, monkeypatch, trials, seed):
         from gptlab import capacity
-        from gptlab import cli as cli_module
 
         spent = []
         blahut_arimoto = capacity.blahut_arimoto
@@ -464,7 +472,6 @@ class TestVerifyCommand:
         assert checks["separable_within_one_bit"] is False
 
     def test_failed_check_exits_one(self, capsys, monkeypatch):
-        from gptlab import cli as cli_module
 
         monkeypatch.setitem(
             cli_module.SUITES, "group", lambda seed, trials: {"forced": False}
@@ -472,6 +479,22 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "group", "--format", "json")
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+
+class TestRenderPath:
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["dense-coding", "--n-bits", "3"], ["teleport", "--n-bits", "2"], ["swap", "--n-bits", "2"]],
+        ids=["dense-coding", "teleport", "swap"],
+    )
+    def test_csv_rows_are_built_for_csv_only(self, capsys, monkeypatch, argv, fmt):
+        calls = []
+        monkeypatch.setattr(cli_module, "_indexed_rows", lambda *args: calls.append(args) or [])
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, calls) == (0, []) and out
+        assert run_cli(capsys, *argv, "--format", "csv")[0] == 0
+        assert len(calls) == 1
 
 
 class TestArgumentErrors:
@@ -514,7 +537,6 @@ class TestArgumentErrors:
 
 class TestSharedParser:
     def test_main_builds_the_parser_at_most_once(self, capsys, monkeypatch):
-        from gptlab import cli as cli_module
 
         built = []
         build_parser = cli_module.build_parser

@@ -3,7 +3,7 @@
 Each report below holds only dyadic-exact numbers (sums and products of
 +-1 and powers of two, and log2 of powers of two) or booleans, so its bytes
 do not depend on the BLAS or libm build.  The digests were recorded with
-gptlab 0.1.0; a report whose bytes change is a schema or behaviour change
+gptlab 0.1.0, in every format (``table`` is the default one); a report whose bytes change is a schema or behaviour change
 and must update this table on purpose.  Reports that carry Blahut-Arimoto
 or libm floats are left out, except the two ``verify --suite baseline``
 reports: they pin the falsifiers' random stream (the draw layout of
@@ -16,6 +16,7 @@ AVX-512 x86-64 host.
 import contextlib
 import hashlib
 import io
+import tracemalloc
 
 import pytest
 
@@ -68,6 +69,15 @@ GOLDEN = {
     "verify --suite tomography --format json": "d7f9ec5e6d66b6b0105c94a9929a59db24c1b1740b9bc5639b595327a591b3f0",
     "verify --suite baseline --trials 64 --seed 0 --format json": "5925f72a6289c8db67616733b42c210b1867211f1997c944791d2b69c240afb6",
     "verify --suite baseline --trials 1000 --seed 7 --format csv": "a708636879395a7d09749de0e380c2404f198ebf9120a97e7610ac078c4f2c49",
+    "dense-coding --n-bits 3 --format table": "9e9a8258626fc3c7ffa4e8c276466e61c666b67aeb518c1b0ac200eeadf49312",
+    "dense-coding --n-bits 3 --theory embedded --m 2 --format table": "78ac2cea0627ac913a7dad10c2de6fccf15ff1d701bf55e76ac076decd00d09d",
+    "teleport --n-bits 2 --format table": "5a2d1aa29c96c8faf8c8d93743b555be57d02aeaf98de14d1fbf5912487f53a1",
+    "swap --n-bits 3 --mu 5 --format table": "1632e08253efdf798213ca75f71d50b4ee75bac5429329796887473085ec58bd",
+    "swap --n-bits 3 --mu 5 --format csv": "c7107224a33f047b2c1df78dfdf5cd6a72d9d681d21119543eae4955ca53526a",
+    "verify --suite group --format table": "35b3155735519c1506a3df0994f9206428baefbfdc73a8f976cf40d680464d85",
+    "verify --suite group --format csv": "24bae92a5b5f5faa1b92cd466aa6bbb1eea59e4e08eb4a6d348d7fd56d974a5e",
+    "verify --suite tomography --format table": "f5b63efe226946fad10c645f4015bb100f6e6c6ebd26effe4124d553682e6fb7",
+    "verify --suite lemmas --format table": "91118a81841f07c58a8a86e8f893c582086411ce171d9b7cadcc26afff19b7ff",
 }
 
 
@@ -94,3 +104,21 @@ def test_reports_after_an_argument_error_and_version_match_the_golden_digests():
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             assert main(command.split()) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[command], command
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_report_memory_stays_within_ten_times_its_bytes(fmt):
+    # With only the requested format built and JSON written straight into
+    # its buffer, the traced peak (channel arrays included) is about 6x the
+    # report at N = 9. Building the CSV rows for every format, or joining
+    # JSON from one list of chunks, takes it past 12x.
+    argv = ["dense-coding", "--n-bits", "9", "--format", fmt]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 10 * len(out.getvalue().encode())

@@ -98,6 +98,30 @@ class TestSignVectors:
         assert np.array_equal(hadamard_basis(np.int64(2)), hadamard_basis(2))
         assert np.array_equal(hadamard_vector(1, np.uint8(2)), hadamard_vector(1, 2))
 
+    @pytest.mark.parametrize("label", [1.5, 2.0, np.float64(1.0), True, np.True_, "1"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            hadamard_vector,
+            entangled_state,
+            entangled_effect,
+            local_transformation,
+            lambda label, n: entanglement_swap(n, label=label),
+        ],
+        ids=["vector", "state", "effect", "transformation", "swap"],
+    )
+    def test_refuses_a_label_that_is_not_an_integer(self, build, label):
+        # A float or bool label would pick a sign vector by its value (1.5 gives
+        # d_1, True gives T_1), and a bool indexes a new axis in numpy.
+        with pytest.raises(GptError, match="out of range for 2 bits"):
+            build(label, 2)
+
+    @pytest.mark.parametrize("label", [np.int64(3), np.uint8(3), np.int8(3)])
+    def test_accepts_numpy_integer_labels(self, label):
+        assert np.array_equal(hadamard_vector(label, 2), hadamard_vector(3, 2))
+        assert local_transformation(label, 2).matrix.tolist() == np.diag([1, -1, -1, 1]).tolist()
+        assert entanglement_swap(2, label=label).passed
+
 
 class TestGroupLaws:
     def test_elementwise_product_is_xor_exhaustive(self):

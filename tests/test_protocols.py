@@ -30,7 +30,7 @@ from gptlab import (
     separable_baseline,
     teleport,
 )
-from gptlab import capacity, protocols
+from gptlab import capacity, protocols, variants
 from gptlab.capacity import SEARCH_BLOCK, blahut_arimoto
 from gptlab.core import Effect, unit_effect
 from gptlab.hst import (
@@ -576,3 +576,37 @@ class TestEntanglementSwap:
     def test_label_out_of_range(self):
         with pytest.raises(GptError):
             entanglement_swap(2, label=7)
+
+
+def _dense_coding_table(n):
+    return dense_coding(n, TheoryConfig.base(n)).channel.conditional.tolist()
+
+
+def _swap_table(n):
+    return entanglement_swap(n, label=1).conditional.tolist()
+
+
+def _teleported(n):
+    state = make_state(np.eye(1, 3)[0])
+    run = teleport(state, n)
+    return run.n_bits, run.outcome_priors.tolist(), run.max_residual
+
+
+# Each entry point at a bit count where numpy integers wrap: -np.uint8(3) is
+# 253, and 2**np.uint8(8) and 2**np.int8(8) are 0.
+NUMPY_BIT_COUNT_CALLS = {
+    "dense_coding": (3, _dense_coding_table),
+    "lt_admissibility_witness": (3, lambda n: variants.lt_admissibility_witness(n, 0.5, 0.5)),
+    "lt_optimal_info": (3, variants.lt_optimal_info),
+    "entanglement_swap": (3, _swap_table),
+    "teleport": (2, _teleported),
+    "weak_entanglement_bound": (8, lambda n: capacity.weak_entanglement_bound(0.5, n)),
+    "weak_thresholds": (8, capacity.weak_thresholds),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8])
+@pytest.mark.parametrize("entry", sorted(NUMPY_BIT_COUNT_CALLS))
+def test_numpy_bit_counts_give_the_python_int_result(entry, dtype):
+    n_bits, call = NUMPY_BIT_COUNT_CALLS[entry]
+    assert call(dtype(n_bits)) == call(n_bits)
