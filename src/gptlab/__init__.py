@@ -44,7 +44,6 @@ from .hadamard import (
     LocalTransformation,
     bell_measurement,
     compose,
-    elementwise_product,
     entangled_effect,
     entangled_state,
     hadamard_basis,

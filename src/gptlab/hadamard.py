@@ -67,13 +67,6 @@ def hadamard_basis(n_bits: int) -> np.ndarray:
     return 1 - 2 * parity.astype(np.int64)
 
 
-def elementwise_product(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Componentwise product; equals the vector of the XORed labels."""
-    if d1.shape != d2.shape:
-        raise GptError("sign vectors must have equal length")
-    return d1 * d2
-
-
 def entangled_state(label: int, n_bits: int) -> BipartiteState:
     """Entangled state ``diag(d_label)`` on two ``2^N - 1`` ball systems."""
     return BipartiteState(np.diag(hadamard_vector(label, n_bits)).astype(float))

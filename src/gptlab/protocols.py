@@ -120,8 +120,8 @@ def dense_coding(n_bits: int, theory: TheoryConfig | None = None, seed: int = 0)
 
     The base model gives the exact ``2^N`` identity channel and ``N`` bits;
     every theory kind builds its channel through the diagonal model layer
-    in ``variants``.  ``seed`` only matters for the embedded model's random
-    rotations.
+    in ``variants``.  The channel does not depend on ``seed``: the embedded
+    model's sphere rotations never reach the Hadamard corner.
     """
     if theory is None:
         theory = TheoryConfig.base(n_bits)
@@ -129,7 +129,7 @@ def dense_coding(n_bits: int, theory: TheoryConfig | None = None, seed: int = 0)
         raise GptError(
             f"theory is configured for {theory.n_bits} bits, asked for {n_bits}"
         )
-    channel = variants.dense_coding_channel(theory, rotation_seed=seed)
+    channel = variants.dense_coding_channel(theory)
     return DenseCodingRun(
         n_bits=theory.n_bits,
         theory=theory,
@@ -139,14 +139,14 @@ def dense_coding(n_bits: int, theory: TheoryConfig | None = None, seed: int = 0)
     )
 
 
-def dc_capacity_lower_bound(theory: TheoryConfig, seed: int = 0) -> float:
+def dc_capacity_lower_bound(theory: TheoryConfig) -> float:
     """Certified dense-coding rate of the theory's explicit protocol.
 
     Running the protocol and measuring its mutual information yields a
     lower bound on both the dense-coding capacity and the two-system
     classical capacity (the encoded states can simply be prepared).
     """
-    return dense_coding(theory.n_bits, theory=theory, seed=seed).info_bits
+    return dense_coding(theory.n_bits, theory=theory).info_bits
 
 
 def classify(dc_info_bits: float, local_capacity_bits: float) -> Classification:
@@ -267,6 +267,7 @@ def product_decoding_baseline(n_bits: int, trials: int, seed: int) -> float:
     and one bit remains the ceiling.  The tables are searched as in
     ``separable_baseline``.
     """
+    n_bits = _check_count("n_bits", n_bits, 1)
     dim = 2**n_bits - 1
     rng = np.random.default_rng(seed)
     signs = hadamard_basis(n_bits)
@@ -291,6 +292,7 @@ def no_signalling_spread(n_bits: int, trials: int, seed: int) -> float:
     maximum spread observed (should vanish to rounding).  ``trials`` must
     be an integer of at least 1.
     """
+    n_bits = _check_count("n_bits", n_bits, 1)
     _check_count("trials", trials, 1)
     dim = 2**n_bits - 1
     rng = np.random.default_rng(seed)

@@ -12,7 +12,6 @@ from gptlab import (
     bipartite_contract,
     bipartite_unit,
     compose,
-    elementwise_product,
     entangled_effect,
     entangled_state,
     entanglement_swap,
@@ -128,14 +127,12 @@ class TestGroupLaws:
         n_bits = 3
         for mu in range(8):
             for nu in range(8):
-                lhs = elementwise_product(
-                    hadamard_vector(mu, n_bits), hadamard_vector(nu, n_bits)
-                )
+                lhs = hadamard_vector(mu, n_bits) * hadamard_vector(nu, n_bits)
                 assert np.array_equal(lhs, hadamard_vector(mu ^ nu, n_bits))
 
     def test_self_product_is_identity_element(self):
         vec = hadamard_vector(5, 3)
-        assert np.array_equal(elementwise_product(vec, vec), hadamard_vector(0, 3))
+        assert np.array_equal(vec * vec, hadamard_vector(0, 3))
 
     def test_orthogonality_and_column_sums_exact(self):
         for n_bits in range(1, 7):
@@ -157,9 +154,7 @@ class TestGroupLaws:
                 d_mu = hadamard_vector(mu, n_bits)
                 d_nu = hadamard_vector(nu, n_bits)
                 assert int(d_mu @ d_nu) == (size if mu == nu else 0)
-                assert np.array_equal(
-                    elementwise_product(d_mu, d_nu), hadamard_vector(mu ^ nu, n_bits)
-                )
+                assert np.array_equal(d_mu * d_nu, hadamard_vector(mu ^ nu, n_bits))
 
     def test_composition_table_is_xor_exhaustive(self):
         for n_bits in range(1, 7):

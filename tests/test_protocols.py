@@ -598,6 +598,7 @@ NUMPY_BIT_COUNT_CALLS = {
     "dense_coding": (3, _dense_coding_table),
     "lt_admissibility_witness": (3, lambda n: variants.lt_admissibility_witness(n, 0.5, 0.5)),
     "lt_optimal_info": (3, variants.lt_optimal_info),
+    "lt_rotated_witness": (8, lambda n: variants.lt_rotated_witness(0.5, n).matrix.tolist()),
     "entanglement_swap": (3, _swap_table),
     "teleport": (2, _teleported),
     "weak_entanglement_bound": (8, lambda n: capacity.weak_entanglement_bound(0.5, n)),
@@ -610,3 +611,22 @@ NUMPY_BIT_COUNT_CALLS = {
 def test_numpy_bit_counts_give_the_python_int_result(entry, dtype):
     n_bits, call = NUMPY_BIT_COUNT_CALLS[entry]
     assert call(dtype(n_bits)) == call(n_bits)
+
+
+# Each entry point checks its bit count before computing with it: unchecked,
+# True built an N = 1 witness and a fractional or negative count ended in a
+# raw numpy error.
+BIT_COUNT_CHECKS = {
+    "lt_rotated_witness": (2, lambda n: variants.lt_rotated_witness(0.5, n)),
+    "no_signalling_spread": (1, lambda n: no_signalling_spread(n, 1, 0)),
+    "product_decoding_baseline": (1, lambda n: product_decoding_baseline(n, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("n_bits", [True, 0, 2.5, np.int8(-1)], ids=repr)
+@pytest.mark.parametrize("entry", sorted(BIT_COUNT_CHECKS))
+def test_bad_bit_counts_are_refused(entry, n_bits):
+    minimum, call = BIT_COUNT_CHECKS[entry]
+    for value in (n_bits, minimum - 1):
+        with pytest.raises(GptError, match=f"n_bits must be an integer >= {minimum}"):
+            call(value)
