@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EXACT_TOL, Channel, DomainError, GptError, _check_count, mutual_information
+from .core import EXACT_TOL, DomainError, GptError, _check_count
 
 BA_DEFAULT_TOL = 1e-10
 BA_DEFAULT_MAX_ITER = 100_000
@@ -204,10 +204,3 @@ def weak_thresholds(n_bits: int) -> tuple:
     """
     denom = 2 ** _check_count("n_bits", n_bits, 2) - 1
     return (1.0 / denom, 3.0 / denom)
-
-
-def uniform_prior_information(conditional) -> float:
-    """Mutual information of the conditional table under a uniform prior."""
-    p = np.asarray(conditional, dtype=float)
-    prior = np.full(p.shape[0], 1.0 / p.shape[0])
-    return mutual_information(Channel(prior=prior, conditional=p))

@@ -10,12 +10,12 @@ local system carries at most 1 bit, so the protocol is superdense for
 Teleportation: the sender measures ``{E_x}`` on the input system together
 with her half of ``phi_0`` and announces x; after the receiver's correction
 ``T_x`` his system reproduces the input state's statistics exactly, each
-outcome occurring with probability ``2^-N``.  Feeding an entangled input
-through the same circuit swaps entanglement onto the receiver's side.
-All outcomes are one stack.  Every factor of ``v_x = (d_0 o d_x) o
-(2^-N d_x o omega)`` is +-1 or a power of two, so ``v_x = 2^-N omega``
-exactly and the residual is exactly 0.0 (for each of 252 random states
-tried at N = 1..6); the teleport reports are byte-stable.
+outcome occurring with probability ``2^-N``.  Swapping is the same circuit
+fed the bystander's half ``d_label`` of ``phi_label``: ``_receiver_rows``
+gives both the rows ``v_x = (d_0 o d_x) o (2^-N d_x o omega)`` of all
+outcomes as one stack.  Every factor is +-1 or a power of two, so ``v_x =
+2^-N omega`` exactly in any order and the residual is exactly 0.0 (for each
+of 252 random states tried at N = 1..6); the reports are byte-stable.
 
 The separable baselines re-run dense coding with product resources and
 check that nothing beats the single-system rate of 1 bit.  Their random
@@ -87,9 +87,13 @@ class Classification:
 class DenseCodingRun:
     n_bits: int
     theory: TheoryConfig
-    initial_state: BipartiteState
     channel: Channel
     info_bits: float
+
+    @property
+    def initial_state(self) -> BipartiteState:
+        """The shared state ``phi_0``, built on request."""
+        return variants.theory_state(0, self.theory)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +137,6 @@ def dense_coding(n_bits: int, theory: TheoryConfig | None = None, seed: int = 0)
     return DenseCodingRun(
         n_bits=theory.n_bits,
         theory=theory,
-        initial_state=variants.theory_state(0, theory),
         channel=channel,
         info_bits=mutual_information(channel),
     )
@@ -308,6 +311,14 @@ def no_signalling_spread(n_bits: int, trials: int, seed: int) -> float:
     return worst
 
 
+def _receiver_rows(signs: np.ndarray, omega: np.ndarray, n_bits: int) -> np.ndarray:
+    """Receiver rows ``v_x`` after outcome x on ``omega`` and the correction
+    ``T_x``, ``signs`` holding the rows ``d_x``; built in one float stack."""
+    v = 2.0**-n_bits * signs * omega
+    v *= signs[0] * signs
+    return v
+
+
 def teleport(
     input_state: State,
     n_bits: int,
@@ -344,11 +355,8 @@ def teleport(
 
     omega = input_state.entries
     expected = probe_rows @ omega  # e_y . omega per probe effect
-    signs = hadamard_basis(n_bits)
-    # Row x is v_x = (d_0 o d_x) o (2^-N d_x o omega), so that (E_x (x) e_y) .
-    # (omega (x) phi_0 T_x^t) = e_y . v_x; built in place to hold one float stack.
-    v = 2.0**-n_bits * signs * omega
-    v *= signs[0] * signs
+    # (E_x (x) e_y) . (omega (x) phi_0 T_x^t) = e_y . v_x
+    v = _receiver_rows(hadamard_basis(n_bits), omega, n_bits)
     priors = v[:, 0].copy()
     # One mat-vec per outcome, as a stack: a single gemm would round differently.
     joint = (pair_rows @ v[:, :, None])[..., 0]
@@ -368,34 +376,28 @@ def teleport(
     )
 
 
-def entanglement_swap(n_bits: int, label: int | None = 0, seed: int = 0) -> SwapRun:
+def entanglement_swap(n_bits: int, label: int = 0, seed: int = 0) -> SwapRun:
     """Swap the entangled state ``phi_label`` onto the receiver's side.
 
     The sender holds ``phi_label`` with a bystander and shares ``phi_0``
     with the receiver.  After her Bell-type measurement (outcome x) and the
     receiver's correction, the joint statistics of every Bell-type effect
     on the far pair must reproduce ``phi_label``:
-    ``p(y|x) = E'_y . phi_label = delta_(y,label)``.
+    ``p(y|x) = E'_y . phi_label = delta_(y,label)``.  The swap draws
+    nothing, so ``seed`` does not change the result.
     """
-    n_bits = _check_count("n_bits", n_bits, 1)
-    if label is None:
-        label = int(np.random.default_rng(seed).integers(2**n_bits))
-    _check_label(label, n_bits)
-    # Every state and effect is diagonal, so each contraction is a sum over
-    # one index.  Rows of ``signs`` are the diagonals of the Bell-type
-    # effects (times 2^N) and of the corrections T_x.
+    n_bits = _check_label(label, n_bits)
     signs = hadamard_basis(n_bits)
-    phi_ac = signs[label]
+    v = _receiver_rows(signs, signs[label], n_bits)
     decode = 2.0**-n_bits * signs
-    expected = decode @ phi_ac
-    # Outcome x: E_x on the sender pair, phi_0 T_x^t = diag(d_x) after the
-    # receiver's correction; (E_x (x) E'_y) . (phi_ac (x) corrected) sums
-    # E_x o corrected o phi_ac o E'_y over the shared diagonal index.
-    sender = decode * (signs[0] * signs)
-    joint = (sender * phi_ac) @ decode.T
-    priors = sender[:, 0] * phi_ac[0]
+    expected = decode @ signs[label]
+    del signs
+    priors = v[:, 0].copy()
+    joint = v @ decode.T
+    del v, decode
     conditional = joint / priors[:, None]
-    max_residual = float(np.abs(conditional - expected[None, :]).max())
+    gap = conditional - expected  # one buffer for the absolute gap
+    max_residual = float(np.abs(gap, out=gap).max())
     return SwapRun(
         n_bits=n_bits,
         label=label,

@@ -140,7 +140,8 @@ def dense_coding_channel(theory: TheoryConfig) -> Channel:
             f"state scale x effect scale = {product!r} < -1/(2^N-1)"
         )
     signs = hadamard_basis(n)
-    encoded = signs * _diagonals(signs[0], state_scale, size)
+    # T_x phi_0 = phi_x, since d_0 is all ones and d_x[0] = 1.
+    encoded = _diagonals(signs, state_scale, size)
     effects = _diagonals(signs, effect_scale, size)
     del signs
     effects *= 2.0**-n

@@ -254,6 +254,28 @@ class TestMutualInformation:
         assert info <= min(math.log2(n_in), math.log2(n_out)) + 1e-12
         assert abs(info - mutual_information_oracle(prior, cond)) < 1e-10
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_masked_ratio_expression_bit_for_bit(self, seed):
+        # Zero entries and zero-prior rows leave some terms masked out.
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            n_in, n_out = (int(k) for k in rng.integers(1, 70, size=2))
+            cond = rng.dirichlet(np.ones(n_out), size=n_in)
+            cond[rng.random(cond.shape) < 0.2] = 0.0
+            cond[np.arange(n_in), rng.integers(n_out, size=n_in)] += 0.1
+            cond /= cond.sum(axis=1, keepdims=True)
+            prior = rng.dirichlet(np.ones(n_in))
+            prior[rng.random(n_in) < 0.2] = 0.0
+            prior[rng.integers(n_in)] += 0.1
+            ch = Channel(prior / prior.sum(), cond)
+            joint = ch.prior[:, None] * ch.conditional
+            p_y = joint.sum(axis=0)
+            mask = joint > 0
+            ratio = np.ones_like(joint)
+            np.divide(ch.conditional, p_y[None, :], out=ratio, where=mask)
+            masked_ratio = float(np.sum(joint[mask] * np.log2(ratio[mask])))
+            assert mutual_information(ch).hex() == masked_ratio.hex()
+
 
 class TestChannelValidation:
     def test_rejects_non_stochastic_rows(self):

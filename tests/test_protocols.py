@@ -1,6 +1,7 @@
 """Tests for dense coding, classification, baselines, teleportation, swapping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -576,6 +577,32 @@ class TestEntanglementSwap:
     def test_label_out_of_range(self):
         with pytest.raises(GptError):
             entanglement_swap(2, label=7)
+
+    @pytest.mark.parametrize(
+        "mutation, residual", [("halved_entry", 0.09375), ("swapped_rows", 1.0)]
+    )
+    def test_mutated_sign_stack_fails(self, monkeypatch, mutation, residual):
+        signs = hadamard_basis(3).astype(float)
+        if mutation == "halved_entry":
+            signs[-1, 1] *= 0.5
+        else:
+            signs[[0, 1]] = signs[[1, 0]]
+        monkeypatch.setattr(protocols, "hadamard_basis", lambda n: signs)
+        run = entanglement_swap(3, label=5)
+        assert run.passed is False
+        assert run.max_residual == residual
+
+    def test_swap_holds_few_tables(self):
+        # A table is one 2^N x 2^N float array. The sign, receiver and
+        # decoding stacks are freed once used, and the gap takes one buffer.
+        table = 8 * 4**10
+        tracemalloc.start()
+        try:
+            entanglement_swap(10, label=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * table
 
 
 def _dense_coding_table(n):

@@ -865,6 +865,19 @@ class TestDiagonalLayer:
             tracemalloc.stop()
         assert peak <= 5 * table
 
+    @pytest.mark.parametrize("theory", TEN_BIT_THEORIES, ids=lambda theory: theory.kind)
+    def test_dense_coding_run_holds_few_tables(self, theory):
+        # The run keeps no shared-state matrix, and mutual_information takes
+        # its terms in one scratch table even when every entry is positive.
+        table = 8 * 4**10
+        tracemalloc.start()
+        try:
+            dense_coding(10, theory)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * table
+
     def test_embedded_channel_builds_no_transformation(self, monkeypatch):
         from gptlab.core import Transformation
 
