@@ -17,6 +17,10 @@ outcomes as one stack.  Every factor is +-1 or a power of two, so ``v_x =
 2^-N omega`` exactly in any order and the residual is exactly 0.0 (for each
 of 252 random states tried at N = 1..6); the reports are byte-stable.
 
+The encoding ``T_x = diag(d_x)`` scales row m of the shared state's matrix
+by ``d_x[m]``, so every falsifier table contracts the sign row last and no
+encoded state ``T_x phi`` is built.
+
 The separable baselines re-run dense coding with product resources and
 check that nothing beats the single-system rate of 1 bit.  Their random
 product states and product measurements are drawn as stacked arrays, one
@@ -209,16 +213,6 @@ def random_product_measurement(
     return table.reshape(n_a * n_b, dim_a + 1, dim_b + 1)
 
 
-def sign_row_encodings(phi: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Stack of the encoded states ``T_x phi``, one per sign row ``d_x``.
-
-    ``phi`` is the shared state's matrix.  ``T_x = diag(d_x)`` acts on the
-    sender's side, so it scales row m of ``phi`` by ``d_x[m]``; no rotation
-    matrix is built.
-    """
-    return signs[:, :, None] * phi
-
-
 def _random_product_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Matrix ``(1, a) (1, b)^t`` of two states drawn uniformly from the ball.
 
@@ -253,12 +247,11 @@ def separable_baseline(dim: int, trials: int, seed: int, best: float = 0.0) -> f
         n_messages = int(rng.integers(2, 2**n_bits + 1))
         # A uniform ordered subset, as ``rng.choice(..., replace=False)`` gives.
         labels = rng.random(2**n_bits).argsort()[:n_messages]
-        encoded = sign_row_encodings(phi, signs[labels])
         if rng.random() < BELL_FRACTION:
             effect_stack = bell_effects
         else:
             effect_stack = random_product_measurement(dim, dim, rng)
-        return np.einsum("ymn,xmn->xy", effect_stack, encoded)
+        return np.einsum("xm,ymn->xy", signs[labels], effect_stack * phi)
 
     return search_max(draw_table, trials, best, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER)
 
@@ -280,9 +273,8 @@ def product_decoding_baseline(n_bits: int, trials: int, seed: int) -> float:
             phi = np.diag(signs[rng.integers(2**n_bits)]).astype(float)
         else:
             phi = _random_product_state(dim, rng)
-        encoded = sign_row_encodings(phi, signs)
         effect_stack = random_product_measurement(dim, dim, rng)
-        return np.einsum("ymn,xmn->xy", effect_stack, encoded)
+        return np.einsum("xm,ymn->xy", signs, effect_stack * phi)
 
     return search_max(draw_table, trials, 0.0, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER)
 
@@ -299,13 +291,13 @@ def no_signalling_spread(n_bits: int, trials: int, seed: int) -> float:
     _check_count("trials", trials, 1)
     dim = 2**n_bits - 1
     rng = np.random.default_rng(seed)
-    encoded = sign_row_encodings(np.eye(2**n_bits), hadamard_basis(n_bits))  # phi_0 = I
+    signs = hadamard_basis(n_bits)
     worst = 0.0
     for _ in range(trials):
         rows_a = random_measurement(dim, rng)
         rows_b = random_measurement(dim, rng)
-        # p(y1, y2 | x) = e_(y1) . (phi_x f_(y2)); marginalise the sender side.
-        joint = np.einsum("am,xmn,bn->xab", rows_a, encoded, rows_b)
+        # p(y1, y2 | x) = e_(y1) . (T_x f_(y2)), as phi_0 = I; marginalise y1.
+        joint = np.einsum("am,xm,bm->xab", rows_a, signs, rows_b)
         marginal = joint.sum(axis=1)
         worst = max(worst, float((marginal.max(axis=0) - marginal.min(axis=0)).max()))
     return worst

@@ -72,6 +72,16 @@ def swapped_sign_rows(monkeypatch):
     _patch_teleport_signs(monkeypatch, mutate)
 
 
+@pytest.fixture
+def flipped_unit_sign(monkeypatch):
+    """Flip entry 0 of sign row 1, so T_1 negates the unit's coordinate."""
+
+    def mutate(signs):
+        signs[1, 0] = -1.0
+
+    _patch_teleport_signs(monkeypatch, mutate)
+
+
 def _patch_embedded_state(monkeypatch, mutate):
     """Hand ``tl_violation_witness`` a mutated copy of entangled state 2.
 

@@ -27,6 +27,7 @@ from gptlab import (
     weak_entanglement_bound,
     weak_thresholds,
 )
+from gptlab.capacity import _ceiling_bits
 from gptlab.variants import lt_channel
 
 
@@ -373,3 +374,20 @@ class TestCertifiedCeiling:
     ):
         _, tables = search_tables(capacity_search, 3, 20, 0)
         assert max(table.upper_bits for table in tables) > 1.0 + OPT_TOL
+
+    @pytest.mark.parametrize(
+        "search, args",
+        CERTIFIED_RUNS,
+        ids=[f"{search.__name__}-{'-'.join(map(str, args))}" for search, args in CERTIFIED_RUNS],
+    )
+    def test_every_table_has_a_ceiling_within_one_bit(self, search_tables, search, args):
+        # The Renyi-infinity bound alone, without the optimiser: one bit holds.
+        search_tables(search, *args)
+        assert len(search_tables.tables) == args[1]
+        assert max(map(_ceiling_bits, search_tables.tables)) <= 1.0 + EXACT_TOL
+
+    def test_perfectly_read_tetrahedron_breaks_the_ceiling(
+        self, search_tables, perfectly_read_tetrahedron
+    ):
+        search_tables(capacity_search, 3, 20, 0)
+        assert max(map(_ceiling_bits, search_tables.tables)) > 1.0 + EXACT_TOL

@@ -45,11 +45,7 @@ from gptlab.hst import (
     random_pure_state,
     random_state,
 )
-from gptlab.protocols import (
-    MAX_OUTCOMES_SIDE,
-    random_product_measurement,
-    sign_row_encodings,
-)
+from gptlab.protocols import MAX_OUTCOMES_SIDE, random_product_measurement
 
 
 def draw_order_max(tables, best, tol, max_iter):
@@ -390,24 +386,56 @@ class TestSeparableBaseline:
         assert np.abs(table.sum(axis=0) - unit).max() <= EXACT_TOL
 
     @pytest.mark.parametrize("n_bits", [2, 3])
-    @pytest.mark.parametrize("kind", ["entangled", "product"])
-    def test_sign_row_encodings_match_the_rotation_matrices(self, n_bits, kind):
+    def test_tables_match_the_rotated_states(self, monkeypatch, search_tables, n_bits):
+        # Oracle: each encoded state T_x phi built by the rotation matrix.
         dim = 2**n_bits - 1
         rng = np.random.default_rng(n_bits)
-        if kind == "entangled":
-            phi = entangled_state(2**n_bits - 1, n_bits)
-        else:
-            phi = product_state(random_state(dim, rng), random_state(dim, rng))
-        labels = rng.permutation(2**n_bits)
-        oracle = np.stack(
-            [local_transformation(int(x), n_bits).apply_left(phi).matrix for x in labels]
-        )
-        encoded = sign_row_encodings(phi.matrix, hadamard_basis(n_bits)[labels])
-        assert np.array_equal(encoded, oracle)
+        product = product_state(random_state(dim, rng), random_state(dim, rng))
+        effects = random_product_measurement(dim, dim, rng)
+        original = protocols._random_product_state
+
+        def fixed_product_state(dim, rng):
+            original(dim, rng)
+            return product.matrix
+
+        monkeypatch.setattr(protocols, "_random_product_state", fixed_product_state)
+        monkeypatch.setattr(protocols, "random_product_measurement", lambda *args: effects)
+
+        def oracle(phi):
+            encoded = np.stack(
+                [local_transformation(x, n_bits).apply_left(phi).matrix for x in range(dim + 1)]
+            )
+            return np.einsum("ymn,xmn->xy", effects, encoded).tobytes()
+
+        kinds = {oracle(product): "product"}
+        for k in range(dim + 1):
+            kinds[oracle(entangled_state(k, n_bits))] = "entangled"
+        search_tables(product_decoding_baseline, n_bits, 20, 0)
+        seen = {kinds[table.tobytes()] for table in search_tables.tables}
+        assert seen == {"product", "entangled"}
 
     def test_no_signalling_marginal(self):
         for n_bits in (2, 3):
             assert no_signalling_spread(n_bits, trials=10, seed=0) <= EXACT_TOL
+
+    @pytest.mark.parametrize("args", [(2, 1, 0), (3, 5, 0)])
+    def test_no_signalling_detects_a_flipped_unit_sign(self, flipped_unit_sign, args):
+        assert no_signalling_spread(*args) > 0.5
+
+    @pytest.mark.parametrize(
+        "search, args, mib",
+        [(no_signalling_spread, (8, 1, 0), 4), (product_decoding_baseline, (7, 2, 0), 8)],
+        ids=["no-signalling-8", "product-decoding-7"],
+    )
+    def test_falsifiers_build_no_encoded_states(self, search, args, mib):
+        # The 2^N encoded states take 128 MiB at N = 8 and 16 MiB at N = 7.
+        tracemalloc.start()
+        try:
+            search(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20
 
     @pytest.mark.parametrize("trials", [0, -1, True, 2.5])
     def test_no_signalling_refuses_bad_trial_counts(self, monkeypatch, trials):
