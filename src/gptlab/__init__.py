@@ -64,7 +64,6 @@ from .hst import (
     random_state,
 )
 from .protocols import (
-    Classification,
     DenseCodingRun,
     ProtocolLabel,
     SwapRun,

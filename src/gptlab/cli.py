@@ -4,8 +4,10 @@ Subcommands run the protocols and validator suites and emit reports as a
 plain table, JSON or CSV.  Output is deterministic for a fixed command
 line and seed (stable key order, round-trip float formatting); wall time
 goes to stderr so report bytes stay reproducible.  Each ``cmd_*`` returns
-``(report, rows, code)`` and ``main`` renders it once, building only the
-format asked for: ``rows`` yields the CSV rows and runs for ``csv`` only.
+``(fields, rows, code)``; ``main`` puts the ``schema_version`` and
+``command`` every report shares ahead of ``fields`` and renders the report
+once, building only the format asked for: ``rows`` yields the CSV rows and
+runs for ``csv`` only.
 
 Exit codes: 0 success, 1 validation failure, 2 domain or flag error,
 3 protocol falsification (including a JSON report that would hold NaN or inf),
@@ -21,7 +23,6 @@ import io
 import json
 import sys
 import time
-from enum import Enum
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .core import (
     GptError,
     ProtocolFalsified,
     TheoryConfig,
+    _check_count,
     mix_bipartite,
 )
 
@@ -58,8 +60,6 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, Enum):
-        return value.value
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     return value
@@ -70,7 +70,8 @@ def _emit(report: dict, rows, args) -> None:
 
     ``rows`` is a zero-argument callable yielding the CSV rows; it is called
     for ``--format csv`` only.  The whole text is built before anything is
-    written, so a JSON report holding NaN or inf writes nothing.
+    written, so a JSON report holding NaN or inf writes nothing; an
+    ``--out`` that cannot be opened raises ``DomainError``.
     """
     buffer = io.StringIO()
     if args.format == "csv":
@@ -84,8 +85,11 @@ def _emit(report: dict, rows, args) -> None:
     else:
         buffer.write(_format_table(_jsonable(report)))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(buffer.getvalue())
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(buffer.getvalue())
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(buffer.getvalue())
 
@@ -154,7 +158,7 @@ def cmd_dense_coding(args) -> tuple:
     _check_n_bits(args)
     theory = _theory_from_args(args)
     run = protocols.dense_coding(args.n_bits, theory=theory, seed=args.seed)
-    grade = protocols.classify(run.info_bits, theory.local_capacity_bits)
+    label = protocols.classify(run.info_bits, theory.local_capacity_bits).value
     bounds = {
         "dc_lower_bits": run.info_bits,
         "dimension_upper_bits": dimension_upper_bound(args.n_bits),
@@ -172,9 +176,7 @@ def cmd_dense_coding(args) -> tuple:
         validators["identity_residual"] = float(
             np.abs(conditional - np.eye(conditional.shape[0])).max()
         )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "dense-coding",
+    fields = {
         "seed": args.seed,
         "theory": {
             "kind": theory.kind,
@@ -189,12 +191,12 @@ def cmd_dense_coding(args) -> tuple:
         },
         "info_bits": run.info_bits,
         "bounds": bounds,
-        "classification": grade.label.value,
+        "classification": label,
         "validators": validators,
     }
-    trailer = [["info_bits", run.info_bits], ["classification", grade.label.value]]
+    trailer = [["info_bits", run.info_bits], ["classification", label]]
     rows = functools.partial(_indexed_rows, conditional, trailer)
-    return report, rows, 0
+    return fields, rows, 0
 
 
 def _parse_state_spec(spec: str, dim: int, seed: int):
@@ -219,9 +221,7 @@ def cmd_teleport(args) -> tuple:
     dim = 2**args.n_bits - 1
     state = _parse_state_spec(args.state, dim, args.seed)
     run = protocols.teleport(state, args.n_bits, seed=args.seed)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "teleport",
+    fields = {
         "seed": args.seed,
         "n_bits": args.n_bits,
         "state": args.state,
@@ -231,15 +231,13 @@ def cmd_teleport(args) -> tuple:
     }
     trailer = [["max_residual", run.max_residual]]
     rows = functools.partial(_indexed_rows, run.outcome_priors[:, None], trailer, ["p_x"])
-    return report, rows, 0 if run.passed else 3
+    return fields, rows, 0 if run.passed else 3
 
 
 def cmd_swap(args) -> tuple:
     _check_n_bits(args)
     run = protocols.entanglement_swap(args.n_bits, label=args.mu, seed=args.seed)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "swap",
+    fields = {
         "seed": args.seed,
         "n_bits": args.n_bits,
         "mu": args.mu,
@@ -250,7 +248,7 @@ def cmd_swap(args) -> tuple:
     }
     trailer = [["max_residual", run.max_residual]]
     rows = functools.partial(_indexed_rows, run.conditional, trailer)
-    return report, rows, 0 if run.passed else 3
+    return fields, rows, 0 if run.passed else 3
 
 
 def cmd_lambda_tau_table(args) -> tuple:
@@ -271,9 +269,7 @@ def cmd_lambda_tau_table(args) -> tuple:
             row["reference_bits"] = REFERENCE_RATES[n]
             row["agrees"] = bool(abs(info - REFERENCE_RATES[n]) <= REFERENCE_RATE_TOL)
         entries.append(row)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "lambda-tau-table",
+    fields = {
         "n_max": args.n_max,
         "rows": entries,
     }
@@ -285,7 +281,7 @@ def cmd_lambda_tau_table(args) -> tuple:
             yield [row.get(key, "") for key in columns]
 
     disagreement = any(r.get("agrees") is False for r in entries)
-    return report, rows, 1 if disagreement else 0
+    return fields, rows, 1 if disagreement else 0
 
 
 # --------------------------------------------------------------------------
@@ -454,9 +450,7 @@ def cmd_verify(args) -> tuple:
         passed = all(v is not False for v in checks.values())
         all_passed = all_passed and passed
         suites[name] = {"passed": passed, "checks": checks}
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
+    fields = {
         "seed": args.seed,
         "trials": args.trials,
         "suites": suites,
@@ -470,7 +464,7 @@ def cmd_verify(args) -> tuple:
                 yield [name, check, value]
         yield ["all", "passed", all_passed]
 
-    return report, rows, 0 if all_passed else 1
+    return fields, rows, 0 if all_passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,7 +533,9 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        report, rows, code = args.func(args)
+        _check_count("--seed", args.seed, 0, DomainError)
+        fields, rows, code = args.func(args)
+        report = {"schema_version": SCHEMA_VERSION, "command": args.command, **fields}
         _emit(report, rows, args)
     except ProtocolFalsified as exc:
         print(f"protocol falsified: {exc}", file=sys.stderr)

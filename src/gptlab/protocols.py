@@ -79,15 +79,6 @@ class ProtocolLabel(Enum):
 
 
 @dataclass(frozen=True)
-class Classification:
-    """Protocol class together with the capacities that decided it."""
-
-    label: ProtocolLabel
-    dc_info_bits: float
-    local_capacity_bits: float
-
-
-@dataclass(frozen=True)
 class DenseCodingRun:
     n_bits: int
     theory: TheoryConfig
@@ -103,7 +94,6 @@ class DenseCodingRun:
 @dataclass(frozen=True, eq=False)
 class TeleportationRun:
     n_bits: int
-    input_state: State
     joint: np.ndarray
     outcome_priors: np.ndarray
     max_residual: float
@@ -156,7 +146,7 @@ def dc_capacity_lower_bound(theory: TheoryConfig) -> float:
     return dense_coding(theory.n_bits, theory=theory).info_bits
 
 
-def classify(dc_info_bits: float, local_capacity_bits: float) -> Classification:
+def classify(dc_info_bits: float, local_capacity_bits: float) -> ProtocolLabel:
     """Grade a dense-coding rate against the local classical capacity.
 
     Optimizer slack is subtracted from the rate before the strict
@@ -167,16 +157,10 @@ def classify(dc_info_bits: float, local_capacity_bits: float) -> Classification:
         raise GptError("capacities must be non-negative and finite")
     adjusted = dc_info_bits - OPT_TOL
     if adjusted > 2.0 * local_capacity_bits:
-        label = ProtocolLabel.HYPERDENSE
-    elif adjusted > local_capacity_bits:
-        label = ProtocolLabel.SUPERDENSE
-    else:
-        label = ProtocolLabel.ORDINARY
-    return Classification(
-        label=label,
-        dc_info_bits=dc_info_bits,
-        local_capacity_bits=local_capacity_bits,
-    )
+        return ProtocolLabel.HYPERDENSE
+    if adjusted > local_capacity_bits:
+        return ProtocolLabel.SUPERDENSE
+    return ProtocolLabel.ORDINARY
 
 
 def _n_bits_for_dim(dim: int) -> int:
@@ -359,7 +343,6 @@ def teleport(
     worst = np.unravel_index(residuals.argmax(), residuals.shape)
     return TeleportationRun(
         n_bits=n_bits,
-        input_state=input_state,
         joint=joint,
         outcome_priors=priors,
         max_residual=max_residual,

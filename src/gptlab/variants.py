@@ -416,18 +416,36 @@ def _norm_table(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(table, out=table)
 
 
-def _norm_violations(norms, bad, bound, names, column_check) -> list:
-    """Violation dicts of one row of ``_norm_table`` against its bound."""
-    violations = [
-        {"check": name, "value": float(norms[j]), "bound": bound}
-        for j, name in enumerate(names)
-        if bad[j]
-    ]
-    violations += [
-        {"check": column_check, "column": int(k), "value": float(norms[2 + k]), "bound": bound}
-        for k in np.flatnonzero(bad[2:])
-    ]
-    return violations
+def _bound_reports(stack, cap, names, column_check, bad_gamma=None, gamma=None) -> list:
+    """One ``ValidationReport`` per matrix of ``stack``: every norm of its
+    ``_norm_table`` row against ``cap``, one float or a ``(k, 1)`` column
+    of per-matrix bounds.  A matrix flagged in the optional mask
+    ``bad_gamma`` first reports its normalisation entry ``gamma[i]``."""
+    norms = _norm_table(stack)
+    bad = ~(norms <= cap + EXACT_TOL)
+    failing = bad.any(axis=1)
+    if bad_gamma is not None:
+        failing = bad_gamma | failing
+    reports = [_PASSED] * len(stack)
+    for i in np.flatnonzero(failing):
+        bound = float(np.broadcast_to(cap, (len(stack), 1))[i, 0])
+        violations = []
+        if bad_gamma is not None and bad_gamma[i]:
+            violations.append(
+                {"check": "gamma_range", "value": float(gamma[i]), "bound": (0.0, 1.0)}
+            )
+        row, flags = norms[i], bad[i]
+        violations += [
+            {"check": name, "value": float(row[j]), "bound": bound}
+            for j, name in enumerate(names)
+            if flags[j]
+        ]
+        violations += [
+            {"check": column_check, "column": int(k), "value": float(row[2 + k]), "bound": bound}
+            for k in np.flatnonzero(flags[2:])
+        ]
+        reports[i] = ValidationReport(passed=False, violations=tuple(violations))
+    return reports
 
 
 def lemma_state_checks(matrices) -> list:
@@ -439,16 +457,9 @@ def lemma_state_checks(matrices) -> list:
     the correlation block obeys ``||c_k|| <= 1``.  A non-finite norm fails
     its bound.  All rows are evaluated at once.
     """
-    stack = _matrix_stack(matrices)
-    norms = _norm_table(stack)
-    bad = ~(norms <= 1.0 + EXACT_TOL)
-    reports = [_PASSED] * len(stack)
-    for i in np.flatnonzero(bad.any(axis=1)):
-        violations = _norm_violations(
-            norms[i], bad[i], 1.0, ("a_norm", "b_norm"), "correlation_column_norm"
-        )
-        reports[i] = ValidationReport(passed=False, violations=tuple(violations))
-    return reports
+    return _bound_reports(
+        _matrix_stack(matrices), 1.0, ("a_norm", "b_norm"), "correlation_column_norm"
+    )
 
 
 def lemma_effect_checks(matrices) -> list:
@@ -464,22 +475,11 @@ def lemma_effect_checks(matrices) -> list:
     """
     stack = _matrix_stack(matrices)
     gamma = stack[:, 0, 0]
-    cap = np.minimum(gamma, 1.0 - gamma)
-    norms = _norm_table(stack)
-    bad = ~(norms <= (cap + EXACT_TOL)[:, None])
+    cap = np.minimum(gamma, 1.0 - gamma)[:, None]
     bad_gamma = ~((-EXACT_TOL <= gamma) & (gamma <= 1.0 + EXACT_TOL))
-    reports = [_PASSED] * len(stack)
-    for i in np.flatnonzero(bad_gamma | bad.any(axis=1)):
-        violations = []
-        if bad_gamma[i]:
-            violations.append(
-                {"check": "gamma_range", "value": float(gamma[i]), "bound": (0.0, 1.0)}
-            )
-        violations += _norm_violations(
-            norms[i], bad[i], float(cap[i]), ("alpha_norm", "beta_norm"), "core_column_norm"
-        )
-        reports[i] = ValidationReport(passed=False, violations=tuple(violations))
-    return reports
+    return _bound_reports(
+        stack, cap, ("alpha_norm", "beta_norm"), "core_column_norm", bad_gamma, gamma
+    )
 
 
 def lemma_state_check(phi: BipartiteState) -> ValidationReport:

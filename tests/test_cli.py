@@ -497,7 +497,47 @@ class TestRenderPath:
         assert len(calls) == 1
 
 
+# A small, quick command line for each subcommand.
+SMALL_ARGV = {
+    "dense-coding": ["--n-bits", "2"],
+    "teleport": ["--n-bits", "1"],
+    "swap": ["--n-bits", "2"],
+    "lambda-tau-table": ["--n-max", "3"],
+    "verify": ["--suite", "tomography", "--trials", "1"],
+}
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("command", SMALL_ARGV)
+    def test_every_report_opens_with_its_schema_and_command(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, *SMALL_ARGV[command])
+        assert code == 0
+        assert out.startswith(f"schema_version: 1\ncommand: {command}\n")
+        code, out, _ = run_cli(capsys, command, *SMALL_ARGV[command], "--format", "json")
+        report = json.loads(out)
+        assert (report["schema_version"], report["command"]) == (1, command)
+
+
 class TestArgumentErrors:
+    @pytest.mark.parametrize("command", SMALL_ARGV)
+    def test_negative_seed_exits_two(self, capsys, command):
+        code, out, err = run_cli(capsys, command, *SMALL_ARGV[command], "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--seed must be an integer >= 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, where):
+        target = tmp_path / "missing" / "r.json" if where == "missing_dir" else tmp_path
+        code, out, err = run_cli(
+            capsys, "dense-coding", "--n-bits", "2", "--format", "json", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write --out") and str(target) in err
+        assert not (tmp_path / "missing").exists()
+
     def test_unknown_suite_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--suite", "bogus"])

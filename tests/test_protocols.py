@@ -145,13 +145,13 @@ class TestDenseCoding:
 
 class TestClassify:
     def test_examples(self):
-        assert classify(3.0, 1.0).label is ProtocolLabel.HYPERDENSE
-        assert classify(2.0, 1.0).label is ProtocolLabel.SUPERDENSE
-        assert classify(1.0, 1.0).label is ProtocolLabel.ORDINARY
+        assert classify(3.0, 1.0) is ProtocolLabel.HYPERDENSE
+        assert classify(2.0, 1.0) is ProtocolLabel.SUPERDENSE
+        assert classify(1.0, 1.0) is ProtocolLabel.ORDINARY
 
     def test_strictness_near_thresholds(self):
-        assert classify(1.0 + OPT_TOL / 2, 1.0).label is ProtocolLabel.ORDINARY
-        assert classify(2.0 + OPT_TOL / 2, 1.0).label is ProtocolLabel.SUPERDENSE
+        assert classify(1.0 + OPT_TOL / 2, 1.0) is ProtocolLabel.ORDINARY
+        assert classify(2.0 + OPT_TOL / 2, 1.0) is ProtocolLabel.SUPERDENSE
 
     def test_monotone_in_rate(self):
         ranks = {
@@ -161,7 +161,7 @@ class TestClassify:
         }
         previous = 0
         for rate in np.linspace(0.0, 3.0, 61):
-            rank = ranks[classify(float(rate), 1.0).label]
+            rank = ranks[classify(float(rate), 1.0)]
             assert rank >= previous
             previous = rank
 
