@@ -1,12 +1,14 @@
 """Channel-capacity numerics and analytic capacity bounds.
 
 ``blahut_arimoto`` maximises mutual information over input priors for a
-fixed conditional table, and ``search_max`` runs it best first over the
-random tables of a one-bit falsifier.  The remaining functions expose the
-closed-form bounds used to sandwich the dense-coding rates: the ``2N``
-state-space dimension bound, and the weak-entanglement bound
-``log2(1 + |lambda| (2^N - 1))`` with its two thresholds.  The
-protocol-derived lower bound is ``protocols.dc_capacity_lower_bound``.
+fixed conditional table, and returns before its first iteration if the
+table's Renyi-infinity bound cannot beat a given incumbent; ``search_max``
+runs it best first over the random tables of a one-bit falsifier.  The
+remaining functions expose the closed-form bounds used to sandwich the
+dense-coding rates: the ``2N`` state-space dimension bound, and the
+weak-entanglement bound ``log2(1 + |lambda| (2^N - 1))`` with its two
+thresholds.  The protocol-derived lower bound is
+``protocols.dc_capacity_lower_bound``.
 """
 
 from __future__ import annotations
@@ -59,54 +61,65 @@ def blahut_arimoto(
     iteration (Blahut 1972; Arimoto 1972).  Deterministic: no randomness,
     fixed iteration order.
 
-    ``incumbent`` is the best rate a search has already found.  Once the
-    upper bound falls to ``incumbent - EXACT_TOL`` the table is certified
-    unable to beat it, and the loop stops early, unconverged, with
-    ``upper_bits <= incumbent - EXACT_TOL``.  Its lower bound is then below
-    the incumbent, so a running maximum is exactly what the full run would
-    give.  A table that could beat the incumbent runs as without it, so a
-    running maximum over many tables does not depend on their order.
+    ``incumbent`` is the best rate a search has already found.  Once an
+    upper bound falls to ``incumbent - EXACT_TOL`` the call ends,
+    unconverged, with that bound as ``upper_bits``: its rate is then below
+    the incumbent, so a running maximum is what the full run gives, and a
+    table that could beat the incumbent runs as without it, in any order.
+
+    Before any iteration, the Renyi-infinity bound ``log2 S`` of the clipped
+    table (``_ceiling_bits``) is widened for row sums within ``delta`` of 1
+    to ``B = log2 S + delta (|log2 S| + 1/ln 2)``; if ``B`` certifies, the
+    call returns 0 iterations, rate 0.0 and the uniform prior.  With
+    ``q_y = max_x p(y|x) / S`` and ``sum_y p_y = 1 + e``, ``p(y|x) <= S q_y``
+    and the log-sum inequality cap any prior's rate at
+    ``(1 + e) log2(S / (1 + e))``; ``(1 + e) ln(1 + e) >= e`` caps that by
+    ``B`` and, as ``S >= 1 - delta``, gives ``B >= 0``.
 
     ``max_iter`` must be a non-negative integer; with 0 no iteration runs
     and ``upper_bits`` is inf.  A bool ``tol`` or ``incumbent`` is refused.
     """
     p = np.asarray(conditional, dtype=float)
-    if p.ndim != 2 or p.shape[0] < 1:
+    if p.ndim != 2 or p.size == 0:
         raise GptError("conditional must be a 2-d row-stochastic array")
+    low, row_dev = float(p.min()), float(np.abs(p.sum(axis=1) - 1.0).max())
     # Written so that a non-finite entry or tol fails the check.
-    if not (p.min() >= -1e-12 and np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9):
+    if not (low >= -1e-12 and row_dev <= 1e-9):
         raise DomainError("conditional rows must be probability vectors")
     # bool is a Real: True would run with tol 1.
     if isinstance(tol, (bool, np.bool_)) or not 0 < tol < np.inf:
         raise GptError(f"tol must be positive and finite, got {tol!r}")
     _check_count("max_iter", max_iter, 0)
-    if incumbent is None:
-        stop_at = -math.inf
-    elif (
-        isinstance(incumbent, numbers.Real)
-        and not isinstance(incumbent, bool)
-        and math.isfinite(incumbent)
-    ):
+    prior = np.full(p.shape[0], 1.0 / p.shape[0])
+    stop_at = -math.inf
+    if incumbent is not None:
+        if not (
+            isinstance(incumbent, numbers.Real)
+            and not isinstance(incumbent, bool)
+            and math.isfinite(incumbent)
+        ):
+            raise GptError(f"incumbent must be a finite real number, got {incumbent!r}")
         stop_at = incumbent - EXACT_TOL
-    else:
-        raise GptError(f"incumbent must be a finite real number, got {incumbent!r}")
-    p = np.clip(p, 0.0, None)
-    n_in = p.shape[0]
-    mask = p > 0
-    log_p = np.zeros_like(p)
-    np.log2(p, out=log_p, where=mask)
+        upper = _ceiling_bits(p)
+        # Clipping raises a row sum by at most the column count times -low.
+        upper += (row_dev + p.shape[1] * max(-low, 0.0)) * (abs(upper) + 1 / math.log(2))
+        if upper <= stop_at:
+            prior.setflags(write=False)
+            return CapacityResult(0.0, prior, 0, False, upper)
+    p = np.maximum(p, 0.0)
+    log_p = np.zeros(p.shape)
+    np.log2(p, out=log_p, where=p > 0)
     # Row entropy term of c_x = sum_y p(y|x) log2(p(y|x)/p_y); the prior
     # stays strictly positive, so any output with p_y = 0 has an all-zero
     # conditional column and drops out of the mat-vec below.
     row_term = np.sum(p * log_p, axis=1)
 
-    prior = np.full(n_in, 1.0 / n_in)
     lower, upper = 0.0, math.inf
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         p_y = prior @ p
-        log_py = np.zeros_like(p_y)
+        log_py = np.zeros(p_y.shape)
         np.log2(p_y, out=log_py, where=p_y > 0)
         c = row_term - p @ log_py
         lower = float(prior @ c)
@@ -137,9 +150,9 @@ def _ceiling_bits(conditional: np.ndarray) -> float:
     the output law ``q(y) = max_x p(y|x) / S``, every row has
     ``D(p(.|x) || q) <= log2 S`` since ``p(y|x) <= max_x p(y|x)``, and the
     mutual information of any prior is at most ``max_x D(p(.|x) || q)``.
-    One reduction per table.
+    The maxima are those of the table clipped at 0, as BA optimises it.
     """
-    return float(np.log2(conditional.max(axis=0).sum()))
+    return float(np.log2(np.maximum(conditional.max(axis=0), 0.0).sum()))
 
 
 def _best_first_max(tables: list, best: float, tol: float, max_iter: int) -> float:

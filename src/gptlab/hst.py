@@ -22,6 +22,7 @@ from .core import (
     GptError,
     Measurement,
     State,
+    _check_count,
     contract,
     effect_probability_range,
     mutual_information,
@@ -37,9 +38,11 @@ BA_TOL = 1e-6
 BA_MAX_ITER = 60
 
 
-def _check_dim(dim: int) -> None:
-    if dim < 1 or dim > MAX_DIM:
+def _check_dim(dim: int) -> int:
+    dim = _check_count("ball dimension", dim, 1, DomainError)
+    if dim > MAX_DIM:
         raise DomainError(f"ball dimension must be in [1, {MAX_DIM}], got {dim}")
+    return dim
 
 
 def make_state(r) -> State:
@@ -100,7 +103,7 @@ def one_bit_protocol(dim: int, encode_direction=None, decode_direction=None) -> 
     encoding direction, which yields the exact 2x2 identity channel and
     mutual information 1).
     """
-    _check_dim(dim)
+    dim = _check_dim(dim)
     if encode_direction is None:
         encode_direction = np.zeros(dim)
         encode_direction[0] = 1.0
@@ -219,8 +222,9 @@ def capacity_search(dim: int, trials: int, seed: int) -> float:
     The tables are searched by ``capacity.search_max`` with ``BA_TOL`` and
     ``BA_MAX_ITER``: best first, each optimiser reporting an achieved rate
     (a lower bound), so looser settings never inflate the maximum.
-    ``trials`` must be at least 1.
+    ``dim`` must be an integer in ``[1, MAX_DIM]``, ``trials`` at least 1.
     """
+    dim = _check_dim(dim)
     rng = np.random.default_rng(seed)
 
     def draw_table():

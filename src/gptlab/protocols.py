@@ -164,6 +164,7 @@ def classify(dc_info_bits: float, local_capacity_bits: float) -> ProtocolLabel:
 
 
 def _n_bits_for_dim(dim: int) -> int:
+    dim = _check_count("ball dimension", dim, 1)
     n_bits = (dim + 1).bit_length() - 1
     if 2**n_bits != dim + 1:
         raise GptError(f"ball dimension {dim} is not of the form 2^N - 1")
@@ -222,6 +223,7 @@ def separable_baseline(dim: int, trials: int, seed: int, best: float = 0.0) -> f
     a table already beaten.  ``trials`` must be at least 1.
     """
     n_bits = _n_bits_for_dim(dim)
+    dim = 2**n_bits - 1  # a plain int: numpy integers wrap
     rng = np.random.default_rng(seed)
     signs = hadamard_basis(n_bits)
     bell_effects = np.stack([e.matrix for e in bell_measurement(n_bits).effects])

@@ -120,6 +120,11 @@ class TestBlahutArimoto:
         with pytest.raises(DomainError):
             blahut_arimoto(np.array([[0.5, 0.2], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("shape", [(0, 2), (1, 0), (0, 0)])
+    def test_rejects_an_empty_axis(self, shape):
+        with pytest.raises(GptError, match="2-d row-stochastic"):
+            blahut_arimoto(np.zeros(shape))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (1, 1)])
     def test_rejects_a_non_finite_table_entry(self, bad, entry):
@@ -179,9 +184,21 @@ class TestBlahutArimoto:
         assert later.capacity_bits <= early.upper_bits + ROUNDING
 
     @settings(max_examples=80, deadline=None)
-    @given(row_stochastic_tables(), st.sampled_from([0.0, 0.2, 0.5, 1.0, 2.0]))
-    def test_a_stopped_run_is_certified_below_the_incumbent(self, conditional, incumbent):
+    @given(row_stochastic_tables(), st.data())
+    def test_a_stopped_run_is_certified_below_the_incumbent(self, conditional, data):
+        # Rows may sum to 1 within the validator's 1e-9, and the incumbent
+        # may sit just above or below the rate the full run reaches.
+        offset = st.sampled_from([-9.9e-10, -3e-10, 0.0, 3e-10, 9.9e-10])
+        off = data.draw(st.lists(offset, min_size=len(conditional), max_size=len(conditional)))
+        conditional = conditional * (1.0 + np.array(off))[:, None]
         full = blahut_arimoto(conditional, tol=1e-6, max_iter=60)
+        near = st.sampled_from([-1e-9, -1e-11, 0.0, 1e-11, 1e-9, 3e-9])
+        incumbent = data.draw(
+            st.one_of(
+                st.sampled_from([0.0, 0.2, 0.5, 1.0, 2.0]),
+                near.map(lambda gap: full.capacity_bits + gap),
+            )
+        )
         result = blahut_arimoto(conditional, tol=1e-6, max_iter=60, incumbent=incumbent)
         if not result.converged and result.upper_bits <= incumbent - EXACT_TOL:
             assert result.iterations <= full.iterations
@@ -196,12 +213,48 @@ class TestBlahutArimoto:
 
     def test_stops_at_the_first_certifying_iteration(self):
         # The Z channel has capacity 0.32 bits; the uniform prior is not
-        # optimal, but its dual bound 0.42 is already below one bit.
+        # optimal, but its dual bound 0.42 is already below 0.5, which its
+        # Renyi-infinity bound log2 1.5 = 0.585 is not.
         conditional = np.array([[1.0, 0.0], [0.5, 0.5]])
-        result = blahut_arimoto(conditional, tol=1e-15, incumbent=1.0)
+        result = blahut_arimoto(conditional, tol=1e-15, incumbent=0.5)
         assert result.iterations == 1
         assert not result.converged
-        assert result.upper_bits <= 1.0 - EXACT_TOL
+        assert result.upper_bits <= 0.5 - EXACT_TOL
+
+    def test_renyi_bound_stops_before_the_first_iteration(self):
+        conditional = np.array([[1.0, 0.0], [0.5, 0.5]])
+        result = blahut_arimoto(conditional, tol=1e-15, incumbent=1.0)
+        assert result.iterations == 0
+        assert not result.converged
+        assert result.capacity_bits == 0.0
+        assert np.array_equal(result.optimal_prior, [0.5, 0.5])
+        assert not result.optimal_prior.flags.writeable
+        # Exact rows: the bound is not widened.
+        assert result.upper_bits == _ceiling_bits(conditional)
+        assert abs(result.upper_bits - math.log2(1.5)) <= ROUNDING
+
+    def test_rows_short_of_one_widen_the_renyi_bound(self):
+        # Rows summing to 1 - 9e-10 pass the validator.  Their unwidened
+        # bound 1 - 1.3e-9 lies below the incumbent, but the full run
+        # reaches 1 - 9e-10, above it: the call must run.
+        conditional = np.eye(2) * (1.0 - 9e-10)
+        incumbent = 1.0 - 1e-9
+        assert _ceiling_bits(conditional) <= incumbent - EXACT_TOL
+        full = blahut_arimoto(conditional)
+        result = blahut_arimoto(conditional, incumbent=incumbent)
+        assert result.iterations >= 1
+        assert result.capacity_bits == full.capacity_bits > incumbent
+        assert max(incumbent, result.capacity_bits) == full.capacity_bits
+
+    def test_the_renyi_bound_is_that_of_the_clipped_table(self):
+        # Entries just below 0 pass the validator and are clipped to 0, which
+        # raises their column maxima and row sums: the bound must cover that.
+        conditional = np.array([[1.0, -1e-12], [1.0, -1e-12]])
+        assert _ceiling_bits(conditional) == 0.0
+        conditional = np.array([[1.0, -1e-12], [-1e-12, 1.0]])
+        result = blahut_arimoto(conditional, incumbent=1.0 + 1e-11)
+        assert result.iterations == 0
+        assert blahut_arimoto(conditional).capacity_bits <= result.upper_bits
 
     def test_incumbent_below_the_capacity_changes_nothing(self):
         result = blahut_arimoto(np.eye(4), incumbent=1.0)
@@ -368,6 +421,26 @@ class TestCertifiedCeiling:
         _, tables = search_tables(search, *args)
         assert len(tables) == args[1]
         assert max(table.upper_bits for table in tables) <= 1.0 + OPT_TOL
+
+    @pytest.mark.parametrize(
+        "args",
+        [args for search, args in CERTIFIED_RUNS if search is capacity_search],
+        ids=lambda args: "-".join(map(str, args)),
+    )
+    def test_every_capacity_search_table_is_certified_before_any_iteration(
+        self, search_tables, args
+    ):
+        # The antipodal incumbent is exactly one bit, and every table's
+        # widened Renyi-infinity bound lies below it: no table iterates, so
+        # none can end at BA_MAX_ITER with a dual bound above one bit.
+        _, results = search_tables(capacity_search, *args)
+        assert len(results) == args[1]
+        for table, result in zip(search_tables.tables, results):
+            ceiling = _ceiling_bits(table)
+            delta = np.abs(table.sum(axis=1) - 1.0).max() + table.shape[1] * max(-table.min(), 0.0)
+            assert result.iterations == 0
+            assert result.upper_bits == ceiling + delta * (abs(ceiling) + 1 / math.log(2))
+            assert result.upper_bits <= 1.0 - EXACT_TOL
 
     def test_perfectly_read_tetrahedron_breaks_the_certificate(
         self, search_tables, perfectly_read_tetrahedron

@@ -184,6 +184,8 @@ BEST_FIRST_RUNS = (
     + [(product_decoding_baseline, (n_bits, 40)) for n_bits in (1, 2, 3)]
 )
 BEST_FIRST_IDS = [f"{search.__name__}-{args[0]}" for search, args in BEST_FIRST_RUNS]
+SEARCHES = [capacity_search, separable_baseline, product_decoding_baseline]
+SEARCH_IDS = ["capacity_search", "separable", "product_decoding"]
 
 
 class TestBestFirstSearch:
@@ -258,8 +260,13 @@ class TestBestFirstSearch:
     @pytest.mark.parametrize("search, args", BEST_FIRST_RUNS, ids=BEST_FIRST_IDS)
     def test_worst_first_keeps_the_maximum(self, monkeypatch, run_search, search, args):
         best, spent = run_search(search, *args, 3)
-        ceiling = capacity._ceiling_bits
-        monkeypatch.setattr(capacity, "_ceiling_bits", lambda table: -ceiling(table))
+
+        def worst_first_max(tables, best, tol, max_iter):
+            # Ranked by the optimiser's own Renyi-infinity bound, ascending.
+            worst_first = sorted(tables, key=capacity._ceiling_bits)
+            return draw_order_max(worst_first, best, tol, max_iter)
+
+        monkeypatch.setattr(capacity, "_best_first_max", worst_first_max)
         worst, worst_spent = run_search(search, *args, 3)
         assert worst.hex() == best.hex()
         assert worst_spent >= spent
@@ -289,6 +296,20 @@ class TestBestFirstSearch:
     def test_baselines_need_a_trial(self, search, args, trials):
         with pytest.raises(GptError, match="trials"):
             search(*args, trials, 0)
+
+    @pytest.mark.parametrize("size", [True, np.True_, 3.0, np.float64(3.0), "3", 0])
+    @pytest.mark.parametrize("search", SEARCHES, ids=SEARCH_IDS)
+    def test_searches_refuse_a_size_that_is_not_a_positive_integer(self, search, size):
+        # Unchecked, a float or bool ball dimension ended in a raw numpy or
+        # attribute error.
+        with pytest.raises(GptError, match="must be an integer >= 1"):
+            search(size, 3, 0)
+
+    @pytest.mark.parametrize("search", SEARCHES, ids=SEARCH_IDS)
+    def test_searches_take_numpy_integer_sizes(self, search):
+        expected = search(3, 3, 0).hex()
+        for size in (np.int64(3), np.uint8(3), np.int8(3)):
+            assert search(size, 3, 0).hex() == expected
 
 
 class TestSeparableBaseline:
