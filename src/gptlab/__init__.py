@@ -43,7 +43,6 @@ from .core import (
 from .hadamard import (
     LocalTransformation,
     bell_measurement,
-    compose,
     entangled_effect,
     entangled_state,
     hadamard_basis,
@@ -81,6 +80,7 @@ from .variants import (
     TlWitnessReport,
     correlation_scales,
     dense_coding_channel,
+    dense_coding_info,
     embedded_dense_coding,
     embedded_transformation,
     family_matrices,

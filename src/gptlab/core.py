@@ -30,8 +30,8 @@ EXACT_TOL = 1e-12
 OPT_TOL = 1e-6
 
 THEORY_KINDS = ("base", "lambda-tau", "embedded", "weak")
-# Largest N any protocol builds: a dense-coding run and the swap each hold
-# about three (2^N x 2^N) float arrays, 0.45 GB at N = 12 and 4x that at 13.
+# Largest N any protocol builds: the swap holds about three (2^N x 2^N) float
+# arrays and a dense-coding run two, 0.40 and 0.29 GB at N = 12, 4x at 13.
 MAX_N_BITS = 12
 
 

@@ -97,13 +97,6 @@ def local_transformation(label: int, n_bits: int) -> LocalTransformation:
     return LocalTransformation(matrix=matrix, label=label, n_bits=n_bits)
 
 
-def compose(t1: LocalTransformation, t2: LocalTransformation) -> LocalTransformation:
-    """Group composition; labels combine by XOR."""
-    if t1.n_bits != t2.n_bits:
-        raise GptError("cannot compose transformations of different sizes")
-    return local_transformation(t1.label ^ t2.label, t1.n_bits)
-
-
 def match_entangled_label(phi: BipartiteState, n_bits: int) -> int | None:
     """Label mu if ``phi`` equals ``diag(d_mu)`` within tolerance, else None."""
     diag = np.diagonal(phi.matrix)

@@ -34,6 +34,7 @@ here; only the forward protocols are simulated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,7 +52,6 @@ from .core import (
     State,
     TheoryConfig,
     _check_count,
-    mutual_information,
 )
 from .hadamard import _check_label, bell_measurement, hadamard_basis
 from .hst import (
@@ -117,9 +117,10 @@ def dense_coding(n_bits: int, theory: TheoryConfig | None = None, seed: int = 0)
     """Run the dense-coding protocol of the selected theory.
 
     The base model gives the exact ``2^N`` identity channel and ``N`` bits;
-    every theory kind builds its channel through the diagonal model layer
-    in ``variants``.  The channel does not depend on ``seed``: the embedded
-    model's sphere rotations never reach the Hadamard corner.
+    every theory kind builds its checked channel and its closed-form rate
+    through the diagonal model layer in ``variants``.  The channel does not
+    depend on ``seed``: the embedded model's sphere rotations never reach
+    the Hadamard corner.
     """
     if theory is None:
         theory = TheoryConfig.base(n_bits)
@@ -127,20 +128,20 @@ def dense_coding(n_bits: int, theory: TheoryConfig | None = None, seed: int = 0)
         raise GptError(
             f"theory is configured for {theory.n_bits} bits, asked for {n_bits}"
         )
-    channel = variants.dense_coding_channel(theory)
+    product = math.prod(variants.correlation_scales(theory))
     return DenseCodingRun(
         n_bits=theory.n_bits,
         theory=theory,
-        channel=channel,
-        info_bits=mutual_information(channel),
+        channel=variants.dense_coding_channel(theory),
+        info_bits=variants.dense_coding_info(theory.n_bits, product),
     )
 
 
 def dc_capacity_lower_bound(theory: TheoryConfig) -> float:
     """Certified dense-coding rate of the theory's explicit protocol.
 
-    Running the protocol and measuring its mutual information yields a
-    lower bound on both the dense-coding capacity and the two-system
+    The checked table's mutual information, ``N - H(q)`` for its first row
+    q, is a lower bound on both the dense-coding capacity and the two-system
     classical capacity (the encoded states can simply be prepared).
     """
     return dense_coding(theory.n_bits, theory=theory).info_bits

@@ -4,16 +4,16 @@ Every theory kind is the base construction with its correlation diagonals
 rescaled: entangled states ``diag(1, s d_mu[1:])`` decoded by effects
 ``2^-N diag(1, t d_mu[1:])`` on the ``2^N x 2^N`` Hadamard corner, with the
 pair ``(s, t)`` given by ``correlation_scales``.  One state constructor, one
-effect constructor and one dense-coding channel builder serve all kinds.
+effect constructor and one dense-coding channel builder serve all kinds; the
+table ``p delta_(y,x) + 2^-N (1 - p)``, ``p = s t``, is gathered from its
+checked first row, and ``dense_coding_info`` gives its rate in closed form.
 
 * ``base``: ``(1, 1)``, the perfect N-bit code.
 * ``lambda-tau``: ``(lambda, tau)``.  Requiring valid probabilities on the
-  rotated witness state forces ``-1/(2^N - 1) <= lambda tau <= 1/(2^N - 3)``;
-  the channel is the symmetric table
-  ``p(y|x) = lambda tau delta_(y,x) + 2^-N (1 - lambda tau)`` and the best
-  rate inside this family is ``N - H(Q_N)``.  Local rotations here form the
-  full continuous group, so the model keeps local continuous reversibility
-  and pays with a rate that collapses for ``N > 2``.
+  rotated witness state forces ``-1/(2^N - 1) <= lambda tau <= 1/(2^N - 3)``,
+  and the best rate inside this family is ``N - H(Q_N)``.  Local rotations
+  form the full continuous group, so the model keeps local continuous
+  reversibility and pays with a rate that collapses for ``N > 2``.
 * ``embedded``: ``(1, 1)`` plus a zero m-sphere block.  Each local system is
   an m-sphere embedded after a frozen ``2^N - 1`` block.  The entangled
   states occupy only the frozen corner, so every local transformation
@@ -121,44 +121,61 @@ def theory_effect(label: int, theory: TheoryConfig) -> BipartiteEffect:
 def dense_coding_channel(theory: TheoryConfig) -> Channel:
     """Dense-coding channel of any theory kind, uniform prior.
 
-    Message x turns the shared state ``phi_0`` into ``T_x phi_0`` and the
-    receiver measures the decoding effects ``E_y``, all diagonal on the
-    Hadamard corner, where ``T_x = diag(d_x)``: the table is one product of
-    two stacks of corner diagonals, checked entrywise against the closed
-    form ``p delta_(y,x) + 2^-N (1 - p)``, p the product of the two scales.
-    The embedded model's local map ``block-diag(T_x, R)`` acts on ``phi_0``
-    and on every ``E_y`` as ``T_x`` alone, whatever the sphere rotation R,
-    because both vanish off the corner; so no rotation enters the table.
+    With ``S`` the sign rows and ``e = (1, p, ..., p)``, p the product of
+    the two scales, the encoded states ``T_x phi_0`` and the decoding
+    effects give the table ``2^-N S diag(e) S^t``: ``q[x XOR y]`` for its
+    first row ``q = 2^-N S (e o S[0])``, as ``d_x o d_y = d_(x XOR y)``.
+    The row is checked against ``p delta_(y,0) + 2^-N (1 - p)`` and the
+    column sums ``2^-N S (e o S^t 1)`` against 1, at ``EXACT_TOL``; only
+    the sums catch a sign row written over another, and a row permutation
+    passes both, as it leaves the table unchanged.  The embedded model's
+    ``block-diag(T_x, R)`` is ``T_x`` on the corner, where ``phi_0`` and
+    every ``E_y`` live: no rotation enters the table.
     """
     n = theory.n_bits
     size = theory.hadamard_dim
-    state_scale, effect_scale = correlation_scales(theory)
-    product = state_scale * effect_scale
+    product = math.prod(correlation_scales(theory))
     if product < -1.0 / (size - 1) - EXACT_TOL:
         raise DomainError(
             "the decoding effects take negative probabilities for "
             f"state scale x effect scale = {product!r} < -1/(2^N-1)"
         )
     signs = hadamard_basis(n)
-    # T_x phi_0 = phi_x, since d_0 is all ones and d_x[0] = 1.
-    encoded = _diagonals(signs, state_scale, size)
-    effects = _diagonals(signs, effect_scale, size)
+    counts = 2.0**-n * np.stack((signs[0], signs.sum(axis=0)), axis=1)
+    # Columns S (e o w) = p S w + (1 - p) S[:, 0] w[0], w = 2^-N (S[0], S^t 1);
+    # S w is exact in any order: its sums are 2^-N times integers below 2^53.
+    rows = product * (signs @ counts) + (1.0 - product) * np.outer(signs[:, 0], counts[0])
     del signs
-    effects *= 2.0**-n
-    conditional = encoded @ effects.T
-    del encoded, effects
-    # One buffer holds the closed form and then its gap to the table, so at
-    # large N the check adds a single 2^N x 2^N array.
-    gap = np.full((size, size), 2.0**-n * (1.0 - product))
-    gap[np.diag_indices(size)] += product
-    np.subtract(gap, conditional, out=gap)
-    gap = float(np.abs(gap, out=gap).max())
+    expected = np.ones((size, 2))
+    expected[:, 0] = 2.0**-n * (1.0 - product)
+    expected[0, 0] += product
+    gap = float(np.abs(rows - expected).max())
     if not gap <= EXACT_TOL:
         raise ProtocolFalsified(
             f"{theory.kind} dense coding deviates from its closed form by {gap!r}"
         )
-    np.clip(conditional, 0.0, 1.0, out=conditional)
-    return Channel(prior=np.full(size, 1.0 / size), conditional=conditional)
+    row = rows[:, 0].clip(0.0, 1.0)
+    labels = np.arange(size)
+    return Channel(prior=np.full(size, 1.0 / size), conditional=row[labels[:, None] ^ labels])
+
+
+def dense_coding_info(n_bits: int, product: float) -> float:
+    """Rate ``N - H(q)`` of the dense-coding table with scale product p.
+
+    The table depends on ``x XOR y`` alone and the prior is uniform, so the
+    rate is N minus the entropy of one row (Cover & Thomas, Elements of
+    Information Theory, Thm 7.2.1).  The row puts ``q = 2^-N hit``, ``hit =
+    1 + (2^N - 1) p``, on one symbol and ``2^-N (1 - p)`` on each other; the
+    N terms cancel, leaving ``q log2(hit) + (1 - q) log2(1 - p)`` with
+    ``0 log 0 = 0``.  That sum keeps its relative precision at rates of
+    order ``2^-N``, and is exactly N at ``p = 1``.
+    """
+    size = 2.0 ** _check_count("n_bits", n_bits, 1)
+    hit = 1.0 + (size - 1.0) * product
+    info = hit / size * math.log2(hit) if hit > 0.0 else 0.0
+    if product < 1.0:
+        info += (1.0 - 1.0 / size) * (1.0 - product) * math.log1p(-product) / math.log(2.0)
+    return info
 
 
 # --------------------------------------------------------------------------
@@ -231,24 +248,12 @@ def lt_peak_probability(n_bits: int) -> float:
 
 
 def lt_optimal_info(n_bits: int) -> float:
-    """Best rate ``N - H(Q_N)`` inside the deformed protocol family.
-
-    The optimal channel's output puts ``Q = Q_N`` on one symbol and spreads
-    the rest evenly over the other ``d - 1``, ``d = 2^N``.  With
-    ``e = 1/(d - 3)``, ``d Q = 2 (1 + e)`` and ``d (1 - Q)/(d - 1) = 1 - e``,
-    so ``N - H(Q) = Q (1 + log2(1 + e)) + (1 - Q) log2(1 - e)``.  This sum
-    of small terms does not cancel against ``N``: the rate, about
-    ``0.557 * 2^-N``, stays positive up to ``LT_MAX_N_BITS``.  At ``N = 2``,
-    ``Q = 1`` and the rate is exactly 2.
-    """
+    """Best rate ``N - H(Q_N)`` inside the deformed protocol family: the
+    ``dense_coding_info`` of ``lt_optimal_product``, about ``0.557 * 2^-N``
+    (exactly 2 at ``N = 2``) and positive up to ``LT_MAX_N_BITS``."""
     # A single bit has no continuous rotations.
     n_bits = _check_count("n_bits", n_bits, 2, DomainError)
-    peak = lt_peak_probability(n_bits)
-    excess = lt_optimal_product(n_bits)
-    info = peak * (1.0 + math.log1p(excess) / math.log(2.0))
-    if peak < 1.0:
-        info += (1.0 - peak) * math.log1p(-excess) / math.log(2.0)
-    return info
+    return dense_coding_info(n_bits, lt_optimal_product(n_bits))
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from gptlab import (
     GptError,
     bipartite_contract,
     bipartite_unit,
-    compose,
     entangled_effect,
     entangled_state,
     entanglement_swap,
@@ -155,17 +154,6 @@ class TestGroupLaws:
                 d_nu = hadamard_vector(nu, n_bits)
                 assert int(d_mu @ d_nu) == (size if mu == nu else 0)
                 assert np.array_equal(d_mu * d_nu, hadamard_vector(mu ^ nu, n_bits))
-
-    def test_composition_table_is_xor_exhaustive(self):
-        for n_bits in range(1, 7):
-            size = 2**n_bits
-            for mu in range(size):
-                for nu in range(size):
-                    composed = compose(
-                        local_transformation(mu, n_bits),
-                        local_transformation(nu, n_bits),
-                    )
-                    assert composed.label == mu ^ nu
 
     def test_matrix_products_match_labels(self):
         for n_bits in (1, 2, 3, 4):

@@ -15,9 +15,11 @@ from gptlab import (
     BipartiteState,
     DomainError,
     GptError,
+    ProtocolFalsified,
     TheoryConfig,
     bipartite_contract,
     dense_coding,
+    dense_coding_info,
     entangled_state,
     lemma_effect_check,
     lemma_state_check,
@@ -836,6 +838,51 @@ class TestDiagonalLayer:
             assert np.array_equal(conditional, np.eye(1024))
         assert np.abs(conditional - closed).max() <= EXACT_TOL
 
+    @pytest.mark.parametrize(
+        "theory, seed",
+        [
+            *oracle_cases(),
+            *(pytest.param(t, 0, id=f"{t.kind}-n10") for t in TEN_BIT_THEORIES),
+        ],
+    )
+    def test_rate_is_the_mutual_information_of_the_table(self, theory, seed):
+        run = dense_coding(theory.n_bits, theory, seed=seed)
+        assert abs(run.info_bits - mutual_information(run.channel)) <= EXACT_TOL
+
+    @pytest.mark.parametrize("n_bits", range(2, 13))
+    def test_optimal_lambda_tau_rate_matches_the_closed_form(self, n_bits):
+        theory = TheoryConfig.lambda_tau(n_bits, 1.0, 1.0 / (2**n_bits - 3))
+        reference = lt_optimal_info(n_bits)
+        assert abs(dense_coding(n_bits, theory).info_bits - reference) <= 4e-15 * reference
+
+    @pytest.mark.parametrize(
+        "rate, reference",
+        [
+            pytest.param(
+                lambda: dense_coding(12, TheoryConfig.lambda_tau(12, 1.0, 1 / 4093)).info_bits,
+                0.00013622315042884791988,
+                id="lambda-tau-n12",
+            ),
+            pytest.param(
+                lambda: dense_coding(2, TheoryConfig.weak(2, 1 / 3)).info_bits,
+                0.20751874963942190927,
+                id="weak-n2",
+            ),
+            pytest.param(
+                lambda: dense_coding_info(20, 1 / (2**20 - 3)),
+                5.3148990097097490471e-7,
+                id="closed-form-n20",
+            ),
+        ],
+    )
+    def test_rate_matches_a_50_digit_reference(self, rate, reference):
+        # The references are N - H(q) evaluated by mpmath at 50 digits.
+        assert abs(rate() - reference) <= 4e-15 * reference
+
+    def test_closed_form_rate_at_twenty_bits(self):
+        reference = lt_optimal_info(20)
+        assert abs(dense_coding_info(20, 1 / (2**20 - 3)) - reference) <= 4e-15 * reference
+
     def test_embedded_channel_draws_no_rotation(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("drew a sphere rotation")
@@ -854,8 +901,10 @@ class TestDiagonalLayer:
 
     @pytest.mark.parametrize("theory", TEN_BIT_THEORIES, ids=lambda theory: theory.kind)
     def test_channel_build_holds_few_tables(self, theory):
-        # A table is one 2^N x 2^N float array. The sign and effect stacks
-        # are freed before the closed-form check, which runs in one buffer.
+        # A table is one 2^N x 2^N float array. Two are live at a time: the
+        # signs and their float cast while the row and column sums are
+        # taken, then the XOR index and the gathered table, then that table
+        # and the channel's frozen copy.
         table = 8 * 4**10
         tracemalloc.start()
         try:
@@ -863,12 +912,12 @@ class TestDiagonalLayer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * table
+        assert peak <= 3 * table
 
     @pytest.mark.parametrize("theory", TEN_BIT_THEORIES, ids=lambda theory: theory.kind)
     def test_dense_coding_run_holds_few_tables(self, theory):
-        # The run keeps no shared-state matrix, and mutual_information takes
-        # its terms in one scratch table even when every entry is positive.
+        # The run keeps no shared-state matrix and reads its rate off the
+        # closed form, so it peaks where the channel build does.
         table = 8 * 4**10
         tracemalloc.start()
         try:
@@ -876,7 +925,7 @@ class TestDiagonalLayer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * table
+        assert peak <= 3 * table
 
     def test_embedded_channel_builds_no_transformation(self, monkeypatch):
         from gptlab.core import Transformation
@@ -893,3 +942,74 @@ class TestDiagonalLayer:
         assert built == []
         embedded_transformation(0, TheoryConfig.embedded(2, 3), np.eye(3))
         assert built == [(7, 7)]
+
+
+def _flip_entry(signs):
+    signs[3, 6] = -signs[3, 6]
+
+
+def _nan_entry(signs):
+    signs[4, 2] = np.nan
+
+
+def _flip_unit_sign(signs):
+    signs[1, 0] = -1.0
+
+
+def _overwrite_row(signs):
+    signs[2] = signs[5]
+
+
+SIGN_MUTANTS = {
+    "flipped-entry": _flip_entry,
+    "nan-entry": _nan_entry,
+    "flipped-unit-sign": _flip_unit_sign,
+    "row-overwritten": _overwrite_row,
+}
+
+THREE_BIT_THEORIES = [
+    TheoryConfig.base(3),
+    TheoryConfig.lambda_tau(3, 1.0, 1 / 5),
+    TheoryConfig.weak(3, 3 / 7),
+    TheoryConfig.embedded(3, 3),
+]
+
+
+class TestSignMutants:
+    """Broken sign rows must fail the dense-coding check of every kind.
+
+    The check reads the table's first row and its column sums, and each
+    mutant below moves one of them; a row written over another moves only
+    the sums.  A permutation of the rows is invisible to both checks:
+    S -> PS maps the table ``p I + 2^-N (1 - p) J`` to itself.
+    """
+
+    @staticmethod
+    def _patch(monkeypatch, mutate):
+        original = variants.hadamard_basis
+
+        def mutated(n_bits):
+            signs = original(n_bits).astype(float)
+            mutate(signs)
+            return signs
+
+        monkeypatch.setattr(variants, "hadamard_basis", mutated)
+
+    @pytest.mark.parametrize("mutate", SIGN_MUTANTS.values(), ids=SIGN_MUTANTS)
+    @pytest.mark.parametrize("theory", THREE_BIT_THEORIES, ids=lambda theory: theory.kind)
+    def test_mutant_signs_falsify_dense_coding(self, monkeypatch, theory, mutate):
+        self._patch(monkeypatch, mutate)
+        with pytest.raises(ProtocolFalsified, match="closed form"):
+            dense_coding(3, theory)
+
+    @pytest.mark.parametrize("theory", THREE_BIT_THEORIES, ids=lambda theory: theory.kind)
+    def test_swapped_rows_leave_the_table_unchanged(self, monkeypatch, theory):
+        honest = dense_coding(3, theory)
+
+        def swap(signs):
+            signs[[2, 5]] = signs[[5, 2]]
+
+        self._patch(monkeypatch, swap)
+        run = dense_coding(3, theory)
+        assert np.array_equal(run.channel.conditional, honest.channel.conditional)
+        assert run.info_bits == honest.info_bits
