@@ -164,18 +164,30 @@ def dense_coding_info(n_bits: int, product: float) -> float:
 
     The table depends on ``x XOR y`` alone and the prior is uniform, so the
     rate is N minus the entropy of one row (Cover & Thomas, Elements of
-    Information Theory, Thm 7.2.1).  The row puts ``q = 2^-N hit``, ``hit =
-    1 + (2^N - 1) p``, on one symbol and ``2^-N (1 - p)`` on each other; the
-    N terms cancel, leaving ``q log2(hit) + (1 - q) log2(1 - p)`` with
-    ``0 log 0 = 0``.  That sum keeps its relative precision at rates of
-    order ``2^-N``, and is exactly N at ``p = 1``.
+    Information Theory, Thm 7.2.1).  The row puts ``2^-N (1 + (2^N - 1) p)``
+    on one symbol and ``2^-N (1 - p)`` on each other, which gives
+    ``[phi((2^N - 1) p) + (2^N - 1) phi(-p)] / (2^N ln 2)``.  The first-order
+    terms of the two phi cancel on paper, so every term summed is ``>= 0``;
+    the rate is exactly N at ``p = 1``.
     """
     size = 2.0 ** _check_count("n_bits", n_bits, 1)
-    hit = 1.0 + (size - 1.0) * product
-    info = hit / size * math.log2(hit) if hit > 0.0 else 0.0
-    if product < 1.0:
-        info += (1.0 - 1.0 / size) * (1.0 - product) * math.log1p(-product) / math.log(2.0)
-    return info
+    if product == 1.0:
+        return float(n_bits)
+    gap = _phi((size - 1.0) * product, size) + (1.0 - 1.0 / size) * _phi(-product)
+    return gap / math.log(2.0)
+
+
+def _phi(x: float, scale: float = 1.0) -> float:
+    """``phi(x) / scale`` for ``phi(x) = (1 + x) ln(1 + x) - x >= 0``, 0 ln 0 = 0 at x <= -1.
+
+    Below |x| = 0.1 it sums ``(-x)^k / (k (k - 1))``, k = 2..17.  ``scale``
+    divides before any product, so ``phi`` stays finite up to ``x = 2^1023``."""
+    if abs(x) < 0.1:
+        total = 0.0
+        for k in range(17, 1, -1):
+            total = 1.0 / (k * (k - 1)) - x * total
+        return x * (x / scale) * total
+    return ((1.0 + x) / scale * math.log1p(x) if x > -1.0 else 0.0) - x / scale
 
 
 # --------------------------------------------------------------------------

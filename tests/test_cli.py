@@ -4,12 +4,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gptlab
+from gptlab import checks, protocols
 from gptlab import cli as cli_module
-from gptlab import protocols
 from gptlab.cli import main
 from gptlab.hadamard import bell_measurement
 from gptlab.variants import LT_MAX_N_BITS
@@ -164,6 +169,21 @@ class TestDenseCodingCommand:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["info_bits"] == 1.0
+
+    @pytest.mark.parametrize(
+        "theory",
+        [
+            ("--theory", "lambda-tau", "--lambda", "1e-9", "--tau", "1e-9"),
+            ("--theory", "weak", "--lambda", "1e-17"),
+        ],
+        ids=["lambda-tau", "weak"],
+    )
+    def test_tiny_correlations_give_a_non_negative_rate(self, capsys, theory):
+        code, out, err = run_cli(
+            capsys, "dense-coding", "--n-bits", "3", *theory, "--format", "json"
+        )
+        assert code == 0, err
+        assert json.loads(out)["info_bits"] >= 0.0
 
 
 class TestTeleportCommand:
@@ -604,3 +624,28 @@ class TestSharedParser:
         from gptlab.cli import build_parser
 
         assert build_parser() is not build_parser()
+
+
+class TestLayering:
+    def test_cli_rebinds_the_suites_of_the_checks_module(self):
+        assert cli_module.SUITES is checks.SUITES
+        assert cli_module._suite_baseline is checks._suite_baseline
+        own = [
+            name
+            for name, value in vars(cli_module).items()
+            if name.startswith("_suite_") and value.__module__ == cli_module.__name__
+        ]
+        assert own == []
+        assert all(suite.__module__ == checks.__name__ for suite in checks.SUITES.values())
+
+    def test_checks_import_without_the_cli(self):
+        source = str(Path(gptlab.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+        probe = "import sys, gptlab.checks; assert 'gptlab.cli' not in sys.modules"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr

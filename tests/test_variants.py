@@ -1,11 +1,12 @@
 """Tests for the deformed theories and the matrix-norm validators."""
 
 import decimal
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gptlab import (
@@ -165,6 +166,14 @@ def lt_window_edges(draw):
     edge = draw(st.sampled_from([-1.0 / (2**n_bits - 1), 1.0 / (2**n_bits - 3)]))
     lam = draw(st.floats(abs(edge), 1.0)) * draw(st.sampled_from([1.0, -1.0]))
     return n_bits, lam, edge / lam
+
+
+@st.composite
+def admissible_products(draw):
+    """``(N, p)`` with p a scale product ``dense_coding_channel`` admits."""
+    n_bits = draw(st.integers(2, 12))
+    low = -1.0 / (2**n_bits - 1) - EXACT_TOL
+    return n_bits, draw(st.floats(low, 1.0) | st.floats(-1e-6, 1e-6))
 
 
 class TestLambdaTauChannel:
@@ -882,6 +891,26 @@ class TestDiagonalLayer:
     def test_closed_form_rate_at_twenty_bits(self):
         reference = lt_optimal_info(20)
         assert abs(dense_coding_info(20, 1 / (2**20 - 3)) - reference) <= 4e-15 * reference
+
+    @pytest.mark.parametrize(
+        "n_bits, product, reference",
+        [
+            (2, 1e-9, 2.1640425598907504e-18),
+            (3, 1e-17, 5.049432643111373e-34),
+            (12, -1e-9, 2.9539221273419688e-15),
+        ],
+    )
+    def test_small_products_keep_their_relative_precision(self, n_bits, product, reference):
+        # N - H(q) by mpmath at 80 digits: the rate is second order in p, while
+        # its two entropy terms are first order and cancel.
+        assert abs(dense_coding_info(n_bits, product) - reference) <= 1e-14 * reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=admissible_products())
+    @example(case=(3, 1e-17))
+    def test_rate_is_non_negative_for_every_admissible_product(self, case):
+        rate = dense_coding_info(*case)
+        assert math.isfinite(rate) and rate >= 0.0
 
     def test_embedded_channel_draws_no_rotation(self, monkeypatch):
         def no_draw(*args):
