@@ -18,7 +18,7 @@ def _suite_group(seed: int, trials: int) -> dict:
         basis = hadamard.hadamard_basis(n)
         size = 2**n
         labels = np.arange(size)
-        scaled_eye = size * np.eye(size, dtype=np.int64)
+        scaled_eye = size * np.eye(size)
         checks[f"orthogonality_n{n}"] = bool(np.array_equal(basis @ basis.T, scaled_eye))
         checks[f"column_sums_n{n}"] = bool(np.array_equal(basis.sum(axis=0), scaled_eye[0]))
         # T_x = diag(d_x) for every x and d_x o d_y = d_(x^y) for every pair

@@ -144,11 +144,10 @@ def _theory_from_args(args) -> TheoryConfig:
         if args.m is None:
             raise DomainError("--m is required for the embedded model")
         return TheoryConfig.embedded(args.n_bits, args.m)
-    if kind == "weak":
-        if args.lam is None:
-            raise DomainError("--lambda is required for the weak model")
-        return TheoryConfig.weak(args.n_bits, args.lam)
-    raise DomainError(f"unknown theory {kind!r}")
+    # weak, the one kind left: argparse admits only THEORY_KINDS.
+    if args.lam is None:
+        raise DomainError("--lambda is required for the weak model")
+    return TheoryConfig.weak(args.n_bits, args.lam)
 
 
 def cmd_dense_coding(args) -> tuple:

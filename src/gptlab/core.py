@@ -30,8 +30,8 @@ EXACT_TOL = 1e-12
 OPT_TOL = 1e-6
 
 THEORY_KINDS = ("base", "lambda-tau", "embedded", "weak")
-# Largest N any protocol builds: the swap holds about three (2^N x 2^N) float
-# arrays and a dense-coding run two, 0.40 and 0.29 GB at N = 12, 4x at 13.
+# Largest N any protocol builds, enforced by ``hadamard``: the swap holds about
+# three (2^N)^2 float arrays and a dense-coding run two, 0.40 / 0.29 GB at N = 12.
 MAX_N_BITS = 12
 
 
@@ -47,8 +47,8 @@ class ProtocolFalsified(GptError):
     """A protocol identity that should hold exactly failed numerically."""
 
 
-def _frozen(array, dtype=float) -> np.ndarray:
-    out = np.array(array, dtype=dtype)
+def _frozen(array) -> np.ndarray:
+    out = np.array(array, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -392,10 +392,6 @@ class TheoryConfig:
         entries[0] = 1.0
         entries[self.local_dim + 1 - active :] = direction
         return State(entries)
-
-    def random_pure_state(self, rng: np.random.Generator) -> State:
-        v = rng.standard_normal(self.active_dim)
-        return self.state_from_direction(v / np.linalg.norm(v))
 
 
 def unit_effect(dim: int) -> Effect:

@@ -15,9 +15,9 @@ on two ball systems of dimension ``2^N - 1``, the Bell-type measurement
 group of local transformations ``T_mu = diag(d_mu)`` (the XOR group).
 
 Labels are machine integers with bit ``l`` holding the l-th bit of the
-string, so the group laws are exact bit operations.  Sign vectors are kept
-as integer arrays; conversion to floats happens at the state/effect
-boundary (where all values are dyadic, so float arithmetic stays exact).
+string, so the group laws are exact bit operations.  Sign vectors are
+float64 +-1 arrays (none above ``MAX_N_BITS``): every product and sum of
+them is an integer or a dyadic value below 2^53, so float math is exact.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from .core import (
     EXACT_TOL,
+    MAX_N_BITS,
     BipartiteEffect,
     BipartiteState,
     GptError,
@@ -42,10 +43,17 @@ from .core import (
 from .hst import random_directions
 
 
-def _check_label(label: int, n_bits: int) -> int:
-    """Return ``n_bits`` as an int; raise unless ``label`` is a non-bool
-    integer in ``[0, 2^N)``."""
+def _check_n_bits(n_bits: int) -> int:
     n_bits = _check_count("n_bits", n_bits, 1)
+    if n_bits > MAX_N_BITS:
+        raise GptError(f"n_bits must be at most {MAX_N_BITS}, got {n_bits}")
+    return n_bits
+
+
+def _check_label(label: int, n_bits: int) -> int:
+    """Return ``_check_n_bits(n_bits)``; raise unless ``label`` is a non-bool
+    integer in ``[0, 2^N)``."""
+    n_bits = _check_n_bits(n_bits)
     if not (_is_integer(label) and 0 <= label < 2**n_bits):
         raise GptError(f"label {label} out of range for {n_bits} bits")
     return n_bits
@@ -55,21 +63,21 @@ def hadamard_vector(label: int, n_bits: int) -> np.ndarray:
     """Sign vector with components ``(-1)^parity(label AND nu)``."""
     n_bits = _check_label(label, n_bits)
     nu = np.arange(2**n_bits, dtype=np.uint64)
-    parity = np.bitwise_count(nu & np.uint64(label)) & 1
-    return 1 - 2 * parity.astype(np.int64)
+    return 1.0 - 2.0 * (np.bitwise_count(nu & np.uint64(label)) & 1)
 
 
 def hadamard_basis(n_bits: int) -> np.ndarray:
     """All ``2^N`` sign vectors, stacked as rows (a Hadamard matrix)."""
-    n_bits = _check_count("n_bits", n_bits, 1)
+    n_bits = _check_n_bits(n_bits)
     nu = np.arange(2**n_bits, dtype=np.uint64)
-    parity = np.bitwise_count(nu[:, None] & nu) & 1
-    return 1 - 2 * parity.astype(np.int64)
+    signs = -2.0 * (np.bitwise_count(nu[:, None] & nu) & 1)
+    signs += 1.0
+    return signs
 
 
 def entangled_state(label: int, n_bits: int) -> BipartiteState:
     """Entangled state ``diag(d_label)`` on two ``2^N - 1`` ball systems."""
-    return BipartiteState(np.diag(hadamard_vector(label, n_bits)).astype(float))
+    return BipartiteState(np.diag(hadamard_vector(label, n_bits)))
 
 
 def entangled_effect(label: int, n_bits: int) -> BipartiteEffect:
@@ -80,7 +88,7 @@ def entangled_effect(label: int, n_bits: int) -> BipartiteEffect:
 
 def bell_measurement(n_bits: int) -> Measurement:
     """The ``2^N``-outcome measurement that distinguishes the entangled set."""
-    n_bits = _check_count("n_bits", n_bits, 1)
+    n_bits = _check_n_bits(n_bits)
     return Measurement(tuple(entangled_effect(mu, n_bits) for mu in range(2**n_bits)))
 
 
@@ -93,7 +101,7 @@ class LocalTransformation(Transformation):
 
 
 def local_transformation(label: int, n_bits: int) -> LocalTransformation:
-    matrix = np.diag(hadamard_vector(label, n_bits)).astype(float)
+    matrix = np.diag(hadamard_vector(label, n_bits))
     return LocalTransformation(matrix=matrix, label=label, n_bits=n_bits)
 
 

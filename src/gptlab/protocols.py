@@ -53,7 +53,7 @@ from .core import (
     TheoryConfig,
     _check_count,
 )
-from .hadamard import _check_label, bell_measurement, hadamard_basis
+from .hadamard import _check_label, _check_n_bits, bell_measurement, hadamard_basis
 from .hst import (
     MAX_COMPONENTS,
     make_state,
@@ -250,14 +250,14 @@ def product_decoding_baseline(n_bits: int, trials: int, seed: int) -> float:
     and one bit remains the ceiling.  The tables are searched as in
     ``separable_baseline``.
     """
-    n_bits = _check_count("n_bits", n_bits, 1)
+    n_bits = _check_n_bits(n_bits)
     dim = 2**n_bits - 1
     rng = np.random.default_rng(seed)
     signs = hadamard_basis(n_bits)
 
     def draw_table():
         if rng.random() < 0.5:
-            phi = np.diag(signs[rng.integers(2**n_bits)]).astype(float)
+            phi = np.diag(signs[rng.integers(2**n_bits)])
         else:
             phi = _random_product_state(dim, rng)
         effect_stack = random_product_measurement(dim, dim, rng)
@@ -274,7 +274,7 @@ def no_signalling_spread(n_bits: int, trials: int, seed: int) -> float:
     maximum spread observed (should vanish to rounding).  ``trials`` must
     be an integer of at least 1.
     """
-    n_bits = _check_count("n_bits", n_bits, 1)
+    n_bits = _check_n_bits(n_bits)
     _check_count("trials", trials, 1)
     dim = 2**n_bits - 1
     rng = np.random.default_rng(seed)
@@ -314,7 +314,7 @@ def teleport(
     attaining it.  The joint table uses a canonical two-outcome receiver
     measurement, so its rows sum to the outcome prior ``p_x = 2^-N``.
     """
-    n_bits = _check_count("n_bits", n_bits, 1)
+    n_bits = _check_n_bits(n_bits)
     dim = 2**n_bits - 1
     if input_state.dim != dim:
         raise GptError(

@@ -118,6 +118,13 @@ def theory_effect(label: int, theory: TheoryConfig) -> BipartiteEffect:
     return BipartiteEffect(2.0**-theory.n_bits * np.diag(diagonal))
 
 
+def _check_product(size: float, product: float) -> float:
+    # The scale products of the dense-coding tables, size = 2^N; NaN fails.
+    if not -1.0 / (size - 1.0) - EXACT_TOL <= product <= 1.0 + EXACT_TOL:
+        raise DomainError(f"scale product {product!r} is outside [-1/(2^N-1), 1], 2^N = {size:g}")
+    return product
+
+
 def dense_coding_channel(theory: TheoryConfig) -> Channel:
     """Dense-coding channel of any theory kind, uniform prior.
 
@@ -134,12 +141,7 @@ def dense_coding_channel(theory: TheoryConfig) -> Channel:
     """
     n = theory.n_bits
     size = theory.hadamard_dim
-    product = math.prod(correlation_scales(theory))
-    if product < -1.0 / (size - 1) - EXACT_TOL:
-        raise DomainError(
-            "the decoding effects take negative probabilities for "
-            f"state scale x effect scale = {product!r} < -1/(2^N-1)"
-        )
+    product = _check_product(size, math.prod(correlation_scales(theory)))
     signs = hadamard_basis(n)
     counts = 2.0**-n * np.stack((signs[0], signs.sum(axis=0)), axis=1)
     # Columns S (e o w) = p S w + (1 - p) S[:, 0] w[0], w = 2^-N (S[0], S^t 1);
@@ -168,9 +170,10 @@ def dense_coding_info(n_bits: int, product: float) -> float:
     on one symbol and ``2^-N (1 - p)`` on each other, which gives
     ``[phi((2^N - 1) p) + (2^N - 1) phi(-p)] / (2^N ln 2)``.  The first-order
     terms of the two phi cancel on paper, so every term summed is ``>= 0``;
-    the rate is exactly N at ``p = 1``.
+    the rate is exactly N at ``p = 1``, and a p that no table has is refused.
     """
     size = 2.0 ** _check_count("n_bits", n_bits, 1)
+    product = _check_product(size, product)
     if product == 1.0:
         return float(n_bits)
     gap = _phi((size - 1.0) * product, size) + (1.0 - 1.0 / size) * _phi(-product)
@@ -518,8 +521,7 @@ def family_matrices(theory: TheoryConfig, seed: int = 0) -> tuple:
     effects are the ``2^N`` decoding effects, then the product effects
     ``(omega_a / 2)(omega_b / 2)^t`` of the same pure states.  The pure
     states come from one ``random_directions`` draw, A side then B side
-    per pair, which is the stream of successive ``random_pure_state``
-    calls.  Every row equals the matrix of the value object
+    per pair.  Every row equals the matrix of the value object
     ``constructed_family`` wraps it in, bit for bit.
     """
     rng = np.random.default_rng(seed)

@@ -1,5 +1,7 @@
 """Tests for the sign-vector group, the entangled sector and tomography."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +11,7 @@ from gptlab import (
     BipartiteEffect,
     BipartiteState,
     GptError,
+    bell_measurement,
     bipartite_contract,
     bipartite_unit,
     entangled_effect,
@@ -19,12 +22,17 @@ from gptlab import (
     local_tomography,
     local_transformation,
     mix_bipartite,
+    no_signalling_spread,
+    product_decoding_baseline,
     product_effect,
     product_state,
     reduced_states,
+    separable_baseline,
+    teleport,
     verify_max_tensor_membership,
 )
 from gptlab import hadamard
+from gptlab.core import MAX_N_BITS
 from gptlab.hadamard import local_tomography_from_oracle, match_entangled_label
 from gptlab.hst import (
     make_extremal_effect,
@@ -77,6 +85,56 @@ class TestSignVectors:
             for mu in range(1, 2**n_bits):
                 vec = hadamard_vector(mu, n_bits)
                 assert np.sum(vec == -1) == 2 ** (n_bits - 1)
+
+    @pytest.mark.parametrize("n_bits", range(1, 9))
+    def test_rows_are_float_signs_of_the_label_parity(self, n_bits):
+        labels = range(2**n_bits)
+        expected = np.array([[(-1.0) ** (mu & nu).bit_count() for nu in labels] for mu in labels])
+        basis = hadamard_basis(n_bits)
+        assert basis.dtype == np.float64 and np.array_equal(basis, expected)
+        vectors = [hadamard_vector(mu, n_bits) for mu in labels]
+        assert all(vector.dtype == np.float64 for vector in vectors)
+        assert np.array_equal(np.stack(vectors), expected)
+
+    def test_basis_holds_no_integer_table_beside_its_floats(self):
+        # A table is one 2^N x 2^N float array. The uint64 AND table is freed
+        # before the float rows are made from the uint8 parities, in place.
+        table = 8 * 4**10
+        tracemalloc.start()
+        try:
+            hadamard_basis(10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * table
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            hadamard_basis,
+            lambda n: hadamard_vector(0, n),
+            lambda n: entangled_state(0, n),
+            lambda n: entangled_effect(0, n),
+            bell_measurement,
+            lambda n: local_transformation(0, n),
+            lambda n: teleport(make_state(np.zeros(2**n - 1)), n),
+            lambda n: entanglement_swap(n, 0),
+            lambda n: separable_baseline(2**n - 1, 1, 0),
+            lambda n: product_decoding_baseline(n, 1, 0),
+            lambda n: no_signalling_spread(n, 1, 0),
+        ],
+        ids=[
+            "basis", "vector", "state", "effect", "bell", "transformation",
+            "teleport", "swap", "separable", "product-decoding", "no-signalling",
+        ],
+    )
+    def test_refuses_more_bits_than_the_limit(self, build):
+        # Each would otherwise build 2^13 x 2^13 arrays or larger.
+        with pytest.raises(GptError, match=f"n_bits must be at most {MAX_N_BITS}, got 13"):
+            build(MAX_N_BITS + 1)
+
+    def test_accepts_the_limit(self):
+        assert hadamard_vector(2**MAX_N_BITS - 1, MAX_N_BITS).size == 2**MAX_N_BITS
 
     def test_label_out_of_range(self):
         with pytest.raises(GptError):

@@ -44,7 +44,7 @@ from gptlab.capacity import blahut_arimoto, weak_entanglement_bound, weak_thresh
 from gptlab.cli import main
 from gptlab.core import Effect
 from gptlab.hadamard import hadamard_vector, local_transformation
-from gptlab.hst import random_pure_state
+from gptlab.hst import random_directions
 from gptlab.variants import (
     FAMILY_RANDOM_PAIRS,
     TlWitnessReport,
@@ -60,6 +60,11 @@ from gptlab.variants import (
 )
 
 ROUNDED_REFERENCE_RATES = {2: 2.0, 3: 0.15, 4: 0.05, 5: 0.02}
+
+
+def pure_state(theory, rng):
+    """One uniform pure local state of ``theory``, drawn through ``hst``."""
+    return theory.state_from_direction(random_directions(1, theory.active_dim, rng)[0])
 
 
 def lt_optimal_info_reference(n_bits):
@@ -341,8 +346,8 @@ class TestEmbeddedTheory:
     def test_product_states_see_uniform_decoding(self):
         theory = TheoryConfig.embedded(3, 4)
         rng = np.random.default_rng(2)
-        sa = theory.random_pure_state(rng)
-        sb = theory.random_pure_state(rng)
+        sa = pure_state(theory, rng)
+        sb = pure_state(theory, rng)
         phi = product_state(sa, sb)
         for y in range(8):
             assert bipartite_contract(theory_effect(y, theory), phi) == 2.0**-3
@@ -369,7 +374,7 @@ class TestEmbeddedTheory:
             rotation = random_rotation(theory.m, rng)
             label = int(rng.integers(4))
             transform = embedded_transformation(label, theory, rotation)
-            state = theory.random_pure_state(rng)
+            state = pure_state(theory, rng)
             moved = transform.apply(state)
             # the frozen ball block stays exactly zero
             assert np.array_equal(moved.entries[1 : 1 + theory.ball_dim], np.zeros(3))
@@ -569,8 +574,8 @@ def constructed_family_loop_oracle(theory, seed):
     if theory.kind == "lambda-tau":
         states.append(lt_rotated_witness(theory.lam, theory.n_bits))
     for _ in range(FAMILY_RANDOM_PAIRS):
-        sa = theory.random_pure_state(rng)
-        sb = theory.random_pure_state(rng)
+        sa = pure_state(theory, rng)
+        sb = pure_state(theory, rng)
         states.append(product_state(sa, sb))
         effects.append(product_effect(Effect(0.5 * sa.entries), Effect(0.5 * sb.entries)))
     return states, effects
@@ -912,6 +917,31 @@ class TestDiagonalLayer:
         rate = dense_coding_info(*case)
         assert math.isfinite(rate) and rate >= 0.0
 
+    @pytest.mark.parametrize(
+        "product", [2.0, -1.0, math.nan, math.inf, 1.0 + 2 * EXACT_TOL, -1 / 7 - 2 * EXACT_TOL]
+    )
+    def test_rate_refuses_a_product_no_table_has(self, product):
+        # 2.0 gave 7.33 bits, more than N = 3, and -1.0 gave 1.75; NaN and inf gave NaN.
+        with pytest.raises(DomainError, match="outside"):
+            dense_coding_info(3, product)
+
+    @pytest.mark.parametrize("n_bits", [1, 3, 12])
+    def test_rate_takes_both_ends_of_the_window(self, n_bits):
+        size = 2**n_bits
+        assert dense_coding_info(n_bits, 1.0) == n_bits
+        assert dense_coding_info(n_bits, 1.0 + EXACT_TOL) >= n_bits
+        # At p = -1/(2^N - 1) the row is 0 on one symbol and 1/(2^N - 1) on the rest.
+        low = dense_coding_info(n_bits, -1.0 / (size - 1))
+        assert abs(low - (n_bits - math.log2(size - 1))) <= 1e-12
+        assert dense_coding_info(n_bits, -1.0 / (size - 1) - EXACT_TOL) >= 0.0
+
+    def test_channel_and_rate_share_one_window(self):
+        theory = TheoryConfig.weak(3, -1 / 7 - 2 * EXACT_TOL)
+        with pytest.raises(DomainError, match=r"outside \[-1/\(2\^N-1\), 1\], 2\^N = 8"):
+            variants.dense_coding_channel(theory)
+        with pytest.raises(DomainError, match=r"outside \[-1/\(2\^N-1\), 1\], 2\^N = 8"):
+            dense_coding_info(3, theory.lam)
+
     def test_embedded_channel_draws_no_rotation(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("drew a sphere rotation")
@@ -930,10 +960,10 @@ class TestDiagonalLayer:
 
     @pytest.mark.parametrize("theory", TEN_BIT_THEORIES, ids=lambda theory: theory.kind)
     def test_channel_build_holds_few_tables(self, theory):
-        # A table is one 2^N x 2^N float array. Two are live at a time: the
-        # signs and their float cast while the row and column sums are
-        # taken, then the XOR index and the gathered table, then that table
-        # and the channel's frozen copy.
+        # A table is one 2^N x 2^N float array. The float signs are the only
+        # table while the row and column sums are taken; two are live after
+        # them: the XOR index and the gathered table, then that table and
+        # the channel's frozen copy.
         table = 8 * 4**10
         tracemalloc.start()
         try:
@@ -941,7 +971,7 @@ class TestDiagonalLayer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * table
+        assert peak <= 2.25 * table
 
     @pytest.mark.parametrize("theory", TEN_BIT_THEORIES, ids=lambda theory: theory.kind)
     def test_dense_coding_run_holds_few_tables(self, theory):
