@@ -129,10 +129,12 @@ def verify_max_tensor_membership(
     also equal ``(1 + alpha . T_hat beta)/4 <= 1/2`` for its rotation block.
     All probes are evaluated as one stack; every check is written so that
     a non-finite value fails it.  ``trials`` must be an integer of at
-    least 1.
+    least 1, and ``phi`` must have the shape ``(2^N, 2^N)``.
     """
     _check_count("trials", trials, 1)
-    dim = 2**n_bits - 1
+    dim = 2 ** _check_n_bits(n_bits) - 1
+    if phi.dims != (dim, dim):
+        raise GptError(f"state shape {phi.matrix.shape} does not match {n_bits} bits")
     violations = []
 
     total = bipartite_contract(bipartite_unit(dim, dim), phi)
@@ -172,39 +174,27 @@ def local_tomography_from_oracle(oracle, dim_a: int, dim_b: int) -> BipartiteSta
     ``oracle(effects_a, effects_b)`` must return, for every row k, the
     outcome probability of the product effect ``effects_a[k] (x)
     effects_b[k]`` on the unknown state, so it can only be asked about
-    product effects.  Probing with ``(1, +-v_k)/2 (x) (1, +-v_l)/2`` for
-    coordinate vectors ``v`` and inverting the four sign combinations
-    recovers every matrix entry:
+    product effects.  Each side is probed with the rows of
+    ``M = [u; (1, v_k)/2]``: the unit effect and the extremal effects along
+    the coordinate axes ``v_k``.  One call asks about all
+    ``(d_A + 1)(d_B + 1)`` products, as many as the bipartite state space
+    has dimensions, and returns ``P = M_A phi M_B^T``; the state is then
 
-        C_kl  = sum_(s,t) s t P(s,t),
-        a_k   = sum_(s,t) s   P(s,t),
-        b_l   = sum_(s,t)   t P(s,t).
+        phi = M_A^-1 P M_B^-T,    M^-1 = [[1, 0], [-1, 2I]].
     """
-    signs = np.array([1.0, -1.0])
 
-    def coordinate_effects(dim: int) -> np.ndarray:
-        # Row [k, s] is the local effect (1, s v_k)/2.
-        rows = np.zeros((dim, 2, dim + 1))
-        rows[:, :, 0] = 0.5
-        rows[np.arange(dim), :, np.arange(dim) + 1] = 0.5 * signs
-        return rows
+    def probes(dim: int) -> tuple:
+        # M = (I + 1 e_0^T)/2 and M^-1 = 2I - 1 e_0^T.
+        eye, first = np.eye(dim + 1), np.zeros((dim + 1, dim + 1))
+        first[:, 0] = 1.0
+        return 0.5 * (eye + first), 2.0 * eye - first
 
-    # Probe 0 is the unit product effect; probe [k, l, s, t] follows it.
-    k, l, s, t = np.indices((dim_a, dim_b, 2, 2)).reshape(4, -1)
-    probs = np.asarray(
-        oracle(
-            np.vstack((np.eye(dim_a + 1)[:1], coordinate_effects(dim_a)[k, s])),
-            np.vstack((np.eye(dim_b + 1)[:1], coordinate_effects(dim_b)[l, t])),
-        )
-    )
-    table = probs[1:].reshape(dim_a, dim_b, 2, 2)
-
-    matrix = np.empty((dim_a + 1, dim_b + 1))
-    matrix[0, 0] = probs[0]
-    matrix[1:, 1:] = np.einsum("s,t,klst->kl", signs, signs, table)
-    matrix[1:, 0] = np.einsum("s,kst->k", signs, table[:, 0])
-    matrix[0, 1:] = np.einsum("t,lst->l", signs, table[0])
-    return BipartiteState(matrix)
+    probes_a, inverse_a = probes(dim_a)
+    probes_b, inverse_b = probes(dim_b)
+    # Probe i (d_B + 1) + j is row i of M_A with row j of M_B.
+    probs = oracle(np.repeat(probes_a, dim_b + 1, axis=0), np.tile(probes_b, (dim_a + 1, 1)))
+    table = np.reshape(probs, (dim_a + 1, dim_b + 1))
+    return BipartiteState(inverse_a @ table @ inverse_b.T)
 
 
 def local_tomography(phi: BipartiteState) -> BipartiteState:

@@ -57,7 +57,7 @@ from .core import (
     _check_count,
     bipartite_contract,
 )
-from .hadamard import hadamard_basis, hadamard_vector
+from .hadamard import _check_n_bits, hadamard_basis, hadamard_vector
 from .hst import make_extremal_effect, random_directions
 
 # Random product states and effects ``constructed_family`` adds per theory.
@@ -204,7 +204,7 @@ def lt_rotated_witness(lam: float, n_bits: int) -> BipartiteState:
     ``lambda tau`` from above; probing both against the aligned effect
     yields the admissibility window.
     """
-    n_bits = _check_count("n_bits", n_bits, 2)
+    n_bits = _check_n_bits(_check_count("n_bits", n_bits, 2))
     return BipartiteState(np.diag(_lt_witness_diagonal(lam, n_bits)))
 
 

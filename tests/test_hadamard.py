@@ -10,6 +10,7 @@ from gptlab import (
     EXACT_TOL,
     BipartiteEffect,
     BipartiteState,
+    Effect,
     GptError,
     bell_measurement,
     bipartite_contract,
@@ -32,7 +33,7 @@ from gptlab import (
     verify_max_tensor_membership,
 )
 from gptlab import hadamard
-from gptlab.core import MAX_N_BITS
+from gptlab.core import MAX_N_BITS, effect_probability_range
 from gptlab.hadamard import local_tomography_from_oracle, match_entangled_label
 from gptlab.hst import (
     make_extremal_effect,
@@ -366,6 +367,25 @@ class TestMaxTensorMembership:
         report = verify_max_tensor_membership(BipartiteState(bad), 2, trials=200, seed=1)
         assert not report.passed
 
+    @pytest.mark.parametrize(
+        "n_bits, message",
+        [
+            (11, r"state shape \(4, 4\) does not match 11 bits"),
+            (MAX_N_BITS + 1, f"n_bits must be at most {MAX_N_BITS}"),
+        ],
+    )
+    def test_wrong_bit_counts_are_refused_before_allocating(self, n_bits, message):
+        # Unchecked, N = 11 traced 64 MiB for the (2^11)^2 unit effect before
+        # the contraction saw the shapes differ.
+        tracemalloc.start()
+        try:
+            with pytest.raises(GptError, match=message):
+                verify_max_tensor_membership(entangled_state(0, 2), n_bits, trials=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     @pytest.mark.parametrize("trials", [0, -3, True, 2.5, 1.0])
     def test_bad_trial_counts_raise_before_any_draw(self, monkeypatch, trials):
         def no_draw(*args):
@@ -403,13 +423,39 @@ class TestLocalTomography:
 
         def counting_oracle(effects_a, effects_b):
             # the oracle receives local effect rows, so every probe is a product
-            assert effects_a.shape == effects_b.shape == (1 + 4 * 9, 4)
+            assert effects_a.shape == effects_b.shape == ((3 + 1) * (3 + 1), 4)
             calls.append(len(effects_a))
             return np.einsum("km,mn,kn->k", effects_a, phi.matrix, effects_b)
 
         rebuilt = local_tomography_from_oracle(counting_oracle, 3, 3)
         assert np.array_equal(rebuilt.matrix, phi.matrix)
-        assert calls == [1 + 4 * 9]
+        assert calls == [(3 + 1) * (3 + 1)]
+
+    @pytest.mark.parametrize("dim_a, dim_b", [(1, 3), (3, 7)])
+    def test_unequal_sides(self, dim_a, dim_b):
+        def axis_state(dim, k, sign):
+            return make_state(sign * np.eye(dim)[k])
+
+        first = product_state(axis_state(dim_a, 0, 1.0), axis_state(dim_b, dim_b - 1, -1.0))
+        second = product_state(axis_state(dim_a, dim_a - 1, -1.0), axis_state(dim_b, 1, 1.0))
+        probes = (dim_a + 1) * (dim_b + 1)
+        for phi in (first, mix_bipartite([first, second], [0.25, 0.75])):
+            assert phi.matrix[0, 1:].any() and phi.matrix[1:, 0].any()
+            calls = []
+
+            def oracle(effects_a, effects_b):
+                # one valid local effect per side for every probe
+                assert effects_a.shape == (probes, dim_a + 1)
+                assert effects_b.shape == (probes, dim_b + 1)
+                for row in (*effects_a, *effects_b):
+                    low, high = effect_probability_range(Effect(row))
+                    assert 0.0 <= low and high <= 1.0
+                calls.append(len(effects_a))
+                return np.einsum("km,mn,kn->k", effects_a, phi.matrix, effects_b)
+
+            rebuilt = local_tomography_from_oracle(oracle, dim_a, dim_b)
+            assert np.array_equal(rebuilt.matrix, phi.matrix)
+            assert calls == [probes]
 
 
 # --------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from gptlab import (
 from gptlab import variants
 from gptlab.capacity import blahut_arimoto, weak_entanglement_bound, weak_thresholds
 from gptlab.cli import main
-from gptlab.core import Effect
+from gptlab.core import MAX_N_BITS, Effect
 from gptlab.hadamard import hadamard_vector, local_transformation
 from gptlab.hst import random_directions
 from gptlab.variants import (
@@ -243,6 +243,21 @@ class TestLambdaTauChannel:
             below = lt_admissibility_witness(n_bits, 1.0, lo * 1.05)
             assert min(above) < -EXACT_TOL
             assert min(below) < -EXACT_TOL
+
+    def test_rotated_witness_refuses_more_bits_than_the_limit(self, monkeypatch):
+        # Unchecked, N = 13 built an 8192 x 8192 diagonal matrix (512 MiB).
+        def no_diag(*args):
+            raise AssertionError("built the witness matrix for a refused bit count")
+
+        monkeypatch.setattr(np, "diag", no_diag)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GptError, match=f"n_bits must be at most {MAX_N_BITS}, got 13"):
+                lt_rotated_witness(0.5, MAX_N_BITS + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_state_and_effect_shapes(self):
         theory = TheoryConfig.lambda_tau(2, 0.5, 0.5)
