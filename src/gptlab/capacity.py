@@ -49,6 +49,7 @@ def blahut_arimoto(
     max_iter: int = BA_DEFAULT_MAX_ITER,
     *,
     incumbent: float | None = None,
+    _ceiling: float | None = None,
 ) -> CapacityResult:
     """Capacity of a fixed discrete memoryless channel, in bits.
 
@@ -74,7 +75,11 @@ def blahut_arimoto(
     ``q_y = max_x p(y|x) / S`` and ``sum_y p_y = 1 + e``, ``p(y|x) <= S q_y``
     and the log-sum inequality cap any prior's rate at
     ``(1 + e) log2(S / (1 + e))``; ``(1 + e) ln(1 + e) >= e`` caps that by
-    ``B`` and, as ``S >= 1 - delta``, gives ``B >= 0``.
+    ``B`` and, as ``S >= 1 - delta``, gives ``B >= 0``.  A search that has
+    already computed ``_ceiling_bits(conditional)`` to rank the table passes
+    it as the private ``_ceiling``, which must be that value exactly; the
+    call then uses it instead of computing the bound again.  A table with
+    no negative entry is optimised as given, without a clipped copy.
 
     ``max_iter`` must be a non-negative integer; with 0 no iteration runs
     and ``upper_bits`` is inf.  A bool ``tol`` or ``incumbent`` is refused.
@@ -82,7 +87,9 @@ def blahut_arimoto(
     p = np.asarray(conditional, dtype=float)
     if p.ndim != 2 or p.size == 0:
         raise GptError("conditional must be a 2-d row-stochastic array")
-    low, row_dev = float(p.min()), float(np.abs(p.sum(axis=1) - 1.0).max())
+    low, sums = float(p.min()), p.sum(axis=1)
+    # The largest |row sum - 1|; a NaN sum makes both terms NaN.
+    row_dev = max(float(sums.max()) - 1.0, 1.0 - float(sums.min()))
     # Written so that a non-finite entry or tol fails the check.
     if not (low >= -1e-12 and row_dev <= 1e-9):
         raise DomainError("conditional rows must be probability vectors")
@@ -90,7 +97,6 @@ def blahut_arimoto(
     if isinstance(tol, (bool, np.bool_)) or not 0 < tol < np.inf:
         raise GptError(f"tol must be positive and finite, got {tol!r}")
     _check_count("max_iter", max_iter, 0)
-    prior = np.full(p.shape[0], 1.0 / p.shape[0])
     stop_at = -math.inf
     if incumbent is not None:
         if not (
@@ -100,13 +106,16 @@ def blahut_arimoto(
         ):
             raise GptError(f"incumbent must be a finite real number, got {incumbent!r}")
         stop_at = incumbent - EXACT_TOL
-        upper = _ceiling_bits(p)
+        upper = _ceiling_bits(p) if _ceiling is None else _ceiling
         # Clipping raises a row sum by at most the column count times -low.
         upper += (row_dev + p.shape[1] * max(-low, 0.0)) * (abs(upper) + 1 / math.log(2))
         if upper <= stop_at:
+            prior = np.full(p.shape[0], 1.0 / p.shape[0])
             prior.setflags(write=False)
             return CapacityResult(0.0, prior, 0, False, upper)
-    p = np.maximum(p, 0.0)
+    if low < 0:
+        p = np.maximum(p, 0.0)
+    prior = np.full(p.shape[0], 1.0 / p.shape[0])
     log_p = np.zeros(p.shape)
     np.log2(p, out=log_p, where=p > 0)
     # Row entropy term of c_x = sum_y p(y|x) log2(p(y|x)/p_y); the prior
@@ -159,11 +168,15 @@ def _best_first_max(tables: list, best: float, tol: float, max_iter: int) -> flo
     """Running maximum of ``best`` and the rates of ``tables``, best first.
 
     One ``blahut_arimoto`` call per table, in descending order of
-    ``_ceiling_bits``, each with the running best as ``incumbent``.
+    ``_ceiling_bits``, each with the running best as ``incumbent`` and its
+    ranking score as the precomputed bound, so each table's bound is
+    computed once.
     """
     scores = [_ceiling_bits(table) for table in tables]
     for i in sorted(range(len(tables)), key=scores.__getitem__, reverse=True):
-        result = blahut_arimoto(tables[i], tol=tol, max_iter=max_iter, incumbent=best)
+        result = blahut_arimoto(
+            tables[i], tol=tol, max_iter=max_iter, incumbent=best, _ceiling=scores[i]
+        )
         best = max(best, result.capacity_bits)
     return best
 
@@ -180,8 +193,10 @@ def search_max(draw_table, trials: int, best: float, tol: float, max_iter: int) 
     the work: a table either runs exactly as it would alone, or stops with
     its dual bound at most ``best - EXACT_TOL``, below a rate already
     found, and the table that attains the maximum never stops.  So the
-    result is the same bit for bit as in draw order.  ``trials`` must be
-    an integer of at least 1; a bool is refused.
+    result is the same bit for bit as in draw order.  Each table's
+    Renyi-infinity bound is computed once: it ranks the block and is handed
+    to the optimiser's certificate.  ``trials`` must be an integer of at
+    least 1; a bool is refused.
     """
     _check_count("trials", trials, 1)
     for start in range(0, trials, SEARCH_BLOCK):

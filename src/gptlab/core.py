@@ -259,7 +259,10 @@ class ValidationReport:
 
 
 def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # The exact-int test first: it skips the slower abstract-class check.
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 def _check_count(name: str, value, minimum: int, error=GptError) -> int:

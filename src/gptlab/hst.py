@@ -126,7 +126,8 @@ def random_directions(count: int, dim: int, rng: np.random.Generator) -> np.ndar
     ``random_direction`` calls returns.
     """
     v = rng.standard_normal((count, dim))
-    return v / np.sqrt(np.vecdot(v, v))[:, None]
+    v /= np.sqrt(np.vecdot(v, v))[:, None]
+    return v
 
 
 def random_direction(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -175,38 +176,58 @@ def random_measurements(
     ordered slots; and one ``random_directions`` row per component.  One
     unbuffered ``np.add.at`` sums the effects in component order, first
     slot then second, so the stack equals that per-component loop bit for
-    bit whatever BLAS is linked.
+    bit whatever BLAS is linked.  ``random_measurement`` draws its single
+    component count as a scalar, which takes the same value from the same
+    stream and leaves it in the same state, and shares the rest of this
+    body.  ``count`` must be an integer of at least 0 and ``n_outcomes``
+    of at least 2, and ``dim`` in ``[1, MAX_DIM]``; a bool is refused.
     """
-    if n_outcomes < 2:
-        raise GptError(f"a random measurement needs >= 2 outcomes, got {n_outcomes}")
+    count = _check_count("count", count, 0)
+    dim = _check_dim(dim)
+    n_outcomes = _check_count("n_outcomes", n_outcomes, 2)
     owner = np.repeat(np.arange(count), rng.integers(1, MAX_COMPONENTS + 1, size=count))
+    table = _measurement_rows(owner, count, dim, n_outcomes, rng)
+    return table.reshape(count, n_outcomes, dim + 1)
+
+
+def _measurement_rows(owner, count, dim, n_outcomes, rng) -> np.ndarray:
+    """``random_measurements`` after its component counts, as the flat
+    ``(count * n_outcomes, dim + 1)`` table; ``owner[k]`` is the
+    measurement that component k belongs to."""
     weights = rng.standard_exponential(owner.size)
     weights /= np.bincount(owner, weights, minlength=count)[owner]
     coins = rng.random((owner.size, n_outcomes + 1))
-    unit = coins[:, 0] < 0.15
-    slots = owner[:, None] * n_outcomes + coins[:, 1:].argsort(axis=1)[:, :2]
+    slots = coins[:, 1:].argsort(axis=1)[:, :2]
+    # Measurement j owns rows j n_outcomes onward of the flat table.
+    if count > 1:
+        slots = owner[:, None] * n_outcomes + slots
     directions = random_directions(owner.size, dim, rng)
     # A component adds w (1, m)/2 to its first slot and w (1, -m)/2 to its
     # second, or the unit w (1, 0) to its first slot and zero to its second.
-    half = np.where(unit, 0.0, 0.5 * weights)
+    unit = coins[:, 0] < 0.15
     rows = np.empty((owner.size, 2, dim + 1))
-    rows[:, 0, 0] = np.where(unit, weights, half)
-    rows[:, 0, 1:] = half[:, None] * directions
-    rows[:, 1, 0] = half
-    rows[:, 1, 1:] = -rows[:, 0, 1:]
+    half, first = rows[:, 1, 0], rows[:, 0, 0]
+    np.multiply(weights, 0.5, out=half)
+    np.copyto(half, 0.0, where=unit)
+    np.copyto(first, half)
+    np.copyto(first, weights, where=unit)
+    np.multiply(directions, half[:, None], out=rows[:, 0, 1:])
+    np.negative(rows[:, 0, 1:], out=rows[:, 1, 1:])
     table = np.zeros((count * n_outcomes, dim + 1))
     np.add.at(table, slots, rows)
-    return table.reshape(count, n_outcomes, dim + 1)
+    return table
 
 
 def random_measurement(dim: int, rng: np.random.Generator) -> np.ndarray:
     """One random measurement, as its ``(n_outcomes, dim + 1)`` effect rows.
 
     The outcome count is drawn first, uniform in ``2..MAX_OUTCOMES``; the
-    rest is the one-row case of ``random_measurements``.
+    rest is the one-row case of ``random_measurements``, bit for bit, with
+    the component count drawn as a scalar.
     """
     n_outcomes = int(rng.integers(2, MAX_OUTCOMES + 1))
-    return random_measurements(1, dim, n_outcomes, rng)[0]
+    owner = np.zeros(int(rng.integers(1, MAX_COMPONENTS + 1)), dtype=np.intp)
+    return _measurement_rows(owner, 1, dim, n_outcomes, rng)
 
 
 def capacity_search(dim: int, trials: int, seed: int) -> float:
@@ -230,9 +251,11 @@ def capacity_search(dim: int, trials: int, seed: int) -> float:
     def draw_table():
         n_states = int(rng.integers(2, MAX_STATES + 1))
         coins = rng.random((2, n_states))
-        radii = np.where(coins[0] < 0.5, 1.0, coins[1] ** (1.0 / dim))
-        rows = np.ones((n_states, dim + 1))
-        rows[:, 1:] = radii[:, None] * random_directions(n_states, dim, rng)
+        radii = coins[1] ** (1.0 / dim)
+        radii[coins[0] < 0.5] = 1.0
+        rows = np.empty((n_states, dim + 1))
+        rows[:, 0] = 1.0
+        np.multiply(radii[:, None], random_directions(n_states, dim, rng), out=rows[:, 1:])
         effect_rows = random_measurement(dim, rng)
         # One mat-vec per state, as a stack: a single gemm would round differently.
         return (effect_rows @ rows[:, :, None])[..., 0]

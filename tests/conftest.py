@@ -164,9 +164,13 @@ def search_tables():
         results = []
         run.tables = []
 
-        def recorded(conditional, tol, max_iter, *, incumbent):
+        def recorded(conditional, tol, max_iter, *, incumbent, _ceiling=None):
             result = original(
-                conditional, tol, max_iter, incumbent=incumbent if early_exit else None
+                conditional,
+                tol,
+                max_iter,
+                incumbent=incumbent if early_exit else None,
+                _ceiling=_ceiling,
             )
             results.append(result)
             run.tables.append(conditional)

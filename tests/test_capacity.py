@@ -1,6 +1,7 @@
 """Tests for the prior optimiser and the analytic capacity bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,17 @@ def row_stochastic_tables(draw):
     weights = draw(st.lists(row, min_size=n_in, max_size=n_in))
     table = np.array(weights)
     return table / table.sum(axis=1, keepdims=True)
+
+
+def result_fields(result) -> tuple:
+    """Every field of a ``CapacityResult``, floats as hex."""
+    return (
+        result.capacity_bits.hex(),
+        result.optimal_prior.tobytes().hex(),
+        result.iterations,
+        result.converged,
+        result.upper_bits.hex(),
+    )
 
 
 def circulant(row) -> np.ndarray:
@@ -256,6 +268,46 @@ class TestBlahutArimoto:
         assert result.iterations == 0
         assert blahut_arimoto(conditional).capacity_bits <= result.upper_bits
 
+    @settings(max_examples=80, deadline=None)
+    @given(row_stochastic_tables(), st.data())
+    def test_a_precomputed_renyi_bound_changes_nothing(self, conditional, data):
+        # The search hands each table its ranking score; the result must be
+        # what the call computing the bound itself returns, on both sides
+        # of the certificate.
+        ceiling = _ceiling_bits(conditional)
+        gap = st.sampled_from([-1.0, -1e-9, -EXACT_TOL, 0.0, EXACT_TOL, 1e-9, 1.0])
+        incumbent = data.draw(
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), gap.map(lambda g: ceiling + g))
+        )
+        plain = blahut_arimoto(conditional, tol=1e-6, max_iter=60, incumbent=incumbent)
+        given_bound = blahut_arimoto(
+            conditional, tol=1e-6, max_iter=60, incumbent=incumbent, _ceiling=ceiling
+        )
+        assert result_fields(given_bound) == result_fields(plain)
+
+    @pytest.mark.parametrize("negative", [-1e-12, -5e-13, -1e-300, -5e-324])
+    def test_entries_just_below_zero_are_clipped(self, negative):
+        # The validator lets such an entry through; the optimiser must run
+        # on the clipped table, bit for bit.
+        conditional = np.array([[0.75 - negative, negative, 0.25], [0.25, 0.5, 0.25]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = blahut_arimoto(conditional)
+        assert result_fields(result) == result_fields(
+            blahut_arimoto(np.maximum(conditional, 0.0))
+        )
+
+    def test_an_exact_zero_gives_a_finite_rate_without_warnings(self):
+        # The Z channel: log2 0 must never reach the row entropy term.
+        # Its capacity is log2(1 + (1 - q) q^(q / (1 - q))) at q = 1/2.
+        conditional = np.array([[1.0, 0.0], [0.5, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = blahut_arimoto(conditional)
+        assert result.converged
+        assert math.isfinite(result.upper_bits)
+        assert abs(result.capacity_bits - math.log2(1.25)) < 1e-9
+
     def test_incumbent_below_the_capacity_changes_nothing(self):
         result = blahut_arimoto(np.eye(4), incumbent=1.0)
         assert result.converged
@@ -441,6 +493,20 @@ class TestCertifiedCeiling:
             assert result.iterations == 0
             assert result.upper_bits == ceiling + delta * (abs(ceiling) + 1 / math.log(2))
             assert result.upper_bits <= 1.0 - EXACT_TOL
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_table_gets_one_renyi_bound(self, monkeypatch, seed):
+        # The search ranks by the bound and hands the same number to the
+        # optimiser's certificate: one computation per table.
+        calls = []
+
+        def counted(table):
+            calls.append(table)
+            return _ceiling_bits(table)
+
+        monkeypatch.setattr("gptlab.capacity._ceiling_bits", counted)
+        assert capacity_search(3, 40, seed) == 1.0
+        assert len(calls) == 40
 
     def test_perfectly_read_tetrahedron_breaks_the_certificate(
         self, search_tables, perfectly_read_tetrahedron

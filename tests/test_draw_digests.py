@@ -1,0 +1,138 @@
+"""Bit-for-bit pins of the falsifiers' random draws, layer by layer.
+
+The acceptance maxima of the one-bit falsifiers are far from their bounds,
+and ``capacity_search`` returns the antipodal 1.0 whatever its tables hold,
+so only these digests see a change to the random stream, to the draw order
+or to the rounding of a table.  Each is a sha256 over raw ``tobytes()``:
+
+- every table a search hands to Blahut-Arimoto, in the order the search
+  optimises them, at seeds 0-3;
+- every field of each of those tables' ``CapacityResult``, as hex, and the
+  search's maximum;
+- the stacks ``random_measurement`` and ``random_measurements`` return, and
+  one uniform drawn after them, which pins where they leave the stream.
+
+The digests were recorded with numpy 2.4; numpy does not promise the same
+Generator streams across releases.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from gptlab import capacity_search, product_decoding_baseline, separable_baseline
+from gptlab.hst import random_measurement, random_measurements
+
+SEEDS = range(4)
+
+# name: (search, dimension or bit count, trials)
+SEARCHES = {
+    "capacity_search_dim2": (capacity_search, 2, 100),
+    "capacity_search_dim3": (capacity_search, 3, 100),
+    "capacity_search_dim7": (capacity_search, 7, 100),
+    "capacity_search_dim15": (capacity_search, 15, 100),
+    "separable_baseline_dim3": (separable_baseline, 3, 40),
+    "product_decoding_baseline_n2": (product_decoding_baseline, 2, 40),
+}
+
+TABLE_DIGESTS = {
+    "capacity_search_dim2": "67830f199cc9b12952cf24bdcac94126cc27df8aa7a0d6f38702b8686cc99d58",
+    "capacity_search_dim3": "d0b288353e23e603ee09b7d52d2ec7c064c15e94ecad07c4297b80a063813157",
+    "capacity_search_dim7": "91bfecb58e9bd056480731ead7cb7ab8f456f5010794b5fb81fcd5bb527ea1b8",
+    "capacity_search_dim15": "102d0f806dea8f23b3950514d74ba34aac5cbf308250966cc75adff026510e75",
+    "separable_baseline_dim3": "39c90574ae41b7a1355d22bb4503f47e7b13eb5779b6e3a973ad9cf76adaf6f5",
+    "product_decoding_baseline_n2": "ce0157ee4b988938b990a3d3258070b16acf70971be67e2c08df8361af1e3dba",
+}
+
+RESULT_DIGESTS = {
+    "capacity_search_dim2": "055f1aa19c7afe99b262232e3c7ccd20924377cef2724edace2891cedb7a50dd",
+    "capacity_search_dim3": "7059ba2d3aedb9e0591b407e34955ee26154a3914994a8bf8fdfc5a771a77a4f",
+    "capacity_search_dim7": "26edcf2f6e55e6563245e8de911368b6b9e7fbfb64b85ac5a17ca9d7ef5dedca",
+    "capacity_search_dim15": "f69f5e4619e5dc654b06dfa42754bbee35d940dc2dd6c2dd0637451c70751ce1",
+    "separable_baseline_dim3": "d8baf9910b5ca09db2999703172a764ac2f82e7a8eb9dc6ca9b3390ea216d645",
+    "product_decoding_baseline_n2": "e1ed9d667872ec5e5d575a3d7e17c1ca824f803b5f51d54dd84f389eb72b5240",
+}
+
+MEASUREMENT_DIGESTS = {
+    1: "3505fa7348ff9826185c1bc7f0c12305b7bea6240ed11914ce6c14be77f7b183",
+    3: "3ae32ab499be3bed2dbc51c283063e1417e32e83f2478dd7572751bc6dd564e4",
+    15: "05b5c5f8a1f275d52e7230c7a74ce714fafb579403cdef7ed1f708ee3f5abecb",
+}
+
+STACK_DIGESTS = {
+    1: "8ee7e7b838c5b8874ca9f8494e7ec479bf3fea5a081ddfa02c02bad25491d818",
+    3: "ecc1fabd7820d0431ee73e4383cd7660de69d7879732d9473087876c79c8b5a9",
+    15: "c89ca4b660f5e0596e8e78e4438f7bb5f07f02503ac69c552690e742c8a1712b",
+}
+
+
+def add_array(digest, array: np.ndarray) -> None:
+    digest.update(f"{array.dtype.str}{array.shape}".encode())
+    digest.update(array.tobytes())
+
+
+def add_result(digest, result) -> None:
+    fields = (
+        result.capacity_bits.hex(),
+        result.optimal_prior.tobytes().hex(),
+        str(result.iterations),
+        str(result.converged),
+        result.upper_bits.hex(),
+    )
+    digest.update(" ".join(fields).encode())
+
+
+def search_digests(search_tables, search, arg, trials) -> tuple:
+    """Digests of the tables and of the results of one search, seeds 0-3."""
+    tables, results = hashlib.sha256(), hashlib.sha256()
+    for seed in SEEDS:
+        best, found = search_tables(search, arg, trials, seed)
+        assert len(found) == len(search_tables.tables) == trials
+        for table in search_tables.tables:
+            add_array(tables, table)
+        results.update(best.hex().encode())
+        for result in found:
+            add_result(results, result)
+    return tables.hexdigest(), results.hexdigest()
+
+
+def measurement_digest(dim: int) -> str:
+    """Five ``random_measurement`` draws per seed, then one uniform."""
+    digest = hashlib.sha256()
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            add_array(digest, random_measurement(dim, rng))
+        digest.update(rng.random().hex().encode())
+    return digest.hexdigest()
+
+
+def stack_digest(dim: int) -> str:
+    """``random_measurements`` stacks of 0, 1 and 7 rows per seed, each
+    followed by one uniform."""
+    digest = hashlib.sha256()
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        for count in (0, 1, 7):
+            add_array(digest, random_measurements(count, dim, 2 + seed, rng))
+            digest.update(rng.random().hex().encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", SEARCHES)
+def test_search_tables_and_results_are_pinned(search_tables, name):
+    search, arg, trials = SEARCHES[name]
+    tables, results = search_digests(search_tables, search, arg, trials)
+    assert tables == TABLE_DIGESTS[name]
+    assert results == RESULT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 15])
+def test_random_measurement_draws_are_pinned(dim):
+    assert measurement_digest(dim) == MEASUREMENT_DIGESTS[dim]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 15])
+def test_random_measurements_stacks_are_pinned(dim):
+    assert stack_digest(dim) == STACK_DIGESTS[dim]

@@ -231,6 +231,30 @@ class TestRandomFamilies:
         with pytest.raises(GptError, match="outcomes"):
             random_measurements(1, 3, 1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "count, dim, n_outcomes, name",
+        [
+            (1, 3, 2.5, "n_outcomes"),
+            (1, 3, True, "n_outcomes"),
+            (1, 3, "3", "n_outcomes"),
+            (True, 3, 3, "count"),
+            (-1, 3, 3, "count"),
+            (2.0, 3, 3, "count"),
+            (1, 0, 3, "ball dimension"),
+            (1, -1, 3, "ball dimension"),
+            (1, 2.5, 3, "ball dimension"),
+            (1, True, 3, "ball dimension"),
+        ],
+    )
+    def test_random_measurements_refuse_bad_counts(self, count, dim, n_outcomes, name):
+        with pytest.raises(GptError, match=f"^{name} must be"):
+            random_measurements(count, dim, n_outcomes, np.random.default_rng(0))
+
+    def test_random_measurements_accept_numpy_counts(self):
+        rng, plain = np.random.default_rng(0), np.random.default_rng(0)
+        stack = random_measurements(np.int64(2), 3, np.uint8(4), rng)
+        assert np.array_equal(stack, random_measurements(2, 3, 4, plain))
+
     def test_capacity_search_never_beats_one_bit(self):
         best = capacity_search(3, trials=150, seed=0)
         assert 1.0 <= best <= 1.0 + OPT_TOL
