@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lambda-tau-table",
-        help="best rates of the locally continuous deformed model",
+        help="best rates of the locally continuous deformed model at lambda*tau >= 0",
     )
     p.add_argument("--n-max", type=int, default=5)
     add_common(p)

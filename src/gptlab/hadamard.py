@@ -168,6 +168,31 @@ def verify_max_tensor_membership(
     return ValidationReport(passed=not violations, violations=tuple(violations))
 
 
+def _reconstruct(oracle, dim_a: int, dim_b: int) -> np.ndarray:
+    """``M_A^-1 P M_B^-T`` from one oracle call (see
+    ``local_tomography_from_oracle``).  The answers may carry leading axes,
+    one per state; the matrices come back with the same leading axes."""
+
+    def probes(dim: int) -> tuple:
+        # M = (I + 1 e_0^T)/2 and M^-1 = 2I - 1 e_0^T.
+        eye, first = np.eye(dim + 1), np.zeros((dim + 1, dim + 1))
+        first[:, 0] = 1.0
+        return 0.5 * (eye + first), 2.0 * eye - first
+
+    probes_a, inverse_a = probes(dim_a)
+    probes_b, inverse_b = probes(dim_b)
+    # Probe i (d_B + 1) + j is row i of M_A with row j of M_B.
+    probs = oracle(np.repeat(probes_a, dim_b + 1, axis=0), np.tile(probes_b, (dim_a + 1, 1)))
+    table = np.reshape(probs, np.shape(probs)[:-1] + (dim_a + 1, dim_b + 1))
+    return inverse_a @ table @ inverse_b.T
+
+
+def _product_oracle(matrices):
+    """The exact oracle of ``local_tomography_from_oracle`` for a state
+    matrix or a ``(k, rows, cols)`` stack of them."""
+    return lambda a, b: np.einsum("km,...mn,kn->...k", a, matrices, b)
+
+
 def local_tomography_from_oracle(oracle, dim_a: int, dim_b: int) -> BipartiteState:
     """Reconstruct a bipartite state from product-effect statistics alone.
 
@@ -182,24 +207,9 @@ def local_tomography_from_oracle(oracle, dim_a: int, dim_b: int) -> BipartiteSta
 
         phi = M_A^-1 P M_B^-T,    M^-1 = [[1, 0], [-1, 2I]].
     """
-
-    def probes(dim: int) -> tuple:
-        # M = (I + 1 e_0^T)/2 and M^-1 = 2I - 1 e_0^T.
-        eye, first = np.eye(dim + 1), np.zeros((dim + 1, dim + 1))
-        first[:, 0] = 1.0
-        return 0.5 * (eye + first), 2.0 * eye - first
-
-    probes_a, inverse_a = probes(dim_a)
-    probes_b, inverse_b = probes(dim_b)
-    # Probe i (d_B + 1) + j is row i of M_A with row j of M_B.
-    probs = oracle(np.repeat(probes_a, dim_b + 1, axis=0), np.tile(probes_b, (dim_a + 1, 1)))
-    table = np.reshape(probs, (dim_a + 1, dim_b + 1))
-    return BipartiteState(inverse_a @ table @ inverse_b.T)
+    return BipartiteState(_reconstruct(oracle, dim_a, dim_b))
 
 
 def local_tomography(phi: BipartiteState) -> BipartiteState:
     """Reconstruct ``phi`` from local statistics; exact for this model."""
-    dim_a, dim_b = phi.dims
-    return local_tomography_from_oracle(
-        lambda a, b: np.einsum("km,mn,kn->k", a, phi.matrix, b), dim_a, dim_b
-    )
+    return local_tomography_from_oracle(_product_oracle(phi.matrix), *phi.dims)

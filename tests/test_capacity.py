@@ -155,6 +155,11 @@ class TestBlahutArimoto:
         with pytest.raises(GptError, match="tol"):
             blahut_arimoto(np.eye(2), tol=tol)
 
+    @pytest.mark.parametrize("tol", ["1e-6", None, 1j])
+    def test_rejects_a_tol_that_is_not_a_number(self, tol):
+        with pytest.raises(GptError, match="tol must be positive and finite"):
+            blahut_arimoto(np.eye(2), tol=tol)
+
     @pytest.mark.parametrize("size", range(1, 9))
     def test_identity_bounds_sandwich_the_closed_form(self, size):
         result = blahut_arimoto(np.eye(size))

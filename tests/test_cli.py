@@ -342,6 +342,30 @@ class TestVerifyCommand:
         assert [k for k, v in checks.items() if v is not True] == ["states_base_n3"]
         assert report["passed"] is False
 
+    @pytest.mark.parametrize("shift", [0.0, 1e-9])
+    def test_tomography_suite_asks_one_oracle_call_per_n(self, capsys, monkeypatch, shift):
+        from gptlab import hadamard
+
+        honest = hadamard._reconstruct
+        asked = []
+
+        def shifted(oracle, dim_a, dim_b):
+            def counting(effects_a, effects_b):
+                asked.append(dim_a)
+                return oracle(effects_a, effects_b)
+
+            rebuilt = honest(counting, dim_a, dim_b)
+            if dim_a == 3:
+                rebuilt[4, 1, 2] += shift  # rows 0-3 are entangled, row 4 a product
+            return rebuilt
+
+        monkeypatch.setattr(hadamard, "_reconstruct", shifted)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "tomography", "--format", "json")
+        checks = json.loads(out)["suites"]["tomography"]["checks"]
+        failed = [k for k, v in checks.items() if v is not True]
+        assert asked == [1, 3, 7]
+        assert (code, failed) == ((1, ["products_recovered_n2"]) if shift else (0, []))
+
     def test_lemmas_suite_builds_no_bipartite_value_object(self, capsys, monkeypatch):
         from gptlab.core import BipartiteEffect, BipartiteState
 

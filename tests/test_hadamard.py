@@ -431,6 +431,23 @@ class TestLocalTomography:
         assert np.array_equal(rebuilt.matrix, phi.matrix)
         assert calls == [(3 + 1) * (3 + 1)]
 
+    @pytest.mark.parametrize("n_bits", [1, 2, 3])
+    def test_stacked_answers_rebuild_each_state_as_alone(self, n_bits):
+        rng = np.random.default_rng(n_bits)
+        dim = 2**n_bits - 1
+        sides = np.array([[random_state(dim, rng).entries for _ in "ab"] for _ in range(6)])
+        states = np.concatenate(
+            [
+                [entangled_state(mu, n_bits).matrix for mu in range(dim + 1)],
+                sides[:, 0, :, None] * sides[:, 1, None, :],
+            ]
+        )
+        rebuilt = hadamard._reconstruct(hadamard._product_oracle(states), dim, dim)
+        assert rebuilt.shape == states.shape
+        for matrix, alone in zip(states, rebuilt):
+            assert np.array_equal(alone, local_tomography(BipartiteState(matrix)).matrix)
+            assert np.abs(alone - matrix).max() <= EXACT_TOL
+
     @pytest.mark.parametrize("dim_a, dim_b", [(1, 3), (3, 7)])
     def test_unequal_sides(self, dim_a, dim_b):
         def axis_state(dim, k, sign):

@@ -778,8 +778,14 @@ class TestStackedLemmaPath:
         assert [r.passed for r in lemma_effect_checks(gammas)] == [passed] * 2
 
     def test_passing_rows_share_one_empty_report(self):
-        reports = lemma_state_checks(family_matrices(TheoryConfig.base(2), 0)[0])
-        assert all(r.passed and r.violations == () for r in reports)
+        states, effects = family_matrices(TheoryConfig.base(2), 0)
+        for reports in (lemma_state_checks(states), lemma_effect_checks(effects)):
+            assert all(r is reports[0] for r in reports)
+            assert reports[0].passed and reports[0].violations == ()
+        states[1, 1:, 1:] *= 1.01  # one failing row takes the report path
+        reports = lemma_state_checks(states)
+        assert [r.passed for r in reports] == [i != 1 for i in range(len(states))]
+        assert all(r is reports[0] for i, r in enumerate(reports) if i != 1)
 
     @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 4, 4), (3, 0, 4), (3, 4, 0)])
     def test_stack_must_hold_non_empty_matrices(self, shape):
