@@ -127,7 +127,7 @@ def blahut_arimoto(
     # Row entropy term of c_x = sum_y p(y|x) log2(p(y|x)/p_y); the prior
     # stays strictly positive, so any output with p_y = 0 has an all-zero
     # conditional column and drops out of the mat-vec below.
-    row_term = np.sum(p * log_p, axis=1)
+    row_term = np.sum(np.multiply(p, log_p, out=log_p), axis=1)
 
     lower, upper = 0.0, math.inf
     converged = False

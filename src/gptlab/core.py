@@ -31,7 +31,8 @@ OPT_TOL = 1e-6
 
 THEORY_KINDS = ("base", "lambda-tau", "embedded", "weak")
 # Largest N any protocol builds, enforced by ``hadamard``: the swap holds about
-# three (2^N)^2 float arrays and a dense-coding run two, 0.40 / 0.29 GB at N = 12.
+# three (2^N)^2 float arrays and a dense-coding run one, a peak RSS of 427 /
+# 173 MB at N = 12.
 MAX_N_BITS = 12
 
 
@@ -48,6 +49,20 @@ class ProtocolFalsified(GptError):
 
 
 def _frozen(array) -> np.ndarray:
+    """A read-only float64 array holding ``array``'s values.
+
+    A read-only float64 ndarray that owns its data is taken as is, so code
+    that marks its fresh array read-only hands it over without a copy;
+    marking it so promises that nothing writes it again.  Any other input
+    (writeable, a view, another dtype or a subclass) is copied.
+    """
+    if (
+        type(array) is np.ndarray
+        and not array.flags.writeable
+        and array.flags.owndata
+        and array.dtype == np.float64
+    ):
+        return array
     out = np.array(array, dtype=float)
     out.setflags(write=False)
     return out

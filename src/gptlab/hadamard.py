@@ -40,7 +40,7 @@ from .core import (
     bipartite_contract,
     bipartite_unit,
 )
-from .hst import random_directions
+from .hst import extremal_rows, random_directions
 
 
 def _check_n_bits(n_bits: int) -> int:
@@ -59,17 +59,22 @@ def _check_label(label: int, n_bits: int) -> int:
     return n_bits
 
 
+# The narrowest unsigned dtype that holds the labels 0 .. 2^N - 1, per N, so
+# that their bit counts run on as few bytes as possible.
+_LABEL_DTYPES = tuple(np.min_scalar_type(2**n - 1) for n in range(MAX_N_BITS + 1))
+
+
 def hadamard_vector(label: int, n_bits: int) -> np.ndarray:
     """Sign vector with components ``(-1)^parity(label AND nu)``."""
     n_bits = _check_label(label, n_bits)
-    nu = np.arange(2**n_bits, dtype=np.uint64)
-    return 1.0 - 2.0 * (np.bitwise_count(nu & np.uint64(label)) & 1)
+    nu = np.arange(2**n_bits, dtype=_LABEL_DTYPES[n_bits])
+    return 1.0 - 2.0 * (np.bitwise_count(nu & nu.dtype.type(label)) & 1)
 
 
 def hadamard_basis(n_bits: int) -> np.ndarray:
     """All ``2^N`` sign vectors, stacked as rows (a Hadamard matrix)."""
     n_bits = _check_n_bits(n_bits)
-    nu = np.arange(2**n_bits, dtype=np.uint64)
+    nu = np.arange(2**n_bits, dtype=_LABEL_DTYPES[n_bits])
     signs = -2.0 * (np.bitwise_count(nu[:, None] & nu) & 1)
     signs += 1.0
     return signs
@@ -142,10 +147,10 @@ def verify_max_tensor_membership(
         violations.append({"check": "unit_normalisation", "value": total})
 
     # Probe t draws alpha_t, then beta_t.
-    directions = random_directions(2 * trials, dim, np.random.default_rng(seed))
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
+    directions = random_directions(2 * trials, dim, rng)
     alpha, beta = directions[0::2], directions[1::2]
-    e_alpha = 0.5 * np.insert(alpha, 0, 1.0, axis=1)
-    e_beta = 0.5 * np.insert(beta, 0, 1.0, axis=1)
+    e_alpha, e_beta = extremal_rows(alpha), extremal_rows(beta)
     p = np.einsum("ti,ij,tj->t", e_alpha, phi.matrix, e_beta)
     bad_range = ~((p >= -EXACT_TOL) & (p <= 1.0 + EXACT_TOL))
 

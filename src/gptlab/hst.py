@@ -130,6 +130,15 @@ def random_directions(count: int, dim: int, rng: np.random.Generator) -> np.ndar
     return v
 
 
+def extremal_rows(directions: np.ndarray) -> np.ndarray:
+    """Rows ``(1, m)/2`` of the extremal effects along the rows ``m`` of a
+    ``(count, dim)`` array, bit for bit ``0.5 * (1, m)``."""
+    rows = np.empty((directions.shape[0], directions.shape[1] + 1))
+    rows[:, 0] = 0.5
+    np.multiply(directions, 0.5, out=rows[:, 1:])
+    return rows
+
+
 def random_direction(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform point on the unit sphere (normalised Gaussian vector)."""
     return random_directions(1, dim, rng)[0]
@@ -246,7 +255,7 @@ def capacity_search(dim: int, trials: int, seed: int) -> float:
     ``dim`` must be an integer in ``[1, MAX_DIM]``, ``trials`` at least 1.
     """
     dim = _check_dim(dim)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
 
     def draw_table():
         n_states = int(rng.integers(2, MAX_STATES + 1))

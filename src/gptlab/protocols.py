@@ -56,6 +56,7 @@ from .core import (
 from .hadamard import _check_label, _check_n_bits, bell_measurement, hadamard_basis
 from .hst import (
     MAX_COMPONENTS,
+    extremal_rows,
     make_state,
     random_ball_points,
     random_directions,
@@ -225,7 +226,7 @@ def separable_baseline(dim: int, trials: int, seed: int, best: float = 0.0) -> f
     """
     n_bits = _n_bits_for_dim(dim)
     dim = 2**n_bits - 1  # a plain int: numpy integers wrap
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
     signs = hadamard_basis(n_bits)
     bell_effects = np.stack([e.matrix for e in bell_measurement(n_bits).effects])
 
@@ -252,7 +253,7 @@ def product_decoding_baseline(n_bits: int, trials: int, seed: int) -> float:
     """
     n_bits = _check_n_bits(n_bits)
     dim = 2**n_bits - 1
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
     signs = hadamard_basis(n_bits)
 
     def draw_table():
@@ -277,7 +278,7 @@ def no_signalling_spread(n_bits: int, trials: int, seed: int) -> float:
     n_bits = _check_n_bits(n_bits)
     _check_count("trials", trials, 1)
     dim = 2**n_bits - 1
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
     signs = hadamard_basis(n_bits)
     worst = 0.0
     for _ in range(trials):
@@ -326,11 +327,12 @@ def teleport(
     # Extremal effects (1, m)/2 along n_effects + 1 random m, one draw: the
     # probes are the first n_effects plus the unit u, and the pair is the
     # canonical measurement {e_m, u - e_m} along the last m.
-    directions = random_directions(n_effects + 1, dim, np.random.default_rng(seed))
-    extremal = 0.5 * np.insert(directions, 0, 1.0, axis=1)
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
+    directions = random_directions(n_effects + 1, dim, rng)
+    probe_rows = extremal_rows(directions)
     unit = np.eye(1, dim + 1)[0]
-    probe_rows = np.vstack((extremal[:-1], unit))
-    pair_rows = np.array([extremal[-1], unit - extremal[-1]])
+    pair_rows = np.array([probe_rows[-1], unit - probe_rows[-1]])
+    probe_rows[-1] = unit
 
     omega = input_state.entries
     expected = probe_rows @ omega  # e_y . omega per probe effect

@@ -65,7 +65,7 @@ from .hst import make_extremal_effect, random_directions
 FAMILY_RANDOM_PAIRS = 20
 # Largest N whose 2^N is a finite double: the lambda-tau closed forms
 # (``lt_optimal_product``, ``lt_peak_probability``, ``lt_optimal_info``)
-# are computed in floats.
+# and ``dense_coding_info`` are computed in floats.
 LT_MAX_N_BITS = 1023
 
 # --------------------------------------------------------------------------
@@ -138,7 +138,10 @@ def dense_coding_channel(theory: TheoryConfig) -> Channel:
     the sums catch a sign row written over another, and a row permutation
     passes both, as it leaves the table unchanged.  The embedded model's
     ``block-diag(T_x, R)`` is ``T_x`` on the corner, where ``phi_0`` and
-    every ``E_y`` live: no rotation enters the table.
+    every ``E_y`` live: no rotation enters the table.  The table is written
+    into one array by block doubling, marked read-only and handed to the
+    ``Channel`` without a copy, so the build holds about one table at its
+    peak: the signs, then the table.
     """
     n = theory.n_bits
     size = theory.hadamard_dim
@@ -157,9 +160,17 @@ def dense_coding_channel(theory: TheoryConfig) -> Channel:
         raise ProtocolFalsified(
             f"{theory.kind} dense coding deviates from its closed form by {gap!r}"
         )
-    row = rows[:, 0].clip(0.0, 1.0)
-    labels = np.arange(size)
-    return Channel(prior=np.full(size, 1.0 / size), conditional=row[labels[:, None] ^ labels])
+    # Row x ^ k is row x with each pair of width-k column blocks swapped, so
+    # rows [k, 2k) are rows [0, k) with their blocks swapped: q[x ^ y] exactly.
+    table = np.empty((size, size))
+    table[0] = rows[:, 0].clip(0.0, 1.0)
+    k = 1
+    while k < size:
+        blocks = table[:k].reshape(k, -1, 2, k)
+        table[k : 2 * k].reshape(blocks.shape)[...] = blocks[:, :, ::-1]
+        k *= 2
+    table.setflags(write=False)
+    return Channel(prior=np.full(size, 1.0 / size), conditional=table)
 
 
 def dense_coding_info(n_bits: int, product: float) -> float:
@@ -171,9 +182,13 @@ def dense_coding_info(n_bits: int, product: float) -> float:
     on one symbol and ``2^-N (1 - p)`` on each other, which gives
     ``[phi((2^N - 1) p) + (2^N - 1) phi(-p)] / (2^N ln 2)``.  The first-order
     terms of the two phi cancel on paper, so every term summed is ``>= 0``;
-    the rate is exactly N at ``p = 1``, and a p that no table has is refused.
+    the rate is exactly N at ``p = 1``, and a p that no table has is refused,
+    as is an N above ``LT_MAX_N_BITS``, whose ``2^N`` is no finite double.
     """
-    size = 2.0 ** _check_count("n_bits", n_bits, 1)
+    n_bits = _check_count("n_bits", n_bits, 1)
+    if n_bits > LT_MAX_N_BITS:
+        raise GptError(f"n_bits must be at most {LT_MAX_N_BITS}, got {n_bits}")
+    size = 2.0**n_bits
     product = _check_product(size, product)
     if product == 1.0:
         return float(n_bits)
@@ -356,7 +371,7 @@ def tl_violation_witness(
     """
     _require_kind(theory, "embedded")
     _check_count("trials", trials, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
     states = np.stack([theory_state(mu, theory).matrix for mu in range(theory.hadamard_dim)])
     distances = tuple(float(d) for d in np.abs(states[0] - states).sum(axis=(1, 2)))
 
@@ -537,7 +552,7 @@ def family_matrices(theory: TheoryConfig, seed: int = 0) -> tuple:
     per pair.  Every row equals the matrix of the value object
     ``constructed_family`` wraps it in, bit for bit.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
     size = theory.hadamard_dim
     width = 1 + theory.local_dim
     state_scale, effect_scale = correlation_scales(theory)

@@ -39,6 +39,7 @@ from gptlab.hst import (
     make_state,
     random_state,
 )
+from gptlab.variants import dense_coding_channel
 
 
 def binary_entropy(p: float) -> float:
@@ -289,6 +290,46 @@ class TestChannelValidation:
     def test_rejects_negative_entries(self):
         with pytest.raises(DomainError):
             Channel(np.array([1.0]), np.array([[1.2, -0.2]]))
+
+
+class TestFrozen:
+    def test_read_only_owner_is_held_as_is(self):
+        table = np.eye(3)
+        table.setflags(write=False)
+        channel = Channel(np.full(3, 1 / 3), table)
+        assert channel.conditional is table
+
+    def test_dense_coding_channel_adopts_its_table(self):
+        channel = dense_coding_channel(TheoryConfig.base(3))
+        assert channel.conditional.flags.owndata and not channel.conditional.flags.writeable
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.eye(3),
+            lambda: np.eye(4)[:3, :3],
+            lambda: np.eye(3, dtype=np.int64),
+            lambda: np.eye(3, dtype=np.float32),
+        ],
+        ids=["writeable", "view", "int", "float32"],
+    )
+    def test_other_inputs_are_copied(self, make):
+        source = make()
+        channel = Channel(np.full(3, 1 / 3), source)
+        assert channel.conditional is not source
+        assert channel.conditional.dtype == np.float64
+        assert not channel.conditional.flags.writeable
+        source[0, 0], source[0, 1] = 0, 1
+        assert np.array_equal(channel.conditional, np.eye(3))
+
+    def test_read_only_view_is_copied(self):
+        owner = np.eye(3)
+        view = owner[:]
+        view.setflags(write=False)
+        channel = Channel(np.full(3, 1 / 3), view)
+        assert channel.conditional is not view
+        owner[0, 0], owner[0, 1] = 0.0, 1.0
+        assert np.array_equal(channel.conditional, np.eye(3))
 
 
 NON_FINITE_CONSTRUCTORS = {

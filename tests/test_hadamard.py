@@ -87,7 +87,8 @@ class TestSignVectors:
                 vec = hadamard_vector(mu, n_bits)
                 assert np.sum(vec == -1) == 2 ** (n_bits - 1)
 
-    @pytest.mark.parametrize("n_bits", range(1, 9))
+    # The labels are uint8 up to N = 8 and uint16 from N = 9.
+    @pytest.mark.parametrize("n_bits", range(1, 10))
     def test_rows_are_float_signs_of_the_label_parity(self, n_bits):
         labels = range(2**n_bits)
         expected = np.array([[(-1.0) ** (mu & nu).bit_count() for nu in labels] for mu in labels])
@@ -98,8 +99,9 @@ class TestSignVectors:
         assert np.array_equal(np.stack(vectors), expected)
 
     def test_basis_holds_no_integer_table_beside_its_floats(self):
-        # A table is one 2^N x 2^N float array. The uint64 AND table is freed
-        # before the float rows are made from the uint8 parities, in place.
+        # A table is one 2^N x 2^N float array. The AND table of the narrow
+        # (here uint16) labels is freed before the float rows are made from
+        # the uint8 parities, in place.
         table = 8 * 4**10
         tracemalloc.start()
         try:

@@ -30,6 +30,7 @@ from gptlab import (
     product_state,
     separable_baseline,
     teleport,
+    verify_max_tensor_membership,
 )
 from gptlab import capacity, protocols, variants
 from gptlab.capacity import SEARCH_BLOCK, blahut_arimoto
@@ -706,3 +707,29 @@ def test_bad_bit_counts_are_refused(entry, n_bits):
     for value in (n_bits, minimum - 1):
         with pytest.raises(GptError, match=f"n_bits must be an integer >= {minimum}"):
             call(value)
+
+
+# Unchecked, a negative seed ended in numpy's raw "expected non-negative
+# integer" from default_rng.
+SEED_CHECKS = {
+    "capacity_search": lambda seed: capacity_search(3, 1, seed),
+    "separable_baseline": lambda seed: separable_baseline(3, 1, seed),
+    "product_decoding_baseline": lambda seed: product_decoding_baseline(2, 1, seed),
+    "no_signalling_spread": lambda seed: no_signalling_spread(2, 1, seed),
+    "teleport": lambda seed: teleport(make_state(np.zeros(3)), 2, seed=seed),
+    "verify_max_tensor_membership": lambda seed: verify_max_tensor_membership(
+        entangled_state(0, 2), 2, trials=1, seed=seed
+    ),
+    "tl_violation_witness": lambda seed: variants.tl_violation_witness(
+        TheoryConfig.embedded(2, 2), 1, seed
+    ),
+    "family_matrices": lambda seed: variants.family_matrices(TheoryConfig.base(2), seed),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEED_CHECKS))
+def test_negative_seeds_are_refused(entry):
+    SEED_CHECKS[entry](0)
+    for seed in (-1, np.int64(-1)):
+        with pytest.raises(GptError, match=r"^seed must be an integer >= 0, got "):
+            SEED_CHECKS[entry](seed)

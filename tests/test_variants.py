@@ -946,6 +946,13 @@ class TestDiagonalLayer:
         with pytest.raises(DomainError, match="outside"):
             dense_coding_info(3, product)
 
+    def test_rate_refuses_more_bits_than_a_float_exponent_holds(self):
+        # 2.0**1024 overflowed to a raw OverflowError.
+        with pytest.raises(GptError, match="n_bits must be at most 1023, got 1024"):
+            dense_coding_info(1024, 0.5)
+        assert dense_coding_info(1023, 1.0) == 1023
+        assert math.isfinite(dense_coding_info(1023, 0.5))
+
     @pytest.mark.parametrize("n_bits", [1, 3, 12])
     def test_rate_takes_both_ends_of_the_window(self, n_bits):
         size = 2**n_bits
@@ -982,9 +989,9 @@ class TestDiagonalLayer:
     @pytest.mark.parametrize("theory", TEN_BIT_THEORIES, ids=lambda theory: theory.kind)
     def test_channel_build_holds_few_tables(self, theory):
         # A table is one 2^N x 2^N float array. The float signs are the only
-        # table while the row and column sums are taken; two are live after
-        # them: the XOR index and the gathered table, then that table and
-        # the channel's frozen copy.
+        # table while the row and column sums are taken, and they are freed
+        # before the table is written by block doubling; the channel adopts
+        # that read-only table without a copy.
         table = 8 * 4**10
         tracemalloc.start()
         try:
@@ -992,12 +999,13 @@ class TestDiagonalLayer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * table
+        assert peak <= 1.25 * table
 
     @pytest.mark.parametrize("theory", TEN_BIT_THEORIES, ids=lambda theory: theory.kind)
     def test_dense_coding_run_holds_few_tables(self, theory):
         # The run keeps no shared-state matrix and reads its rate off the
-        # closed form, so it peaks where the channel build does.
+        # closed form, so it peaks where the channel build does: at one
+        # table plus the narrow bit counts of the signs.
         table = 8 * 4**10
         tracemalloc.start()
         try:
@@ -1005,7 +1013,22 @@ class TestDiagonalLayer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * table
+        assert peak <= 1.25 * table
+
+    @pytest.mark.parametrize("n_bits", range(1, 11))
+    def test_table_is_the_xor_gather_of_its_first_row(self, n_bits):
+        # Block doubling writes q[x ^ y] bit for bit, for every kind.
+        labels = np.arange(2**n_bits)
+        theories = [TheoryConfig.base(n_bits)]
+        if n_bits >= 2:
+            theories += [
+                TheoryConfig.lambda_tau(n_bits, 1.0, 1.0 / (2**n_bits - 1)),
+                TheoryConfig.weak(n_bits, -0.5 / (2**n_bits - 1)),
+                TheoryConfig.embedded(n_bits, 2),
+            ]
+        for theory in theories:
+            table = variants.dense_coding_channel(theory).conditional
+            assert np.array_equal(table, table[0][labels[:, None] ^ labels]), theory.kind
 
     def test_embedded_channel_builds_no_transformation(self, monkeypatch):
         from gptlab.core import Transformation
