@@ -8,7 +8,6 @@ and the deformed models that trade the effect away.
 """
 
 from .capacity import (
-    CapacityResult,
     blahut_arimoto,
     dimension_upper_bound,
     weak_entanglement_bound,
@@ -28,7 +27,6 @@ from .core import (
     State,
     TheoryConfig,
     Transformation,
-    ValidationReport,
     bipartite_contract,
     bipartite_unit,
     contract,
@@ -38,10 +36,8 @@ from .core import (
     product_state,
     reduced_states,
     unit_effect,
-    validate_measurement,
 )
 from .hadamard import (
-    LocalTransformation,
     bell_measurement,
     entangled_effect,
     entangled_state,
@@ -52,21 +48,12 @@ from .hadamard import (
     verify_max_tensor_membership,
 )
 from .hst import (
-    canonical_measurement,
     capacity_search,
     capacity_upper_bound,
-    make_effect,
-    make_extremal_effect,
-    make_state,
     one_bit_protocol,
-    random_pure_state,
-    random_state,
 )
 from .protocols import (
-    DenseCodingRun,
     ProtocolLabel,
-    SwapRun,
-    TeleportationRun,
     classify,
     dc_capacity_lower_bound,
     dense_coding,
@@ -77,17 +64,9 @@ from .protocols import (
     teleport,
 )
 from .variants import (
-    TlWitnessReport,
-    correlation_scales,
-    dense_coding_channel,
     dense_coding_info,
-    embedded_dense_coding,
-    embedded_transformation,
-    family_matrices,
     lemma_effect_check,
-    lemma_effect_checks,
     lemma_state_check,
-    lemma_state_checks,
     lt_admissibility_witness,
     lt_channel,
     lt_optimal_info,

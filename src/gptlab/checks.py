@@ -2,17 +2,20 @@
 
 Each suite takes ``(seed, trials)`` and returns an ordered dict of named
 checks: booleans, or the measured rates the one-bit gates compare.  A
-suite passes when none of its values is ``False``.  ``SUITES`` maps each
-``--suite`` name to its function.
+suite passes when none of its values is ``False``.  A seed that is not an
+integer of at least 0 raises ``GptError`` in every suite.  ``SUITES`` maps
+each ``--suite`` name to its function.
 """
 
 import numpy as np
 
 from . import hadamard, hst, protocols, variants
-from .core import EXACT_TOL, OPT_TOL, TheoryConfig, bipartite_unit, mix_bipartite
+from .core import EXACT_TOL, OPT_TOL, TheoryConfig, _check_count, bipartite_unit, mix_bipartite
 
 
 def _suite_group(seed: int, trials: int) -> dict:
+    # The group law draws nothing, but every suite refuses the same seeds.
+    _check_count("seed", seed, 0)
     checks = {}
     for n in range(1, 7):
         basis = hadamard.hadamard_basis(n)
@@ -38,6 +41,7 @@ def _suite_group(seed: int, trials: int) -> dict:
 
 
 def _suite_consistency(seed: int, trials: int) -> dict:
+    seed = _check_count("seed", seed, 0)
     checks = {}
     rng = np.random.default_rng(seed)
     draws = max(1, trials // 10)
@@ -79,6 +83,7 @@ def _suite_consistency(seed: int, trials: int) -> dict:
 
 
 def _suite_tomography(seed: int, trials: int) -> dict:
+    seed = _check_count("seed", seed, 0)
     checks = {}
     rng = np.random.default_rng(seed)
     for n in (1, 2, 3):
@@ -106,6 +111,7 @@ def _suite_tomography(seed: int, trials: int) -> dict:
 
 
 def _suite_lemmas(seed: int, trials: int) -> dict:
+    seed = _check_count("seed", seed, 0)
     checks = {}
     theories = [
         TheoryConfig.base(2), TheoryConfig.base(3),
@@ -122,6 +128,7 @@ def _suite_lemmas(seed: int, trials: int) -> dict:
 
 
 def _suite_baseline(seed: int, trials: int) -> dict:
+    seed = _check_count("seed", seed, 0)
     checks = {}
     # The separable trials run in 8 independently seeded chunks; the first
     # ``trials % 8`` chunks take one extra trial and empty chunks are skipped.

@@ -126,7 +126,13 @@ def effect_probability_range(effect: Effect) -> tuple:
 
 @dataclass(frozen=True)
 class Measurement:
-    """Ordered collection of effects that sum to the unit effect."""
+    """Ordered, non-empty collection of effects.
+
+    The constructor checks only that the tuple is non-empty; nothing checks
+    that the effects sum to the unit.  ``hst.canonical_measurement`` and
+    ``hadamard.bell_measurement`` build measurements that do by
+    construction.
+    """
 
     effects: tuple
 
@@ -394,23 +400,6 @@ class TheoryConfig:
         """Classical capacity of one local system; 1 bit for every kind."""
         return 1.0
 
-    def state_from_direction(self, direction) -> State:
-        """Pure local state pointing along ``direction`` in the active block.
-
-        For the embedded model the active block is the trailing ``m``
-        coordinates; the leading ball block is frozen at zero.
-        """
-        direction = np.asarray(direction, dtype=float)
-        active = self.active_dim
-        if direction.size != active:
-            raise GptError(
-                f"direction has {direction.size} components, expected {active}"
-            )
-        entries = np.zeros(self.local_dim + 1)
-        entries[0] = 1.0
-        entries[self.local_dim + 1 - active :] = direction
-        return State(entries)
-
 
 def unit_effect(dim: int) -> Effect:
     """The effect assigning probability 1 to every normalised state."""
@@ -502,57 +491,3 @@ def mutual_information(channel: Channel) -> float:
     np.multiply(terms, joint, out=terms, where=mask)
     del joint
     return float(np.sum(terms[mask]))
-
-
-def validate_measurement(measurement: Measurement, theory: TheoryConfig) -> ValidationReport:
-    """Check completeness and probability bounds against ``theory``.
-
-    Local states move only in the theory's active block, so each effect
-    takes exactly the ``effect_probability_range`` of its normalisation
-    entry plus its active block.  An effect fails at each end of that range
-    outside ``[0, 1]``, witnessed by the pure state aligned with the block
-    (the high end) or opposed to it (the low end); with a zero block the
-    witness is the maximally mixed state.  A non-finite entry makes every
-    probability NaN, which fails both ends.
-    """
-    violations = []
-    size = measurement.effects[0].entries.size
-    for e in measurement.effects:
-        if e.entries.size != size:
-            raise GptError("measurement effects have mismatched lengths")
-    if size != theory.local_dim + 1:
-        raise GptError(
-            f"effects have {size} entries but the theory's states have "
-            f"{theory.local_dim + 1}"
-        )
-
-    total = np.sum([e.entries for e in measurement.effects], axis=0)
-    expected = unit_effect(theory.local_dim).entries
-    for k in np.flatnonzero(~(np.abs(total - expected) <= EXACT_TOL)):
-        violations.append(
-            {
-                "check": "completeness",
-                "component": int(k),
-                "value": float(total[k]),
-                "expected": float(expected[k]),
-            }
-        )
-
-    for i, e in enumerate(measurement.effects):
-        active = e.entries[size - theory.active_dim :]
-        ends = effect_probability_range(Effect(np.concatenate((e.entries[:1], active))))
-        if not np.isfinite(e.entries).all():
-            ends = (math.nan, math.nan)
-        norm = np.linalg.norm(active)
-        direction = active / norm if norm > 0 else np.zeros_like(active)
-        for sign, p in ((1.0, ends[1]), (-1.0, ends[0])):
-            if not -EXACT_TOL <= p <= 1.0 + EXACT_TOL:
-                violations.append(
-                    {
-                        "check": "probability_range",
-                        "effect_index": i,
-                        "state_r": theory.state_from_direction(sign * direction).r.tolist(),
-                        "value": p,
-                    }
-                )
-    return ValidationReport(passed=not violations, violations=tuple(violations))

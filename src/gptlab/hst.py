@@ -24,7 +24,6 @@ from .core import (
     State,
     _check_count,
     contract,
-    effect_probability_range,
     mutual_information,
 )
 
@@ -65,23 +64,6 @@ def make_extremal_effect(direction) -> Effect:
     return Effect(0.5 * np.concatenate(([1.0], direction)))
 
 
-def make_effect(weight: float, direction) -> Effect:
-    """General effect ``weight * (1, direction)``, validated on the ball.
-
-    Validity over the unit ball is exactly ``weight*(1+||direction||) <= 1``
-    and ``weight*(1-||direction||) >= 0``.
-    """
-    direction = np.asarray(direction, dtype=float)
-    _check_dim(direction.size)
-    e = Effect(weight * np.concatenate(([1.0], direction)))
-    lo, hi = effect_probability_range(e)
-    if not (lo >= -EXACT_TOL and hi <= 1.0 + EXACT_TOL):
-        raise DomainError(
-            f"effect takes probabilities in [{lo!r}, {hi!r}] on the ball"
-        )
-    return e
-
-
 def canonical_measurement(direction) -> Measurement:
     """The two-outcome measurement ``{e_m, e_-m}`` along a unit vector."""
     direction = np.asarray(direction, dtype=float)
@@ -95,23 +77,17 @@ def capacity_upper_bound(effect_norm: float, state_norm: float) -> float:
     return float(np.log2(1.0 + effect_norm * state_norm))
 
 
-def one_bit_protocol(dim: int, encode_direction=None, decode_direction=None) -> Channel:
+def one_bit_protocol(dim: int) -> Channel:
     """Antipodal encoding read out by a canonical measurement.
 
-    Messages 0 and 1 are encoded in ``omega_r`` and ``omega_-r`` with a
-    uniform prior and decoded along ``decode_direction`` (default: the
-    encoding direction, which yields the exact 2x2 identity channel and
-    mutual information 1).
+    Messages 0 and 1 are encoded in ``omega_r`` and ``omega_-r`` along the
+    first axis with a uniform prior and decoded along that axis, which
+    yields the exact 2x2 identity channel and mutual information 1.
     """
-    dim = _check_dim(dim)
-    if encode_direction is None:
-        encode_direction = np.zeros(dim)
-        encode_direction[0] = 1.0
-    encode_direction = np.asarray(encode_direction, dtype=float)
-    if decode_direction is None:
-        decode_direction = encode_direction
-    states = (make_state(encode_direction), make_state(-encode_direction))
-    meas = canonical_measurement(decode_direction)
+    direction = np.zeros(_check_dim(dim))
+    direction[0] = 1.0
+    states = (make_state(direction), make_state(-direction))
+    meas = canonical_measurement(direction)
     conditional = np.array(
         [[contract(e, s) for e in meas.effects] for s in states]
     )

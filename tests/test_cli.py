@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gptlab
-from gptlab import checks, protocols
+from gptlab import GptError, checks, protocols
 from gptlab import cli as cli_module
 from gptlab.cli import main
 from gptlab.hadamard import bell_measurement
@@ -663,13 +663,60 @@ class TestLayering:
         assert all(suite.__module__ == checks.__name__ for suite in checks.SUITES.values())
 
     def test_checks_import_without_the_cli(self):
-        source = str(Path(gptlab.__file__).parents[1])
-        path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
         probe = "import sys, gptlab.checks; assert 'gptlab.cli' not in sys.modules"
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-        )
+        result = run_python(probe)
         assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("suite", sorted(checks.SUITES))
+def test_suites_refuse_negative_seeds(suite):
+    for seed in (-1, np.int64(-1)):
+        with pytest.raises(GptError, match=r"^seed must be an integer >= 0, got "):
+            checks.SUITES[suite](seed, 8)
+
+
+def run_python(probe):
+    """Run ``probe`` in a fresh interpreter that imports this ``gptlab``."""
+    source = str(Path(gptlab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+
+
+# Every name ``from gptlab import *`` binds: the six submodules the package
+# imports and the names that code outside the package reads from it.
+PUBLIC_NAMES = [
+    "BipartiteEffect", "BipartiteState", "Channel", "DomainError", "EXACT_TOL",
+    "Effect", "GptError", "Measurement", "OPT_TOL", "ProtocolFalsified",
+    "ProtocolLabel", "State", "TheoryConfig", "Transformation", "bell_measurement",
+    "bipartite_contract", "bipartite_unit", "blahut_arimoto", "capacity",
+    "capacity_search", "capacity_upper_bound", "classify", "contract", "core",
+    "dc_capacity_lower_bound", "dense_coding", "dense_coding_info",
+    "dimension_upper_bound", "entangled_effect", "entangled_state",
+    "entanglement_swap", "hadamard", "hadamard_basis", "hadamard_vector", "hst",
+    "lemma_effect_check", "lemma_state_check", "local_tomography",
+    "local_transformation", "lt_admissibility_witness", "lt_channel",
+    "lt_optimal_info", "lt_optimal_product", "lt_peak_probability", "mix_bipartite",
+    "mutual_information", "no_signalling_spread", "one_bit_protocol",
+    "product_decoding_baseline", "product_effect", "product_state", "protocols",
+    "reduced_states", "separable_baseline", "teleport", "theory_effect",
+    "theory_state", "tl_violation_witness", "unit_effect", "variants",
+    "verify_max_tensor_membership", "weak_dense_coding", "weak_entanglement_bound",
+    "weak_thresholds",
+]
+
+
+def test_public_surface_is_pinned_and_the_cli_import_leaves_it():
+    probe = (
+        "import json, gptlab; before = sorted(gptlab.__all__); import gptlab.cli; "
+        "print(json.dumps([before, sorted(gptlab.__all__)]))"
+    )
+    result = run_python(probe)
+    assert result.returncode == 0, result.stderr
+    before, after = json.loads(result.stdout)
+    assert before == after == PUBLIC_NAMES
+    assert sorted(gptlab.__all__) == PUBLIC_NAMES

@@ -42,7 +42,7 @@ from gptlab import (
 from gptlab import variants
 from gptlab.capacity import blahut_arimoto, weak_entanglement_bound, weak_thresholds
 from gptlab.cli import main
-from gptlab.core import MAX_N_BITS, Effect
+from gptlab.core import MAX_N_BITS, Effect, State
 from gptlab.hadamard import hadamard_vector, local_transformation
 from gptlab.hst import random_directions
 from gptlab.variants import (
@@ -63,8 +63,15 @@ ROUNDED_REFERENCE_RATES = {2: 2.0, 3: 0.15, 4: 0.05, 5: 0.02}
 
 
 def pure_state(theory, rng):
-    """One uniform pure local state of ``theory``, drawn through ``hst``."""
-    return theory.state_from_direction(random_directions(1, theory.active_dim, rng)[0])
+    """One uniform pure local state of ``theory``, drawn through ``hst``.
+
+    The direction fills the active block, the trailing ``active_dim``
+    coordinates; the embedded model's leading ball block stays zero.
+    """
+    entries = np.zeros(theory.local_dim + 1)
+    entries[0] = 1.0
+    entries[entries.size - theory.active_dim :] = random_directions(1, theory.active_dim, rng)[0]
+    return State(entries)
 
 
 def lt_optimal_info_reference(n_bits):
