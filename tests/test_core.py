@@ -30,11 +30,12 @@ from gptlab import (
     reduced_states,
     unit_effect,
 )
-from gptlab.core import _check_count
+from gptlab.core import _check_count, effect_probability_range
 from gptlab.hst import (
     canonical_measurement,
     make_extremal_effect,
     make_state,
+    random_directions,
     random_state,
 )
 from gptlab.variants import dense_coding_channel
@@ -363,6 +364,99 @@ def test_measurement_probabilities_sum_to_one():
         state = random_state(3, rng)
         total = sum(contract(e, state) for e in meas.effects)
         assert abs(total - 1.0) < EXACT_TOL
+
+
+RANGE_DIMS = [1, 2, 3, 4, 7, 15]
+
+
+def probe_range(effect):
+    """Min and max of ``effect`` over sampled states: the mixed state, the
+    +-axis states and the pure states aligned with and opposed to its
+    vector block, one contraction per probe."""
+    block = effect.entries[1:]
+    directions = [np.zeros(effect.dim)]
+    directions += [sign * axis for axis in np.eye(effect.dim) for sign in (1.0, -1.0)]
+    norm = np.linalg.norm(block)
+    if norm > 0.0:
+        directions += [block / norm, -block / norm]
+    values = [contract(effect, make_state(d)) for d in directions]
+    return min(values), max(values)
+
+
+def grid_effects(dim, rng, complete):
+    """Two to four effects whose vector norms sit near the ball's limits.
+
+    Each effect has weight w in {0, 1/2, 1, uniform} and a vector block of
+    norm 0, 1e-13, or min(w, 1 - w) (the largest in-range norm) times
+    1 + delta for a small delta of either sign.  A complete set ends with
+    the unit minus the other effects.
+    """
+    rows = []
+    for _ in range(int(rng.integers(2, 5))):
+        w = float(rng.choice([0.0, 0.5, 1.0, rng.random()]))
+        scale = min(w, 1.0 - w) * (1.0 + float(rng.choice([-1e-3, -5e-13, 0.0, 5e-11, 1e-3])))
+        norm = float(rng.choice([0.0, 1e-13, scale, scale, scale]))
+        direction = rng.standard_normal(dim)
+        rows.append(np.concatenate(([w], norm * direction / np.linalg.norm(direction))))
+    if complete:
+        rows[-1] = unit_effect(dim).entries - np.sum(rows[:-1], axis=0)
+    return [Effect(row) for row in rows]
+
+
+def in_range(low, high):
+    return -EXACT_TOL <= low and high <= 1.0 + EXACT_TOL
+
+
+class TestEffectProbabilityRange:
+    """``effect_probability_range``, the closed form the suites use as an
+    oracle, against the probe loop and against random pure states."""
+
+    @pytest.mark.parametrize("complete", [True, False])
+    @pytest.mark.parametrize("dim", RANGE_DIMS)
+    def test_range_matches_the_probe_loop(self, dim, complete):
+        rng = np.random.default_rng(dim + 100 * complete)
+        out_of_range = 0
+        for _ in range(150):
+            effects = grid_effects(dim, rng, complete)
+            ranges = [effect_probability_range(e) for e in effects]
+            probed = [probe_range(e) for e in effects]
+            assert np.allclose(ranges, probed, rtol=0.0, atol=EXACT_TOL)
+            assert [in_range(*r) for r in ranges] == [in_range(*p) for p in probed]
+            states = [make_state(d) for d in random_directions(8, dim, rng)]
+            for effect, (low, high) in zip(effects, ranges):
+                for state in states:
+                    assert low - EXACT_TOL <= contract(effect, state) <= high + EXACT_TOL
+            out_of_range += not all(in_range(*r) for r in ranges)
+        # The grid must exercise both verdicts of the range check.
+        assert 10 <= out_of_range <= 140
+
+    @pytest.mark.parametrize("dim", RANGE_DIMS)
+    def test_ends_are_met_at_the_opposed_and_aligned_states(self, dim):
+        m = random_directions(1, dim, np.random.default_rng(5))[0]
+        hot = Effect(np.concatenate(([0.5], 0.505 * m)))
+        low, high = effect_probability_range(hot)
+        assert abs(high - 1.005) <= EXACT_TOL
+        assert abs(low + 0.005) <= EXACT_TOL
+        assert abs(contract(hot, make_state(m)) - high) <= EXACT_TOL
+        assert abs(contract(hot, make_state(-m)) - low) <= EXACT_TOL
+        assert not in_range(low, high)
+
+    def test_zero_block_is_a_point_at_the_mixed_state(self):
+        heavy = Effect(np.array([1.5, 0.0, 0.0]))
+        assert effect_probability_range(heavy) == (1.5, 1.5)
+        assert contract(heavy, make_state(np.zeros(2))) == 1.5
+        assert effect_probability_range(unit_effect(7)) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("dim", RANGE_DIMS)
+    def test_canonical_effects_span_zero_to_one_and_sum_to_the_unit(self, dim):
+        rng = np.random.default_rng(dim)
+        for direction in random_directions(20, dim, rng):
+            effects = canonical_measurement(direction).effects
+            total = np.sum([e.entries for e in effects], axis=0)
+            assert np.abs(total - unit_effect(dim).entries).max() <= EXACT_TOL
+            for effect in effects:
+                low, high = effect_probability_range(effect)
+                assert abs(low) <= EXACT_TOL and abs(high - 1.0) <= EXACT_TOL
 
 
 class TestCheckCount:
