@@ -72,8 +72,10 @@ def canonical_measurement(direction) -> Measurement:
 
 def capacity_upper_bound(effect_norm: float, state_norm: float) -> float:
     """Classical-capacity bound ``log2(1 + M R)`` from the two norm radii."""
-    if not (effect_norm >= 0 and state_norm >= 0):
-        raise GptError("norm bounds must be non-negative")
+    # bool is a Real: True would be radius 1; inf times a zero radius is NaN.
+    radii = (effect_norm, state_norm)
+    if any(isinstance(r, (bool, np.bool_)) or not 0 <= r < np.inf for r in radii):
+        raise GptError(f"norm bounds must be finite and non-negative, got {radii!r}")
     return float(np.log2(1.0 + effect_norm * state_norm))
 
 

@@ -46,7 +46,6 @@ from .capacity import blahut_arimoto, search_max  # noqa: F401
 from .core import (
     EXACT_TOL,
     OPT_TOL,
-    BipartiteState,
     Channel,
     GptError,
     State,
@@ -85,11 +84,6 @@ class DenseCodingRun:
     theory: TheoryConfig
     channel: Channel
     info_bits: float
-
-    @property
-    def initial_state(self) -> BipartiteState:
-        """The shared state ``phi_0``, built on request."""
-        return variants.theory_state(0, self.theory)
 
 
 @dataclass(frozen=True, eq=False)

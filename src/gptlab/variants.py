@@ -5,8 +5,9 @@ rescaled: entangled states ``diag(1, s d_mu[1:])`` decoded by effects
 ``2^-N diag(1, t d_mu[1:])`` on the ``2^N x 2^N`` Hadamard corner, with the
 pair ``(s, t)`` given by ``correlation_scales``.  One state constructor, one
 effect constructor and one dense-coding channel builder serve all kinds; the
-table ``p delta_(y,x) + 2^-N (1 - p)``, ``p = s t``, is gathered from its
-checked first row, and ``dense_coding_info`` gives its rate in closed form.
+table ``p delta_(y,x) + 2^-N (1 - p)``, ``p = s t``, is written from the
+two values of its checked first row, and ``dense_coding_info`` gives its
+rate in closed form.
 
 * ``base``: ``(1, 1)``, the perfect N-bit code.
 * ``lambda-tau``: ``(lambda, tau)``.  Requiring valid probabilities on the
@@ -120,8 +121,11 @@ def theory_effect(label: int, theory: TheoryConfig) -> BipartiteEffect:
 
 
 def _check_product(size: float, product: float) -> float:
-    # The scale products of the dense-coding tables, size = 2^N; NaN fails.
-    if not -1.0 / (size - 1.0) - EXACT_TOL <= product <= 1.0 + EXACT_TOL:
+    # The scale products of the dense-coding tables, size = 2^N; NaN fails,
+    # and so does a bool, which the comparison would read as 0 or 1.
+    if isinstance(product, (bool, np.bool_)) or not (
+        -1.0 / (size - 1.0) - EXACT_TOL <= product <= 1.0 + EXACT_TOL
+    ):
         raise DomainError(f"scale product {product!r} is outside [-1/(2^N-1), 1], 2^N = {size:g}")
     return product
 
@@ -138,10 +142,11 @@ def dense_coding_channel(theory: TheoryConfig) -> Channel:
     the sums catch a sign row written over another, and a row permutation
     passes both, as it leaves the table unchanged.  The embedded model's
     ``block-diag(T_x, R)`` is ``T_x`` on the corner, where ``phi_0`` and
-    every ``E_y`` live: no rotation enters the table.  The table is written
-    into one array by block doubling, marked read-only and handed to the
-    ``Channel`` without a copy, so the build holds about one table at its
-    peak: the signs, then the table.
+    every ``E_y`` live: no rotation enters the table.  The checked row's
+    ``q[0]`` is written on the diagonal of one array filled with ``q[1]``,
+    which is marked read-only and handed to the ``Channel`` without a copy,
+    so the build holds about one table at its peak: the signs, then the
+    table.
     """
     n = theory.n_bits
     size = theory.hadamard_dim
@@ -160,15 +165,11 @@ def dense_coding_channel(theory: TheoryConfig) -> Channel:
         raise ProtocolFalsified(
             f"{theory.kind} dense coding deviates from its closed form by {gap!r}"
         )
-    # Row x ^ k is row x with each pair of width-k column blocks swapped, so
-    # rows [k, 2k) are rows [0, k) with their blocks swapped: q[x ^ y] exactly.
-    table = np.empty((size, size))
-    table[0] = rows[:, 0].clip(0.0, 1.0)
-    k = 1
-    while k < size:
-        blocks = table[:k].reshape(k, -1, 2, k)
-        table[k : 2 * k].reshape(blocks.shape)[...] = blocks[:, :, ::-1]
-        k *= 2
+    # With +-1 signs every q[y], y != 0, is p * 0 + (1 - p) 2^-N, the same
+    # double: q[x ^ y] is q[0] on the diagonal and q[1] off it, exactly.
+    q = rows[:2, 0].clip(0.0, 1.0)
+    table = np.full((size, size), q[1])
+    np.fill_diagonal(table, q[0])
     table.setflags(write=False)
     return Channel(prior=np.full(size, 1.0 / size), conditional=table)
 

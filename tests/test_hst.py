@@ -1,5 +1,7 @@
 """Tests for the single-system ball model and its one-bit capacity."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,22 @@ class TestCapacityUpperBound:
 
     def test_zero_effect_norm_gives_zero(self):
         assert capacity_upper_bound(0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "radii",
+        [
+            (math.inf, 0.0),
+            (1.0, math.inf),
+            (math.nan, 1.0),
+            (-1.0, 1.0),
+            (True, True),
+            (1.0, np.True_),
+        ],
+    )
+    def test_refuses_a_radius_that_is_not_a_finite_non_negative_number(self, radii):
+        # (inf, 0) gave NaN and (True, True) gave 1.0.
+        with pytest.raises(GptError, match="finite and non-negative"):
+            capacity_upper_bound(*radii)
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -135,10 +135,6 @@ class TestDenseCoding:
             assert np.array_equal(run.channel.conditional, np.eye(size))
             assert run.info_bits == float(n_bits)
 
-    def test_initial_state_is_identity_matrix(self):
-        run = dense_coding(2)
-        assert np.array_equal(run.initial_state.matrix, np.eye(4))
-
     def test_theory_mismatch_rejected(self):
         with pytest.raises(GptError):
             dense_coding(3, theory=TheoryConfig.base(2))

@@ -946,10 +946,12 @@ class TestDiagonalLayer:
         assert math.isfinite(rate) and rate >= 0.0
 
     @pytest.mark.parametrize(
-        "product", [2.0, -1.0, math.nan, math.inf, 1.0 + 2 * EXACT_TOL, -1 / 7 - 2 * EXACT_TOL]
+        "product",
+        [2.0, -1.0, math.nan, math.inf, 1 + 2 * EXACT_TOL, -1 / 7 - 2 * EXACT_TOL, True, np.False_],
     )
     def test_rate_refuses_a_product_no_table_has(self, product):
-        # 2.0 gave 7.33 bits, more than N = 3, and -1.0 gave 1.75; NaN and inf gave NaN.
+        # 2.0 gave 7.33 bits, more than N = 3, and -1.0 gave 1.75; NaN and inf
+        # gave NaN, and True, a Real, gave 3.0.
         with pytest.raises(DomainError, match="outside"):
             dense_coding_info(3, product)
 
@@ -997,8 +999,8 @@ class TestDiagonalLayer:
     def test_channel_build_holds_few_tables(self, theory):
         # A table is one 2^N x 2^N float array. The float signs are the only
         # table while the row and column sums are taken, and they are freed
-        # before the table is written by block doubling; the channel adopts
-        # that read-only table without a copy.
+        # before the table is filled with q[1] and given q[0] on its
+        # diagonal; the channel adopts that read-only table without a copy.
         table = 8 * 4**10
         tracemalloc.start()
         try:
