@@ -403,12 +403,13 @@ class TheoryConfig:
 
 def unit_effect(dim: int) -> Effect:
     """The effect assigning probability 1 to every normalised state."""
-    entries = np.zeros(dim + 1)
+    entries = np.zeros(_check_count("dim", dim, 0) + 1)
     entries[0] = 1.0
     return Effect(entries)
 
 
 def bipartite_unit(dim_a: int, dim_b: int) -> BipartiteEffect:
+    dim_a, dim_b = _check_count("dim_a", dim_a, 0), _check_count("dim_b", dim_b, 0)
     matrix = np.zeros((dim_a + 1, dim_b + 1))
     matrix[0, 0] = 1.0
     return BipartiteEffect(matrix)

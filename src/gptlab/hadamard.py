@@ -107,6 +107,7 @@ class LocalTransformation(Transformation):
 
 def local_transformation(label: int, n_bits: int) -> LocalTransformation:
     matrix = np.diag(hadamard_vector(label, n_bits))
+    matrix.setflags(write=False)  # adopted by the constructor without a copy
     return LocalTransformation(matrix=matrix, label=label, n_bits=n_bits)
 
 

@@ -8,20 +8,61 @@ import pytest
 from gptlab import hadamard
 
 
-@pytest.fixture
-def skewed_rotation(monkeypatch):
-    """Give T_5 at N = 3 a diagonal entry of 1/2 instead of +-1."""
+def _patch_rotation(monkeypatch, mutate):
+    """Let ``hadamard.local_transformation`` return a mutated copy of T_5 at N = 3."""
     original = hadamard.local_transformation
 
-    def skewed(label, n_bits):
+    def mutated(label, n_bits):
         t = original(label, n_bits)
         if (label, n_bits) != (5, 3):
             return t
         matrix = t.matrix.copy()
-        matrix[2, 2] = 0.5
+        mutate(matrix)
         return hadamard.LocalTransformation(matrix=matrix, label=label, n_bits=n_bits)
 
-    monkeypatch.setattr(hadamard, "local_transformation", skewed)
+    monkeypatch.setattr(hadamard, "local_transformation", mutated)
+
+
+@pytest.fixture
+def skewed_rotation(monkeypatch):
+    """Give T_5 at N = 3 a diagonal entry of 1/2 instead of +-1."""
+
+    def mutate(matrix):
+        matrix[2, 2] = 0.5
+
+    _patch_rotation(monkeypatch, mutate)
+
+
+@pytest.fixture
+def quarter_turn_rotation(monkeypatch):
+    """Replace the diag(-1, -1) block of T_5 at N = 3, matrix rows and
+    columns 3-4, by the quarter turn [[0, -1], [1, 0]]: still orthogonal
+    with determinant 1, but not diagonal."""
+
+    def mutate(matrix):
+        matrix[3:5, 3:5] = [[0.0, -1.0], [1.0, 0.0]]
+
+    _patch_rotation(monkeypatch, mutate)
+
+
+@pytest.fixture
+def reflected_rotation(monkeypatch):
+    """Negate entry [2, 2] of T_5 at N = 3: a +-1 diagonal of determinant -1."""
+
+    def mutate(matrix):
+        matrix[2, 2] = -matrix[2, 2]
+
+    _patch_rotation(monkeypatch, mutate)
+
+
+@pytest.fixture
+def nan_rotation(monkeypatch):
+    """Put a NaN on entry [2, 2] of T_5 at N = 3."""
+
+    def mutate(matrix):
+        matrix[2, 2] = float("nan")
+
+    _patch_rotation(monkeypatch, mutate)
 
 
 @pytest.fixture

@@ -7,16 +7,19 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gptlab
-from gptlab import GptError, checks, protocols
+from gptlab import GptError, checks, hadamard, protocols
 from gptlab import cli as cli_module
 from gptlab.cli import main
-from gptlab.hadamard import bell_measurement
+from gptlab.hadamard import bell_measurement, hadamard_basis
 from gptlab.variants import LT_MAX_N_BITS
 
 
@@ -464,6 +467,31 @@ class TestVerifyCommand:
         failed = {name for name, value in checks.items() if value is False}
         assert failed == {"group_table_n3", "rotation_determinants_n3"}
 
+    def test_quarter_turn_fails_only_the_group_table(self, capsys, quarter_turn_rotation):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "group", "--format", "json")
+        assert code == 1
+        checks = json.loads(out)["suites"]["group"]["checks"]
+        failed = {name for name, value in checks.items() if value is False}
+        assert failed == {"group_table_n3"}
+
+    def test_reflected_rotation_fails_the_group_table_and_determinants(
+        self, capsys, reflected_rotation
+    ):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "group", "--format", "json")
+        assert code == 1
+        checks = json.loads(out)["suites"]["group"]["checks"]
+        failed = {name for name, value in checks.items() if value is False}
+        assert failed == {"group_table_n3", "rotation_determinants_n3"}
+
+    def test_nan_rotation_fails_the_group_suite_without_a_traceback(self, capsys, nan_rotation):
+        # LAPACK's determinant of the broken T_5 is NaN, which numpy reports.
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in det"):
+            code, out, _ = run_cli(capsys, "verify", "--suite", "group", "--format", "json")
+        assert code == 1
+        checks = json.loads(out)["suites"]["group"]["checks"]
+        failed = {name for name, value in checks.items() if value is False}
+        assert failed == {"group_table_n3", "rotation_determinants_n3"}
+
     def test_skewed_rotation_fails_the_consistency_suite(self, capsys, skewed_rotation):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "consistency", "--trials", "100", "--format", "json"
@@ -523,6 +551,70 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "group", "--format", "json")
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+
+def pairwise_xor_closed(signs):
+    """``d_x o d_y = d_(x^y)`` for every pair of rows, as one (2^N)^3 broadcast."""
+    labels = np.arange(len(signs))
+    return np.array_equal(signs[:, None] * signs, signs[labels[:, None] ^ labels])
+
+
+@st.composite
+def mutated_sign_tables(draw):
+    """``hadamard_basis(N)``, N = 1..4, with one entry, one column or one
+    pair of rows or columns changed."""
+    signs = hadamard_basis(draw(st.integers(1, 4))).copy()
+    last = len(signs) - 1
+    i, j = draw(st.integers(0, last)), draw(st.integers(0, last))
+    kind = draw(st.sampled_from(["entry", "column", "rows", "columns"]))
+    if kind == "entry":
+        values = [0.0, 0.5, -0.5, 2.0, np.nan, np.inf, -np.inf, 1 - 2**-53, -(1 - 2**-53)]
+        signs[i, j] = draw(st.sampled_from(values))
+    elif kind == "column":
+        signs[:, j] = draw(st.sampled_from([0.0, 1.0, -1.0, 0.5]))
+    elif kind == "rows":
+        signs[[i, j]] = signs[[j, i]]
+    else:
+        signs[:, [i, j]] = signs[:, [j, i]]
+    return signs
+
+
+class TestGroupSuite:
+    @pytest.mark.parametrize("n_bits", [1, 2, 3, 4, 6])
+    def test_honest_sign_rows_are_xor_closed(self, n_bits):
+        assert checks._xor_closed(hadamard_basis(n_bits)) is True
+
+    @settings(max_examples=400, deadline=None)
+    @given(signs=mutated_sign_tables())
+    def test_generator_closure_matches_the_pairwise_law(self, signs):
+        with np.errstate(invalid="ignore"):
+            assert checks._xor_closed(signs) == pairwise_xor_closed(signs)
+
+    def test_reads_each_rotation_once_and_calls_no_lapack(self, monkeypatch):
+        reads = []
+        original = hadamard.local_transformation
+
+        def counted(label, n_bits):
+            reads.append((label, n_bits))
+            return original(label, n_bits)
+
+        def no_det(*args):
+            raise AssertionError("np.linalg.det called on an unmutated rotation")
+
+        monkeypatch.setattr(hadamard, "local_transformation", counted)
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        assert all(checks.SUITES["group"](0, 1).values())
+        assert reads == [(x, n) for n in range(1, 7) for x in range(2**n)]
+
+    def test_traced_peak_stays_below_a_stack_of_rotations(self):
+        # One (2^N)^3 float stack at N = 6 is 2 MiB; the suite needs a few 64 x 64 tables.
+        tracemalloc.start()
+        try:
+            checks.SUITES["group"](0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 class TestRenderPath:

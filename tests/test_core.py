@@ -81,6 +81,15 @@ class TestContract:
         with pytest.raises(GptError):
             contract(unit_effect(3), make_state(np.zeros(4)))
 
+    @pytest.mark.parametrize("dim", [-1, 1.5, 2.0, True, np.True_, "2", None])
+    def test_unit_effect_refuses_a_dimension_that_is_no_count(self, dim):
+        with pytest.raises(GptError, match=r"^dim must be an integer >= 0, got "):
+            unit_effect(dim)
+
+    @pytest.mark.parametrize("dim", [0, np.int64(2), np.uint8(2)])
+    def test_unit_effect_takes_integer_dimensions_from_zero(self, dim):
+        assert np.array_equal(unit_effect(dim).entries, np.eye(int(dim) + 1)[0])
+
 
 class TestBipartiteContract:
     def test_unit_is_normalisation(self):
@@ -100,6 +109,17 @@ class TestBipartiteContract:
     def test_shape_mismatch(self):
         with pytest.raises(GptError):
             bipartite_contract(entangled_effect(0, 1), entangled_state(0, 2))
+
+    @pytest.mark.parametrize(
+        "dims, name",
+        [((-1, 2), "dim_a"), ((2, -1), "dim_b"), ((1.5, 2), "dim_a"), ((2, True), "dim_b")],
+    )
+    def test_unit_refuses_a_dimension_that_is_no_count(self, dims, name):
+        with pytest.raises(GptError, match=rf"^{name} must be an integer >= 0, got "):
+            bipartite_unit(*dims)
+
+    def test_unit_takes_dimension_zero(self):
+        assert np.array_equal(bipartite_unit(0, 2).matrix, [[1.0, 0.0, 0.0]])
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -292,6 +292,24 @@ class TestLambdaTauOptimum:
             capacity = blahut_arimoto(lt_channel(theory).conditional).capacity_bits
             assert abs(capacity - lt_optimal_info(n_bits)) < 1e-6
 
+    @settings(max_examples=200, deadline=None)
+    @given(n_bits=st.integers(2, 10), data=st.data())
+    def test_window_ends_bound_the_rate(self, n_bits, data):
+        # Each table row is affine in p = lambda tau and entropy is concave, so
+        # the rate is convex in p and peaks at an end of the window.
+        ends = (-1.0 / (2**n_bits - 1), lt_optimal_product(n_bits))
+        p = data.draw(st.floats(*ends), label="p")
+        ceiling = max(dense_coding_info(n_bits, end) for end in ends)
+        assert dense_coding_info(n_bits, p) <= ceiling + EXACT_TOL
+
+    @pytest.mark.parametrize("n_bits", range(3, 11))
+    def test_lower_window_end_beats_the_nonnegative_optimum(self, n_bits):
+        lower = dense_coding_info(n_bits, -1.0 / (2**n_bits - 1))
+        assert lower > lt_optimal_info(n_bits)
+        assert abs(lower - (n_bits - math.log2(2**n_bits - 1))) <= EXACT_TOL
+        if n_bits == 3:
+            assert (round(lower, 6), round(lt_optimal_info(3), 6)) == (0.192645, 0.153561)
+
     def test_positive_and_decreasing_in_n(self):
         values = [lt_optimal_info(n) for n in range(2, variants.LT_MAX_N_BITS + 1)]
         assert values[-1] > 0.0
