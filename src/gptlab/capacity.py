@@ -14,12 +14,11 @@ thresholds.  The protocol-derived lower bound is
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EXACT_TOL, DomainError, GptError, _check_count
+from .core import EXACT_TOL, LT_MAX_N_BITS, DomainError, GptError, _check_count, _check_real
 
 BA_DEFAULT_TOL = 1e-10
 BA_DEFAULT_MAX_ITER = 100_000
@@ -94,24 +93,12 @@ def blahut_arimoto(
     # Written so that a non-finite entry or tol fails the check.
     if not (low >= -1e-12 and row_dev <= 1e-9):
         raise DomainError("conditional rows must be probability vectors")
-    # bool is a Real: True would run with tol 1.  A str, None or complex
-    # tol makes the comparison itself raise.
-    try:
-        tol_ok = not isinstance(tol, (bool, np.bool_)) and 0 < tol < np.inf
-    except TypeError:
-        tol_ok = False
-    if not tol_ok:
-        raise GptError(f"tol must be positive and finite, got {tol!r}")
+    # The least positive double as the low end: tol > 0.
+    tol = _check_real("tol", tol, math.ulp(0.0), math.inf)
     _check_count("max_iter", max_iter, 0)
     stop_at = -math.inf
     if incumbent is not None:
-        if not (
-            isinstance(incumbent, numbers.Real)
-            and not isinstance(incumbent, bool)
-            and math.isfinite(incumbent)
-        ):
-            raise GptError(f"incumbent must be a finite real number, got {incumbent!r}")
-        stop_at = incumbent - EXACT_TOL
+        stop_at = _check_real("incumbent", incumbent, -math.inf, math.inf) - EXACT_TOL
         upper = _ceiling_bits(p) if _ceiling is None else _ceiling
         # Clipping raises a row sum by at most the column count times -low.
         upper += (row_dev + p.shape[1] * max(-low, 0.0)) * (abs(upper) + 1 / math.log(2))
@@ -227,12 +214,10 @@ def weak_entanglement_bound(lam: float, n_bits: int) -> float:
     For ``lambda >= 0`` it is the Renyi-infinity bound ``log2 sum_y max_x
     p(y|x)`` of the weak dense-coding table itself.  For ``lambda < 0`` that
     table's bound is lower than this formula: 0.193 bits against 1 bit at
-    ``N = 3``, ``lambda = -1/7``.
+    ``N = 3``, ``lambda = -1/7``.  ``n_bits`` runs from 2 to ``LT_MAX_N_BITS``.
     """
-    n_bits = _check_count("n_bits", n_bits, 2)
-    # Written so that a non-finite lambda fails the check; True would be 1.
-    if isinstance(lam, (bool, np.bool_)) or not abs(lam) <= 1.0:
-        raise DomainError(f"lambda must lie in [-1, 1], got {lam!r}")
+    n_bits = _check_count("n_bits", n_bits, 2, maximum=LT_MAX_N_BITS)
+    lam = _check_real("lambda", lam, -1.0, 1.0, DomainError)
     return float(np.log2(1.0 + abs(lam) * (2**n_bits - 1)))
 
 
@@ -241,6 +226,7 @@ def weak_thresholds(n_bits: int) -> tuple:
 
     At the first threshold the bound equals 1 bit (no superdense coding
     below it); at the second it equals 2 bits (no hyperdense coding).
+    ``n_bits`` runs from 2 to ``LT_MAX_N_BITS``.
     """
-    denom = 2 ** _check_count("n_bits", n_bits, 2) - 1
+    denom = 2 ** _check_count("n_bits", n_bits, 2, maximum=LT_MAX_N_BITS) - 1
     return (1.0 / denom, 3.0 / denom)

@@ -34,6 +34,10 @@ THEORY_KINDS = ("base", "lambda-tau", "embedded", "weak")
 # three (2^N)^2 float arrays and a dense-coding run one, a peak RSS of 427 /
 # 173 MB at N = 12.
 MAX_N_BITS = 12
+# Largest N whose 2^N is a finite double: the closed forms that compute 2^N
+# in floats (the lambda-tau optimum, the dense-coding rate, the weak bound
+# and thresholds) stop here.
+LT_MAX_N_BITS = 1023
 
 
 class GptError(ValueError):
@@ -194,19 +198,6 @@ class BipartiteEffect:
         return float(self.matrix[0, 0])
 
     @property
-    def alpha(self) -> np.ndarray:
-        return self.matrix[1:, 0]
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.matrix[0, 1:]
-
-    @property
-    def block(self) -> np.ndarray:
-        """The core block Gamma."""
-        return self.matrix[1:, 1:]
-
-    @property
     def dims(self) -> tuple:
         return (self.matrix.shape[0] - 1, self.matrix.shape[1] - 1)
 
@@ -286,9 +277,11 @@ def _is_integer(value) -> bool:
     )
 
 
-def _check_count(name: str, value, minimum: int, error=GptError) -> int:
+def _check_count(
+    name: str, value, minimum: int, error=GptError, maximum: int | None = None
+) -> int:
     """Return ``value`` as an ``int``; raise ``error`` unless it is a non-bool
-    integer >= ``minimum``.
+    integer >= ``minimum`` and, when ``maximum`` is given, <= ``maximum``.
 
     Callers compute with the returned ``int``: numpy integers wrap around
     (``-np.uint8(3)`` is 253, ``2**np.int8(8)`` is 0).
@@ -296,7 +289,27 @@ def _check_count(name: str, value, minimum: int, error=GptError) -> int:
     # bool is an Integral (and so a Real): True would count as 1.
     if not (_is_integer(value) and value >= minimum):
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise error(f"{name} must be at most {maximum}, got {value}")
     return int(value)
+
+
+def _check_real(name: str, value, low: float, high: float, error=GptError) -> float:
+    """Return ``value`` as a ``float``; raise ``error`` unless it is a finite
+    real number in ``[low, high]``.
+
+    A bool or ``np.bool_`` (True would count as 1), a non-number (a str,
+    None, a complex, an array), NaN, an infinity and an integer too large
+    for a float are all refused.
+    """
+    # The exact-float test first: it skips the slower abstract-class check.
+    if type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        try:
+            if low <= value <= high and math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise error(f"{name} must be a finite real number in [{low:g}, {high:g}], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -318,27 +331,23 @@ class TheoryConfig:
     def __post_init__(self):
         if self.kind not in THEORY_KINDS:
             raise DomainError(f"unknown theory kind {self.kind!r}")
-        # bool is an Integral and a Real: True would count as 1.
-        if not _is_integer(self.n_bits):
-            raise DomainError(f"n_bits must be an integer, got {self.n_bits!r}")
-        # Stored as int, as ``_check_count`` returns counts: numpy integers wrap.
-        object.__setattr__(self, "n_bits", int(self.n_bits))
-        if not 1 <= self.n_bits <= MAX_N_BITS:
-            raise DomainError(f"n_bits must be between 1 and {MAX_N_BITS}")
-        for name, value in (("lambda", self.lam), ("tau", self.tau)):
-            if value is not None and (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-            ):
-                raise DomainError(f"{name} must be a finite real number, got {value!r}")
+        # Each value is stored as its checker returns it: numpy integers wrap.
+        n_bits = _check_count("n_bits", self.n_bits, 1, DomainError, MAX_N_BITS)
+        object.__setattr__(self, "n_bits", n_bits)
+        # lambda and tau lie in [-1, 1] where the kind scales correlations by
+        # them, and are finite everywhere.
+        scaled = {"lambda-tau": ("lam", "tau"), "weak": ("lam",)}.get(self.kind, ())
+        for attr, name in (("lam", "lambda"), ("tau", "tau")):
+            value = getattr(self, attr)
+            if value is not None:
+                bound = 1.0 if attr in scaled else math.inf
+                value = _check_real(name, value, -bound, bound, DomainError)
+                object.__setattr__(self, attr, value)
         if self.kind != "base" and self.n_bits < 2:
             raise DomainError(f"the {self.kind} model needs n_bits >= 2")
         if self.kind == "lambda-tau":
             if self.lam is None or self.tau is None:
                 raise DomainError("the lambda-tau model needs both lambda and tau")
-            if abs(self.lam) > 1.0 or abs(self.tau) > 1.0:
-                raise DomainError("lambda and tau must lie in [-1, 1]")
             d = 2**self.n_bits
             prod = self.lam * self.tau
             if prod < -1.0 / (d - 1) - EXACT_TOL or prod > 1.0 / (d - 3) + EXACT_TOL:
@@ -353,8 +362,6 @@ class TheoryConfig:
         elif self.kind == "weak":
             if self.lam is None:
                 raise DomainError("the weakly entangled model needs lambda")
-            if abs(self.lam) > 1.0:
-                raise DomainError("lambda must lie in [-1, 1]")
 
     @classmethod
     def base(cls, n_bits: int) -> "TheoryConfig":

@@ -44,10 +44,7 @@ from .hst import extremal_rows, random_directions
 
 
 def _check_n_bits(n_bits: int) -> int:
-    n_bits = _check_count("n_bits", n_bits, 1)
-    if n_bits > MAX_N_BITS:
-        raise GptError(f"n_bits must be at most {MAX_N_BITS}, got {n_bits}")
-    return n_bits
+    return _check_count("n_bits", n_bits, 1, maximum=MAX_N_BITS)
 
 
 def _check_label(label: int, n_bits: int) -> int:

@@ -11,6 +11,8 @@ antipodal protocol attains.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .capacity import search_max
@@ -19,10 +21,10 @@ from .core import (
     Channel,
     DomainError,
     Effect,
-    GptError,
     Measurement,
     State,
     _check_count,
+    _check_real,
     contract,
     mutual_information,
 )
@@ -37,17 +39,10 @@ BA_TOL = 1e-6
 BA_MAX_ITER = 60
 
 
-def _check_dim(dim: int) -> int:
-    dim = _check_count("ball dimension", dim, 1, DomainError)
-    if dim > MAX_DIM:
-        raise DomainError(f"ball dimension must be in [1, {MAX_DIM}], got {dim}")
-    return dim
-
-
 def make_state(r) -> State:
     """State ``(1, r)``; requires ``||r|| <= 1``."""
     r = np.asarray(r, dtype=float)
-    _check_dim(r.size)
+    _check_count("ball dimension", r.size, 1, DomainError, MAX_DIM)
     norm = np.linalg.norm(r)
     if not norm <= 1.0 + EXACT_TOL:
         raise DomainError(f"state coordinates have norm {norm!r} > 1")
@@ -57,7 +52,7 @@ def make_state(r) -> State:
 def make_extremal_effect(direction) -> Effect:
     """Extremal effect ``(1, m)/2``; requires ``||m|| = 1``."""
     direction = np.asarray(direction, dtype=float)
-    _check_dim(direction.size)
+    _check_count("ball dimension", direction.size, 1, DomainError, MAX_DIM)
     norm = np.linalg.norm(direction)
     if not abs(norm - 1.0) <= EXACT_TOL:
         raise DomainError(f"effect direction has norm {norm!r}, expected 1")
@@ -71,11 +66,10 @@ def canonical_measurement(direction) -> Measurement:
 
 
 def capacity_upper_bound(effect_norm: float, state_norm: float) -> float:
-    """Classical-capacity bound ``log2(1 + M R)`` from the two norm radii."""
-    # bool is a Real: True would be radius 1; inf times a zero radius is NaN.
-    radii = (effect_norm, state_norm)
-    if any(isinstance(r, (bool, np.bool_)) or not 0 <= r < np.inf for r in radii):
-        raise GptError(f"norm bounds must be finite and non-negative, got {radii!r}")
+    """Classical-capacity bound ``log2(1 + M R)`` from the two norm radii,
+    each a finite real number >= 0."""
+    effect_norm = _check_real("effect_norm", effect_norm, 0.0, math.inf)
+    state_norm = _check_real("state_norm", state_norm, 0.0, math.inf)
     return float(np.log2(1.0 + effect_norm * state_norm))
 
 
@@ -86,7 +80,7 @@ def one_bit_protocol(dim: int) -> Channel:
     first axis with a uniform prior and decoded along that axis, which
     yields the exact 2x2 identity channel and mutual information 1.
     """
-    direction = np.zeros(_check_dim(dim))
+    direction = np.zeros(_check_count("ball dimension", dim, 1, DomainError, MAX_DIM))
     direction[0] = 1.0
     states = (make_state(direction), make_state(-direction))
     meas = canonical_measurement(direction)
@@ -170,7 +164,7 @@ def random_measurements(
     of at least 2, and ``dim`` in ``[1, MAX_DIM]``; a bool is refused.
     """
     count = _check_count("count", count, 0)
-    dim = _check_dim(dim)
+    dim = _check_count("ball dimension", dim, 1, DomainError, MAX_DIM)
     n_outcomes = _check_count("n_outcomes", n_outcomes, 2)
     owner = np.repeat(np.arange(count), rng.integers(1, MAX_COMPONENTS + 1, size=count))
     table = _measurement_rows(owner, count, dim, n_outcomes, rng)
@@ -232,7 +226,7 @@ def capacity_search(dim: int, trials: int, seed: int) -> float:
     (a lower bound), so looser settings never inflate the maximum.
     ``dim`` must be an integer in ``[1, MAX_DIM]``, ``trials`` at least 1.
     """
-    dim = _check_dim(dim)
+    dim = _check_count("ball dimension", dim, 1, DomainError, MAX_DIM)
     rng = np.random.default_rng(_check_count("seed", seed, 0))
 
     def draw_table():

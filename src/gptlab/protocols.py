@@ -51,6 +51,7 @@ from .core import (
     State,
     TheoryConfig,
     _check_count,
+    _check_real,
 )
 from .hadamard import _check_label, _check_n_bits, bell_measurement, hadamard_basis
 from .hst import (
@@ -148,10 +149,8 @@ def classify(dc_info_bits: float, local_capacity_bits: float) -> ProtocolLabel:
     Optimizer slack is subtracted from the rate before the strict
     comparisons, so iterative estimates never over-classify.
     """
-    # Written so that a NaN or an infinite capacity fails the check.
-    if not (0 <= dc_info_bits < np.inf and 0 <= local_capacity_bits < np.inf):
-        raise GptError("capacities must be non-negative and finite")
-    adjusted = dc_info_bits - OPT_TOL
+    adjusted = _check_real("dc_info_bits", dc_info_bits, 0.0, math.inf) - OPT_TOL
+    local_capacity_bits = _check_real("local_capacity_bits", local_capacity_bits, 0.0, math.inf)
     if adjusted > 2.0 * local_capacity_bits:
         return ProtocolLabel.HYPERDENSE
     if adjusted > local_capacity_bits:

@@ -46,6 +46,8 @@ import numpy as np
 
 from .core import (
     EXACT_TOL,
+    LT_MAX_N_BITS,
+    MAX_N_BITS,
     BipartiteEffect,
     BipartiteState,
     Channel,
@@ -57,17 +59,14 @@ from .core import (
     Transformation,
     ValidationReport,
     _check_count,
+    _check_real,
     bipartite_contract,
 )
-from .hadamard import _check_n_bits, hadamard_basis, hadamard_vector
+from .hadamard import hadamard_basis, hadamard_vector
 from .hst import make_extremal_effect, random_directions
 
 # Random product states and effects ``constructed_family`` adds per theory.
 FAMILY_RANDOM_PAIRS = 20
-# Largest N whose 2^N is a finite double: the lambda-tau closed forms
-# (``lt_optimal_product``, ``lt_peak_probability``, ``lt_optimal_info``)
-# and ``dense_coding_info`` are computed in floats.
-LT_MAX_N_BITS = 1023
 
 # --------------------------------------------------------------------------
 # the diagonal model layer
@@ -121,13 +120,9 @@ def theory_effect(label: int, theory: TheoryConfig) -> BipartiteEffect:
 
 
 def _check_product(size: float, product: float) -> float:
-    # The scale products of the dense-coding tables, size = 2^N; NaN fails,
-    # and so does a bool, which the comparison would read as 0 or 1.
-    if isinstance(product, (bool, np.bool_)) or not (
-        -1.0 / (size - 1.0) - EXACT_TOL <= product <= 1.0 + EXACT_TOL
-    ):
-        raise DomainError(f"scale product {product!r} is outside [-1/(2^N-1), 1], 2^N = {size:g}")
-    return product
+    # The scale products of the dense-coding tables, size = 2^N.
+    low, high = -1.0 / (size - 1.0) - EXACT_TOL, 1.0 + EXACT_TOL
+    return _check_real("scale product", product, low, high, DomainError)
 
 
 def dense_coding_channel(theory: TheoryConfig) -> Channel:
@@ -186,9 +181,7 @@ def dense_coding_info(n_bits: int, product: float) -> float:
     the rate is exactly N at ``p = 1``, and a p that no table has is refused,
     as is an N above ``LT_MAX_N_BITS``, whose ``2^N`` is no finite double.
     """
-    n_bits = _check_count("n_bits", n_bits, 1)
-    if n_bits > LT_MAX_N_BITS:
-        raise GptError(f"n_bits must be at most {LT_MAX_N_BITS}, got {n_bits}")
+    n_bits = _check_count("n_bits", n_bits, 1, maximum=LT_MAX_N_BITS)
     size = 2.0**n_bits
     product = _check_product(size, product)
     if product == 1.0:
@@ -219,9 +212,10 @@ def lt_rotated_witness(lam: float, n_bits: int) -> BipartiteState:
 
     This rotated companion of the aligned state is the one that caps
     ``lambda tau`` from above; probing both against the aligned effect
-    yields the admissibility window.
+    yields the admissibility window.  ``lam`` may be any finite real.
     """
-    n_bits = _check_n_bits(_check_count("n_bits", n_bits, 2))
+    n_bits = _check_count("n_bits", n_bits, 2, maximum=MAX_N_BITS)
+    lam = _check_real("lambda", lam, -math.inf, math.inf, DomainError)
     return BipartiteState(np.diag(_lt_witness_diagonal(lam, n_bits)))
 
 
@@ -237,9 +231,11 @@ def lt_admissibility_witness(n_bits: int, lam: float, tau: float) -> tuple:
 
     Returns ``(2^-N (1 + (2^N - 1) lambda tau), 2^-N (1 - (2^N - 3) lambda tau))``
     computed by direct contraction; either leaving ``[0, 1]`` certifies the
-    parameters as inadmissible.
+    parameters as inadmissible, so ``lam`` and ``tau`` may be any finite reals.
     """
     n_bits = _check_count("n_bits", n_bits, 2)
+    lam = _check_real("lambda", lam, -math.inf, math.inf, DomainError)
+    tau = _check_real("tau", tau, -math.inf, math.inf, DomainError)
     aligned = hadamard_vector(0, n_bits)
     effect = BipartiteEffect(
         2.0**-n_bits * np.diag(_diagonals(aligned, tau, aligned.size))
@@ -257,15 +253,6 @@ def lt_channel(theory: TheoryConfig) -> Channel:
     return dense_coding_channel(theory)
 
 
-def _check_lt_closed_form(n_bits: int) -> int:
-    n_bits = _check_count("n_bits", n_bits, 2)
-    if n_bits > LT_MAX_N_BITS:
-        raise GptError(
-            f"the lambda-tau closed forms need n_bits in [2, {LT_MAX_N_BITS}], got {n_bits}"
-        )
-    return n_bits
-
-
 def lt_optimal_product(n_bits: int) -> float:
     """The non-negative admissible ``lambda tau`` maximising the rate, the
     window's upper end ``1/(2^N - 3)``.
@@ -274,13 +261,13 @@ def lt_optimal_product(n_bits: int) -> float:
     it is the lower end ``-1/(2^N - 1)``, rate ``N - log2(2^N - 1)``:
     0.1926 against 0.1536 bits at ``N = 3``.
     """
-    n_bits = _check_lt_closed_form(n_bits)
+    n_bits = _check_count("n_bits", n_bits, 2, maximum=LT_MAX_N_BITS)
     return 1.0 / (2.0**n_bits - 3)
 
 
 def lt_peak_probability(n_bits: int) -> float:
     """Largest achievable correct-decoding probability ``Q_N``."""
-    n_bits = _check_lt_closed_form(n_bits)
+    n_bits = _check_count("n_bits", n_bits, 2, maximum=LT_MAX_N_BITS)
     size = 2.0**n_bits
     return 2.0 ** (-n_bits + 1) * (size - 2) / (size - 3)
 
@@ -311,8 +298,7 @@ def embedded_extremal_effect(direction, theory: TheoryConfig) -> Effect:
 
 def random_rotation(m: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish rotation from SO(m): QR of a Gaussian matrix, signs fixed."""
-    if m < 1:
-        raise GptError("rotation dimension must be >= 1")
+    m = _check_count("rotation dimension", m, 1)
     q, r = np.linalg.qr(rng.standard_normal((m, m)))
     q = q * np.sign(np.diagonal(r))
     if np.linalg.det(q) < 0:

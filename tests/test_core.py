@@ -1,6 +1,7 @@
 """Tests for the state/effect algebra and information measures."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,18 +20,24 @@ from gptlab import (
     Transformation,
     bipartite_contract,
     bipartite_unit,
+    capacity_upper_bound,
+    classify,
     contract,
+    dense_coding_info,
     entangled_effect,
     entangled_state,
     hadamard_vector,
+    lt_admissibility_witness,
     mix_bipartite,
     mutual_information,
     product_effect,
     product_state,
     reduced_states,
     unit_effect,
+    weak_entanglement_bound,
+    weak_thresholds,
 )
-from gptlab.core import _check_count, effect_probability_range
+from gptlab.core import _check_count, _check_real, effect_probability_range
 from gptlab.hst import (
     canonical_measurement,
     make_extremal_effect,
@@ -38,7 +45,7 @@ from gptlab.hst import (
     random_directions,
     random_state,
 )
-from gptlab.variants import dense_coding_channel
+from gptlab.variants import dense_coding_channel, lt_rotated_witness
 
 
 def binary_entropy(p: float) -> float:
@@ -492,6 +499,70 @@ class TestCheckCount:
     def test_raises_the_requested_class(self):
         with pytest.raises(DomainError, match="n_bits must be an integer >= 2, got 1"):
             _check_count("n_bits", 1, 2, DomainError)
+
+    @pytest.mark.parametrize("value", [12, np.int64(12), np.uint8(1)])
+    def test_accepts_integers_up_to_the_maximum(self, value):
+        assert _check_count("n_bits", value, 1, maximum=12) == int(value)
+
+    @pytest.mark.parametrize("value", [13, np.int64(13), 10**400])
+    def test_refuses_an_integer_above_the_maximum(self, value):
+        with pytest.raises(GptError, match=rf"^n_bits must be at most 12, got {value}$"):
+            _check_count("n_bits", value, 1, maximum=12)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize(
+        "value", [0.5, -1, 1, np.float64(0.5), np.float32(0.5), np.int8(-1), Fraction(1, 2)]
+    )
+    def test_returns_a_float_for_a_real_in_range(self, value):
+        checked = _check_real("x", value, -1.0, 1.0)
+        assert type(checked) is float and checked == value
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            True, np.True_, "0.5", None, 0.5j, np.array([0.5]), math.nan, math.inf,
+            -math.inf, 1.5, -1 - 1e-9, 10**400,
+        ],
+    )
+    def test_refuses_anything_else(self, value):
+        with pytest.raises(GptError, match=r"^x must be a finite real number in \[-1, 1\], got "):
+            _check_real("x", value, -1.0, 1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 10**400])
+    def test_refuses_a_non_finite_value_on_an_unbounded_range(self, value):
+        with pytest.raises(DomainError, match=r"^x must be a finite real number in \[-inf, inf\]"):
+            _check_real("x", value, -math.inf, math.inf, DomainError)
+
+
+# Library calls that ended in a raw TypeError, UFuncTypeError or
+# OverflowError, took a bool as 1, or blamed the wrong argument; each must
+# raise GptError naming the argument at fault.
+BAD_ARGUMENT_PROBES = {
+    "weak-bound-str-lambda": (lambda: weak_entanglement_bound("0.5", 3), "lambda"),
+    "weak-bound-none-lambda": (lambda: weak_entanglement_bound(None, 3), "lambda"),
+    "upper-bound-str-radius": (lambda: capacity_upper_bound("1", 1.0), "effect_norm"),
+    "upper-bound-none-radius": (lambda: capacity_upper_bound(None, 1.0), "effect_norm"),
+    "rate-str-product": (lambda: dense_coding_info(3, "0.5"), "scale product"),
+    "rate-none-product": (lambda: dense_coding_info(3, None), "scale product"),
+    "rate-complex-product": (lambda: dense_coding_info(3, 1j), "scale product"),
+    "classify-str-rate": (lambda: classify("1", 1.0), "dc_info_bits"),
+    "classify-bool-rate": (lambda: classify(True, 1.0), "dc_info_bits"),
+    "witness-bool-lambda": (lambda: lt_admissibility_witness(3, True, 0.5), "lambda"),
+    "witness-str-lambda": (lambda: lt_admissibility_witness(3, "a", 0.5), "lambda"),
+    "witness-nan-lambda": (lambda: lt_admissibility_witness(3, math.nan, 0.5), "lambda"),
+    "rotated-witness-none-lambda": (lambda: lt_rotated_witness(None, 3), "lambda"),
+    "thresholds-n-1100": (lambda: weak_thresholds(1100), "n_bits"),
+    "weak-bound-n-1100": (lambda: weak_entanglement_bound(0.5, 1100), "n_bits"),
+}
+
+
+@pytest.mark.parametrize(
+    "probe, name", BAD_ARGUMENT_PROBES.values(), ids=BAD_ARGUMENT_PROBES.keys()
+)
+def test_library_calls_refuse_a_bad_argument_with_gpt_error(probe, name):
+    with pytest.raises(GptError, match=f"^{name} must be "):
+        probe()
 
 
 class TestStateInvariants:

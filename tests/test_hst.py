@@ -134,7 +134,7 @@ class TestCapacityUpperBound:
     )
     def test_refuses_a_radius_that_is_not_a_finite_non_negative_number(self, radii):
         # (inf, 0) gave NaN and (True, True) gave 1.0.
-        with pytest.raises(GptError, match="finite and non-negative"):
+        with pytest.raises(GptError, match=r"(effect|state)_norm must be a finite real number in \[0, inf\]"):
             capacity_upper_bound(*radii)
 
     @settings(max_examples=50, deadline=None)
