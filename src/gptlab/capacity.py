@@ -9,10 +9,18 @@ dense-coding rates: the ``2N`` state-space dimension bound, and the
 weak-entanglement bound ``log2(1 + |lambda| (2^N - 1))`` with its two
 thresholds.  The protocol-derived lower bound is
 ``protocols.dc_capacity_lower_bound``.
+
+The searches call ``blahut_arimoto`` once per small table, so its fixed
+cost is spent on ufunc ``reduce`` calls and Python lists rather than the
+``ndarray`` method wrappers.  Every such shortcut keeps each float
+operation the same and in the same order, or replaces it by one with the
+same exact result (``_ceiling_bits``), so every result is the same bit
+for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,10 +95,12 @@ def blahut_arimoto(
     p = np.asarray(conditional, dtype=float)
     if p.ndim != 2 or p.size == 0:
         raise GptError("conditional must be a 2-d row-stochastic array")
-    low, sums = float(p.min()), p.sum(axis=1)
-    # The largest |row sum - 1|; a NaN sum makes both terms NaN.
-    row_dev = max(float(sums.max()) - 1.0, 1.0 - float(sums.min()))
-    # Written so that a non-finite entry or tol fails the check.
+    low = float(np.minimum.reduce(p, axis=None))
+    # The largest |row sum - 1|.  A NaN or -inf entry makes ``low`` fail
+    # the check below, and a +inf entry makes its row's sum, and so
+    # ``row_dev``, +inf.
+    sums = np.add.reduce(p, axis=1).tolist()
+    row_dev = max(max(sums) - 1.0, 1.0 - min(sums))
     if not (low >= -1e-12 and row_dev <= 1e-9):
         raise DomainError("conditional rows must be probability vectors")
     # The least positive double as the low end: tol > 0.
@@ -103,38 +113,43 @@ def blahut_arimoto(
         # Clipping raises a row sum by at most the column count times -low.
         upper += (row_dev + p.shape[1] * max(-low, 0.0)) * (abs(upper) + 1 / math.log(2))
         if upper <= stop_at:
-            prior = np.full(p.shape[0], 1.0 / p.shape[0])
-            prior.setflags(write=False)
-            return CapacityResult(0.0, prior, 0, False, upper)
+            return CapacityResult(0.0, _uniform_prior(p.shape[0]), 0, False, upper)
     if low < 0:
         p = np.maximum(p, 0.0)
-    prior = np.full(p.shape[0], 1.0 / p.shape[0])
+    # Never written to: each update below makes a new array.
+    prior = _uniform_prior(p.shape[0])
     log_p = np.zeros(p.shape)
     np.log2(p, out=log_p, where=p > 0)
     # Row entropy term of c_x = sum_y p(y|x) log2(p(y|x)/p_y); the prior
     # stays strictly positive, so any output with p_y = 0 has an all-zero
     # conditional column and drops out of the mat-vec below.
-    row_term = np.sum(np.multiply(p, log_p, out=log_p), axis=1)
+    row_term = np.add.reduce(np.multiply(p, log_p, out=log_p), axis=1)
 
     lower, upper = 0.0, math.inf
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         p_y = prior @ p
-        log_py = np.zeros(p_y.shape)
-        np.log2(p_y, out=log_py, where=p_y > 0)
+        if p_y.all():
+            log_py = np.log2(p_y)
+        else:
+            log_py = np.zeros(p_y.shape)
+            np.log2(p_y, out=log_py, where=p_y > 0)
         c = row_term - p @ log_py
         lower = float(prior @ c)
-        upper = float(c.max())
+        upper = float(np.maximum.reduce(c))
         if upper - lower < tol:
             converged = True
             break
         if upper <= stop_at:
             break
-        prior = prior * np.exp2(c - upper)
-        prior /= prior.sum()
+        # prior * exp2(c - upper), formed in c's buffer.
+        np.subtract(c, upper, out=c)
+        np.exp2(c, out=c)
+        prior = np.multiply(prior, c, out=c)
+        prior /= np.add.reduce(prior)
 
-    prior = prior / prior.sum()
+    prior = prior / np.add.reduce(prior)
     prior.setflags(write=False)
     return CapacityResult(
         capacity_bits=max(lower, 0.0),
@@ -152,9 +167,21 @@ def _ceiling_bits(conditional: np.ndarray) -> float:
     the output law ``q(y) = max_x p(y|x) / S``, every row has
     ``D(p(.|x) || q) <= log2 S`` since ``p(y|x) <= max_x p(y|x)``, and the
     mutual information of any prior is at most ``max_x D(p(.|x) || q)``.
-    The maxima are those of the table clipped at 0, as BA optimises it.
+    The maxima are those of the table clipped at 0, as BA optimises it:
+    a maximum is exact, so starting each column's reduction at 0 gives the
+    clipped maxima, up to the sign of a zero, which neither the sum nor
+    ``log2`` can tell.
     """
-    return float(np.log2(np.maximum(conditional.max(axis=0), 0.0).sum()))
+    return float(np.log2(np.add.reduce(np.maximum.reduce(conditional, axis=0, initial=0.0))))
+
+
+@functools.lru_cache(maxsize=16)
+def _uniform_prior(rows: int) -> np.ndarray:
+    """The read-only uniform prior on ``rows`` inputs, one shared array per
+    row count."""
+    prior = np.full(rows, 1.0 / rows)
+    prior.setflags(write=False)
+    return prior
 
 
 def _best_first_max(tables: list, best: float, tol: float, max_iter: int) -> float:

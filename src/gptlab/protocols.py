@@ -182,9 +182,9 @@ def random_product_measurement(
     component's A side in one ``random_measurements`` draw and every B side
     in another; one ``einsum`` sums the weighted outer products.
     """
-    n_a = int(rng.integers(2, MAX_OUTCOMES_SIDE + 1))
-    n_b = int(rng.integers(2, MAX_OUTCOMES_SIDE + 1))
-    n_components = int(rng.integers(1, MAX_COMPONENTS + 1))
+    n_a = int(rng.integers(2, MAX_OUTCOMES_SIDE + 1, dtype=np.int32))
+    n_b = int(rng.integers(2, MAX_OUTCOMES_SIDE + 1, dtype=np.int32))
+    n_components = int(rng.integers(1, MAX_COMPONENTS + 1, dtype=np.int32))
     weights = rng.standard_exponential(n_components)
     weights /= weights.sum()
     side_a = random_measurements(n_components, dim_a, n_a, rng)
@@ -225,7 +225,7 @@ def separable_baseline(dim: int, trials: int, seed: int, best: float = 0.0) -> f
 
     def draw_table():
         phi = _random_product_state(dim, rng)
-        n_messages = int(rng.integers(2, 2**n_bits + 1))
+        n_messages = int(rng.integers(2, 2**n_bits + 1, dtype=np.int32))
         # A uniform ordered subset, as ``rng.choice(..., replace=False)`` gives.
         labels = rng.random(2**n_bits).argsort()[:n_messages]
         if rng.random() < BELL_FRACTION:
@@ -251,7 +251,7 @@ def product_decoding_baseline(n_bits: int, trials: int, seed: int) -> float:
 
     def draw_table():
         if rng.random() < 0.5:
-            phi = np.diag(signs[rng.integers(2**n_bits)])
+            phi = np.diag(signs[rng.integers(0, 2**n_bits, dtype=np.int32)])
         else:
             phi = _random_product_state(dim, rng)
         effect_stack = random_product_measurement(dim, dim, rng)

@@ -231,11 +231,15 @@ def lt_admissibility_witness(n_bits: int, lam: float, tau: float) -> tuple:
 
     Returns ``(2^-N (1 + (2^N - 1) lambda tau), 2^-N (1 - (2^N - 3) lambda tau))``
     computed by direct contraction; either leaving ``[0, 1]`` certifies the
-    parameters as inadmissible, so ``lam`` and ``tau`` may be any finite reals.
+    parameters as inadmissible, so ``lam`` and ``tau`` may be any finite reals
+    whose product is finite.  A product that overflows is refused with
+    ``DomainError``: its contraction would overflow and end in NaN.
     """
     n_bits = _check_count("n_bits", n_bits, 2)
     lam = _check_real("lambda", lam, -math.inf, math.inf, DomainError)
     tau = _check_real("tau", tau, -math.inf, math.inf, DomainError)
+    if not math.isfinite(lam * tau):
+        raise DomainError(f"lambda * tau must be finite, got {lam!r} * {tau!r}")
     aligned = hadamard_vector(0, n_bits)
     effect = BipartiteEffect(
         2.0**-n_bits * np.diag(_diagonals(aligned, tau, aligned.size))

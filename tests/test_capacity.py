@@ -65,6 +65,31 @@ def result_fields(result) -> tuple:
     )
 
 
+def reference_blahut_arimoto(p: np.ndarray, tol: float, max_iter: int) -> tuple:
+    """The optimiser's loop on a table with no negative entry and no
+    incumbent, spelled with ``ndarray`` methods, masked logs and a fresh
+    uniform prior; its result fields as ``result_fields`` gives them."""
+    prior = np.full(p.shape[0], 1.0 / p.shape[0])
+    log_p = np.zeros(p.shape)
+    np.log2(p, out=log_p, where=p > 0)
+    row_term = np.sum(p * log_p, axis=1)
+    lower, upper, converged, iterations = 0.0, math.inf, False, 0
+    for iterations in range(1, max_iter + 1):
+        p_y = prior @ p
+        log_py = np.zeros(p_y.shape)
+        np.log2(p_y, out=log_py, where=p_y > 0)
+        c = row_term - p @ log_py
+        lower = float(prior @ c)
+        upper = float(c.max())
+        if upper - lower < tol:
+            converged = True
+            break
+        prior = prior * np.exp2(c - upper)
+        prior /= prior.sum()
+    prior = prior / prior.sum()
+    return (max(lower, 0.0).hex(), prior.tobytes().hex(), iterations, converged, upper.hex())
+
+
 def circulant(row) -> np.ndarray:
     """Symmetric channel whose rows are the cyclic shifts of ``row``.
 
@@ -289,6 +314,40 @@ class TestBlahutArimoto:
             conditional, tol=1e-6, max_iter=60, incumbent=incumbent, _ceiling=ceiling
         )
         assert result_fields(given_bound) == result_fields(plain)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        row_stochastic_tables(),
+        st.sampled_from([1e-3, 1e-6, 1e-10]),
+        st.sampled_from([0, 1, 2, 5, 60]),
+    )
+    def test_the_loop_is_the_reference_loop_bit_for_bit(self, conditional, tol, max_iter):
+        # Tables with a zero column take the masked log of p_y, the rest the
+        # plain one; both must round as the reference does.
+        result = blahut_arimoto(conditional, tol=tol, max_iter=max_iter)
+        assert result_fields(result) == reference_blahut_arimoto(conditional, tol, max_iter)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n_out: st.lists(
+                st.lists(
+                    st.sampled_from([-0.0, 0.0, -1e-12, -5e-324, 1e-300, 0.25, 0.5, 1.0]),
+                    min_size=n_out,
+                    max_size=n_out,
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+    )
+    def test_the_renyi_bound_is_log2_of_the_clipped_column_maxima(self, rows):
+        conditional = np.array(rows)
+        with warnings.catch_warnings():
+            # An all-zero table has the bound log2 0 = -inf either way.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            oracle = float(np.log2(np.maximum(conditional.max(axis=0), 0.0).sum()))
+            assert _ceiling_bits(conditional).hex() == oracle.hex()
 
     @pytest.mark.parametrize("negative", [-1e-12, -5e-13, -1e-300, -5e-324])
     def test_entries_just_below_zero_are_clipped(self, negative):

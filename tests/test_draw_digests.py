@@ -13,7 +13,10 @@ or to the rounding of a table.  Each is a sha256 over raw ``tobytes()``:
   one uniform drawn after them, which pins where they leave the stream.
 
 The digests were recorded with numpy 2.4; numpy does not promise the same
-Generator streams across releases.
+Generator streams across releases.  The searches draw each scalar count as
+``rng.integers(lo, hi, dtype=np.int32)``, and one more test checks that this
+is the default int64 draw, value and generator state alike, at every bound
+they use.
 """
 
 import hashlib
@@ -65,6 +68,16 @@ STACK_DIGESTS = {
     3: "ecc1fabd7820d0431ee73e4383cd7660de69d7879732d9473087876c79c8b5a9",
     15: "c89ca4b660f5e0596e8e78e4438f7bb5f07f02503ac69c552690e742c8a1712b",
 }
+
+
+# The (lo, hi) of every scalar count the searches draw: the state, outcome
+# and component counts, a product measurement's sides, the separable
+# baseline's message count and the product baseline's label, N <= 12.
+INT32_BOUNDS = (
+    [(2, 9), (1, 9), (2, 5)]
+    + [(2, 2**n + 1) for n in range(1, 13)]
+    + [(0, 2**n) for n in range(1, 13)]
+)
 
 
 def add_array(digest, array: np.ndarray) -> None:
@@ -136,3 +149,19 @@ def test_random_measurement_draws_are_pinned(dim):
 @pytest.mark.parametrize("dim", [1, 3, 15])
 def test_random_measurements_stacks_are_pinned(dim):
     assert stack_digest(dim) == STACK_DIGESTS[dim]
+
+
+@pytest.mark.parametrize("low, high", INT32_BOUNDS)
+def test_int32_scalar_draws_are_the_default_draws(low, high):
+    # Two counts in a row, then a uniform, so that both halves of a 64-bit
+    # output and the stream after them are compared.
+    for seed in SEEDS:
+        default, narrow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(25):
+            for _ in range(2):
+                value = narrow.integers(low, high, dtype=np.int32)
+                assert type(value) is np.int32
+                assert value == default.integers(low, high)
+            assert narrow.bit_generator.state == default.bit_generator.state
+            assert narrow.random().hex() == default.random().hex()
+        assert narrow.bit_generator.state == default.bit_generator.state

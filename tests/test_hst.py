@@ -182,6 +182,36 @@ class TestRandomBallPoints:
         state = random_state(7, np.random.default_rng(seed))
         assert np.array_equal(state.r, random_ball_points(1, 7, np.random.default_rng(seed))[0])
 
+    @pytest.mark.parametrize("draw", [random_directions, random_ball_points])
+    @pytest.mark.parametrize(
+        "count, dim, name",
+        [
+            (-1, 3, "count"),
+            (True, 3, "count"),
+            (2.0, 3, "count"),
+            (None, 3, "count"),
+            (2, 0, "ball dimension"),
+            (2, -1, "ball dimension"),
+            (2, True, "ball dimension"),
+            (2, 2.5, "ball dimension"),
+            (2, 2**20 + 1, "ball dimension"),
+        ],
+    )
+    def test_draws_refuse_a_bad_size_before_drawing(self, draw, count, dim, name):
+        # Unchecked, random_directions(-1, 3, rng) raised numpy's ValueError
+        # and random_ball_points(2, 0, rng) a ZeroDivisionError.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(GptError, match=f"^{name} must be"):
+            draw(count, dim, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("draw", [random_directions, random_ball_points])
+    def test_draws_take_zero_rows_and_numpy_sizes(self, draw):
+        assert draw(0, 3, np.random.default_rng(0)).shape == (0, 3)
+        rows = draw(np.int64(4), np.uint8(3), np.random.default_rng(1))
+        assert np.array_equal(rows, draw(4, 3, np.random.default_rng(1)))
+
     def test_radius_law_is_uniform_in_the_ball(self):
         # P(|r| <= 1/2) = 2^-dim for a uniform point of the dim-ball.
         points = random_ball_points(20_000, 3, np.random.default_rng(0))
@@ -225,6 +255,20 @@ class TestRandomFamilies:
             for row in stack.reshape(-1, dim + 1):
                 lo, hi = effect_probability_range(Effect(row))
                 assert -EXACT_TOL <= lo and hi <= 1.0 + EXACT_TOL
+
+    @pytest.mark.parametrize("dim", [0, -1, 2**20 + 1, True, 2.5, "3", None])
+    def test_random_measurement_refuses_a_bad_dimension_before_drawing(self, dim):
+        # Unchecked, dim 0 drew a table for a 0-ball and True a raw TypeError.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="^ball dimension must be"):
+            random_measurement(dim, rng)
+        assert rng.bit_generator.state == state
+
+    def test_random_measurement_accepts_a_numpy_dimension(self):
+        rng, plain = np.random.default_rng(0), np.random.default_rng(0)
+        assert np.array_equal(random_measurement(np.int64(3), rng), random_measurement(3, plain))
+        assert rng.bit_generator.state == plain.bit_generator.state
 
     def test_random_measurements_need_two_outcomes(self):
         with pytest.raises(GptError, match="outcomes"):

@@ -3,6 +3,7 @@
 import decimal
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,23 @@ class TestLambdaTauChannel:
             below = lt_admissibility_witness(n_bits, 1.0, lo * 1.05)
             assert min(above) < -EXACT_TOL
             assert min(below) < -EXACT_TOL
+
+    @pytest.mark.parametrize("lam, tau", [(1e200, 1e200), (-1e200, 1e200), (1e300, 1e10)])
+    def test_admissibility_witness_refuses_an_overflowing_product(self, lam, tau):
+        # Unchecked, (1e200, 1e200) warned "overflow encountered in multiply"
+        # and returned (inf, nan).  Any warning fails this test.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^lambda \* tau must be finite"):
+                lt_admissibility_witness(3, lam, tau)
+
+    @pytest.mark.parametrize("n_bits", [2, 3, 12])
+    def test_admissibility_witness_takes_a_product_near_the_float_limit(self, n_bits):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = lt_admissibility_witness(n_bits, 1e154, 1.7e154)
+        assert all(math.isfinite(p) for p in pair)
+        assert pair[0] > 1.0 and pair[1] < 0.0
 
     def test_rotated_witness_refuses_more_bits_than_the_limit(self, monkeypatch):
         # Unchecked, N = 13 built an 8192 x 8192 diagonal matrix (512 MiB).
