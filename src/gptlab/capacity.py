@@ -216,9 +216,11 @@ def search_max(draw_table, trials: int, best: float, tol: float, max_iter: int) 
     result is the same bit for bit as in draw order.  Each table's
     Renyi-infinity bound is computed once: it ranks the block and is handed
     to the optimiser's certificate.  ``trials`` must be an integer of at
-    least 1; a bool is refused.
+    least 1 and ``best`` a finite real number; both are checked before the
+    first draw, and a bool is refused.
     """
     _check_count("trials", trials, 1)
+    _check_real("best", best, -math.inf, math.inf)
     for start in range(0, trials, SEARCH_BLOCK):
         tables = [draw_table() for _ in range(min(SEARCH_BLOCK, trials - start))]
         best = _best_first_max(tables, best, tol, max_iter)

@@ -16,6 +16,17 @@ bit.  In particular, every scalar bounded count is drawn as
 numpy's int32 and int64 scalar paths take the same 32-bit Lemire sample,
 so the value and the generator state are those of the default draw, and
 the call costs less (2.8 against 3.0 us on a 2-vCPU Xeon).
+
+``random_measurement``, drawn once per ``capacity_search`` table, has its
+own body on Python scalars for its at most ``MAX_COMPONENTS`` components,
+bit for bit the one-row case of the batched ``random_measurements``.  The
+draws stay in numpy and in the batched order (outcome and component
+counts, exponentials, uniform rows, Gaussian directions), as do the
+direction normalisation, the slot ``argsort`` and one ordered
+``np.add.at``; the weights, their normaliser, the unit test and the
+signed half-weights are Python floats.  The normaliser is an explicit
+left-to-right loop, the order of ``np.bincount``, and not ``sum()``,
+which compensates float sums from CPython 3.12 on.
 """
 
 from __future__ import annotations
@@ -172,31 +183,20 @@ def random_measurements(
     ordered slots; and one ``random_directions`` row per component.  One
     unbuffered ``np.add.at`` sums the effects in component order, first
     slot then second, so the stack equals that per-component loop bit for
-    bit whatever BLAS is linked.  ``random_measurement`` draws its single
-    component count as a scalar, which takes the same value from the same
-    stream and leaves it in the same state, and shares the rest of this
-    body.  ``count`` must be an integer of at least 0 and ``n_outcomes``
-    of at least 2, and ``dim`` in ``[1, MAX_DIM]``; a bool is refused.
+    bit whatever BLAS is linked.  ``random_measurement`` is the one-row
+    case, bit for bit, on Python scalars.  ``count`` must be an integer of
+    at least 0 and ``n_outcomes`` of at least 2, and ``dim`` in
+    ``[1, MAX_DIM]``; a bool is refused.
     """
     count = _check_count("count", count, 0)
     dim = _check_count("ball dimension", dim, 1, DomainError, MAX_DIM)
     n_outcomes = _check_count("n_outcomes", n_outcomes, 2)
     owner = np.repeat(np.arange(count), rng.integers(1, MAX_COMPONENTS + 1, size=count))
-    table = _measurement_rows(owner, count, dim, n_outcomes, rng)
-    return table.reshape(count, n_outcomes, dim + 1)
-
-
-def _measurement_rows(owner, count, dim, n_outcomes, rng) -> np.ndarray:
-    """``random_measurements`` after its component counts, as the flat
-    ``(count * n_outcomes, dim + 1)`` table; ``owner[k]`` is the
-    measurement that component k belongs to."""
     weights = rng.standard_exponential(owner.size)
     weights /= np.bincount(owner, weights, minlength=count)[owner]
     coins = rng.random((owner.size, n_outcomes + 1))
-    slots = coins[:, 1:].argsort(axis=1)[:, :2]
     # Measurement j owns rows j n_outcomes onward of the flat table.
-    if count > 1:
-        slots = owner[:, None] * n_outcomes + slots
+    slots = owner[:, None] * n_outcomes + coins[:, 1:].argsort(axis=1)[:, :2]
     directions = random_directions(owner.size, dim, rng)
     # A component adds w (1, m)/2 to its first slot and w (1, -m)/2 to its
     # second, or the unit w (1, 0) to its first slot and zero to its second.
@@ -211,7 +211,7 @@ def _measurement_rows(owner, count, dim, n_outcomes, rng) -> np.ndarray:
     np.negative(rows[:, 0, 1:], out=rows[:, 1, 1:])
     table = np.zeros((count * n_outcomes, dim + 1))
     np.add.at(table, slots, rows)
-    return table
+    return table.reshape(count, n_outcomes, dim + 1)
 
 
 def random_measurement(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -219,13 +219,48 @@ def random_measurement(dim: int, rng: np.random.Generator) -> np.ndarray:
 
     The outcome count is drawn first, uniform in ``2..MAX_OUTCOMES``; the
     rest is the one-row case of ``random_measurements``, bit for bit, with
-    the component count drawn as a scalar.  ``dim`` must be an integer in
+    its own body for the at most ``MAX_COMPONENTS`` components.  The draws
+    come in the same order: the component count (as a scalar, which takes
+    the same value from the same stream), the standard exponentials, the
+    uniform row per component and the Gaussian directions, normalised as
+    ``random_directions`` does.  The weights, their normaliser, the unit
+    test and the half-weights are Python floats.  The normaliser is summed
+    by an explicit left-to-right loop, the order of ``np.bincount``:
+    ``sum()`` compensates float sums from CPython 3.12 on, so it would give
+    other bits on other Pythons.  Each component's signed half-weights,
+    ``(h, -h)`` or ``(0, 0)`` for the unit, scale its direction for both
+    effect rows in one multiply; a unit's signed zeros vanish in the
+    table, which starts at +0.  ``dim`` must be an integer in
     ``[1, MAX_DIM]``, checked before any draw.
     """
     dim = _check_count("ball dimension", dim, 1, DomainError, MAX_DIM)
     n_outcomes = int(rng.integers(2, MAX_OUTCOMES + 1, dtype=np.int32))
-    owner = np.zeros(rng.integers(1, MAX_COMPONENTS + 1, dtype=np.int32), dtype=np.intp)
-    return _measurement_rows(owner, 1, dim, n_outcomes, rng)
+    n_components = int(rng.integers(1, MAX_COMPONENTS + 1, dtype=np.int32))
+    weights = rng.standard_exponential(n_components).tolist()
+    total = 0.0
+    for weight in weights:
+        total += weight
+    coins = rng.random((n_components, n_outcomes + 1))
+    slots = coins[:, 1:].argsort(axis=1)[:, :2]
+    directions = rng.standard_normal((n_components, dim))
+    directions /= np.sqrt(np.vecdot(directions, directions))[:, None]
+    # Per component: column 0 of its two effect rows, then the signed
+    # half-weights that scale its direction in them.
+    coefficients = []
+    for weight, coin in zip(weights, coins[:, 0].tolist()):
+        weight /= total
+        if coin < 0.15:
+            coefficients += (weight, 0.0, 0.0, 0.0)
+        else:
+            half = weight * 0.5
+            coefficients += (half, half, half, -half)
+    coefficients = np.array(coefficients).reshape(n_components, 2, 2)
+    rows = np.empty((n_components, 2, dim + 1))
+    rows[:, :, 0] = coefficients[:, 0]
+    np.multiply(coefficients[:, 1, :, None], directions[:, None, :], out=rows[:, :, 1:])
+    table = np.zeros((n_outcomes, dim + 1))
+    np.add.at(table, slots, rows)
+    return table
 
 
 def capacity_search(dim: int, trials: int, seed: int) -> float:
@@ -245,14 +280,18 @@ def capacity_search(dim: int, trials: int, seed: int) -> float:
     """
     dim = _check_count("ball dimension", dim, 1, DomainError, MAX_DIM)
     rng = np.random.default_rng(_check_count("seed", seed, 0))
+    exponent = 1.0 / dim
+    # The state rows (1, r) of every table, the first n_states of them in
+    # use; each table is a new array, so the next draw may overwrite them.
+    state_rows = np.empty((MAX_STATES, dim + 1))
+    state_rows[:, 0] = 1.0
 
     def draw_table():
         n_states = int(rng.integers(2, MAX_STATES + 1, dtype=np.int32))
         coins = rng.random((2, n_states))
-        radii = coins[1] ** (1.0 / dim)
+        radii = coins[1] ** exponent
         radii[coins[0] < 0.5] = 1.0
-        rows = np.empty((n_states, dim + 1))
-        rows[:, 0] = 1.0
+        rows = state_rows[:n_states]
         np.multiply(radii[:, None], random_directions(n_states, dim, rng), out=rows[:, 1:])
         effect_rows = random_measurement(dim, rng)
         # One mat-vec per state, as a stack: a single gemm would round differently.

@@ -28,7 +28,8 @@ from gptlab import (
     weak_entanglement_bound,
     weak_thresholds,
 )
-from gptlab.capacity import _ceiling_bits
+from gptlab import protocols
+from gptlab.capacity import _ceiling_bits, search_max
 from gptlab.variants import lt_channel
 
 
@@ -594,3 +595,27 @@ class TestCertifiedCeiling:
     ):
         search_tables(capacity_search, 3, 20, 0)
         assert max(map(_ceiling_bits, search_tables.tables)) > 1.0 + EXACT_TOL
+
+
+class TestSearchMax:
+    @pytest.mark.parametrize("best", [math.nan, math.inf, -math.inf, True, np.True_, "1.0", None])
+    def test_a_bad_best_is_refused_before_any_draw(self, best):
+        calls = []
+
+        def draw_table():
+            calls.append(None)
+            raise AssertionError("drew a table")
+
+        with pytest.raises(GptError, match="^best must be"):
+            search_max(draw_table, 1, best, 1e-6, 1)
+        assert not calls
+
+    def test_separable_baseline_refuses_a_nan_best_before_drawing(self, monkeypatch):
+        # Once, the search drew a whole block of tables and then blamed an
+        # "incumbent" that the caller never passed.
+        def no_draw(*args):
+            raise AssertionError("drew a product measurement")
+
+        monkeypatch.setattr(protocols, "random_product_measurement", no_draw)
+        with pytest.raises(GptError, match="^best must be"):
+            separable_baseline(3, 1000, 0, best=math.nan)

@@ -236,13 +236,20 @@ class TestRandomFamilies:
         assert stack.shape == (count, n_outcomes, dim + 1)
         assert np.array_equal(stack, oracle)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_random_measurement_is_the_one_row_case(self, seed):
-        rng, batched = np.random.default_rng(seed), np.random.default_rng(seed)
-        table = random_measurement(3, rng)
-        n_outcomes = int(batched.integers(2, MAX_OUTCOMES + 1))
-        assert np.array_equal(table, random_measurements(1, 3, n_outcomes, batched)[0])
-        assert rng.bit_generator.state == batched.bit_generator.state
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 15])
+    def test_random_measurement_is_the_one_row_case(self, dim):
+        # The oracle of the scalar body: draw after draw from one stream, the
+        # same bytes (signed zeros included) and the same generator state as
+        # the batched draw of one measurement after the outcome count.
+        for seed in range(50):
+            rng, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(4):
+                table = random_measurement(dim, rng)
+                n_outcomes = int(batched.integers(2, MAX_OUTCOMES + 1))
+                expected = random_measurements(1, dim, n_outcomes, batched)[0]
+                assert np.array_equal(table, expected)
+                assert table.tobytes() == expected.tobytes()
+                assert rng.bit_generator.state == batched.bit_generator.state
 
     @pytest.mark.parametrize("n_outcomes", range(2, MAX_OUTCOMES + 1))
     @pytest.mark.parametrize("count", [0, 1, 7])
@@ -315,6 +322,23 @@ class TestRandomFamilies:
     def test_capacity_search_needs_a_trial(self, trials):
         with pytest.raises(GptError, match="trials"):
             capacity_search(3, trials=trials, seed=0)
+
+    @pytest.mark.parametrize("dim, trials", [(1, 7), (3, 40), (15, 300)])
+    def test_capacity_search_draws_through_the_module_seams(self, monkeypatch, dim, trials):
+        # The mutants replace these two module attributes: each table must
+        # still draw its states and its measurement through them.
+        from gptlab import hst
+
+        calls = {"random_directions": 0, "random_measurement": 0}
+        for name in calls:
+
+            def counted(*args, _draw=getattr(hst, name), _name=name):
+                calls[_name] += 1
+                return _draw(*args)
+
+            monkeypatch.setattr(hst, name, counted)
+        capacity_search(dim, trials, 0)
+        assert calls == {"random_directions": trials, "random_measurement": trials}
 
     def test_perfectly_read_tetrahedron_fires_the_gate(self, perfectly_read_tetrahedron):
         assert capacity_search(3, trials=20, seed=0) > 1.0 + OPT_TOL
