@@ -12,10 +12,20 @@ thresholds.  The protocol-derived lower bound is
 
 The searches call ``blahut_arimoto`` once per small table, so its fixed
 cost is spent on ufunc ``reduce`` calls and Python lists rather than the
-``ndarray`` method wrappers.  Every such shortcut keeps each float
-operation the same and in the same order, or replaces it by one with the
-same exact result (``_ceiling_bits``), so every result is the same bit
-for bit.
+``ndarray`` method wrappers.  Its loop makes three reductions per
+iteration: the zero test of the output law, the dual bound ``max_x c_x``
+and the prior's normaliser.  On a table with at most ``SCALAR_REDUCE_MAX``
+(16) rows and columns, which covers every falsifier table, they run on
+Python floats, where a numpy call on a vector of 8 entries costs more than
+the arithmetic: the sum as an exact copy of numpy's pairwise summation
+(``_scalar_sum``, never the builtin ``sum()``, which compensates from
+CPython 3.12) and the maximum as the builtin ``max`` with numpy's answer
+for a zero maximum (``_scalar_max``).  Larger tables keep the numpy
+reductions.  The loop's three matrix products stay in numpy at every size:
+BLAS may fuse a multiply and an add, so a Python loop would round them
+differently.  Every such shortcut keeps each float operation the same and
+in the same order, or replaces it by one with the same exact result
+(``_ceiling_bits``), so every result is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +42,10 @@ BA_DEFAULT_TOL = 1e-10
 BA_DEFAULT_MAX_ITER = 100_000
 # Tables a randomized search draws before optimising them best first.
 SEARCH_BLOCK = 256
+# Longest table axis whose Blahut-Arimoto reductions run on Python floats:
+# past it, numpy's reductions cost less than the Python loops (a 32-entry
+# sum took about 1.5 us in Python and 1.0 us in numpy on a 2-vCPU Xeon).
+SCALAR_REDUCE_MAX = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +105,12 @@ def blahut_arimoto(
     ``max_iter`` must be a non-negative integer; with 0 no iteration runs
     and ``upper_bits`` is inf.  A ``tol`` or ``incumbent`` that is a bool or
     not a real number is refused with ``GptError``.
+
+    When neither axis of the table is longer than ``SCALAR_REDUCE_MAX``,
+    the zero test of ``p_y``, ``max_x c_x`` and the prior's normaliser run
+    on Python floats, with numpy's results bit for bit (see the module
+    docstring); the reducers are picked once per call, and the three
+    matrix products stay in numpy.
     """
     p = np.asarray(conditional, dtype=float)
     if p.ndim != 2 or p.size == 0:
@@ -125,19 +145,24 @@ def blahut_arimoto(
     # conditional column and drops out of the mat-vec below.
     row_term = np.add.reduce(np.multiply(p, log_p, out=log_p), axis=1)
 
+    if max(p.shape) <= SCALAR_REDUCE_MAX:
+        has_zero, maximum, total = _scalar_has_zero, _scalar_max, _scalar_sum
+    else:
+        has_zero, maximum, total = _array_has_zero, np.maximum.reduce, np.add.reduce
+
     lower, upper = 0.0, math.inf
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         p_y = prior @ p
-        if p_y.all():
-            log_py = np.log2(p_y)
-        else:
+        if has_zero(p_y):
             log_py = np.zeros(p_y.shape)
             np.log2(p_y, out=log_py, where=p_y > 0)
+        else:
+            log_py = np.log2(p_y)
         c = row_term - p @ log_py
         lower = float(prior @ c)
-        upper = float(np.maximum.reduce(c))
+        upper = float(maximum(c))
         if upper - lower < tol:
             converged = True
             break
@@ -147,9 +172,9 @@ def blahut_arimoto(
         np.subtract(c, upper, out=c)
         np.exp2(c, out=c)
         prior = np.multiply(prior, c, out=c)
-        prior /= np.add.reduce(prior)
+        prior /= total(prior)
 
-    prior = prior / np.add.reduce(prior)
+    prior = prior / total(prior)
     prior.setflags(write=False)
     return CapacityResult(
         capacity_bits=max(lower, 0.0),
@@ -158,6 +183,58 @@ def blahut_arimoto(
         converged=converged,
         upper_bits=upper,
     )
+
+
+def _array_has_zero(values: np.ndarray) -> bool:
+    return not values.all()
+
+
+def _scalar_has_zero(values: np.ndarray) -> bool:
+    """``not values.all()`` through a Python list: ``-0.0`` is a zero, NaN
+    is not."""
+    return 0.0 in values.tolist()
+
+
+def _scalar_max(values: np.ndarray) -> float:
+    """``np.maximum.reduce`` of a vector without NaN, bit for bit.
+
+    The builtin ``max`` keeps the first of two tied zeros and numpy the
+    last (``[0.0, -0.0]`` gives ``-0.0``), so numpy settles a zero maximum;
+    any other tie is between equal bits.  BA's ``c`` is finite: the table
+    is, and the prior stays positive.
+    """
+    top = max(values.tolist())
+    return top if top else float(np.maximum.reduce(values))
+
+
+def _scalar_sum(values: np.ndarray) -> float:
+    """``np.add.reduce`` of a vector of at most 128 entries, bit for bit.
+
+    This is numpy's pairwise summation in its order.  Fewer than 8 entries
+    are added left to right from ``+0.0``.  Otherwise eight accumulators
+    take every eighth entry, left to right, and are added as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``; the entries past
+    the last whole block follow, left to right, and the reduction's initial
+    ``+0.0`` comes last.  Plain float additions throughout: the builtin
+    ``sum()`` compensates from CPython 3.12.
+    """
+    values = values.tolist()
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    blocks = n - n % 8
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    for i in range(8, blocks, 8):
+        a0, a1, a2, a3, a4, a5, a6, a7 = values[i : i + 8]
+        r0, r1, r2, r3 = r0 + a0, r1 + a1, r2 + a2, r3 + a3
+        r4, r5, r6, r7 = r4 + a4, r5 + a5, r6 + a6, r7 + a7
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for x in values[blocks:]:
+        total += x
+    return 0.0 + total
 
 
 def _ceiling_bits(conditional: np.ndarray) -> float:

@@ -116,8 +116,10 @@ def dense_coding(n_bits: int, theory: TheoryConfig | None = None, seed: int = 0)
     every theory kind builds its checked channel and its closed-form rate
     through the diagonal model layer in ``variants``.  The channel does not
     depend on ``seed``: the embedded model's sphere rotations never reach
-    the Hadamard corner.
+    the Hadamard corner.  ``seed`` must still be an integer >= 0, as for
+    every seeded entry point.
     """
+    _check_count("seed", seed, 0)
     if theory is None:
         theory = TheoryConfig.base(n_bits)
     if theory.n_bits != n_bits:
@@ -357,8 +359,10 @@ def entanglement_swap(n_bits: int, label: int = 0, seed: int = 0) -> SwapRun:
     receiver's correction, the joint statistics of every Bell-type effect
     on the far pair must reproduce ``phi_label``:
     ``p(y|x) = E'_y . phi_label = delta_(y,label)``.  The swap draws
-    nothing, so ``seed`` does not change the result.
+    nothing, so ``seed`` does not change the result; it must still be an
+    integer >= 0.
     """
+    _check_count("seed", seed, 0)
     n_bits = _check_label(label, n_bits)
     signs = hadamard_basis(n_bits)
     v = _receiver_rows(signs, signs[label], n_bits)

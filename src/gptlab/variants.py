@@ -332,8 +332,9 @@ def embedded_dense_coding(theory: TheoryConfig, rotation_seed: int = 0) -> Chann
     ``R_x``; the decoding statistics are the exact identity regardless,
     because the entangled corner never sees the sphere block (see
     ``dense_coding_channel``).  The channel does not depend on
-    ``rotation_seed``.
+    ``rotation_seed``, which must still be an integer >= 0.
     """
+    _check_count("rotation_seed", rotation_seed, 0)
     _require_kind(theory, "embedded")
     return dense_coding_channel(theory)
 

@@ -29,7 +29,14 @@ from gptlab import (
     weak_thresholds,
 )
 from gptlab import protocols
-from gptlab.capacity import _ceiling_bits, search_max
+from gptlab.capacity import (
+    SCALAR_REDUCE_MAX,
+    _ceiling_bits,
+    _scalar_has_zero,
+    _scalar_max,
+    _scalar_sum,
+    search_max,
+)
 from gptlab.variants import lt_channel
 
 
@@ -89,6 +96,34 @@ def reference_blahut_arimoto(p: np.ndarray, tol: float, max_iter: int) -> tuple:
         prior /= prior.sum()
     prior = prior / prior.sum()
     return (max(lower, 0.0).hex(), prior.tobytes().hex(), iterations, converged, upper.hex())
+
+
+@st.composite
+def reducer_branch_tables(draw):
+    """Row-stochastic tables on every side of the scalar-reduction gate.
+
+    7-8 inputs and 9-16 outputs reach the normaliser's eight accumulators;
+    up to 40 rows or columns lie past ``SCALAR_REDUCE_MAX``.  Some tables
+    repeat one row, so that the ``c_x`` are equal and often all zero, which
+    makes ``upper_bits`` a maximum of zeros, and some have all-zero output
+    columns.
+    """
+    n_in, n_out = draw(
+        st.one_of(
+            st.tuples(st.integers(7, 8), st.integers(9, 16)),
+            st.tuples(st.integers(SCALAR_REDUCE_MAX + 1, 40), st.integers(1, 40)),
+            st.tuples(st.integers(1, 40), st.integers(SCALAR_REDUCE_MAX + 1, 40)),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.choice([0.0, 0.1, 0.5, 1.0, 2.0, 7.0], size=(n_in, n_out))
+    if draw(st.booleans()):
+        table[:] = table[0]
+    zero_columns = draw(st.integers(0, min(3, n_out - 1)))
+    table[:, 1 + rng.permutation(n_out - 1)[:zero_columns]] = 0.0
+    # Column 0 is never zeroed; a row with no weight puts it all there.
+    table[table.sum(axis=1) == 0, 0] = 1.0
+    return table / table.sum(axis=1, keepdims=True)
 
 
 def circulant(row) -> np.ndarray:
@@ -330,6 +365,18 @@ class TestBlahutArimoto:
 
     @settings(max_examples=150, deadline=None)
     @given(
+        reducer_branch_tables(),
+        st.sampled_from([1e-3, 1e-6, 1e-10]),
+        st.sampled_from([0, 1, 2, 5, 60]),
+    )
+    def test_the_loop_is_the_reference_loop_on_both_sides_of_the_gate(
+        self, conditional, tol, max_iter
+    ):
+        result = blahut_arimoto(conditional, tol=tol, max_iter=max_iter)
+        assert result_fields(result) == reference_blahut_arimoto(conditional, tol, max_iter)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
         st.integers(1, 8).flatmap(
             lambda n_out: st.lists(
                 st.lists(
@@ -422,6 +469,56 @@ class TestBlahutArimoto:
         # symmetric channel: the uniform prior is optimal
         assert abs(result.capacity_bits - lt_optimal_info(3)) < 1e-6
         assert abs(result.capacity_bits - 0.15356065532898455) < 1e-6
+
+
+def reducer_inputs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A vector of ``n`` finite doubles of one of four kinds: signed zeros
+    and subnormals, magnitudes spread from 1e-300 to 1e300, probabilities,
+    or a mix of all three, each entry of either sign."""
+    tiny = rng.choice([0.0, 5e-324, 1e-320, 2.2250738585072014e-308], size=n)
+    wide = 10.0 ** rng.uniform(-300, 300, size=n)
+    unit = rng.random(n)
+    kind = int(rng.integers(4))
+    if kind == 3:
+        values = np.choose(rng.integers(3, size=n), [tiny, wide, unit])
+    else:
+        values = (tiny, wide, unit)[kind]
+    return np.where(rng.random(n) < 0.5, -values, values)
+
+
+class TestScalarReducers:
+    # Past the gate too, so that the sum adds more than one block of eight.
+    @pytest.mark.parametrize("n", range(1, 2 * SCALAR_REDUCE_MAX + 1))
+    def test_each_reducer_is_numpys_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(300):
+            values = reducer_inputs(rng, n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = float(np.add.reduce(values))
+            assert _scalar_sum(values).hex() == total.hex()
+            assert _scalar_max(values).hex() == float(np.maximum.reduce(values)).hex()
+            assert _scalar_has_zero(values) is not bool(values.all())
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, -0.0], [-0.0, 0.0], [-0.0], [-0.0, -0.0, 0.0], [-1.0, -0.0, 0.0, -0.0]],
+    )
+    def test_a_zero_maximum_keeps_numpys_sign(self, values):
+        values = np.array(values)
+        assert _scalar_max(values).hex() == float(np.maximum.reduce(values)).hex()
+
+    @pytest.mark.parametrize("n, total", [(6, 0.6), (13, 1.3000000000000003)])
+    def test_the_sum_is_not_compensated(self, n, total):
+        # n copies of 0.1 in numpy's order, each addition rounded; the
+        # correctly rounded sums, as a compensated sum() may give from
+        # CPython 3.12, are 0.6000000000000001 and 1.3.
+        values = np.full(n, 0.1)
+        assert _scalar_sum(values) == float(np.add.reduce(values)) == total
+        assert math.fsum(values.tolist()) != total
+
+    def test_nan_is_not_a_zero(self):
+        assert not _scalar_has_zero(np.array([np.nan, 1.0]))
+        assert _scalar_has_zero(np.array([np.nan, -0.0]))
 
 
 class TestBitCounts:

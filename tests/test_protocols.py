@@ -729,3 +729,27 @@ def test_negative_seeds_are_refused(entry):
     for seed in (-1, np.int64(-1)):
         with pytest.raises(GptError, match=r"^seed must be an integer >= 0, got "):
             SEED_CHECKS[entry](seed)
+
+
+# These entry points draw nothing from their seed, yet refuse a bad one as
+# every seeded entry point does, rather than taking any object.
+UNUSED_SEED_CHECKS = {
+    "dense_coding": ("seed", lambda seed: dense_coding(2, seed=seed)),
+    "entanglement_swap": ("seed", lambda seed: entanglement_swap(2, seed=seed)),
+    "embedded_dense_coding": (
+        "rotation_seed",
+        lambda seed: variants.embedded_dense_coding(
+            TheoryConfig.embedded(2, 2), rotation_seed=seed
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNUSED_SEED_CHECKS))
+def test_seeds_that_draw_nothing_are_still_checked(entry):
+    name, call = UNUSED_SEED_CHECKS[entry]
+    call(0)
+    call(np.int64(7))
+    for seed in ("abc", None, -5, np.int64(-1), True, 1.0):
+        with pytest.raises(GptError, match=rf"^{name} must be an integer >= 0, got "):
+            call(seed)
