@@ -59,10 +59,16 @@ BA_TOL = 1e-6
 BA_MAX_ITER = 60
 
 
+def _check_dim(dim) -> int:
+    """``dim`` as an ``int``; a ``DomainError`` unless it is a non-bool
+    integer in ``[1, MAX_DIM]``."""
+    return _check_count("ball dimension", dim, 1, DomainError, MAX_DIM)
+
+
 def make_state(r) -> State:
     """State ``(1, r)``; requires ``||r|| <= 1``."""
     r = np.asarray(r, dtype=float)
-    _check_count("ball dimension", r.size, 1, DomainError, MAX_DIM)
+    _check_dim(r.size)
     norm = np.linalg.norm(r)
     if not norm <= 1.0 + EXACT_TOL:
         raise DomainError(f"state coordinates have norm {norm!r} > 1")
@@ -72,7 +78,7 @@ def make_state(r) -> State:
 def make_extremal_effect(direction) -> Effect:
     """Extremal effect ``(1, m)/2``; requires ``||m|| = 1``."""
     direction = np.asarray(direction, dtype=float)
-    _check_count("ball dimension", direction.size, 1, DomainError, MAX_DIM)
+    _check_dim(direction.size)
     norm = np.linalg.norm(direction)
     if not abs(norm - 1.0) <= EXACT_TOL:
         raise DomainError(f"effect direction has norm {norm!r}, expected 1")
@@ -100,7 +106,7 @@ def one_bit_protocol(dim: int) -> Channel:
     first axis with a uniform prior and decoded along that axis, which
     yields the exact 2x2 identity channel and mutual information 1.
     """
-    direction = np.zeros(_check_count("ball dimension", dim, 1, DomainError, MAX_DIM))
+    direction = np.zeros(_check_dim(dim))
     direction[0] = 1.0
     states = (make_state(direction), make_state(-direction))
     meas = canonical_measurement(direction)
@@ -120,7 +126,7 @@ def random_directions(count: int, dim: int, rng: np.random.Generator) -> np.ndar
     the draw.
     """
     count = _check_count("count", count, 0)
-    dim = _check_count("ball dimension", dim, 1, DomainError, MAX_DIM)
+    dim = _check_dim(dim)
     v = rng.standard_normal((count, dim))
     v /= np.sqrt(np.vecdot(v, v))[:, None]
     return v
@@ -151,7 +157,7 @@ def random_ball_points(count: int, dim: int, rng: np.random.Generator) -> np.nda
     draw.  ``count`` and ``dim`` are checked as there, before the draw.
     """
     count = _check_count("count", count, 0)
-    dim = _check_count("ball dimension", dim, 1, DomainError, MAX_DIM)
+    dim = _check_dim(dim)
     radii = rng.random(count) ** (1.0 / dim)
     return radii[:, None] * random_directions(count, dim, rng)
 
@@ -189,8 +195,17 @@ def random_measurements(
     ``[1, MAX_DIM]``; a bool is refused.
     """
     count = _check_count("count", count, 0)
-    dim = _check_count("ball dimension", dim, 1, DomainError, MAX_DIM)
+    dim = _check_dim(dim)
     n_outcomes = _check_count("n_outcomes", n_outcomes, 2)
+    return _random_measurements(count, dim, n_outcomes, rng)
+
+
+def _random_measurements(
+    count: int, dim: int, n_outcomes: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The body of ``random_measurements``, for arguments already checked:
+    ``count`` and ``n_outcomes`` Python ints of at least 0 and 2, ``dim`` an
+    int in ``[1, MAX_DIM]``."""
     owner = np.repeat(np.arange(count), rng.integers(1, MAX_COMPONENTS + 1, size=count))
     weights = rng.standard_exponential(owner.size)
     weights /= np.bincount(owner, weights, minlength=count)[owner]
@@ -233,7 +248,7 @@ def random_measurement(dim: int, rng: np.random.Generator) -> np.ndarray:
     table, which starts at +0.  ``dim`` must be an integer in
     ``[1, MAX_DIM]``, checked before any draw.
     """
-    dim = _check_count("ball dimension", dim, 1, DomainError, MAX_DIM)
+    dim = _check_dim(dim)
     n_outcomes = int(rng.integers(2, MAX_OUTCOMES + 1, dtype=np.int32))
     n_components = int(rng.integers(1, MAX_COMPONENTS + 1, dtype=np.int32))
     weights = rng.standard_exponential(n_components).tolist()
@@ -278,7 +293,7 @@ def capacity_search(dim: int, trials: int, seed: int) -> float:
     (a lower bound), so looser settings never inflate the maximum.
     ``dim`` must be an integer in ``[1, MAX_DIM]``, ``trials`` at least 1.
     """
-    dim = _check_count("ball dimension", dim, 1, DomainError, MAX_DIM)
+    dim = _check_dim(dim)
     rng = np.random.default_rng(_check_count("seed", seed, 0))
     exponent = 1.0 / dim
     # The state rows (1, r) of every table, the first n_states of them in

@@ -25,7 +25,9 @@ The separable baselines re-run dense coding with product resources and
 check that nothing beats the single-system rate of 1 bit.  Their random
 product states and product measurements are drawn as stacked arrays, one
 generator call per quantity (see ``hst.random_measurements``), and their
-tables are searched best first by ``capacity.search_max``.
+tables are searched best first by ``capacity.search_max``.  A product
+measurement checks both of its dimensions before its first draw, so a
+refused call leaves the generator where it was.
 
 The converse statement that teleportation needs a classical channel of N
 bits is an impossibility argument, not an algorithm, and is out of scope
@@ -56,12 +58,13 @@ from .core import (
 from .hadamard import _check_label, _check_n_bits, bell_measurement, hadamard_basis
 from .hst import (
     MAX_COMPONENTS,
+    _check_dim,
+    _random_measurements,
     extremal_rows,
     make_state,
     random_ball_points,
     random_directions,
     random_measurement,
-    random_measurements,
 )
 
 # Outcomes per side of a random product measurement, and how often the
@@ -182,15 +185,18 @@ def random_product_measurement(
     After the outcome and component counts come the weights (standard
     exponentials, normalised: the flat Dirichlet law), then every
     component's A side in one ``random_measurements`` draw and every B side
-    in another; one ``einsum`` sums the weighted outer products.
+    in another; one ``einsum`` sums the weighted outer products.  Both
+    dimensions must be integers in ``[1, MAX_DIM]``; they are checked
+    before the first draw, so a refused call leaves ``rng`` untouched.
     """
+    dim_a, dim_b = _check_dim(dim_a), _check_dim(dim_b)
     n_a = int(rng.integers(2, MAX_OUTCOMES_SIDE + 1, dtype=np.int32))
     n_b = int(rng.integers(2, MAX_OUTCOMES_SIDE + 1, dtype=np.int32))
     n_components = int(rng.integers(1, MAX_COMPONENTS + 1, dtype=np.int32))
     weights = rng.standard_exponential(n_components)
     weights /= weights.sum()
-    side_a = random_measurements(n_components, dim_a, n_a, rng)
-    side_b = random_measurements(n_components, dim_b, n_b, rng)
+    side_a = _random_measurements(n_components, dim_a, n_a, rng)
+    side_b = _random_measurements(n_components, dim_b, n_b, rng)
     table = np.einsum("k,kam,kbn->abmn", weights, side_a, side_b)
     return table.reshape(n_a * n_b, dim_a + 1, dim_b + 1)
 
@@ -202,7 +208,7 @@ def _random_product_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """
     rows = np.ones((2, dim + 1))
     rows[:, 1:] = random_ball_points(2, dim, rng)
-    return np.outer(rows[0], rows[1])
+    return rows[0][:, None] * rows[1]
 
 
 def separable_baseline(dim: int, trials: int, seed: int, best: float = 0.0) -> float:

@@ -37,7 +37,7 @@ from gptlab.capacity import (
     _scalar_sum,
     search_max,
 )
-from gptlab.variants import lt_channel
+from gptlab.variants import dense_coding_channel, lt_channel
 
 
 def binary_entropy(p: float) -> float:
@@ -124,6 +124,39 @@ def reducer_branch_tables(draw):
     # Column 0 is never zeroed; a row with no weight puts it all there.
     table[table.sum(axis=1) == 0, 0] = 1.0
     return table / table.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def continuous_tables(draw, shapes):
+    """Row-stochastic tables of a shape drawn from ``shapes``, with random
+    real entries, some of them zero; a power of the uniforms spreads the
+    rows, so the loop runs for many iterations."""
+    n_in, n_out = draw(shapes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.random((n_in, n_out)) ** draw(st.sampled_from([1, 3, 8]))
+    table[rng.random(table.shape) < 0.15] = 0.0
+    table[table.sum(axis=1) == 0, 0] = 1.0
+    return table / table.sum(axis=1, keepdims=True)
+
+
+# Tables past the gate with 41-64 rows or columns, and tables of any size up to 64.
+WIDE_SHAPES = st.one_of(
+    st.tuples(st.integers(41, 64), st.integers(1, 64)),
+    st.tuples(st.integers(1, 64), st.integers(41, 64)),
+)
+ANY_SHAPES = st.tuples(st.integers(1, 64), st.integers(1, 64))
+
+
+def other_layouts(table: np.ndarray) -> dict:
+    """Equal copies of a C-ordered ``table`` in other memory layouts."""
+    n_in, n_out = table.shape
+    padded = np.zeros((2 * n_in, 3 * n_out))
+    padded[::2, ::3] = table
+    return {
+        "fortran": np.asfortranarray(table),
+        "transposed": np.ascontiguousarray(table.T).T,
+        "strided": padded[::2, ::3],
+    }
 
 
 def circulant(row) -> np.ndarray:
@@ -374,6 +407,61 @@ class TestBlahutArimoto:
     ):
         result = blahut_arimoto(conditional, tol=tol, max_iter=max_iter)
         assert result_fields(result) == reference_blahut_arimoto(conditional, tol, max_iter)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        continuous_tables(WIDE_SHAPES),
+        st.sampled_from([1e-3, 1e-6, 1e-10]),
+        st.sampled_from([0, 1, 2, 5, 60]),
+    )
+    def test_the_loop_is_the_reference_loop_on_tables_of_41_to_64(
+        self, conditional, tol, max_iter
+    ):
+        result = blahut_arimoto(conditional, tol=tol, max_iter=max_iter)
+        assert result_fields(result) == reference_blahut_arimoto(conditional, tol, max_iter)
+
+    @pytest.mark.parametrize("n_bits", [5, 6, 7, 8])
+    def test_the_loop_is_the_reference_loop_on_dense_coding_tables(self, n_bits):
+        # The largest tables the optimiser serves: one row per message.
+        theories = (
+            TheoryConfig.weak(n_bits, 0.3),
+            TheoryConfig.weak(n_bits, -0.5 / (2**n_bits - 1)),
+            TheoryConfig.lambda_tau(n_bits, 1.0, lt_optimal_product(n_bits)),
+        )
+        for theory in theories:
+            conditional = dense_coding_channel(theory).conditional
+            for max_iter in (1, 5):
+                result = blahut_arimoto(conditional, tol=1e-10, max_iter=max_iter)
+                expected = reference_blahut_arimoto(conditional, 1e-10, max_iter)
+                assert result_fields(result) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        continuous_tables(ANY_SHAPES),
+        st.sampled_from([1e-3, 1e-6, 1e-10]),
+        st.sampled_from([1, 5, 60]),
+    )
+    def test_other_layouts_run_the_reference_loop_of_their_c_copy(
+        self, conditional, tol, max_iter
+    ):
+        expected = reference_blahut_arimoto(conditional, tol, max_iter)
+        for table in other_layouts(conditional).values():
+            result = blahut_arimoto(table, tol=tol, max_iter=max_iter)
+            assert result_fields(result) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        continuous_tables(ANY_SHAPES),
+        st.sampled_from([None, 0.0, 0.5, 1.0, 2.0]),
+    )
+    def test_the_result_does_not_depend_on_the_memory_layout(self, conditional, incumbent):
+        # Products and reductions over other strides may add in another order.
+        expected = result_fields(
+            blahut_arimoto(conditional, tol=1e-9, max_iter=300, incumbent=incumbent)
+        )
+        for table in other_layouts(conditional).values():
+            result = blahut_arimoto(table, tol=1e-9, max_iter=300, incumbent=incumbent)
+            assert result_fields(result) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -10,7 +10,9 @@ or to the rounding of a table.  Each is a sha256 over raw ``tobytes()``:
 - every field of each of those tables' ``CapacityResult``, as hex, and the
   search's maximum;
 - the stacks ``random_measurement`` and ``random_measurements`` return, and
-  one uniform drawn after them, which pins where they leave the stream.
+  one uniform drawn after them, which pins where they leave the stream;
+- the stacks ``random_product_measurement`` returns, three per seed, and
+  one uniform drawn after them.
 
 The digests were recorded with numpy 2.4; numpy does not promise the same
 Generator streams across releases.  The searches draw each scalar count as
@@ -26,6 +28,7 @@ import pytest
 
 from gptlab import capacity_search, product_decoding_baseline, separable_baseline
 from gptlab.hst import random_measurement, random_measurements
+from gptlab.protocols import random_product_measurement
 
 SEEDS = range(4)
 
@@ -67,6 +70,12 @@ STACK_DIGESTS = {
     1: "8ee7e7b838c5b8874ca9f8494e7ec479bf3fea5a081ddfa02c02bad25491d818",
     3: "ecc1fabd7820d0431ee73e4383cd7660de69d7879732d9473087876c79c8b5a9",
     15: "c89ca4b660f5e0596e8e78e4438f7bb5f07f02503ac69c552690e742c8a1712b",
+}
+
+PRODUCT_DIGESTS = {
+    1: "4347cc9b59bcb0bfe02112200021745fe1f2b2db4b0ad72d24244bfec978cb20",
+    3: "1506ec27f0fa865b8952289794faf54709df901c480744daf30895b0b9360e39",
+    7: "ee8fe8404b40d22849570ea7c7bd0533c7defc73f029e0b10fd352df984c7bec",
 }
 
 
@@ -133,6 +142,18 @@ def stack_digest(dim: int) -> str:
     return digest.hexdigest()
 
 
+def product_digest(dim: int) -> str:
+    """Three ``random_product_measurement(dim, dim)`` stacks per seed, then
+    one uniform."""
+    digest = hashlib.sha256()
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            add_array(digest, random_product_measurement(dim, dim, rng))
+        digest.update(rng.random().hex().encode())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("name", SEARCHES)
 def test_search_tables_and_results_are_pinned(search_tables, name):
     search, arg, trials = SEARCHES[name]
@@ -149,6 +170,11 @@ def test_random_measurement_draws_are_pinned(dim):
 @pytest.mark.parametrize("dim", [1, 3, 15])
 def test_random_measurements_stacks_are_pinned(dim):
     assert stack_digest(dim) == STACK_DIGESTS[dim]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 7])
+def test_random_product_measurement_stacks_are_pinned(dim):
+    assert product_digest(dim) == PRODUCT_DIGESTS[dim]
 
 
 @pytest.mark.parametrize("low, high", INT32_BOUNDS)

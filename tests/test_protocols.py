@@ -37,6 +37,7 @@ from gptlab.capacity import SEARCH_BLOCK, blahut_arimoto
 from gptlab.core import Effect, unit_effect
 from gptlab.hst import (
     MAX_COMPONENTS,
+    MAX_DIM,
     capacity_search,
     make_extremal_effect,
     make_state,
@@ -402,6 +403,18 @@ class TestSeparableBaseline:
         assert np.array_equal(table, expected)
         unit = bipartite_unit(dim_a, dim_b).matrix
         assert np.abs(table.sum(axis=0) - unit).max() <= EXACT_TOL
+
+    @pytest.mark.parametrize(
+        "dims", [(0, 3), (3, 0), (True, 3), (3, 2.5), (MAX_DIM + 1, 3), (3, MAX_DIM + 1)]
+    )
+    def test_random_product_measurement_refuses_before_drawing(self, dims):
+        # Either side's dimension is refused before the counts, the weights
+        # and side A are drawn.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="ball dimension"):
+            random_product_measurement(*dims, rng)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("n_bits", [2, 3])
     def test_tables_match_the_rotated_states(self, monkeypatch, search_tables, n_bits):
