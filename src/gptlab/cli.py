@@ -34,6 +34,8 @@ from .capacity import (
 )
 from .checks import SUITES, _suite_baseline  # noqa: F401 (mutation tests look both up here)
 from .core import (
+    _PARAM_NAMES,
+    KIND_PARAMS,
     MAX_N_BITS,
     THEORY_KINDS,
     DomainError,
@@ -53,12 +55,10 @@ REFERENCE_RATE_TOL = 5e-3
 def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     return value
 
 
@@ -133,21 +133,11 @@ def _check_n_bits(args) -> None:
 
 
 def _theory_from_args(args) -> TheoryConfig:
-    kind = args.theory
-    if kind == "base":
-        return TheoryConfig.base(args.n_bits)
-    if kind == "lambda-tau":
-        if args.lam is None or args.tau is None:
-            raise DomainError("--lambda and --tau are required for lambda-tau")
-        return TheoryConfig.lambda_tau(args.n_bits, args.lam, args.tau)
-    if kind == "embedded":
-        if args.m is None:
-            raise DomainError("--m is required for the embedded model")
-        return TheoryConfig.embedded(args.n_bits, args.m)
-    # weak, the one kind left: argparse admits only THEORY_KINDS.
-    if args.lam is None:
-        raise DomainError("--lambda is required for the weak model")
-    return TheoryConfig.weak(args.n_bits, args.lam)
+    params = {attr: getattr(args, attr) for attr in KIND_PARAMS[args.theory]}
+    missing = [f"--{_PARAM_NAMES[attr]}" for attr, value in params.items() if value is None]
+    if missing:
+        raise DomainError(f"the {args.theory} model needs {' and '.join(missing)}")
+    return TheoryConfig(args.theory, args.n_bits, **params)
 
 
 def cmd_dense_coding(args) -> tuple:

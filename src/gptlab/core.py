@@ -29,7 +29,11 @@ EXACT_TOL = 1e-12
 # Tolerance for iterative-optimizer outputs.
 OPT_TOL = 1e-6
 
-THEORY_KINDS = ("base", "lambda-tau", "embedded", "weak")
+# The parameters each theory kind needs, by ``TheoryConfig`` attribute.
+KIND_PARAMS = {"base": (), "lambda-tau": ("lam", "tau"), "embedded": ("m",), "weak": ("lam",)}
+THEORY_KINDS = tuple(KIND_PARAMS)
+# How messages and command-line flags name each parameter.
+_PARAM_NAMES = {"lam": "lambda", "tau": "tau", "m": "m"}
 # Largest N any protocol builds, enforced by ``hadamard``: the swap holds about
 # three (2^N)^2 float arrays and a dense-coding run one, a peak RSS of 427 /
 # 173 MB at N = 12.
@@ -316,7 +320,8 @@ def _check_real(name: str, value, low: float, high: float, error=GptError) -> fl
 class TheoryConfig:
     """Selects the base hypersphere model or one of its deformations.
 
-    ``kind`` is one of ``base``, ``lambda-tau``, ``embedded`` or ``weak``.
+    ``kind`` is one of ``base``, ``lambda-tau``, ``embedded`` or ``weak``,
+    and needs the parameters ``KIND_PARAMS`` names for it.
     ``n_bits`` fixes the local ball dimension ``2**n_bits - 1``.  ``lam``
     scales entangled-state correlations, ``tau`` scales entangled-effect
     correlations, and ``m`` is the sphere dimension of the embedded model.
@@ -331,23 +336,24 @@ class TheoryConfig:
     def __post_init__(self):
         if self.kind not in THEORY_KINDS:
             raise DomainError(f"unknown theory kind {self.kind!r}")
+        params = KIND_PARAMS[self.kind]
         # Each value is stored as its checker returns it: numpy integers wrap.
         n_bits = _check_count("n_bits", self.n_bits, 1, DomainError, MAX_N_BITS)
         object.__setattr__(self, "n_bits", n_bits)
         # lambda and tau lie in [-1, 1] where the kind scales correlations by
         # them, and are finite everywhere.
-        scaled = {"lambda-tau": ("lam", "tau"), "weak": ("lam",)}.get(self.kind, ())
-        for attr, name in (("lam", "lambda"), ("tau", "tau")):
+        for attr in ("lam", "tau"):
             value = getattr(self, attr)
             if value is not None:
-                bound = 1.0 if attr in scaled else math.inf
-                value = _check_real(name, value, -bound, bound, DomainError)
+                bound = 1.0 if attr in params else math.inf
+                value = _check_real(_PARAM_NAMES[attr], value, -bound, bound, DomainError)
                 object.__setattr__(self, attr, value)
         if self.kind != "base" and self.n_bits < 2:
             raise DomainError(f"the {self.kind} model needs n_bits >= 2")
+        missing = [_PARAM_NAMES[attr] for attr in params if getattr(self, attr) is None]
+        if missing:
+            raise DomainError(f"the {self.kind} model needs {' and '.join(missing)}")
         if self.kind == "lambda-tau":
-            if self.lam is None or self.tau is None:
-                raise DomainError("the lambda-tau model needs both lambda and tau")
             d = 2**self.n_bits
             prod = self.lam * self.tau
             if prod < -1.0 / (d - 1) - EXACT_TOL or prod > 1.0 / (d - 3) + EXACT_TOL:
@@ -359,9 +365,6 @@ class TheoryConfig:
         elif self.kind == "embedded":
             m = _check_count("embedding sphere dimension m", self.m, 1, DomainError)
             object.__setattr__(self, "m", m)
-        elif self.kind == "weak":
-            if self.lam is None:
-                raise DomainError("the weakly entangled model needs lambda")
 
     @classmethod
     def base(cls, n_bits: int) -> "TheoryConfig":

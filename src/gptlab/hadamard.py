@@ -209,7 +209,11 @@ def local_tomography_from_oracle(oracle, dim_a: int, dim_b: int) -> BipartiteSta
     has dimensions, and returns ``P = M_A phi M_B^T``; the state is then
 
         phi = M_A^-1 P M_B^-T,    M^-1 = [[1, 0], [-1, 2I]].
+
+    Both dimensions must be integers >= 0, checked before the oracle is
+    called.
     """
+    dim_a, dim_b = _check_count("dim_a", dim_a, 0), _check_count("dim_b", dim_b, 0)
     return BipartiteState(_reconstruct(oracle, dim_a, dim_b))
 
 

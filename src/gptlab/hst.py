@@ -65,10 +65,19 @@ def _check_dim(dim) -> int:
     return _check_count("ball dimension", dim, 1, DomainError, MAX_DIM)
 
 
+def _check_vector(values, name: str) -> np.ndarray:
+    """``values`` as a float vector; a ``DomainError`` unless it is 1-D with
+    a size in ``[1, MAX_DIM]``."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise DomainError(f"{name} must be a vector, got shape {values.shape}")
+    _check_dim(values.size)
+    return values
+
+
 def make_state(r) -> State:
-    """State ``(1, r)``; requires ``||r|| <= 1``."""
-    r = np.asarray(r, dtype=float)
-    _check_dim(r.size)
+    """State ``(1, r)``; requires a vector r with ``||r|| <= 1``."""
+    r = _check_vector(r, "state coordinates")
     norm = np.linalg.norm(r)
     if not norm <= 1.0 + EXACT_TOL:
         raise DomainError(f"state coordinates have norm {norm!r} > 1")
@@ -76,9 +85,8 @@ def make_state(r) -> State:
 
 
 def make_extremal_effect(direction) -> Effect:
-    """Extremal effect ``(1, m)/2``; requires ``||m|| = 1``."""
-    direction = np.asarray(direction, dtype=float)
-    _check_dim(direction.size)
+    """Extremal effect ``(1, m)/2``; requires a vector m with ``||m|| = 1``."""
+    direction = _check_vector(direction, "effect direction")
     norm = np.linalg.norm(direction)
     if not abs(norm - 1.0) <= EXACT_TOL:
         raise DomainError(f"effect direction has norm {norm!r}, expected 1")

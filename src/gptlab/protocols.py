@@ -93,7 +93,6 @@ class DenseCodingRun:
 @dataclass(frozen=True, eq=False)
 class TeleportationRun:
     n_bits: int
-    joint: np.ndarray
     outcome_priors: np.ndarray
     max_residual: float
     passed: bool
@@ -104,7 +103,6 @@ class TeleportationRun:
 class SwapRun:
     n_bits: int
     label: int
-    joint: np.ndarray
     outcome_priors: np.ndarray
     conditional: np.ndarray
     expected: np.ndarray
@@ -313,8 +311,7 @@ def teleport(
     with ``2^-N e_y . omega`` for ``n_effects`` random canonical receiver
     effects plus the unit, all outcomes as one stack; the largest conditional
     deviation is reported, and a failure names the first (x, effect) pair
-    attaining it.  The joint table uses a canonical two-outcome receiver
-    measurement, so its rows sum to the outcome prior ``p_x = 2^-N``.
+    attaining it.
     """
     n_bits = _check_n_bits(n_bits)
     dim = 2**n_bits - 1
@@ -325,15 +322,11 @@ def teleport(
     make_state(input_state.r)  # refuses a state outside the unit ball
     _check_count("n_effects", n_effects, 0)
 
-    # Extremal effects (1, m)/2 along n_effects + 1 random m, one draw: the
-    # probes are the first n_effects plus the unit u, and the pair is the
-    # canonical measurement {e_m, u - e_m} along the last m.
+    # The probes are the extremal effects (1, m)/2 along the first n_effects
+    # rows of one draw of n_effects + 1 random m, then the unit u.
     rng = np.random.default_rng(_check_count("seed", seed, 0))
-    directions = random_directions(n_effects + 1, dim, rng)
-    probe_rows = extremal_rows(directions)
-    unit = np.eye(1, dim + 1)[0]
-    pair_rows = np.array([probe_rows[-1], unit - probe_rows[-1]])
-    probe_rows[-1] = unit
+    probe_rows = extremal_rows(random_directions(n_effects + 1, dim, rng))
+    probe_rows[-1] = np.eye(1, dim + 1)[0]
 
     omega = input_state.entries
     expected = probe_rows @ omega  # e_y . omega per probe effect
@@ -341,7 +334,6 @@ def teleport(
     v = _receiver_rows(hadamard_basis(n_bits), omega, n_bits)
     priors = v[:, 0].copy()
     # One mat-vec per outcome, as a stack: a single gemm would round differently.
-    joint = (pair_rows @ v[:, :, None])[..., 0]
     conditional = (probe_rows @ v[:, :, None])[..., 0] / priors[:, None]
     residuals = np.abs(conditional - expected)
     max_residual = float(residuals.max())
@@ -349,7 +341,6 @@ def teleport(
     worst = np.unravel_index(residuals.argmax(), residuals.shape)
     return TeleportationRun(
         n_bits=n_bits,
-        joint=joint,
         outcome_priors=priors,
         max_residual=max_residual,
         passed=passed,
@@ -376,15 +367,14 @@ def entanglement_swap(n_bits: int, label: int = 0, seed: int = 0) -> SwapRun:
     expected = decode @ signs[label]
     del signs
     priors = v[:, 0].copy()
-    joint = v @ decode.T
+    conditional = v @ decode.T
     del v, decode
-    conditional = joint / priors[:, None]
+    conditional /= priors[:, None]
     gap = conditional - expected  # one buffer for the absolute gap
     max_residual = float(np.abs(gap, out=gap).max())
     return SwapRun(
         n_bits=n_bits,
         label=label,
-        joint=joint,
         outcome_priors=priors,
         conditional=conditional,
         expected=expected,

@@ -313,11 +313,13 @@ def random_rotation(m: int, rng: np.random.Generator) -> np.ndarray:
 def embedded_transformation(
     label: int, theory: TheoryConfig, rotation: np.ndarray
 ) -> Transformation:
-    """Local map ``block-diag(T_label, R)`` for a rotation R of the sphere."""
+    """Local map ``block-diag(T_label, R)`` for a finite rotation R of the sphere."""
     _require_kind(theory, "embedded")
     rotation = np.asarray(rotation, dtype=float)
     if rotation.shape != (theory.m, theory.m):
         raise GptError(f"rotation must be {theory.m} x {theory.m}")
+    if not np.isfinite(rotation).all():
+        raise DomainError("rotation entries must be finite")
     size = theory.hadamard_dim
     matrix = np.zeros((size + theory.m, size + theory.m))
     matrix[:size, :size] = np.diag(hadamard_vector(label, theory.n_bits))

@@ -110,6 +110,24 @@ class TestDenseCodingCommand:
         assert code == 2
         assert "--lambda" in err
 
+    @pytest.mark.parametrize(
+        "theory_args, missing",
+        [
+            (["--theory", "lambda-tau"], "--lambda and --tau"),
+            (["--theory", "lambda-tau", "--lambda", "0.5", "--m", "2"], "--tau"),
+            (["--theory", "lambda-tau", "--tau", "0.5"], "--lambda"),
+            (["--theory", "embedded", "--lambda", "0.5", "--tau", "0.5"], "--m"),
+            (["--theory", "weak", "--tau", "0.5", "--m", "2"], "--lambda"),
+            (["--theory", "weak", "--n-bits", "1"], "--lambda"),
+        ],
+    )
+    def test_a_missing_flag_exits_two_and_is_named(self, capsys, theory_args, missing):
+        code, out, err = run_cli(capsys, "dense-coding", "--n-bits", "3", *theory_args)
+        assert code == 2
+        assert out == ""
+        kind = theory_args[1]
+        assert err == f"error: the {kind} model needs {missing}\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "theory_args",

@@ -476,6 +476,26 @@ class TestLocalTomography:
             assert np.array_equal(rebuilt.matrix, phi.matrix)
             assert calls == [probes]
 
+    @pytest.mark.parametrize(
+        "dim_a, dim_b",
+        [(-2, 1), (1, -2), (True, 1), (1, True), (2.0, 1), (1, None), (np.int64(-1), 3)],
+    )
+    def test_refuses_a_bad_dimension_before_asking_the_oracle(self, dim_a, dim_b):
+        # Unchecked, (-2, 1) ended in numpy's "negative dimensions are not
+        # allowed" and True was taken as 1.
+        def oracle(effects_a, effects_b):
+            raise AssertionError("asked the oracle for a refused dimension")
+
+        with pytest.raises(GptError, match="dim_[ab] must be an integer >= 0"):
+            local_tomography_from_oracle(oracle, dim_a, dim_b)
+
+    def test_numpy_dimensions_rebuild_as_python_ints(self):
+        phi = entangled_state(1, 2)
+        rebuilt = local_tomography_from_oracle(
+            hadamard._product_oracle(phi.matrix), np.int64(3), np.uint8(3)
+        )
+        assert np.array_equal(rebuilt.matrix, phi.matrix)
+
 
 # --------------------------------------------------------------------------
 # per-probe reference loops for the stacked membership and tomography paths

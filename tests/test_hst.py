@@ -60,6 +60,30 @@ class TestConstructors:
         with pytest.raises(DomainError, match="norm"):
             make_extremal_effect([1.1, 0.0])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_state(0.5),
+            lambda: make_state([[0.1, 0.2]]),
+            lambda: make_state(np.zeros((2, 2))),
+            lambda: make_extremal_effect([[1.0]]),
+            lambda: make_extremal_effect(1.0),
+            lambda: canonical_measurement([[1.0]]),
+        ],
+        ids=[
+            "state-scalar",
+            "state-row-matrix",
+            "state-square-matrix",
+            "effect-matrix",
+            "effect-scalar",
+            "measurement-matrix",
+        ],
+    )
+    def test_refuses_anything_but_a_vector(self, build):
+        # Unchecked, each ended in a raw ValueError from np.concatenate.
+        with pytest.raises(DomainError, match="must be a vector"):
+            build()
+
 
 class TestCanonicalMeasurement:
     def test_aligned_state_is_deterministic(self):

@@ -34,7 +34,7 @@ from gptlab import (
 )
 from gptlab import capacity, protocols, variants
 from gptlab.capacity import SEARCH_BLOCK, blahut_arimoto
-from gptlab.core import Effect, unit_effect
+from gptlab.core import unit_effect
 from gptlab.hst import (
     MAX_COMPONENTS,
     MAX_DIM,
@@ -83,22 +83,18 @@ def teleport_joint_oracle(e_x, e_y, omega, phi_corrected) -> float:
 def teleport_loop_oracle(input_state, n_bits, signs, seed=0, n_effects=100):
     """The per-outcome teleportation loop, one validated effect per probe.
 
-    Row x of ``signs`` plays ``d_x``; returns ``(joint, priors,
-    max_residual, witness)`` as ``teleport`` reports them.
+    Row x of ``signs`` plays ``d_x``; returns ``(priors, max_residual,
+    witness)`` as ``teleport`` reports them.
     """
     dim = 2**n_bits - 1
     rng = np.random.default_rng(seed)
     probe_effects = [make_extremal_effect(random_direction(dim, rng)) for _ in range(n_effects)]
     probe_effects.append(unit_effect(dim))
     probe_rows = np.stack([e.entries for e in probe_effects])
-    pair = [make_extremal_effect(random_direction(dim, rng))]
-    pair.append(Effect(unit_effect(dim).entries - pair[0].entries))
-    pair_rows = np.stack([e.entries for e in pair])
 
     omega = input_state.entries
     expected = probe_rows @ omega
     phi0 = signs[0]
-    joint = np.zeros((2**n_bits, 2))
     priors = np.zeros(2**n_bits)
     max_residual = 0.0
     witness = None
@@ -108,7 +104,6 @@ def teleport_loop_oracle(input_state, n_bits, signs, seed=0, n_effects=100):
         e_x = 2.0**-n_bits * d_x
         v_x = corrected * (e_x * omega)
         priors[x] = v_x[0]
-        joint[x] = pair_rows @ v_x
         conditional = (probe_rows @ v_x) / priors[x]
         residuals = np.abs(conditional - expected)
         worst = int(np.argmax(residuals))
@@ -116,7 +111,7 @@ def teleport_loop_oracle(input_state, n_bits, signs, seed=0, n_effects=100):
             max_residual = float(residuals[worst])
             witness = (x, worst)
     passed = max_residual <= EXACT_TOL
-    return joint, priors, max_residual, None if passed else witness
+    return priors, max_residual, None if passed else witness
 
 
 def swap_joint_oracle(e_x, e_y, phi_ac, phi_corrected) -> float:
@@ -495,8 +490,8 @@ class TestTeleport:
         n_bits = 2
         run = teleport(make_state(np.zeros(3)), n_bits, seed=0)
         assert run.passed
-        # canonical pair on the mixed state: both outcomes carry 1/2
-        assert np.abs(run.joint - 2.0**-n_bits * 0.5).max() < EXACT_TOL
+        assert run.max_residual == 0.0
+        assert np.all(run.outcome_priors == 2.0**-n_bits)
 
     def test_axis_state_against_brute_force(self):
         n_bits = 2
@@ -511,13 +506,12 @@ class TestTeleport:
             )
             assert abs(value - 2.0**-n_bits * 1.0) < EXACT_TOL
 
-    def test_joint_rows_sum_to_outcome_prior(self):
+    def test_outcome_priors_are_exactly_uniform(self):
         rng = np.random.default_rng(4)
         for n_bits in (1, 2, 3):
             state = random_pure_state(2**n_bits - 1, rng)
             run = teleport(state, n_bits, seed=5)
             assert np.all(run.outcome_priors == 2.0**-n_bits)
-            assert np.abs(run.joint.sum(axis=1) - run.outcome_priors).max() < EXACT_TOL
 
     def test_residuals_small_for_random_states(self):
         rng = np.random.default_rng(6)
@@ -562,10 +556,9 @@ class TestTeleport:
             monkeypatch.setattr(protocols, "hadamard_basis", lambda n: signs)
         for state in states:
             run = teleport(state, n_bits, seed=seed, n_effects=20 + seed)
-            joint, priors, max_residual, witness = teleport_loop_oracle(
+            priors, max_residual, witness = teleport_loop_oracle(
                 state, n_bits, signs, seed=seed, n_effects=20 + seed
             )
-            assert joint.tobytes() == run.joint.tobytes()
             assert priors.tobytes() == run.outcome_priors.tobytes()
             assert repr(max_residual) == repr(run.max_residual)
             assert witness == run.witness
@@ -609,7 +602,7 @@ class TestEntanglementSwap:
     def test_outcome_priors_uniform(self):
         run = entanglement_swap(2, label=1)
         assert np.all(run.outcome_priors == 0.25)
-        assert np.abs(run.joint.sum(axis=1) - run.outcome_priors).max() < EXACT_TOL
+        assert np.abs(run.conditional.sum(axis=1) - 1.0).max() < EXACT_TOL
 
     def test_degenerate_classical_case(self):
         run = entanglement_swap(1, label=1)
@@ -631,7 +624,7 @@ class TestEntanglementSwap:
                     phi_ac,
                     corrected,
                 )
-                assert abs(value - run.joint[x, y]) < EXACT_TOL
+                assert abs(value - run.outcome_priors[x] * run.conditional[x, y]) < EXACT_TOL
 
     def test_label_out_of_range(self):
         with pytest.raises(GptError):

@@ -43,7 +43,7 @@ from gptlab import (
 from gptlab import variants
 from gptlab.capacity import blahut_arimoto, weak_entanglement_bound, weak_thresholds
 from gptlab.cli import main
-from gptlab.core import MAX_N_BITS, Effect, State
+from gptlab.core import KIND_PARAMS, MAX_N_BITS, THEORY_KINDS, Effect, State
 from gptlab.hadamard import hadamard_vector, local_transformation
 from gptlab.hst import random_directions
 from gptlab.variants import (
@@ -122,6 +122,44 @@ class TestTheoryConfigTypes:
     def test_rejects_a_non_numeric_or_bool_parameter(self, build):
         with pytest.raises(DomainError):
             build()
+
+    @pytest.mark.parametrize(
+        "kind, given, missing",
+        [
+            ("lambda-tau", {}, "lambda and tau"),
+            ("lambda-tau", {"lam": 0.5}, "tau"),
+            ("lambda-tau", {"tau": 0.5}, "lambda"),
+            ("embedded", {}, "m"),
+            ("embedded", {"lam": 0.5, "tau": 0.5}, "m"),
+            ("weak", {"tau": 0.5, "m": 2}, "lambda"),
+        ],
+    )
+    def test_names_the_missing_parameters(self, kind, given, missing):
+        with pytest.raises(DomainError, match=f"^the {kind} model needs {missing}$"):
+            TheoryConfig(kind, 3, **given)
+
+    def test_kind_params_name_every_kind_and_what_it_reads(self):
+        assert THEORY_KINDS == tuple(KIND_PARAMS) == ("base", "lambda-tau", "embedded", "weak")
+        for kind, params in KIND_PARAMS.items():
+            given = {"lam": 0.2, "tau": 0.2, "m": 2}
+            theory = TheoryConfig(kind, 3, **{attr: given[attr] for attr in params})
+            assert all(getattr(theory, attr) == given[attr] for attr in params)
+            unread = {"lam", "tau", "m"} - set(params)
+            assert all(getattr(theory, attr) is None for attr in unread)
+
+    @pytest.mark.parametrize("kind", ["base", "embedded"])
+    def test_unscaled_kinds_take_lambda_and_tau_beyond_one(self, kind):
+        theory = TheoryConfig(kind, 3, lam=2.0, tau=-3.0, m=2)
+        assert (theory.lam, theory.tau) == (2.0, -3.0)
+        with pytest.raises(DomainError, match="finite"):
+            TheoryConfig(kind, 3, lam=math.inf, m=2)
+
+    @pytest.mark.parametrize(
+        "kind, params", [("weak", {"lam": 1.5}), ("lambda-tau", {"lam": 0.1, "tau": -1.5})]
+    )
+    def test_scaled_kinds_keep_lambda_and_tau_in_the_unit_interval(self, kind, params):
+        with pytest.raises(DomainError, match=r"\[-1, 1\]"):
+            TheoryConfig(kind, 3, **params)
 
     def test_accepts_numpy_numbers(self):
         assert TheoryConfig.embedded(np.int64(3), np.int32(2)).local_dim == 9
@@ -424,6 +462,23 @@ class TestEmbeddedTheory:
             assert np.array_equal(matrix[4:, :], np.zeros((3, 7)))
             assert np.array_equal(matrix[:, 4:], np.zeros((7, 3)))
             assert np.array_equal(np.diagonal(matrix)[:4], hadamard_vector(mu, 2))
+
+    @pytest.mark.parametrize("direction", [[[1.0, 0.0]], [[1.0], [0.0]]], ids=["row", "column"])
+    def test_extremal_effect_refuses_a_matrix_direction(self, direction):
+        # Unchecked, a 1 x 2 direction ended in a raw ValueError from np.concatenate.
+        with pytest.raises(DomainError, match="must be a vector"):
+            embedded_extremal_effect(direction, TheoryConfig.embedded(2, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_transformation_refuses_a_non_finite_rotation(self, bad):
+        theory = TheoryConfig.embedded(2, 2)
+        # Unchecked, an all-NaN rotation gave a Transformation with a NaN block.
+        with pytest.raises(DomainError, match="finite"):
+            embedded_transformation(1, theory, np.full((2, 2), bad))
+        rotation = np.eye(2)
+        rotation[1, 0] = bad
+        with pytest.raises(DomainError, match="finite"):
+            embedded_transformation(1, theory, rotation)
 
     def test_transformations_preserve_local_states(self):
         theory = TheoryConfig.embedded(2, 3)
