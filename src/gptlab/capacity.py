@@ -286,12 +286,13 @@ def _best_first_max(tables: list, best: float, tol: float, max_iter: int) -> flo
     return best
 
 
-def search_max(draw_table, trials: int, best: float, tol: float, max_iter: int) -> float:
+def search_max(draw_block, trials: int, best: float, tol: float, max_iter: int) -> float:
     """Running maximum of ``best`` and the rates of ``trials`` random tables.
 
-    The search policy of the one-bit falsifiers.  ``draw_table()`` returns
-    the next table of the search's random stream; the tables are drawn in
-    order, ``SEARCH_BLOCK`` at a time, and each block is optimised best
+    The search policy of the one-bit falsifiers.  ``draw_block(count)``
+    returns the next ``count`` tables of the search's random stream, in
+    order, as a list; the search asks for ``SEARCH_BLOCK`` at a time, the
+    last block for what is left, and each block is optimised best
     first with ``tol`` and ``max_iter`` (see ``_best_first_max``), the
     running best carried across blocks.  The tables most likely to set the
     maximum run first and the rest stop early, but the order only changes
@@ -307,8 +308,7 @@ def search_max(draw_table, trials: int, best: float, tol: float, max_iter: int) 
     _check_count("trials", trials, 1)
     _check_real("best", best, -math.inf, math.inf)
     for start in range(0, trials, SEARCH_BLOCK):
-        tables = [draw_table() for _ in range(min(SEARCH_BLOCK, trials - start))]
-        best = _best_first_max(tables, best, tol, max_iter)
+        best = _best_first_max(draw_block(min(SEARCH_BLOCK, trials - start)), best, tol, max_iter)
     return best
 
 

@@ -341,13 +341,16 @@ class TheoryConfig:
         n_bits = _check_count("n_bits", self.n_bits, 1, DomainError, MAX_N_BITS)
         object.__setattr__(self, "n_bits", n_bits)
         # lambda and tau lie in [-1, 1] where the kind scales correlations by
-        # them, and are finite everywhere.
+        # them, and are finite everywhere; m is an integer >= 1 everywhere.
         for attr in ("lam", "tau"):
             value = getattr(self, attr)
             if value is not None:
                 bound = 1.0 if attr in params else math.inf
                 value = _check_real(_PARAM_NAMES[attr], value, -bound, bound, DomainError)
                 object.__setattr__(self, attr, value)
+        if self.m is not None:
+            m = _check_count("embedding sphere dimension m", self.m, 1, DomainError)
+            object.__setattr__(self, "m", m)
         if self.kind != "base" and self.n_bits < 2:
             raise DomainError(f"the {self.kind} model needs n_bits >= 2")
         missing = [_PARAM_NAMES[attr] for attr in params if getattr(self, attr) is None]
@@ -362,9 +365,6 @@ class TheoryConfig:
                     f"-1/(2^N-1) <= lambda*tau <= 1/(2^N-3), got lambda*tau="
                     f"{prod!r} for N={self.n_bits}"
                 )
-        elif self.kind == "embedded":
-            m = _check_count("embedding sphere dimension m", self.m, 1, DomainError)
-            object.__setattr__(self, "m", m)
 
     @classmethod
     def base(cls, n_bits: int) -> "TheoryConfig":

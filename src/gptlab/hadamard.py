@@ -186,7 +186,10 @@ def _reconstruct(oracle, dim_a: int, dim_b: int) -> np.ndarray:
     probes_b, inverse_b = probes(dim_b)
     # Probe i (d_B + 1) + j is row i of M_A with row j of M_B.
     probs = oracle(np.repeat(probes_a, dim_b + 1, axis=0), np.tile(probes_b, (dim_a + 1, 1)))
-    table = np.reshape(probs, np.shape(probs)[:-1] + (dim_a + 1, dim_b + 1))
+    probs, grid = np.asarray(probs), (dim_a + 1, dim_b + 1)
+    if probs.dtype.kind not in "iuf" or probs.shape[-1:] != (grid[0] * grid[1],):
+        raise GptError(f"the oracle answered {probs.dtype} {probs.shape} for a {grid} grid")
+    table = np.reshape(probs, probs.shape[:-1] + grid)
     return inverse_a @ table @ inverse_b.T
 
 
@@ -211,7 +214,7 @@ def local_tomography_from_oracle(oracle, dim_a: int, dim_b: int) -> BipartiteSta
         phi = M_A^-1 P M_B^-T,    M^-1 = [[1, 0], [-1, 2I]].
 
     Both dimensions must be integers >= 0, checked before the oracle is
-    called.
+    called, and its answer numbers with a last axis of that many probes.
     """
     dim_a, dim_b = _check_count("dim_a", dim_a, 0), _check_count("dim_b", dim_b, 0)
     return BipartiteState(_reconstruct(oracle, dim_a, dim_b))

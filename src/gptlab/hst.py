@@ -9,24 +9,17 @@ Each unit vector m defines the canonical two-outcome measurement
 antipodal protocol attains.
 
 The one-bit searches draw thousands of tiny tables, so each table's fixed
-numpy cost counts, and every shortcut here leaves each draw and each float
-operation the same and in the same order: every table is the same bit for
-bit.  In particular, every scalar bounded count is drawn as
-``rng.integers(lo, hi, dtype=np.int32)``: for a range below ``2**31``,
-numpy's int32 and int64 scalar paths take the same 32-bit Lemire sample,
-so the value and the generator state are those of the default draw, and
-the call costs less (2.8 against 3.0 us on a 2-vCPU Xeon).
-
-``random_measurement``, drawn once per ``capacity_search`` table, has its
-own body on Python scalars for its at most ``MAX_COMPONENTS`` components,
-bit for bit the one-row case of the batched ``random_measurements``.  The
-draws stay in numpy and in the batched order (outcome and component
-counts, exponentials, uniform rows, Gaussian directions), as do the
-direction normalisation, the slot ``argsort`` and one ordered
-``np.add.at``; the weights, their normaliser, the unit test and the
-signed half-weights are Python floats.  The normaliser is an explicit
-left-to-right loop, the order of ``np.bincount``, and not ``sum()``,
-which compensates float sums from CPython 3.12 on.
+numpy cost counts.  ``capacity_search`` draws the state rows of a whole
+search block at once, in its own order (see there).  Every other shortcut
+here leaves each draw and each float operation the same and in the same
+order, so it changes no table by a bit.  In particular, every scalar
+bounded count is drawn as ``rng.integers(lo, hi, dtype=np.int32)``: for a
+range below ``2**31``, numpy's int32 and int64 scalar paths take the same
+32-bit Lemire sample, so the value and the generator state are those of
+the default draw, and the call costs less (2.8 against 3.0 us on a 2-vCPU
+Xeon).  ``random_measurement``, drawn once per ``capacity_search`` table,
+is the one-row case of ``random_measurements`` on Python scalars, bit for
+bit (see there).
 """
 
 from __future__ import annotations
@@ -289,36 +282,31 @@ def random_measurement(dim: int, rng: np.random.Generator) -> np.ndarray:
 def capacity_search(dim: int, trials: int, seed: int) -> float:
     """Best information rate found over random single-system protocols.
 
-    Each trial draws 2 to ``MAX_STATES`` encoding states and a random
-    measurement, and its table's input prior is optimised.  The states are
-    the rows of one array: one uniform pair per state (pure with
-    probability 1/2, otherwise radius ``u ** (1/dim)``, uniform in the
-    ball) and one ``random_directions`` draw.  The search starts from the
-    antipodal protocol's one bit, so the result is at least 1 bit; the
-    returned maximum must never exceed 1 by more than optimizer slack.
-    The tables are searched by ``capacity.search_max`` with ``BA_TOL`` and
-    ``BA_MAX_ITER``: best first, each optimiser reporting an achieved rate
-    (a lower bound), so looser settings never inflate the maximum.
+    Each trial draws 2 to ``MAX_STATES`` encoding states, each pure with
+    probability 1/2 and otherwise uniform in the ball (radius
+    ``u ** (1/dim)``), and a random measurement; its table's input prior is
+    optimised.  A block of tables draws all its state counts, one
+    ``(2, total)`` uniform array and one ``random_directions`` call for all
+    its state rows, then one ``random_measurement`` per table, in order.
+    The search starts from the antipodal protocol's one bit, so the result
+    is at least 1 bit; the returned maximum must never exceed 1 by more
+    than optimizer slack.  ``capacity.search_max`` searches the tables with
+    ``BA_TOL`` and ``BA_MAX_ITER``: best first, each optimiser reporting an
+    achieved rate (a lower bound), so looser settings never inflate the
+    maximum.
     ``dim`` must be an integer in ``[1, MAX_DIM]``, ``trials`` at least 1.
     """
     dim = _check_dim(dim)
     rng = np.random.default_rng(_check_count("seed", seed, 0))
     exponent = 1.0 / dim
-    # The state rows (1, r) of every table, the first n_states of them in
-    # use; each table is a new array, so the next draw may overwrite them.
-    state_rows = np.empty((MAX_STATES, dim + 1))
-    state_rows[:, 0] = 1.0
 
-    def draw_table():
-        n_states = int(rng.integers(2, MAX_STATES + 1, dtype=np.int32))
-        coins = rng.random((2, n_states))
+    def draw_block(count):
+        ends = rng.integers(2, MAX_STATES + 1, size=count).cumsum().tolist()
+        coins = rng.random((2, ends[-1]))
         radii = coins[1] ** exponent
         radii[coins[0] < 0.5] = 1.0
-        rows = state_rows[:n_states]
-        np.multiply(radii[:, None], random_directions(n_states, dim, rng), out=rows[:, 1:])
-        effect_rows = random_measurement(dim, rng)
-        # One mat-vec per state, as a stack: a single gemm would round differently.
-        return (effect_rows @ rows[:, :, None])[..., 0]
+        rows = np.insert(radii[:, None] * random_directions(ends[-1], dim, rng), 0, 1.0, axis=1)
+        return [rows[a:b] @ random_measurement(dim, rng).T for a, b in zip([0] + ends, ends)]
 
     best = mutual_information(one_bit_protocol(dim))
-    return search_max(draw_table, trials, best, BA_TOL, BA_MAX_ITER)
+    return search_max(draw_block, trials, best, BA_TOL, BA_MAX_ITER)

@@ -240,7 +240,10 @@ def separable_baseline(dim: int, trials: int, seed: int, best: float = 0.0) -> f
             effect_stack = random_product_measurement(dim, dim, rng)
         return np.einsum("xm,ymn->xy", signs[labels], effect_stack * phi)
 
-    return search_max(draw_table, trials, best, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER)
+    return search_max(
+        lambda count: [draw_table() for _ in range(count)],
+        trials, best, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER,
+    )
 
 
 def product_decoding_baseline(n_bits: int, trials: int, seed: int) -> float:
@@ -263,7 +266,10 @@ def product_decoding_baseline(n_bits: int, trials: int, seed: int) -> float:
         effect_stack = random_product_measurement(dim, dim, rng)
         return np.einsum("xm,ymn->xy", signs, effect_stack * phi)
 
-    return search_max(draw_table, trials, 0.0, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER)
+    return search_max(
+        lambda count: [draw_table() for _ in range(count)],
+        trials, 0.0, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER,
+    )
 
 
 def no_signalling_spread(n_bits: int, trials: int, seed: int) -> float:

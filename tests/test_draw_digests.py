@@ -43,19 +43,19 @@ SEARCHES = {
 }
 
 TABLE_DIGESTS = {
-    "capacity_search_dim2": "67830f199cc9b12952cf24bdcac94126cc27df8aa7a0d6f38702b8686cc99d58",
-    "capacity_search_dim3": "d0b288353e23e603ee09b7d52d2ec7c064c15e94ecad07c4297b80a063813157",
-    "capacity_search_dim7": "91bfecb58e9bd056480731ead7cb7ab8f456f5010794b5fb81fcd5bb527ea1b8",
-    "capacity_search_dim15": "102d0f806dea8f23b3950514d74ba34aac5cbf308250966cc75adff026510e75",
+    "capacity_search_dim2": "e4c7ecbdc980e8485553d8249e986956dbd7051ef239b6071b5c8d83a2e9e977",
+    "capacity_search_dim3": "0873fb175df76fa5e3a25eeacbf058d0a3d6b8867af173b734e2cd2a72ed9d4c",
+    "capacity_search_dim7": "98f9709b2384a92c70c896e716f5dfd2f2da973ddb25ce6a6a14bbfd80b86f75",
+    "capacity_search_dim15": "eac82ae738b4b3289613d8398aa78d3658da501456d9ef5be20b04494936e81d",
     "separable_baseline_dim3": "39c90574ae41b7a1355d22bb4503f47e7b13eb5779b6e3a973ad9cf76adaf6f5",
     "product_decoding_baseline_n2": "ce0157ee4b988938b990a3d3258070b16acf70971be67e2c08df8361af1e3dba",
 }
 
 RESULT_DIGESTS = {
-    "capacity_search_dim2": "055f1aa19c7afe99b262232e3c7ccd20924377cef2724edace2891cedb7a50dd",
-    "capacity_search_dim3": "7059ba2d3aedb9e0591b407e34955ee26154a3914994a8bf8fdfc5a771a77a4f",
-    "capacity_search_dim7": "26edcf2f6e55e6563245e8de911368b6b9e7fbfb64b85ac5a17ca9d7ef5dedca",
-    "capacity_search_dim15": "f69f5e4619e5dc654b06dfa42754bbee35d940dc2dd6c2dd0637451c70751ce1",
+    "capacity_search_dim2": "ce98aadc025424bb23e784bb8da77bcdc1eacf9e80917fe230dbe5994cb3f1a2",
+    "capacity_search_dim3": "3c58610c8cb1809b3d5c7ed3caae6d0738ac39903e35581acbf9813033b799cb",
+    "capacity_search_dim7": "8931420176af77ebe4df5830e0e5109c9976a19c277bd07ad2f046b4942eca52",
+    "capacity_search_dim15": "e852394a595e9c43c6f6ce50cf0b4d2a68b147c2f7abcfdefda950917e37854e",
     "separable_baseline_dim3": "d8baf9910b5ca09db2999703172a764ac2f82e7a8eb9dc6ca9b3390ea216d645",
     "product_decoding_baseline_n2": "e1ed9d667872ec5e5d575a3d7e17c1ca824f803b5f51d54dd84f389eb72b5240",
 }

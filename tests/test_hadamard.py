@@ -489,6 +489,15 @@ class TestLocalTomography:
         with pytest.raises(GptError, match="dim_[ab] must be an integer >= 0"):
             local_tomography_from_oracle(oracle, dim_a, dim_b)
 
+    @pytest.mark.parametrize(
+        "answer", [[0.1, 0.2, 0.3], "abc", 0.5, None, [True], [0.5j]], ids=repr
+    )
+    def test_refuses_an_answer_that_is_not_one_number_per_probe(self, answer):
+        # Once, three numbers or a string for the 1 x 1 grid of two 0-balls
+        # reached numpy's reshape or matmul and raised their own errors.
+        with pytest.raises(GptError, match=r"^the oracle answered .* for a \(1, 1\) grid$"):
+            local_tomography_from_oracle(lambda a, b: answer, 0, 0)
+
     def test_numpy_dimensions_rebuild_as_python_ints(self):
         phi = entangled_state(1, 2)
         rebuilt = local_tomography_from_oracle(

@@ -1,11 +1,13 @@
 """Tests for the single-system ball model and its one-bit capacity."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2_contingency, ks_2samp
 
 from gptlab import (
     EXACT_TOL,
@@ -14,6 +16,7 @@ from gptlab import (
     DomainError,
     Effect,
     GptError,
+    capacity,
     capacity_search,
     capacity_upper_bound,
     contract,
@@ -21,10 +24,12 @@ from gptlab import (
     one_bit_protocol,
     unit_effect,
 )
+from gptlab.capacity import SEARCH_BLOCK, _ceiling_bits
 from gptlab.core import effect_probability_range
 from gptlab.hst import (
     MAX_COMPONENTS,
     MAX_OUTCOMES,
+    MAX_STATES,
     canonical_measurement,
     make_extremal_effect,
     make_state,
@@ -349,8 +354,8 @@ class TestRandomFamilies:
 
     @pytest.mark.parametrize("dim, trials", [(1, 7), (3, 40), (15, 300)])
     def test_capacity_search_draws_through_the_module_seams(self, monkeypatch, dim, trials):
-        # The mutants replace these two module attributes: each table must
-        # still draw its states and its measurement through them.
+        # The mutants replace these two module attributes: each block must
+        # still draw its states, and each table its measurement, through them.
         from gptlab import hst
 
         calls = {"random_directions": 0, "random_measurement": 0}
@@ -362,7 +367,8 @@ class TestRandomFamilies:
 
             monkeypatch.setattr(hst, name, counted)
         capacity_search(dim, trials, 0)
-        assert calls == {"random_directions": trials, "random_measurement": trials}
+        blocks = -(-trials // SEARCH_BLOCK)
+        assert calls == {"random_directions": blocks, "random_measurement": trials}
 
     def test_perfectly_read_tetrahedron_fires_the_gate(self, perfectly_read_tetrahedron):
         assert capacity_search(3, trials=20, seed=0) > 1.0 + OPT_TOL
@@ -393,3 +399,81 @@ def measurement_loop_oracle(count, dim, n_outcomes, rng):
             expected[measurement, first] += w * pair.effects[0].entries
             expected[measurement, second] += w * pair.effects[1].entries
     return expected
+
+
+# The law test draws this many tables per path at each dimension, from seeds
+# fixed before its first run; a p-value below LAW_ALPHA tells two laws apart.
+LAW_DIMS = (2, 15)
+LAW_TRIALS = 2000
+LAW_ALPHA = 1e-3
+BLOCK_SEED, ORACLE_SEED = 101, 202
+
+
+@functools.cache
+def block_tables(dim):
+    """The tables ``capacity_search`` hands to the optimiser, in draw order."""
+    tables = []
+
+    def recorded(block, best, tol, max_iter):
+        tables.extend(block)
+        return best
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(capacity, "_best_first_max", recorded)
+        capacity_search(dim, LAW_TRIALS, BLOCK_SEED)
+    return tables
+
+
+@functools.cache
+def per_table_oracle(dim, power=None, pure=0.5):
+    """``capacity_search``'s tables drawn one table at a time: the reference
+    law for its block draw.
+
+    Per table: its state count, a ``(2, n_states)`` uniform pair that makes
+    a state pure with probability ``pure`` and otherwise puts it at radius
+    ``u ** power`` (``1/dim`` by default), its directions and its
+    measurement.  ``power=1`` and ``pure=0`` are mutant laws.
+    """
+    rng = np.random.default_rng(ORACLE_SEED)
+    power = 1.0 / dim if power is None else power
+    tables = []
+    for _ in range(LAW_TRIALS):
+        n_states = rng.integers(2, MAX_STATES + 1)
+        coins = rng.random((2, n_states))
+        radii = coins[1] ** power
+        radii[coins[0] < pure] = 1.0
+        rows = np.insert(radii[:, None] * random_directions(n_states, dim, rng), 0, 1.0, axis=1)
+        tables.append((random_measurement(dim, rng) @ rows[:, :, None])[..., 0])
+    return tables
+
+
+def law_p_values(first, second):
+    """p-values that two lists of tables share a law: chi-square on the state
+    counts, two-sample KS on the Renyi-infinity bounds and on the summed
+    column spreads."""
+    pair = (first, second)
+    counts = [np.bincount([len(t) for t in tables], minlength=MAX_STATES + 1) for tables in pair]
+    counts = [row[2:] for row in counts]  # every table has 2 to MAX_STATES states
+    ceilings = [[_ceiling_bits(t) for t in tables] for tables in pair]
+    spreads = [[(t.max(0) - t.min(0)).sum() for t in tables] for tables in pair]
+    return (
+        chi2_contingency(counts).pvalue,
+        ks_2samp(*ceilings).pvalue,
+        ks_2samp(*spreads).pvalue,
+    )
+
+
+class TestCapacitySearchLaw:
+    """Drawing a block's state rows at once keeps the law of each table."""
+
+    @pytest.mark.parametrize("dim", LAW_DIMS)
+    def test_block_draw_has_the_per_table_law(self, dim):
+        p_values = law_p_values(block_tables(dim), per_table_oracle(dim))
+        assert min(p_values) >= LAW_ALPHA, p_values
+
+    @pytest.mark.parametrize("mutant", [{"power": 1.0}, {"pure": 0.0}], ids=["radius-u", "pure-0"])
+    def test_a_mutant_law_is_rejected(self, mutant):
+        p_values = [
+            law_p_values(block_tables(dim), per_table_oracle(dim, **mutant)) for dim in LAW_DIMS
+        ]
+        assert min(map(min, p_values)) < LAW_ALPHA, p_values

@@ -19,6 +19,11 @@ states and the Bell-type effects are rank-1 projectors, products of N/2
 Bell pairs, and base dense coding is the quantum dense coding of Bennett
 and Wiesner.  Correlations scaled by s give the eigenvalue ``2^-N (1 - s)``,
 so a 1% excess is a negative eigenvalue, which no quantum state has.
+
+At N = 2, teleportation is qubit teleportation: the input is read with
+P_j, the middle qubit with P_j^T (it is the second factor of the Bell
+effect), so the shared pair is the transpose of the image of phi_0, which
+is the real |Phi+> itself, and Bob's qubit is read with P_j.
 """
 
 import functools
@@ -26,7 +31,8 @@ import functools
 import numpy as np
 import pytest
 
-from gptlab import EXACT_TOL, TheoryConfig, entangled_effect, entangled_state
+from gptlab import EXACT_TOL, TheoryConfig, entangled_effect, entangled_state, protocols, teleport
+from gptlab.hst import make_state
 from gptlab.variants import dense_coding_channel
 
 PAULI = np.array(
@@ -166,3 +172,80 @@ def test_scaled_correlations_stay_quantum_up_to_full_strength(n_bits):
         mutant = scaled_correlations(entangled_state(0, n_bits).matrix, scale)
         lowest = np.linalg.eigvalsh(to_density(mutant, n_bits))[0]
         assert lowest >= -EXACT_TOL
+
+
+PHI_PLUS = np.array([1, 0, 0, 1]) / np.sqrt(2)
+
+
+def qubit_teleportation(omega: np.ndarray) -> tuple:
+    """Qubit teleportation of the input ``(1, r)`` from the Pauli literals.
+
+    Alice measures the input and her half of |Phi+> in the Bell basis
+    ``(P_k (x) I)|Phi+>``, and Bob applies ``P_k``.  Returns the Bell
+    projectors and, per outcome k, Bob's corrected row ``Tr(P_j sigma_k)``,
+    whose entry 0 is the outcome's prior.
+    """
+    rho = 0.5 * np.einsum("j,jab->ab", omega, PAULI)
+    joint = np.kron(rho, np.outer(PHI_PLUS, PHI_PLUS))
+    projectors, rows = [], []
+    for pauli in PAULI:
+        bell = np.kron(pauli, np.eye(2)) @ PHI_PLUS
+        projectors.append(np.outer(bell, bell.conj()))
+        measured = (np.kron(projectors[-1], np.eye(2)) @ joint).reshape(4, 2, 4, 2)
+        bob = pauli @ np.einsum("iaib->ab", measured) @ pauli.conj().T
+        rows.append(np.einsum("jab,ba->j", PAULI, bob))
+    return projectors, np.array(rows)
+
+
+def teleport_rows(omega: np.ndarray, receiver_rows) -> tuple:
+    """``teleport``'s outcome priors at N = 2 and the corrected receiver rows
+    it builds, with ``receiver_rows`` standing in for ``_receiver_rows``."""
+    built = []
+
+    def recorded(*args):
+        built.append(receiver_rows(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocols, "_receiver_rows", recorded)
+        run = teleport(make_state(omega[1:]), 2)
+    return run.outcome_priors, built[0]
+
+
+def teleport_matches_qubit_teleportation(omega: np.ndarray, receiver_rows) -> bool:
+    priors, rows = teleport_rows(omega, receiver_rows)
+    projectors, quantum = qubit_teleportation(omega)
+    assert np.abs(quantum.imag).max() <= EXACT_TOL
+    matches = True
+    for x in labels(2):
+        # Model outcome x is the Bell projector its effect maps to.
+        image = to_operator(entangled_effect(x, 2).matrix, 2)
+        (k,) = [k for k, pi in enumerate(projectors) if np.abs(pi - image).max() <= EXACT_TOL]
+        matches &= abs(priors[x] - quantum[k, 0].real) <= EXACT_TOL
+        matches &= np.abs(rows[x] - quantum[k].real).max() <= EXACT_TOL
+    return matches
+
+
+def uncorrected_rows(signs, omega, n_bits):
+    """``_receiver_rows`` without the correction ``T_x``."""
+    return 2.0**-n_bits * signs * omega
+
+
+INPUTS = np.random.default_rng(2).uniform(-0.55, 0.55, (4, 3))
+
+
+def test_the_shared_pair_is_phi_plus():
+    phi_0 = to_density(entangled_state(0, 2).matrix, 2)
+    assert np.abs(phi_0 - np.outer(PHI_PLUS, PHI_PLUS)).max() <= EXACT_TOL
+
+
+@pytest.mark.parametrize("r", INPUTS, ids=range(len(INPUTS)))
+def test_teleport_is_qubit_teleportation(r):
+    omega = np.concatenate(([1.0], r))
+    assert teleport_matches_qubit_teleportation(omega, protocols._receiver_rows)
+
+
+@pytest.mark.parametrize("r", INPUTS, ids=range(len(INPUTS)))
+def test_teleport_without_its_correction_is_not(r):
+    omega = np.concatenate(([1.0], r))
+    assert not teleport_matches_qubit_teleportation(omega, uncorrected_rows)

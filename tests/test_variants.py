@@ -154,6 +154,15 @@ class TestTheoryConfigTypes:
         with pytest.raises(DomainError, match="finite"):
             TheoryConfig(kind, 3, lam=math.inf, m=2)
 
+    @pytest.mark.parametrize("kind, params", [("base", {}), ("weak", {"lam": 0.5})])
+    @pytest.mark.parametrize("m", ["x", -4, 0, 2.5, True])
+    def test_every_kind_checks_a_given_m(self, kind, params, m):
+        # Once, only the embedded kind checked m, and the others stored it.
+        with pytest.raises(DomainError, match="^embedding sphere dimension m must be"):
+            TheoryConfig(kind, 3, m=m, **params)
+        m = TheoryConfig(kind, 3, m=np.int64(2), **params).m
+        assert type(m) is int and m == 2
+
     @pytest.mark.parametrize(
         "kind, params", [("weak", {"lam": 1.5}), ("lambda-tau", {"lam": 0.1, "tau": -1.5})]
     )
