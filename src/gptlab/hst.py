@@ -50,6 +50,9 @@ MAX_OUTCOMES = 8
 MAX_COMPONENTS = 8
 BA_TOL = 1e-6
 BA_MAX_ITER = 60
+# Components whose directions and effect rows one ``random_measurements``
+# draw builds at a time.
+DRAW_CHUNK = 256
 
 
 def _check_dim(dim) -> int:
@@ -187,10 +190,11 @@ def random_measurements(
     normalised per measurement (the flat Dirichlet law); one uniform row
     of ``n_outcomes + 1`` per component, whose column 0 picks the unit
     component and whose argsorted other columns give two distinct, uniform,
-    ordered slots; and one ``random_directions`` row per component.  One
-    unbuffered ``np.add.at`` sums the effects in component order, first
-    slot then second, so the stack equals that per-component loop bit for
-    bit whatever BLAS is linked.  ``random_measurement`` is the one-row
+    ordered slots; and one ``random_directions`` row per component, drawn
+    ``DRAW_CHUNK`` components at a time (the same Gaussian stream as one
+    draw).  Unbuffered ``np.add.at`` calls sum the effects in component
+    order, first slot then second, so the stack equals that per-component
+    loop bit for bit whatever BLAS is linked.  ``random_measurement`` is the one-row
     case, bit for bit, on Python scalars.  ``count`` must be an integer of
     at least 0 and ``n_outcomes`` of at least 2, and ``dim`` in
     ``[1, MAX_DIM]``; a bool is refused.
@@ -213,20 +217,23 @@ def _random_measurements(
     coins = rng.random((owner.size, n_outcomes + 1))
     # Measurement j owns rows j n_outcomes onward of the flat table.
     slots = owner[:, None] * n_outcomes + coins[:, 1:].argsort(axis=1)[:, :2]
-    directions = random_directions(owner.size, dim, rng)
     # A component adds w (1, m)/2 to its first slot and w (1, -m)/2 to its
     # second, or the unit w (1, 0) to its first slot and zero to its second.
     unit = coins[:, 0] < 0.15
-    rows = np.empty((owner.size, 2, dim + 1))
-    half, first = rows[:, 1, 0], rows[:, 0, 0]
-    np.multiply(weights, 0.5, out=half)
-    np.copyto(half, 0.0, where=unit)
-    np.copyto(first, half)
-    np.copyto(first, weights, where=unit)
-    np.multiply(directions, half[:, None], out=rows[:, 0, 1:])
-    np.negative(rows[:, 0, 1:], out=rows[:, 1, 1:])
     table = np.zeros((count * n_outcomes, dim + 1))
-    np.add.at(table, slots, rows)
+    # The directions are the last draw, so a chunk at a time keeps the stream.
+    for start in range(0, owner.size, DRAW_CHUNK):
+        part = slice(start, start + DRAW_CHUNK)
+        directions = random_directions(len(unit[part]), dim, rng)
+        rows = np.empty((len(directions), 2, dim + 1))
+        half, first = rows[:, 1, 0], rows[:, 0, 0]
+        np.multiply(weights[part], 0.5, out=half)
+        np.copyto(half, 0.0, where=unit[part])
+        np.copyto(first, half)
+        np.copyto(first, weights[part], where=unit[part])
+        np.multiply(directions, half[:, None], out=rows[:, 0, 1:])
+        np.negative(rows[:, 0, 1:], out=rows[:, 1, 1:])
+        np.add.at(table, slots[part], rows)
     return table.reshape(count, n_outcomes, dim + 1)
 
 

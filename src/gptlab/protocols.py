@@ -22,12 +22,11 @@ by ``d_x[m]``, so every falsifier table contracts the sign row last and no
 encoded state ``T_x phi`` is built.
 
 The separable baselines re-run dense coding with product resources and
-check that nothing beats the single-system rate of 1 bit.  Their random
-product states and product measurements are drawn as stacked arrays, one
-generator call per quantity (see ``hst.random_measurements``), and their
-tables are searched best first by ``capacity.search_max``.  A product
-measurement checks both of its dimensions before its first draw, so a
-refused call leaves the generator where it was.
+check that nothing beats the single-system rate of 1 bit.  Their tables
+are searched best first by ``capacity.search_max``, a block at a time.  A
+block draws its random inputs as stacks, each table with the law of one
+drawn alone, and contracts each table as its effect stack is formed, so
+it holds one effect stack at a time.
 
 The converse statement that teleportation needs a classical channel of N
 bits is an impossibility argument, not an algorithm, and is out of scope
@@ -36,6 +35,7 @@ here; only the forward protocols are simulated.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -71,6 +71,9 @@ from .hst import (
 # separable baseline decodes with the Bell-type measurement instead.
 MAX_OUTCOMES_SIDE = 4
 BELL_FRACTION = 0.3
+# Largest N the baselines take: the separable baseline's Bell stack holds
+# (2^N)^3 floats, 16 MiB at N = 7 and 8 GiB at N = 10.
+BASELINE_MAX_N_BITS = 7
 # Blahut-Arimoto settings the baselines optimise each prior with.
 BASELINE_BA_TOL = 1e-8
 BASELINE_BA_MAX_ITER = 400
@@ -170,43 +173,62 @@ def _n_bits_for_dim(dim: int) -> int:
 
 
 def random_product_measurement(
-    dim_a: int, dim_b: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Convex combination of product measurements, flattened over outcomes.
+    count: int, dim_a: int, dim_b: int, rng: np.random.Generator
+):
+    """A block of ``count`` random product measurements: yields ``(j,
+    stack)``, measurement j's ``(n_a n_b, dim_a + 1, dim_b + 1)`` effects,
+    outcome ``(y1, y2)`` at index ``y1 n_b + y2``.
 
-    Components share one (y1, y2) outcome grid; each contributes the
-    product of two single-system measurements, mixed with flat-simplex
-    weights.  The result sums to the bipartite unit by construction.
-    Returns the ``(n_a n_b, dim_a + 1, dim_b + 1)`` stack of effect
-    matrices, outcome ``(y1, y2)`` at index ``y1 n_b + y2``.
-
-    After the outcome and component counts come the weights (standard
-    exponentials, normalised: the flat Dirichlet law), then every
-    component's A side in one ``random_measurements`` draw and every B side
-    in another; one ``einsum`` sums the weighted outer products.  Both
-    dimensions must be integers in ``[1, MAX_DIM]``; they are checked
-    before the first draw, so a refused call leaves ``rng`` untouched.
+    Each mixes 1 to ``MAX_COMPONENTS`` products of two measurements on one
+    ``n_a`` by ``n_b`` grid (sides uniform in ``2..MAX_OUTCOMES_SIDE``)
+    with flat-simplex weights, so it sums to the bipartite unit.  The call
+    draws the ``(2, count)`` outcome counts (row 0 for side A), the
+    component counts, the weights (standard exponentials, normalised) and
+    the A sides; the iterator draws the B sides an outcome count at a time,
+    ascending, and yields that count's stacks as it forms them.  ``count``
+    and both dimensions are checked before the first draw.
     """
+    count = _check_count("count", count, 0)
     dim_a, dim_b = _check_dim(dim_a), _check_dim(dim_b)
-    n_a = int(rng.integers(2, MAX_OUTCOMES_SIDE + 1, dtype=np.int32))
-    n_b = int(rng.integers(2, MAX_OUTCOMES_SIDE + 1, dtype=np.int32))
-    n_components = int(rng.integers(1, MAX_COMPONENTS + 1, dtype=np.int32))
-    weights = rng.standard_exponential(n_components)
-    weights /= weights.sum()
-    side_a = _random_measurements(n_components, dim_a, n_a, rng)
-    side_b = _random_measurements(n_components, dim_b, n_b, rng)
-    table = np.einsum("k,kam,kbn->abmn", weights, side_a, side_b)
-    return table.reshape(n_a * n_b, dim_a + 1, dim_b + 1)
+    outcomes = rng.integers(2, MAX_OUTCOMES_SIDE + 1, size=(2, count))
+    components = rng.integers(1, MAX_COMPONENTS + 1, size=count)
+    owner = np.repeat(np.arange(count), components)
+    weights = rng.standard_exponential(owner.size)
+    weights /= np.bincount(owner, weights, minlength=count)[owner]
+    outcomes, components = outcomes.tolist(), components.tolist()
+    ends = list(itertools.accumulate(components))
+    # Copies, so that each A side is freed with its stack.
+    sides_a = {j: a.copy() for j, a in _side_measurements(outcomes[0], components, dim_a, rng)}
+    return (
+        (j, np.einsum("k,kam,kbn->abmn", weights[ends[j] - len(b) : ends[j]], sides_a.pop(j), b)
+         .reshape(-1, dim_a + 1, dim_b + 1))
+        for j, b in _side_measurements(outcomes[1], components, dim_b, rng)
+    )
 
 
-def _random_product_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Matrix ``(1, a) (1, b)^t`` of two states drawn uniformly from the ball.
+def _side_measurements(outcomes: list, components: list, dim: int, rng: np.random.Generator):
+    """Yields ``(j, side)``, the ``(k_j, n_j, dim + 1)`` sides of
+    measurement j's components, from one ``_random_measurements`` draw per
+    outcome count present, ascending, made as the iterator reaches it."""
+    for n in sorted(set(outcomes)):
+        members = [j for j, outcome in enumerate(outcomes) if outcome == n]
+        stack = _random_measurements(sum(components[j] for j in members), dim, n, rng)
+        start = 0
+        for j in members:
+            yield j, stack[start : start + components[j]]
+            start += components[j]
+        del stack  # before the next draw
 
-    Both radii come first, then both directions, a's before b's.
-    """
-    rows = np.ones((2, dim + 1))
-    rows[:, 1:] = random_ball_points(2, dim, rng)
-    return rows[0][:, None] * rows[1]
+
+def _random_product_states(count: int, dim: int, rng: np.random.Generator):
+    """``state(k)``, the k-th of ``count`` product states ``(1, a) (1, b)^t``,
+    formed when called; one ``random_ball_points`` draw gives state k its
+    points 2k and 2k + 1.  ``count`` and ``dim`` are checked first."""
+    count = _check_count("count", count, 0)
+    points = random_ball_points(2 * count, dim, rng)
+    rows = np.ones((count, 2, points.shape[1] + 1))
+    rows[:, :, 1:] = points.reshape(count, 2, -1)
+    return lambda k: rows[k, 0][:, None] * rows[k, 1]
 
 
 def separable_baseline(dim: int, trials: int, seed: int, best: float = 0.0) -> float:
@@ -221,55 +243,70 @@ def separable_baseline(dim: int, trials: int, seed: int, best: float = 0.0) -> f
     ``BASELINE_BA_TOL`` and ``BASELINE_BA_MAX_ITER``, and the result is the
     maximum of ``best`` and their rates; a caller that splits one search
     into seeded chunks passes the running best so that no chunk optimises
-    a table already beaten.  ``trials`` must be at least 1.
+    a table already beaten.
+
+    A block draws, in this order: its product states, its message counts,
+    one uniform row per table whose argsort orders its messages, its Bell
+    coins (probability ``BELL_FRACTION``) and the product measurements of
+    the other tables.  ``dim`` must be ``2^N - 1`` with ``N <=
+    BASELINE_MAX_N_BITS`` and ``trials`` at least 1, checked first.
     """
-    n_bits = _n_bits_for_dim(dim)
+    n_bits = _check_count("n_bits", _n_bits_for_dim(dim), 1, maximum=BASELINE_MAX_N_BITS)
     dim = 2**n_bits - 1  # a plain int: numpy integers wrap
     rng = np.random.default_rng(_check_count("seed", seed, 0))
     signs = hadamard_basis(n_bits)
     bell_effects = np.stack([e.matrix for e in bell_measurement(n_bits).effects])
 
-    def draw_table():
-        phi = _random_product_state(dim, rng)
-        n_messages = int(rng.integers(2, 2**n_bits + 1, dtype=np.int32))
+    def draw_block(count):
+        state = _random_product_states(count, dim, rng)
+        n_messages = rng.integers(2, 2**n_bits + 1, size=count).tolist()
         # A uniform ordered subset, as ``rng.choice(..., replace=False)`` gives.
-        labels = rng.random(2**n_bits).argsort()[:n_messages]
-        if rng.random() < BELL_FRACTION:
-            effect_stack = bell_effects
-        else:
-            effect_stack = random_product_measurement(dim, dim, rng)
-        return np.einsum("xm,ymn->xy", signs[labels], effect_stack * phi)
+        orders = rng.random((count, 2**n_bits)).argsort(axis=1)
+        bell = rng.random(count) < BELL_FRACTION
+        decoded = np.flatnonzero(~bell).tolist()
+        stacks = itertools.chain(
+            ((j, bell_effects) for j in np.flatnonzero(bell).tolist()),
+            ((decoded[i], m) for i, m in random_product_measurement(len(decoded), dim, dim, rng)),
+        )
+        tables = [None] * count
+        for j, effect_stack in stacks:
+            labels = signs[orders[j, : n_messages[j]]]
+            tables[j] = np.einsum("xm,ymn->xy", labels, effect_stack * state(j))
+        return tables
 
-    return search_max(
-        lambda count: [draw_table() for _ in range(count)],
-        trials, best, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER,
-    )
+    return search_max(draw_block, trials, best, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER)
 
 
 def product_decoding_baseline(n_bits: int, trials: int, seed: int) -> float:
     """Best rate with convex-product decodings on arbitrary shared states.
 
     The shared state may be entangled here; only the decoding is separable,
-    and one bit remains the ceiling.  The tables are searched as in
-    ``separable_baseline``.
+    and one bit remains the ceiling.  A table's state is, with probability
+    1/2, ``phi_label = diag(d_label)`` of a uniform label, and otherwise a
+    random product state.  A block draws, in this order: its coins, the
+    labels, the product states and a product measurement per table.  The
+    search is as in ``separable_baseline``; ``n_bits`` is at most
+    ``BASELINE_MAX_N_BITS``.
     """
-    n_bits = _check_n_bits(n_bits)
+    n_bits = _check_count("n_bits", n_bits, 1, maximum=BASELINE_MAX_N_BITS)
     dim = 2**n_bits - 1
     rng = np.random.default_rng(_check_count("seed", seed, 0))
     signs = hadamard_basis(n_bits)
 
-    def draw_table():
-        if rng.random() < 0.5:
-            phi = np.diag(signs[rng.integers(0, 2**n_bits, dtype=np.int32)])
-        else:
-            phi = _random_product_state(dim, rng)
-        effect_stack = random_product_measurement(dim, dim, rng)
-        return np.einsum("xm,ymn->xy", signs, effect_stack * phi)
+    def draw_block(count):
+        entangled = rng.random(count) < 0.5
+        labels = rng.integers(0, 2**n_bits, size=np.count_nonzero(entangled)).tolist()
+        state = _random_product_states(count - len(labels), dim, rng)
+        # Table j's place among the tables of its kind.
+        place = np.where(entangled, entangled.cumsum(), (~entangled).cumsum()) - 1
+        entangled, place = entangled.tolist(), place.tolist()
+        tables = [None] * count
+        for j, effect_stack in random_product_measurement(count, dim, dim, rng):
+            phi = np.diag(signs[labels[place[j]]]) if entangled[j] else state(place[j])
+            tables[j] = np.einsum("xm,ymn->xy", signs, effect_stack * phi)
+        return tables
 
-    return search_max(
-        lambda count: [draw_table() for _ in range(count)],
-        trials, 0.0, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER,
-    )
+    return search_max(draw_block, trials, 0.0, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER)
 
 
 def no_signalling_spread(n_bits: int, trials: int, seed: int) -> float:

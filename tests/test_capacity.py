@@ -802,5 +802,6 @@ class TestSearchMax:
             raise AssertionError("drew a product measurement")
 
         monkeypatch.setattr(protocols, "random_product_measurement", no_draw)
+        monkeypatch.setattr(protocols, "_random_product_states", no_draw)
         with pytest.raises(GptError, match="^best must be"):
             separable_baseline(3, 1000, 0, best=math.nan)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -535,7 +536,9 @@ class TestVerifyCommand:
     def test_bell_decoding_fires_the_product_decoding_gate(self, capsys, monkeypatch):
         bell = np.stack([e.matrix for e in bell_measurement(2).effects])
         monkeypatch.setattr(
-            protocols, "random_product_measurement", lambda dim_a, dim_b, rng: bell
+            protocols,
+            "random_product_measurement",
+            lambda count, dim_a, dim_b, rng: enumerate(itertools.repeat(bell, count)),
         )
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "baseline", "--trials", "16", "--format", "json"
@@ -546,13 +549,13 @@ class TestVerifyCommand:
         assert checks["product_decoding_within_one_bit"] is False
 
     def test_entangled_resource_fires_the_separable_gate(self, capsys, monkeypatch):
-        original = protocols._random_product_state
+        original = protocols._random_product_states
 
-        def entangled(dim, rng):
-            original(dim, rng)  # keep the draw stream
-            return np.eye(dim + 1)  # phi_0
+        def entangled(count, dim, rng):
+            original(count, dim, rng)  # keep the draw stream
+            return lambda k: np.eye(dim + 1)  # phi_0
 
-        monkeypatch.setattr(protocols, "_random_product_state", entangled)
+        monkeypatch.setattr(protocols, "_random_product_states", entangled)
         monkeypatch.setattr(protocols, "BELL_FRACTION", 1)
         assert protocols.separable_baseline(3, 16, 0) == 2.0
         code, out, _ = run_cli(

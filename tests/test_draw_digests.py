@@ -11,14 +11,14 @@ or to the rounding of a table.  Each is a sha256 over raw ``tobytes()``:
   search's maximum;
 - the stacks ``random_measurement`` and ``random_measurements`` return, and
   one uniform drawn after them, which pins where they leave the stream;
-- the stacks ``random_product_measurement`` returns, three per seed, and
-  one uniform drawn after them.
+- the stacks ``random_product_measurement`` yields for a block of three, in
+  index order, and one uniform drawn after them.
 
 The digests were recorded with numpy 2.4; numpy does not promise the same
-Generator streams across releases.  The searches draw each scalar count as
-``rng.integers(lo, hi, dtype=np.int32)``, and one more test checks that this
-is the default int64 draw, value and generator state alike, at every bound
-they use.
+Generator streams across releases.  ``random_measurement`` draws each scalar
+count as ``rng.integers(lo, hi, dtype=np.int32)``, and one more test checks
+that this is the default int64 draw, value and generator state alike, at
+every bound the searches use.
 """
 
 import hashlib
@@ -47,8 +47,8 @@ TABLE_DIGESTS = {
     "capacity_search_dim3": "0873fb175df76fa5e3a25eeacbf058d0a3d6b8867af173b734e2cd2a72ed9d4c",
     "capacity_search_dim7": "98f9709b2384a92c70c896e716f5dfd2f2da973ddb25ce6a6a14bbfd80b86f75",
     "capacity_search_dim15": "eac82ae738b4b3289613d8398aa78d3658da501456d9ef5be20b04494936e81d",
-    "separable_baseline_dim3": "39c90574ae41b7a1355d22bb4503f47e7b13eb5779b6e3a973ad9cf76adaf6f5",
-    "product_decoding_baseline_n2": "ce0157ee4b988938b990a3d3258070b16acf70971be67e2c08df8361af1e3dba",
+    "separable_baseline_dim3": "1d4526a872dd354e11365b228cff1c10893586c2b4160184677b62bb732f3df4",
+    "product_decoding_baseline_n2": "7aa7c3de3cf655fb3dab7404d3f2f0ad1503c912760bd375d45b7b92c3a5492e",
 }
 
 RESULT_DIGESTS = {
@@ -56,8 +56,8 @@ RESULT_DIGESTS = {
     "capacity_search_dim3": "3c58610c8cb1809b3d5c7ed3caae6d0738ac39903e35581acbf9813033b799cb",
     "capacity_search_dim7": "8931420176af77ebe4df5830e0e5109c9976a19c277bd07ad2f046b4942eca52",
     "capacity_search_dim15": "e852394a595e9c43c6f6ce50cf0b4d2a68b147c2f7abcfdefda950917e37854e",
-    "separable_baseline_dim3": "d8baf9910b5ca09db2999703172a764ac2f82e7a8eb9dc6ca9b3390ea216d645",
-    "product_decoding_baseline_n2": "e1ed9d667872ec5e5d575a3d7e17c1ca824f803b5f51d54dd84f389eb72b5240",
+    "separable_baseline_dim3": "b4cdb67a494b376b11368941aa6715203fc8d6a6db61e95217e45f7cb0a2acd2",
+    "product_decoding_baseline_n2": "795b5f302909fd4a6d8123d39f45583a548e484f2e484e3f0452bc67f90cd76e",
 }
 
 MEASUREMENT_DIGESTS = {
@@ -73,15 +73,16 @@ STACK_DIGESTS = {
 }
 
 PRODUCT_DIGESTS = {
-    1: "4347cc9b59bcb0bfe02112200021745fe1f2b2db4b0ad72d24244bfec978cb20",
-    3: "1506ec27f0fa865b8952289794faf54709df901c480744daf30895b0b9360e39",
-    7: "ee8fe8404b40d22849570ea7c7bd0533c7defc73f029e0b10fd352df984c7bec",
+    1: "fe98f55bb41b19baae60020bdbb96f4b6ff5cbba13a685f0bffaedc3d2df3aef",
+    3: "6eb1eaef446ce935a89f518df753f99e478e3621e1110d4e6e2d80bbc5cf6122",
+    7: "99b83574fffdc6bed29e3467ce15ea38db1016274975106327b0e7fa6feeb1d7",
 }
 
 
-# The (lo, hi) of every scalar count the searches draw: the state, outcome
-# and component counts, a product measurement's sides, the separable
-# baseline's message count and the product baseline's label, N <= 12.
+# The (lo, hi) of the scalar counts ``random_measurement`` draws (outcome
+# and component counts), and of the counts the searches now draw as arrays:
+# the state counts, a product measurement's sides, the separable baseline's
+# message count and the product baseline's label, N <= 12.
 INT32_BOUNDS = (
     [(2, 9), (1, 9), (2, 5)]
     + [(2, 2**n + 1) for n in range(1, 13)]
@@ -143,13 +144,14 @@ def stack_digest(dim: int) -> str:
 
 
 def product_digest(dim: int) -> str:
-    """Three ``random_product_measurement(dim, dim)`` stacks per seed, then
-    one uniform."""
+    """The three stacks of ``random_product_measurement(3, dim, dim)`` per
+    seed, in index order, then one uniform."""
     digest = hashlib.sha256()
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
-        for _ in range(3):
-            add_array(digest, random_product_measurement(dim, dim, rng))
+        stacks = dict(random_product_measurement(3, dim, dim, rng))
+        for j in range(3):
+            add_array(digest, stacks[j])
         digest.update(rng.random().hex().encode())
     return digest.hexdigest()
 

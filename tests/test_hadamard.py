@@ -42,6 +42,7 @@ from gptlab.hst import (
     random_pure_state,
     random_state,
 )
+from gptlab.protocols import BASELINE_MAX_N_BITS
 
 
 def sign_vector_oracle(label: int, n_bits: int) -> list:
@@ -122,19 +123,37 @@ class TestSignVectors:
             lambda n: local_transformation(0, n),
             lambda n: teleport(make_state(np.zeros(2**n - 1)), n),
             lambda n: entanglement_swap(n, 0),
-            lambda n: separable_baseline(2**n - 1, 1, 0),
-            lambda n: product_decoding_baseline(n, 1, 0),
             lambda n: no_signalling_spread(n, 1, 0),
         ],
         ids=[
             "basis", "vector", "state", "effect", "bell", "transformation",
-            "teleport", "swap", "separable", "product-decoding", "no-signalling",
+            "teleport", "swap", "no-signalling",
         ],
     )
     def test_refuses_more_bits_than_the_limit(self, build):
         # Each would otherwise build 2^13 x 2^13 arrays or larger.
         with pytest.raises(GptError, match=f"n_bits must be at most {MAX_N_BITS}, got 13"):
             build(MAX_N_BITS + 1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda n: separable_baseline(2**n - 1, 1, 0), lambda n: product_decoding_baseline(n, 1, 0)],
+        ids=["separable", "product-decoding"],
+    )
+    @pytest.mark.parametrize("n_bits", [BASELINE_MAX_N_BITS + 1, MAX_N_BITS])
+    def test_baselines_refuse_more_bits_than_their_limit(self, build, n_bits):
+        # The separable baseline's Bell stack alone takes 8^N bytes: 128 MiB
+        # at N = 8 and 512 GiB at N = 12.  Refused before anything is built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                GptError, match=f"n_bits must be at most {BASELINE_MAX_N_BITS}, got {n_bits}$"
+            ):
+                build(n_bits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_accepts_the_limit(self):
         assert hadamard_vector(2**MAX_N_BITS - 1, MAX_N_BITS).size == 2**MAX_N_BITS

@@ -23,7 +23,10 @@ so a 1% excess is a negative eigenvalue, which no quantum state has.
 At N = 2, teleportation is qubit teleportation: the input is read with
 P_j, the middle qubit with P_j^T (it is the second factor of the Bell
 effect), so the shared pair is the transpose of the image of phi_0, which
-is the real |Phi+> itself, and Bob's qubit is read with P_j.
+is the real |Phi+> itself, and Bob's qubit is read with P_j.  Swapping
+is qubit entanglement swapping: the same circuit teleports Alice's half of
+the Bell pair that phi_mu maps to, and after Bob's correction each of
+Alice's outcomes leaves the bystander and Bob in that Bell pair.
 """
 
 import functools
@@ -31,7 +34,15 @@ import functools
 import numpy as np
 import pytest
 
-from gptlab import EXACT_TOL, TheoryConfig, entangled_effect, entangled_state, protocols, teleport
+from gptlab import (
+    EXACT_TOL,
+    TheoryConfig,
+    entangled_effect,
+    entangled_state,
+    entanglement_swap,
+    protocols,
+    teleport,
+)
 from gptlab.hst import make_state
 from gptlab.variants import dense_coding_channel
 
@@ -249,3 +260,80 @@ def test_teleport_is_qubit_teleportation(r):
 def test_teleport_without_its_correction_is_not(r):
     omega = np.concatenate(([1.0], r))
     assert not teleport_matches_qubit_teleportation(omega, uncorrected_rows)
+
+
+def bell_projectors() -> list:
+    """The Bell projectors of ``(P_k (x) I)|Phi+>``, k = 0..3, from the
+    literals."""
+    vectors = [np.kron(pauli, np.eye(2)) @ PHI_PLUS for pauli in PAULI]
+    return [np.outer(v, v.conj()) for v in vectors]
+
+
+def matching_projector(operator: np.ndarray) -> int:
+    (k,) = [k for k, pi in enumerate(bell_projectors()) if np.abs(pi - operator).max() <= EXACT_TOL]
+    return k
+
+
+def qubit_entanglement_swapping(pair: np.ndarray) -> tuple:
+    """Qubit entanglement swapping of ``pair`` (bystander qubit first).
+
+    Alice holds the second qubit of ``pair`` and the first of |Phi+>; she
+    measures both in the Bell basis ``(P_k (x) I)|Phi+>`` and Bob applies
+    ``P_k`` to the last qubit.  Returns, per outcome k, its prior and the
+    Born probabilities of the Bell projectors on the far pair (bystander,
+    Bob) after the correction.
+    """
+    joint = np.kron(pair, np.outer(PHI_PLUS, PHI_PLUS))
+    priors, tables = [], []
+    for pauli, projector in zip(PAULI, bell_projectors()):
+        measured = np.kron(np.kron(np.eye(2), projector), np.eye(2)) @ joint
+        # Trace out Alice's two qubits: axes (c, a1, a2, b; c', a1', a2', b').
+        far = np.einsum("cxydexyf->cdef", measured.reshape((2,) * 8)).reshape(4, 4)
+        correction = np.kron(np.eye(2), pauli)
+        far = correction @ far @ correction.conj().T
+        prior = np.trace(far)
+        priors.append(prior)
+        tables.append([np.trace(pi @ far) / prior for pi in bell_projectors()])
+    return np.array(priors), np.array(tables)
+
+
+def swap_matches_qubit_swapping(label: int, receiver_rows) -> bool:
+    """``entanglement_swap(2, label)``, with ``receiver_rows`` standing in for
+    ``_receiver_rows``, against qubit entanglement swapping of the Bell
+    state that ``phi_label`` maps to, outcome for outcome."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocols, "_receiver_rows", receiver_rows)
+        run = entanglement_swap(2, label)
+    pair = bell_projectors()[
+        matching_projector(to_density(entangled_state(label, 2).matrix, 2))
+    ]
+    priors, tables = qubit_entanglement_swapping(pair)
+    assert np.abs(priors.imag).max() <= EXACT_TOL
+    assert np.abs(tables.imag).max() <= EXACT_TOL
+    # Model outcome x is the Bell projector its effect maps to, for the
+    # sender's outcome and for the far pair's alike.
+    k = [matching_projector(to_operator(entangled_effect(x, 2).matrix, 2)) for x in labels(2)]
+    matches = True
+    for x in labels(2):
+        matches &= abs(run.outcome_priors[x] - priors[k[x]].real) <= EXACT_TOL
+        for y in labels(2):
+            matches &= abs(run.conditional[x, y] - tables[k[x], k[y]].real) <= EXACT_TOL
+    return matches
+
+
+RECEIVER_ROWS = protocols._receiver_rows
+
+
+def skipped_bystander_rows(signs, omega, n_bits):
+    """``_receiver_rows`` fed ``d_0`` instead of the bystander's ``d_mu``."""
+    return RECEIVER_ROWS(signs, np.ones_like(omega), n_bits)
+
+
+@pytest.mark.parametrize("label", labels(2))
+def test_swap_is_qubit_entanglement_swapping(label):
+    assert swap_matches_qubit_swapping(label, RECEIVER_ROWS)
+
+
+@pytest.mark.parametrize("label", [1, 2, 3])
+def test_swap_that_skips_the_bystander_is_not(label):
+    assert not swap_matches_qubit_swapping(label, skipped_bystander_rows)
