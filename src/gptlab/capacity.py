@@ -26,10 +26,16 @@ BLAS may fuse a multiply and an add, so a Python loop would round them
 differently.  They are ``ndarray.dot`` calls, which reach the same BLAS
 routine as ``@`` on C-ordered float64 operands with about half its
 dispatch cost, and the table is made C-ordered once per call, so the
-result does not depend on the table's memory layout.  Every such shortcut
-keeps each float operation the same and in the same order, or replaces it
-by one with the same exact result (``_ceiling_bits``), so every result is
-the same bit for bit.
+result does not depend on the table's memory layout.  A table whose least
+entry is positive, as in every lambda-tau and weak dense-coding table,
+takes its ``log2`` unmasked: the mask only keeps the log of a zero at 0,
+and the masked log took 10.6 us against 5.2 us unmasked on a 64 x 64
+table (a 2-vCPU Xeon).  The least entry is the one the entry check
+already computes; tables with a zero, such as the base and embedded ones,
+keep the mask.
+Every such shortcut keeps each float operation the same and in the same
+order, or replaces it by one with the same exact result
+(``_ceiling_bits``), so every result is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -104,7 +110,8 @@ def blahut_arimoto(
     already computed ``_ceiling_bits(conditional)`` to rank the table passes
     it as the private ``_ceiling``, which must be that value exactly; the
     call then uses it instead of computing the bound again.  A table with
-    no negative entry is optimised as given, without a clipped copy.
+    no negative entry is optimised as given, without a clipped copy, and
+    one whose entries are all positive takes its ``log2`` without a mask.
 
     ``max_iter`` must be a non-negative integer; with 0 no iteration runs
     and ``upper_bits`` is inf.  A ``tol`` or ``incumbent`` that is a bool or
@@ -145,8 +152,11 @@ def blahut_arimoto(
         p = np.maximum(p, 0.0)
     # Never written to: each update below makes a new array.
     prior = _uniform_prior(p.shape[0])
-    log_p = np.zeros(p.shape)
-    np.log2(p, out=log_p, where=p > 0)
+    if low > 0:
+        log_p = np.log2(p)
+    else:
+        log_p = np.zeros(p.shape)
+        np.log2(p, out=log_p, where=p > 0)
     # Row entropy term of c_x = sum_y p(y|x) log2(p(y|x)/p_y); the prior
     # stays strictly positive, so any output with p_y = 0 has an all-zero
     # conditional column and drops out of the mat-vec below.

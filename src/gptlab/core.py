@@ -18,6 +18,7 @@ take explicit seeds.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -254,13 +255,66 @@ class Channel:
         p, c = self.prior, self.conditional
         if c.ndim != 2 or p.ndim != 1 or p.size != c.shape[0]:
             raise GptError("prior length must match the conditional's row count")
-        if not (abs(p.sum() - 1.0) <= EXACT_TOL and p.min() >= -EXACT_TOL):
-            raise DomainError("prior is not a probability vector")
+        _check_prior(p)
         if not (c.min() >= -EXACT_TOL and c.max() <= 1.0 + EXACT_TOL):
             raise DomainError("conditional entries fall outside [0, 1]")
         rows = c.sum(axis=1)
         if not np.abs(rows - 1.0).max() <= EXACT_TOL:
             raise DomainError("conditional rows must each sum to 1")
+
+
+@dataclass(frozen=True, eq=False)
+class SymmetricChannel:
+    """Channel that keeps each of its ``prior.size`` inputs with probability
+    ``q[0]`` and turns it into each other output with probability ``q[1]``.
+
+    Every dense-coding table has this form.  Only the prior and the two
+    values are held, and they are validated as ``Channel`` validates its
+    prior and a table row: each value in ``[-EXACT_TOL, 1 + EXACT_TOL]``,
+    and the ``np.add.reduce`` sum of the row ``(q[0], q[1], ..., q[1])``
+    within ``EXACT_TOL`` of 1, all with the errors ``Channel`` raises.
+    This costs a few numpy calls on one row where a table costs passes
+    over ``size^2`` entries.  ``conditional`` is built the first time it is
+    read, one array filled with ``q[1]`` and given ``q[0]`` on its
+    diagonal, marked read-only, and the same array is returned on every
+    later read.  Threads that read it first at the same time may each
+    build one; the tables are equal and read-only, and one is kept.
+    """
+
+    prior: np.ndarray
+    q: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "prior", _frozen(self.prior))
+        p = self.prior
+        q = tuple(float(value) for value in self.q)
+        if p.ndim != 1 or p.size < 1 or len(q) != 2:
+            raise GptError("need a non-empty prior and the two values q[0] and q[1]")
+        object.__setattr__(self, "q", q)
+        _check_prior(p)
+        # Written so that NaN fails.
+        if not all(-EXACT_TOL <= value <= 1.0 + EXACT_TOL for value in q):
+            raise DomainError("conditional entries fall outside [0, 1]")
+        row = np.full(p.size, q[1])
+        row[0] = q[0]
+        if not abs(np.add.reduce(row) - 1.0) <= EXACT_TOL:
+            raise DomainError("conditional rows must each sum to 1")
+
+    @functools.cached_property
+    def conditional(self) -> np.ndarray:
+        """The read-only table, ``q[0]`` on its diagonal and ``q[1]`` off it."""
+        size = self.prior.size
+        table = np.full((size, size), self.q[1])
+        np.fill_diagonal(table, self.q[0])
+        table.setflags(write=False)
+        return table
+
+
+def _check_prior(prior: np.ndarray) -> None:
+    """Raise ``DomainError`` unless ``prior`` sums to 1 and has no entry
+    below 0, each at ``EXACT_TOL``."""
+    if not (abs(prior.sum() - 1.0) <= EXACT_TOL and prior.min() >= -EXACT_TOL):
+        raise DomainError("prior is not a probability vector")
 
 
 @dataclass(frozen=True)
@@ -487,7 +541,7 @@ def mix_bipartite(phis, weights) -> BipartiteState:
     return BipartiteState(np.tensordot(weights, stacked, axes=1))
 
 
-def mutual_information(channel: Channel) -> float:
+def mutual_information(channel: Channel | SymmetricChannel) -> float:
     """I(X:Y) in bits for the given prior and conditional table.
 
     Zero-probability outcomes are retained and contribute nothing.

@@ -48,9 +48,9 @@ from .capacity import blahut_arimoto, search_max  # noqa: F401
 from .core import (
     EXACT_TOL,
     OPT_TOL,
-    Channel,
     GptError,
     State,
+    SymmetricChannel,
     TheoryConfig,
     _check_count,
     _check_real,
@@ -89,7 +89,8 @@ class ProtocolLabel(Enum):
 class DenseCodingRun:
     n_bits: int
     theory: TheoryConfig
-    channel: Channel
+    # The checked row's two values; the table is built when it is read.
+    channel: SymmetricChannel
     info_bits: float
 
 
@@ -226,8 +227,9 @@ def _random_product_states(count: int, dim: int, rng: np.random.Generator):
     points 2k and 2k + 1.  ``count`` and ``dim`` are checked first."""
     count = _check_count("count", count, 0)
     points = random_ball_points(2 * count, dim, rng)
-    rows = np.ones((count, 2, points.shape[1] + 1))
-    rows[:, :, 1:] = points.reshape(count, 2, -1)
+    rows = np.ones((count, 2, dim + 1))
+    # The width is spelled out: -1 cannot be inferred from 0 points.
+    rows[:, :, 1:] = points.reshape(count, 2, dim)
     return lambda k: rows[k, 0][:, None] * rows[k, 1]
 
 

@@ -5,9 +5,10 @@ rescaled: entangled states ``diag(1, s d_mu[1:])`` decoded by effects
 ``2^-N diag(1, t d_mu[1:])`` on the ``2^N x 2^N`` Hadamard corner, with the
 pair ``(s, t)`` given by ``correlation_scales``.  One state constructor, one
 effect constructor and one dense-coding channel builder serve all kinds; the
-table ``p delta_(y,x) + 2^-N (1 - p)``, ``p = s t``, is written from the
-two values of its checked first row, and ``dense_coding_info`` gives its
-rate in closed form.
+table ``p delta_(y,x) + 2^-N (1 - p)``, ``p = s t``, is held as the two
+values of its checked first row, a ``core.SymmetricChannel`` that validates
+them as that row and writes the table only when it is read, and
+``dense_coding_info`` gives its rate in closed form.
 
 * ``base``: ``(1, 1)``, the perfect N-bit code.
 * ``lambda-tau``: ``(lambda, tau)``.  Requiring valid probabilities on the
@@ -50,11 +51,11 @@ from .core import (
     MAX_N_BITS,
     BipartiteEffect,
     BipartiteState,
-    Channel,
     DomainError,
     Effect,
     GptError,
     ProtocolFalsified,
+    SymmetricChannel,
     TheoryConfig,
     Transformation,
     ValidationReport,
@@ -125,7 +126,7 @@ def _check_product(size: float, product: float) -> float:
     return _check_real("scale product", product, low, high, DomainError)
 
 
-def dense_coding_channel(theory: TheoryConfig) -> Channel:
+def dense_coding_channel(theory: TheoryConfig) -> SymmetricChannel:
     """Dense-coding channel of any theory kind, uniform prior.
 
     With ``S`` the sign rows and ``e = (1, p, ..., p)``, p the product of
@@ -137,11 +138,12 @@ def dense_coding_channel(theory: TheoryConfig) -> Channel:
     the sums catch a sign row written over another, and a row permutation
     passes both, as it leaves the table unchanged.  The embedded model's
     ``block-diag(T_x, R)`` is ``T_x`` on the corner, where ``phi_0`` and
-    every ``E_y`` live: no rotation enters the table.  The checked row's
-    ``q[0]`` is written on the diagonal of one array filled with ``q[1]``,
-    which is marked read-only and handed to the ``Channel`` without a copy,
-    so the build holds about one table at its peak: the signs, then the
-    table.
+    every ``E_y`` live: no rotation enters the table.  With +-1 signs the
+    checked row is ``q[0]`` then ``q[1]`` repeated, so the channel is the
+    ``SymmetricChannel`` of those two values: it validates them on that row,
+    not on a table, and writes the read-only table, ``q[1]`` with ``q[0]``
+    on its diagonal, the first time ``conditional`` is read.  The build
+    holds about one table at its peak: the signs.
     """
     n = theory.n_bits
     size = theory.hadamard_dim
@@ -163,10 +165,7 @@ def dense_coding_channel(theory: TheoryConfig) -> Channel:
     # With +-1 signs every q[y], y != 0, is p * 0 + (1 - p) 2^-N, the same
     # double: q[x ^ y] is q[0] on the diagonal and q[1] off it, exactly.
     q = rows[:2, 0].clip(0.0, 1.0)
-    table = np.full((size, size), q[1])
-    np.fill_diagonal(table, q[0])
-    table.setflags(write=False)
-    return Channel(prior=np.full(size, 1.0 / size), conditional=table)
+    return SymmetricChannel(prior=np.full(size, 1.0 / size), q=q.tolist())
 
 
 def dense_coding_info(n_bits: int, product: float) -> float:
@@ -251,7 +250,7 @@ def lt_admissibility_witness(n_bits: int, lam: float, tau: float) -> tuple:
     )
 
 
-def lt_channel(theory: TheoryConfig) -> Channel:
+def lt_channel(theory: TheoryConfig) -> SymmetricChannel:
     """Dense-coding channel of the lambda-tau model, uniform prior."""
     _require_kind(theory, "lambda-tau")
     return dense_coding_channel(theory)
@@ -327,7 +326,7 @@ def embedded_transformation(
     return Transformation(matrix)
 
 
-def embedded_dense_coding(theory: TheoryConfig, rotation_seed: int = 0) -> Channel:
+def embedded_dense_coding(theory: TheoryConfig, rotation_seed: int = 0) -> SymmetricChannel:
     """Dense coding in the embedded model; perfect for every rotation.
 
     Each message applies ``block-diag(T_x, R_x)`` for some sphere rotation
@@ -404,7 +403,7 @@ def tl_violation_witness(
 # weakly entangled model
 
 
-def weak_dense_coding(theory: TheoryConfig) -> Channel:
+def weak_dense_coding(theory: TheoryConfig) -> SymmetricChannel:
     """Dense coding with weakened states and the undeformed Bell decoding.
 
     The channel is ``p(y|x) = lambda delta_(y,x) + 2^-N (1 - lambda)``.

@@ -422,14 +422,19 @@ class TestBlahutArimoto:
 
     @pytest.mark.parametrize("n_bits", [5, 6, 7, 8])
     def test_the_loop_is_the_reference_loop_on_dense_coding_tables(self, n_bits):
-        # The largest tables the optimiser serves: one row per message.
+        # The largest tables the optimiser serves: one row per message. The
+        # weak and lambda-tau tables have no zero and take the unmasked log;
+        # the base and embedded identities keep the masked one.
         theories = (
             TheoryConfig.weak(n_bits, 0.3),
             TheoryConfig.weak(n_bits, -0.5 / (2**n_bits - 1)),
             TheoryConfig.lambda_tau(n_bits, 1.0, lt_optimal_product(n_bits)),
+            TheoryConfig.base(n_bits),
+            TheoryConfig.embedded(n_bits, 2),
         )
         for theory in theories:
             conditional = dense_coding_channel(theory).conditional
+            assert (conditional.min() > 0) == (theory.kind in ("weak", "lambda-tau"))
             for max_iter in (1, 5):
                 result = blahut_arimoto(conditional, tol=1e-10, max_iter=max_iter)
                 expected = reference_blahut_arimoto(conditional, 1e-10, max_iter)

@@ -345,6 +345,17 @@ class TestVerifyCommand:
         checks = json.loads(out)["suites"]["baseline"]["checks"]
         assert checks["separable_max_bits"] <= 1.0 + 1e-6
 
+    @pytest.mark.parametrize("seed", ["2", "3"])
+    def test_baseline_suite_with_no_product_state_drawn(self, capsys, seed):
+        # One product-decoding trial at these seeds decodes an entangled state.
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "baseline", "--trials", "1", "--seed", seed,
+            "--format", "json",
+        )
+        assert code == 0
+        checks = json.loads(out)["suites"]["baseline"]["checks"]
+        assert checks["product_decoding_max_bits"] <= 1.0 + 1e-6
+
     def test_scaled_family_state_fails_the_lemmas_suite(self, capsys, monkeypatch):
         from gptlab import variants
 

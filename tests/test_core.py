@@ -37,7 +37,7 @@ from gptlab import (
     weak_entanglement_bound,
     weak_thresholds,
 )
-from gptlab.core import _check_count, _check_real, effect_probability_range
+from gptlab.core import SymmetricChannel, _check_count, _check_real, effect_probability_range
 from gptlab.hst import (
     canonical_measurement,
     make_extremal_effect,
@@ -316,6 +316,61 @@ class TestChannelValidation:
     def test_rejects_negative_entries(self):
         with pytest.raises(DomainError):
             Channel(np.array([1.0]), np.array([[1.2, -0.2]]))
+
+
+class TestSymmetricChannel:
+    def test_table_is_built_once_read_only_from_the_two_values(self):
+        channel = SymmetricChannel(np.full(4, 0.25), (0.7, 0.1))
+        table = channel.conditional
+        assert table.shape == (4, 4) and table.dtype == np.float64
+        assert not table.flags.writeable and table.flags.owndata
+        assert np.array_equal(np.diagonal(table), np.full(4, 0.7))
+        assert np.array_equal(table[~np.eye(4, dtype=bool)], np.full(12, 0.1))
+        assert channel.conditional is table
+
+    def test_values_are_held_as_floats(self):
+        channel = SymmetricChannel(np.full(2, 0.5), np.array([0.75, 0.25]))
+        assert channel.q == (0.75, 0.25)
+        assert all(type(value) is float for value in channel.q)
+
+    @pytest.mark.parametrize(
+        "q",
+        [(0.7 + 1e-9, 0.1), (0.7, 0.1 - 1e-9 / 3), (1.2, -0.2 / 3), (math.nan, 0.1), (0.7, math.inf)],
+        ids=["diagonal_long", "off_diagonal_short", "outside_0_1", "nan", "inf"],
+    )
+    def test_rows_channel_refuses_are_refused(self, q):
+        prior = np.full(4, 0.25)
+        table = np.full((4, 4), q[1])
+        np.fill_diagonal(table, q[0])
+        with pytest.raises(DomainError):
+            Channel(prior, table)
+        with pytest.raises(DomainError):
+            SymmetricChannel(prior, q)
+
+    def test_rows_within_the_tolerance_are_accepted(self):
+        for q in ((0.7 + 1e-13, 0.1), (1.0 + 1e-13, -1e-13 / 3)):
+            SymmetricChannel(np.full(4, 0.25), q)
+
+    def test_prior_is_checked(self):
+        with pytest.raises(DomainError):
+            SymmetricChannel(np.array([0.7, 0.7]), (1.0, 0.0))
+        with pytest.raises(GptError):
+            SymmetricChannel(np.eye(2), (1.0, 0.0))
+        with pytest.raises(GptError):
+            SymmetricChannel(np.full(2, 0.5), (1.0, 0.0, 0.0))
+
+    def test_mutual_information_is_that_of_the_table(self):
+        channel = SymmetricChannel(np.full(8, 0.125), (0.3, 0.1))
+        table = Channel(channel.prior, np.array(channel.conditional))
+        assert mutual_information(channel).hex() == mutual_information(table).hex()
+
+    @pytest.mark.parametrize("n_bits", [1, 3, 6])
+    def test_dense_coding_channel_holds_its_checked_row(self, n_bits):
+        theory = TheoryConfig.weak(n_bits, 0.3) if n_bits > 1 else TheoryConfig.base(1)
+        channel = dense_coding_channel(theory)
+        assert isinstance(channel, SymmetricChannel)
+        assert "conditional" not in vars(channel)  # not built until read
+        assert channel.q == (channel.conditional[0, 0], channel.conditional[0, 1])
 
 
 class TestFrozen:

@@ -450,6 +450,33 @@ class TestSeparableBaseline:
         best = product_decoding_baseline(2, trials=150, seed=1)
         assert best <= 1.0 + OPT_TOL
 
+    @pytest.mark.parametrize("dim", [1, 3, 7])
+    def test_no_product_states_draw_nothing(self, dim):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        protocols._random_product_states(0, dim, rng)
+        assert rng.bit_generator.state == before
+
+    # Seeds whose every table decodes the entangled state, so that the block
+    # draws no product state.
+    @pytest.mark.parametrize(
+        "n_bits, trials, seeds",
+        [
+            (2, 1, [2, 3, 8, 11, 12, 18, 19, 20, 22, 24, 25, 26, 29, 30, 32, 33, 34, 35, 36, 38]),
+            (
+                3,
+                2,
+                [2, 3, 11, 20, 22, 24, 25, 26, 30, 35, 36, 38, 44, 60, 67, 73, 75, 81, 83, 85,
+                 103, 111, 113, 127, 129, 130, 136, 142, 149, 151, 152, 156, 162, 164, 168,
+                 177, 182, 187, 189, 195],
+            ),
+        ],
+        ids=["n2", "n3"],
+    )
+    def test_product_decoding_blocks_without_product_states(self, n_bits, trials, seeds):
+        for seed in seeds:
+            assert product_decoding_baseline(n_bits, trials, seed) <= 1.0 + OPT_TOL
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
         "search, args",
