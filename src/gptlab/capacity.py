@@ -11,31 +11,11 @@ thresholds.  The protocol-derived lower bound is
 ``protocols.dc_capacity_lower_bound``.
 
 The searches call ``blahut_arimoto`` once per small table, so its fixed
-cost is spent on ufunc ``reduce`` calls and Python lists rather than the
-``ndarray`` method wrappers.  Its loop makes three reductions per
-iteration: the zero test of the output law, the dual bound ``max_x c_x``
-and the prior's normaliser.  On a table with at most ``SCALAR_REDUCE_MAX``
-(16) rows and columns, which covers every falsifier table, they run on
-Python floats, where a numpy call on a vector of 8 entries costs more than
-the arithmetic: the sum as an exact copy of numpy's pairwise summation
-(``_scalar_sum``, never the builtin ``sum()``, which compensates from
-CPython 3.12) and the maximum as the builtin ``max`` with numpy's answer
-for a zero maximum (``_scalar_max``).  Larger tables keep the numpy
-reductions.  The loop's three matrix products stay in numpy at every size:
-BLAS may fuse a multiply and an add, so a Python loop would round them
-differently.  They are ``ndarray.dot`` calls, which reach the same BLAS
-routine as ``@`` on C-ordered float64 operands with about half its
-dispatch cost, and the table is made C-ordered once per call, so the
-result does not depend on the table's memory layout.  A table whose least
-entry is positive, as in every lambda-tau and weak dense-coding table,
-takes its ``log2`` unmasked: the mask only keeps the log of a zero at 0,
-and the masked log took 10.6 us against 5.2 us unmasked on a 64 x 64
-table (a 2-vCPU Xeon).  The least entry is the one the entry check
-already computes; tables with a zero, such as the base and embedded ones,
-keep the mask.
-Every such shortcut keeps each float operation the same and in the same
-order, or replaces it by one with the same exact result
-(``_ceiling_bits``), so every result is the same bit for bit.
+cost is spent on ufunc ``reduce`` calls, ``ndarray.dot`` and Python lists
+rather than on the ``ndarray`` method wrappers (see there).  Each such
+shortcut keeps every float operation the same and in the same order, or
+replaces it by one with the same exact result (``_ceiling_bits``), so every
+result is the same bit for bit as the plain numpy loop.
 """
 
 from __future__ import annotations
@@ -46,15 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EXACT_TOL, LT_MAX_N_BITS, DomainError, GptError, _check_count, _check_real
+from .core import EXACT_TOL, LT_MAX_N_BITS, DomainError, GptError
+from .core import _check_count, _check_real, _real_array
 
 BA_DEFAULT_TOL = 1e-10
 BA_DEFAULT_MAX_ITER = 100_000
 # Tables a randomized search draws before optimising them best first.
 SEARCH_BLOCK = 256
-# Longest table axis whose Blahut-Arimoto reductions run on Python floats:
-# past it, numpy's reductions cost less than the Python loops (a 32-entry
-# sum took about 1.5 us in Python and 1.0 us in numpy on a 2-vCPU Xeon).
+# Longest table axis whose Blahut-Arimoto zero test and maximum run on
+# Python lists: past it, numpy's reductions cost less.
 SCALAR_REDUCE_MAX = 16
 
 
@@ -117,16 +97,16 @@ def blahut_arimoto(
     and ``upper_bits`` is inf.  A ``tol`` or ``incumbent`` that is a bool or
     not a real number is refused with ``GptError``.
 
-    When neither axis of the table is longer than ``SCALAR_REDUCE_MAX``,
-    the zero test of ``p_y``, ``max_x c_x`` and the prior's normaliser run
-    on Python floats, with numpy's results bit for bit (see the module
-    docstring); the reducers are picked once per call, and the three
-    matrix products stay in numpy, as ``ndarray.dot`` calls.  The table is
-    taken as one C-ordered float array, copied if it is not one, so a
-    Fortran-ordered copy or a strided view gives the bits of the C-ordered
-    table.
+    Each iteration makes three reductions: the zero test of ``p_y``, the
+    dual bound ``max_x c_x`` and the prior's normaliser ``_prior_sum``.  On
+    a table with no axis longer than ``SCALAR_REDUCE_MAX``, the first two
+    run on Python lists.  The three matrix products are ``ndarray.dot``
+    calls, the BLAS routine of ``@`` with less dispatch; a Python loop would
+    round them differently.  The table is taken as one C-ordered float
+    array, so a Fortran-ordered copy or a strided view gives the bits of
+    the C-ordered table; a complex or non-numeric one is refused.
     """
-    p = np.ascontiguousarray(conditional, dtype=float)
+    p = np.ascontiguousarray(_real_array("conditional", conditional))
     if p.ndim != 2 or p.size == 0:
         raise GptError("conditional must be a 2-d row-stochastic array")
     low = float(np.minimum.reduce(p, axis=None))
@@ -163,9 +143,9 @@ def blahut_arimoto(
     row_term = np.add.reduce(np.multiply(p, log_p, out=log_p), axis=1)
 
     if max(p.shape) <= SCALAR_REDUCE_MAX:
-        has_zero, maximum, total = _scalar_has_zero, _scalar_max, _scalar_sum
+        has_zero, maximum = _scalar_has_zero, _scalar_max
     else:
-        has_zero, maximum, total = _array_has_zero, np.maximum.reduce, np.add.reduce
+        has_zero, maximum = _array_has_zero, np.maximum.reduce
 
     lower, upper = 0.0, math.inf
     converged = False
@@ -189,10 +169,10 @@ def blahut_arimoto(
         c -= upper
         np.exp2(c, out=c)
         c *= prior
-        c /= total(c)
+        c /= _prior_sum(c)
         prior = c
 
-    prior = prior / total(prior)
+    prior = prior / _prior_sum(prior)
     prior.setflags(write=False)
     return CapacityResult(
         capacity_bits=max(lower, 0.0),
@@ -225,34 +205,20 @@ def _scalar_max(values: np.ndarray) -> float:
     return top if top else float(np.maximum.reduce(values))
 
 
-def _scalar_sum(values: np.ndarray) -> float:
-    """``np.add.reduce`` of a vector of at most 128 entries, bit for bit.
+def _prior_sum(values: np.ndarray) -> float:
+    """``np.add.reduce`` of a vector, bit for bit.
 
-    This is numpy's pairwise summation in its order.  Fewer than 8 entries
-    are added left to right from ``+0.0``.  Otherwise eight accumulators
-    take every eighth entry, left to right, and are added as
-    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``; the entries past
-    the last whole block follow, left to right, and the reduction's initial
-    ``+0.0`` comes last.  Plain float additions throughout: the builtin
-    ``sum()`` compensates from CPython 3.12.
+    Below 8 entries numpy adds left to right from ``+0.0``, and so does
+    this loop on Python floats, in plain float additions: the builtin
+    ``sum()`` compensates from CPython 3.12.  From 8 entries on it is
+    numpy's own call.
     """
-    values = values.tolist()
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for x in values:
-            total += x
-        return total
-    blocks = n - n % 8
-    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-    for i in range(8, blocks, 8):
-        a0, a1, a2, a3, a4, a5, a6, a7 = values[i : i + 8]
-        r0, r1, r2, r3 = r0 + a0, r1 + a1, r2 + a2, r3 + a3
-        r4, r5, r6, r7 = r4 + a4, r5 + a5, r6 + a6, r7 + a7
-    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for x in values[blocks:]:
+    if values.size >= 8:
+        return np.add.reduce(values)
+    total = 0.0
+    for x in values.tolist():
         total += x
-    return 0.0 + total
+    return total
 
 
 def _ceiling_bits(conditional: np.ndarray) -> float:

@@ -39,6 +39,10 @@ _PARAM_NAMES = {"lam": "lambda", "tau": "tau", "m": "m"}
 # three (2^N)^2 float arrays and a dense-coding run one, a peak RSS of 427 /
 # 173 MB at N = 12.
 MAX_N_BITS = 12
+# Largest N of the builders that hold about (2^N)^3 floats (the Bell
+# measurement, the constructed families) and of the baselines: 16 MiB at
+# N = 7 and 8 GiB at N = 10.
+BASELINE_MAX_N_BITS = 7
 # Largest N whose 2^N is a finite double: the closed forms that compute 2^N
 # in floats (the lambda-tau optimum, the dense-coding rate, the weak bound
 # and thresholds) stop here.
@@ -57,13 +61,28 @@ class ProtocolFalsified(GptError):
     """A protocol identity that should hold exactly failed numerically."""
 
 
-def _frozen(array) -> np.ndarray:
+def _real_array(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array, not copied if it is one.
+
+    A ``GptError`` naming ``name`` unless every entry is an integer or a
+    float: a complex entry would lose its imaginary part, and a bool, a
+    string or another object is no number.  Integers and floats convert as
+    ``np.asarray(values, dtype=float)`` converts them.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise GptError(f"{name} must be real numbers, got an array of {array.dtype}")
+    return array.astype(float, copy=False)
+
+
+def _frozen(name: str, array) -> np.ndarray:
     """A read-only float64 array holding ``array``'s values.
 
     A read-only float64 ndarray that owns its data is taken as is, so code
     that marks its fresh array read-only hands it over without a copy;
     marking it so promises that nothing writes it again.  Any other input
-    (writeable, a view, another dtype or a subclass) is copied.
+    (writeable, a view, another dtype or a subclass) is copied, and
+    refused as ``_real_array`` refuses it.
     """
     if (
         type(array) is np.ndarray
@@ -72,7 +91,7 @@ def _frozen(array) -> np.ndarray:
         and array.dtype == np.float64
     ):
         return array
-    out = np.array(array, dtype=float)
+    out = np.array(_real_array(name, array))
     out.setflags(write=False)
     return out
 
@@ -84,7 +103,7 @@ class State:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries))
+        object.__setattr__(self, "entries", _frozen("state entries", self.entries))
         if self.entries.ndim != 1 or self.entries.size < 1:
             raise GptError("state entries must be a non-empty vector")
         if not (
@@ -112,7 +131,7 @@ class Effect:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries))
+        object.__setattr__(self, "entries", _frozen("effect entries", self.entries))
         if self.entries.ndim != 1 or self.entries.size < 1:
             raise GptError("effect entries must be a non-empty vector")
 
@@ -158,7 +177,7 @@ class BipartiteState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
+        object.__setattr__(self, "matrix", _frozen("bipartite state", self.matrix))
         if self.matrix.ndim != 2:
             raise GptError("bipartite state must be a matrix")
         if not (
@@ -194,7 +213,7 @@ class BipartiteEffect:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
+        object.__setattr__(self, "matrix", _frozen("bipartite effect", self.matrix))
         if self.matrix.ndim != 2:
             raise GptError("bipartite effect must be a matrix")
 
@@ -214,7 +233,7 @@ class Transformation:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
+        object.__setattr__(self, "matrix", _frozen("transformation", self.matrix))
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise GptError("transformation must be a square matrix")
@@ -250,8 +269,8 @@ class Channel:
     conditional: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "prior", _frozen(self.prior))
-        object.__setattr__(self, "conditional", _frozen(self.conditional))
+        object.__setattr__(self, "prior", _frozen("prior", self.prior))
+        object.__setattr__(self, "conditional", _frozen("conditional", self.conditional))
         p, c = self.prior, self.conditional
         if c.ndim != 2 or p.ndim != 1 or p.size != c.shape[0]:
             raise GptError("prior length must match the conditional's row count")
@@ -285,7 +304,7 @@ class SymmetricChannel:
     q: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "prior", _frozen(self.prior))
+        object.__setattr__(self, "prior", _frozen("prior", self.prior))
         p = self.prior
         q = tuple(float(value) for value in self.q)
         if p.ndim != 1 or p.size < 1 or len(q) != 2:
@@ -521,7 +540,7 @@ def mix_bipartite(phis, weights) -> BipartiteState:
     than the state count or states of different shapes raise ``GptError``.
     """
     phis = list(phis)
-    weights = np.asarray(weights, dtype=float)
+    weights = _real_array("mixture weights", weights)
     if not phis or weights.shape != (len(phis),):
         raise GptError(
             f"need one weight per state for a non-empty list, got {len(phis)} "

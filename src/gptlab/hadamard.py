@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BASELINE_MAX_N_BITS,
     EXACT_TOL,
     MAX_N_BITS,
     BipartiteEffect,
@@ -37,6 +38,7 @@ from .core import (
     ValidationReport,
     _check_count,
     _is_integer,
+    _real_array,
     bipartite_contract,
     bipartite_unit,
 )
@@ -89,8 +91,11 @@ def entangled_effect(label: int, n_bits: int) -> BipartiteEffect:
 
 
 def bell_measurement(n_bits: int) -> Measurement:
-    """The ``2^N``-outcome measurement that distinguishes the entangled set."""
-    n_bits = _check_n_bits(n_bits)
+    """The ``2^N``-outcome measurement that distinguishes the entangled set.
+
+    Its effects hold ``8^N`` floats, so ``n_bits`` runs from 1 to
+    ``BASELINE_MAX_N_BITS``."""
+    n_bits = _check_count("n_bits", n_bits, 1, maximum=BASELINE_MAX_N_BITS)
     return Measurement(tuple(entangled_effect(mu, n_bits) for mu in range(2**n_bits)))
 
 
@@ -186,9 +191,9 @@ def _reconstruct(oracle, dim_a: int, dim_b: int) -> np.ndarray:
     probes_b, inverse_b = probes(dim_b)
     # Probe i (d_B + 1) + j is row i of M_A with row j of M_B.
     probs = oracle(np.repeat(probes_a, dim_b + 1, axis=0), np.tile(probes_b, (dim_a + 1, 1)))
-    probs, grid = np.asarray(probs), (dim_a + 1, dim_b + 1)
-    if probs.dtype.kind not in "iuf" or probs.shape[-1:] != (grid[0] * grid[1],):
-        raise GptError(f"the oracle answered {probs.dtype} {probs.shape} for a {grid} grid")
+    probs, grid = _real_array("the oracle's answer", probs), (dim_a + 1, dim_b + 1)
+    if probs.shape[-1:] != (grid[0] * grid[1],):
+        raise GptError(f"the oracle answered {probs.shape} for a {grid} grid")
     table = np.reshape(probs, probs.shape[:-1] + grid)
     return inverse_a @ table @ inverse_b.T
 

@@ -12,14 +12,9 @@ The one-bit searches draw thousands of tiny tables, so each table's fixed
 numpy cost counts.  ``capacity_search`` draws the state rows of a whole
 search block at once, in its own order (see there).  Every other shortcut
 here leaves each draw and each float operation the same and in the same
-order, so it changes no table by a bit.  In particular, every scalar
-bounded count is drawn as ``rng.integers(lo, hi, dtype=np.int32)``: for a
-range below ``2**31``, numpy's int32 and int64 scalar paths take the same
-32-bit Lemire sample, so the value and the generator state are those of
-the default draw, and the call costs less (2.8 against 3.0 us on a 2-vCPU
-Xeon).  ``random_measurement``, drawn once per ``capacity_search`` table,
-is the one-row case of ``random_measurements`` on Python scalars, bit for
-bit (see there).
+order, so it changes no table by a bit: ``random_measurement``, drawn once
+per ``capacity_search`` table, is the one-row case of
+``random_measurements`` on Python scalars, bit for bit (see there).
 """
 
 from __future__ import annotations
@@ -38,6 +33,7 @@ from .core import (
     State,
     _check_count,
     _check_real,
+    _real_array,
     contract,
     mutual_information,
 )
@@ -63,8 +59,9 @@ def _check_dim(dim) -> int:
 
 def _check_vector(values, name: str) -> np.ndarray:
     """``values`` as a float vector; a ``DomainError`` unless it is 1-D with
-    a size in ``[1, MAX_DIM]``."""
-    values = np.asarray(values, dtype=float)
+    a size in ``[1, MAX_DIM]``, and a ``GptError`` unless its entries are
+    real numbers."""
+    values = _real_array(name, values)
     if values.ndim != 1:
         raise DomainError(f"{name} must be a vector, got shape {values.shape}")
     _check_dim(values.size)
@@ -91,7 +88,7 @@ def make_extremal_effect(direction) -> Effect:
 
 def canonical_measurement(direction) -> Measurement:
     """The two-outcome measurement ``{e_m, e_-m}`` along a unit vector."""
-    direction = np.asarray(direction, dtype=float)
+    direction = _real_array("effect direction", direction)
     return Measurement((make_extremal_effect(direction), make_extremal_effect(-direction)))
 
 
@@ -257,8 +254,8 @@ def random_measurement(dim: int, rng: np.random.Generator) -> np.ndarray:
     ``[1, MAX_DIM]``, checked before any draw.
     """
     dim = _check_dim(dim)
-    n_outcomes = int(rng.integers(2, MAX_OUTCOMES + 1, dtype=np.int32))
-    n_components = int(rng.integers(1, MAX_COMPONENTS + 1, dtype=np.int32))
+    n_outcomes = int(rng.integers(2, MAX_OUTCOMES + 1))
+    n_components = int(rng.integers(1, MAX_COMPONENTS + 1))
     weights = rng.standard_exponential(n_components).tolist()
     total = 0.0
     for weight in weights:

@@ -46,6 +46,7 @@ from . import variants
 # Bound here too: bench/test_bench.py checks that tracing wraps this name.
 from .capacity import blahut_arimoto, search_max  # noqa: F401
 from .core import (
+    BASELINE_MAX_N_BITS,
     EXACT_TOL,
     OPT_TOL,
     GptError,
@@ -71,9 +72,6 @@ from .hst import (
 # separable baseline decodes with the Bell-type measurement instead.
 MAX_OUTCOMES_SIDE = 4
 BELL_FRACTION = 0.3
-# Largest N the baselines take: the separable baseline's Bell stack holds
-# (2^N)^3 floats, 16 MiB at N = 7 and 8 GiB at N = 10.
-BASELINE_MAX_N_BITS = 7
 # Blahut-Arimoto settings the baselines optimise each prior with.
 BASELINE_BA_TOL = 1e-8
 BASELINE_BA_MAX_ITER = 400

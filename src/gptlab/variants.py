@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BASELINE_MAX_N_BITS,
     EXACT_TOL,
     LT_MAX_N_BITS,
     MAX_N_BITS,
@@ -61,6 +62,7 @@ from .core import (
     ValidationReport,
     _check_count,
     _check_real,
+    _real_array,
     bipartite_contract,
 )
 from .hadamard import hadamard_basis, hadamard_vector
@@ -292,7 +294,7 @@ def lt_optimal_info(n_bits: int) -> float:
 def embedded_extremal_effect(direction, theory: TheoryConfig) -> Effect:
     """Local extremal effect ``(1, 0_n, r)/2`` on the embedded sphere."""
     _require_kind(theory, "embedded")
-    direction = np.asarray(direction, dtype=float)
+    direction = _real_array("effect direction", direction)
     if direction.size != theory.m:
         raise GptError(f"direction must have {theory.m} components")
     extremal = make_extremal_effect(direction).entries
@@ -314,7 +316,7 @@ def embedded_transformation(
 ) -> Transformation:
     """Local map ``block-diag(T_label, R)`` for a finite rotation R of the sphere."""
     _require_kind(theory, "embedded")
-    rotation = np.asarray(rotation, dtype=float)
+    rotation = _real_array("rotation", rotation)
     if rotation.shape != (theory.m, theory.m):
         raise GptError(f"rotation must be {theory.m} x {theory.m}")
     if not np.isfinite(rotation).all():
@@ -423,7 +425,7 @@ _PASSED = ValidationReport(passed=True)
 
 
 def _matrix_stack(matrices) -> np.ndarray:
-    stack = np.asarray(matrices, dtype=float)
+    stack = _real_array("matrices", matrices)
     if stack.ndim != 3 or 0 in stack.shape[1:]:
         raise GptError(
             f"expected a (k, rows, cols) stack of non-empty matrices, got shape {stack.shape}"
@@ -543,8 +545,11 @@ def family_matrices(theory: TheoryConfig, seed: int = 0) -> tuple:
     ``(omega_a / 2)(omega_b / 2)^t`` of the same pure states.  The pure
     states come from one ``random_directions`` draw, A side then B side
     per pair.  Every row equals the matrix of the value object
-    ``constructed_family`` wraps it in, bit for bit.
+    ``constructed_family`` wraps it in, bit for bit.  Each stack holds
+    about ``8^N`` floats, so a theory above ``BASELINE_MAX_N_BITS`` is
+    refused before anything is built.
     """
+    _check_count("n_bits", theory.n_bits, 1, maximum=BASELINE_MAX_N_BITS)
     rng = np.random.default_rng(_check_count("seed", seed, 0))
     size = theory.hadamard_dim
     width = 1 + theory.local_dim

@@ -32,9 +32,9 @@ from gptlab import protocols
 from gptlab.capacity import (
     SCALAR_REDUCE_MAX,
     _ceiling_bits,
+    _prior_sum,
     _scalar_has_zero,
     _scalar_max,
-    _scalar_sum,
     search_max,
 )
 from gptlab.variants import dense_coding_channel, lt_channel
@@ -102,11 +102,11 @@ def reference_blahut_arimoto(p: np.ndarray, tol: float, max_iter: int) -> tuple:
 def reducer_branch_tables(draw):
     """Row-stochastic tables on every side of the scalar-reduction gate.
 
-    7-8 inputs and 9-16 outputs reach the normaliser's eight accumulators;
-    up to 40 rows or columns lie past ``SCALAR_REDUCE_MAX``.  Some tables
-    repeat one row, so that the ``c_x`` are equal and often all zero, which
-    makes ``upper_bits`` a maximum of zeros, and some have all-zero output
-    columns.
+    7-8 inputs straddle the normaliser's switch from its loop to numpy's
+    sum, with 9-16 outputs; up to 40 rows or columns lie past
+    ``SCALAR_REDUCE_MAX``.  Some tables repeat one row, so that the ``c_x``
+    are equal and often all zero, which makes ``upper_bits`` a maximum of
+    zeros, and some have all-zero output columns.
     """
     n_in, n_out = draw(
         st.one_of(
@@ -580,15 +580,15 @@ def reducer_inputs(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 class TestScalarReducers:
-    # Past the gate too, so that the sum adds more than one block of eight.
+    # Past the gate too, and on both sides of the normaliser's loop.
     @pytest.mark.parametrize("n", range(1, 2 * SCALAR_REDUCE_MAX + 1))
     def test_each_reducer_is_numpys_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
         for _ in range(300):
             values = reducer_inputs(rng, n)
             with np.errstate(over="ignore", invalid="ignore"):
-                total = float(np.add.reduce(values))
-            assert _scalar_sum(values).hex() == total.hex()
+                total, ours = float(np.add.reduce(values)), _prior_sum(values)
+            assert ours.hex() == total.hex()
             assert _scalar_max(values).hex() == float(np.maximum.reduce(values)).hex()
             assert _scalar_has_zero(values) is not bool(values.all())
 
@@ -606,8 +606,17 @@ class TestScalarReducers:
         # correctly rounded sums, as a compensated sum() may give from
         # CPython 3.12, are 0.6000000000000001 and 1.3.
         values = np.full(n, 0.1)
-        assert _scalar_sum(values) == float(np.add.reduce(values)) == total
+        assert _prior_sum(values) == float(np.add.reduce(values)) == total
         assert math.fsum(values.tolist()) != total
+
+    @pytest.mark.parametrize("n", range(1, 2 * SCALAR_REDUCE_MAX + 1))
+    def test_the_normaliser_keeps_numpys_zeros_infinities_and_nans(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(100):
+            values = rng.choice([0.0, -0.0, 0.5, -0.5, np.inf, -np.inf, np.nan], size=n)
+            with np.errstate(invalid="ignore"):
+                total, ours = float(np.add.reduce(values)), _prior_sum(values)
+            assert ours.hex() == total.hex()
 
     def test_nan_is_not_a_zero(self):
         assert not _scalar_has_zero(np.array([np.nan, 1.0]))

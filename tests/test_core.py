@@ -1,6 +1,7 @@
 """Tests for the state/effect algebra and information measures."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +38,15 @@ from gptlab import (
     weak_entanglement_bound,
     weak_thresholds,
 )
-from gptlab.core import SymmetricChannel, _check_count, _check_real, effect_probability_range
+from gptlab.capacity import blahut_arimoto
+from gptlab.core import (
+    SymmetricChannel,
+    _check_count,
+    _check_real,
+    _frozen,
+    _real_array,
+    effect_probability_range,
+)
 from gptlab.hst import (
     canonical_measurement,
     make_extremal_effect,
@@ -45,7 +54,14 @@ from gptlab.hst import (
     random_directions,
     random_state,
 )
-from gptlab.variants import dense_coding_channel, lt_rotated_witness
+from gptlab.variants import (
+    dense_coding_channel,
+    embedded_extremal_effect,
+    embedded_transformation,
+    lemma_effect_checks,
+    lemma_state_checks,
+    lt_rotated_witness,
+)
 
 
 def binary_entropy(p: float) -> float:
@@ -618,6 +634,94 @@ BAD_ARGUMENT_PROBES = {
 def test_library_calls_refuse_a_bad_argument_with_gpt_error(probe, name):
     with pytest.raises(GptError, match=f"^{name} must be "):
         probe()
+
+
+def _stack_with(entry) -> list:
+    """A stack of two 2 x 2 identities, as nested lists, whose last entry
+    is ``entry``."""
+    stack = [np.eye(2).tolist(), np.eye(2).tolist()]
+    stack[-1][-1][-1] = entry
+    return stack
+
+
+# Array arguments that numpy's float conversion once took apart: a complex
+# entry lost its imaginary part without an error, and a string escaped as
+# numpy's raw ValueError or TypeError.
+BAD_ARRAY_PROBES = {
+    "make-state-complex": (lambda: make_state(np.array([0.6j, 0.8j])), "state coordinates"),
+    "make-state-str": (lambda: make_state(["0.1", "0.2"]), "state coordinates"),
+    "state-complex": (lambda: State(np.array([1, 0.5j])), "state entries"),
+    "state-str": (lambda: State("ab"), "state entries"),
+    "effect-complex": (lambda: Effect(np.array([0.5, 0.5j])), "effect entries"),
+    "bipartite-state-complex": (lambda: BipartiteState(np.eye(2) + 0j), "bipartite state"),
+    "transformation-complex": (lambda: Transformation(np.eye(2) + 0j), "transformation"),
+    "channel-complex-table": (
+        lambda: Channel(prior=[0.5, 0.5], conditional=np.eye(2) + 0j), "conditional"
+    ),
+    "channel-str-prior": (lambda: Channel(prior=["a", "b"], conditional=np.eye(2)), "prior"),
+    "extremal-effect-complex": (
+        lambda: make_extremal_effect(np.array([1j, 0.0])), "effect direction"
+    ),
+    "canonical-complex": (lambda: canonical_measurement(np.array([1j, 0.0])), "effect direction"),
+    "canonical-str": (lambda: canonical_measurement("ab"), "effect direction"),
+    "lemma-states-complex": (lambda: lemma_state_checks(_stack_with(5j)), "matrices"),
+    "lemma-effects-str": (lambda: lemma_effect_checks(_stack_with("a")), "matrices"),
+    "mixture-complex-weights": (
+        lambda: mix_bipartite([entangled_state(0, 1)] * 2, [0.5 + 1j, 0.5 - 1j]),
+        "mixture weights",
+    ),
+    "mixture-str-weights": (
+        lambda: mix_bipartite([entangled_state(0, 1)] * 2, ["0.5", "0.5"]), "mixture weights"
+    ),
+    "embedded-effect-complex": (
+        lambda: embedded_extremal_effect(np.array([1j, 0.0]), TheoryConfig.embedded(2, 2)),
+        "effect direction",
+    ),
+    "embedded-rotation-complex": (
+        lambda: embedded_transformation(0, TheoryConfig.embedded(2, 2), np.eye(2) + 0j),
+        "rotation",
+    ),
+    "blahut-arimoto-complex": (lambda: blahut_arimoto(np.eye(2) + 0j), "conditional"),
+    "blahut-arimoto-str": (lambda: blahut_arimoto("ab"), "conditional"),
+}
+
+
+@pytest.mark.parametrize("probe, name", BAD_ARRAY_PROBES.values(), ids=BAD_ARRAY_PROBES.keys())
+def test_library_calls_refuse_a_complex_or_non_numeric_array_with_gpt_error(probe, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        with pytest.raises(GptError, match=f"^{name} must be real numbers, got an array of "):
+            probe()
+
+
+class TestRealArray:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1, 2, -3],
+            [0.1, -0.0, 2],
+            np.array([1.5, 2.5], dtype=np.float32),
+            np.arange(6, dtype=np.uint8).reshape(2, 3),
+            np.asfortranarray(np.random.default_rng(0).random((3, 4))),
+            np.float64(0.25),
+        ],
+        ids=["int-list", "float-list", "float32", "uint8", "fortran", "scalar"],
+    )
+    def test_real_inputs_keep_their_bits(self, values):
+        expected = np.asarray(values, dtype=float)
+        for checked in (_real_array("x", values), _frozen("x", values)):
+            assert checked.dtype == np.float64 and checked.shape == expected.shape
+            assert checked.tobytes() == expected.tobytes()
+
+    def test_a_float64_array_is_not_copied(self):
+        values = np.ones(3)
+        assert _real_array("x", values) is values
+        assert not np.shares_memory(_frozen("x", values), values)
+
+    def test_frozen_takes_a_read_only_float64_array_as_is(self):
+        values = np.ones(3)
+        values.setflags(write=False)
+        assert _frozen("x", values) is values
 
 
 class TestStateInvariants:

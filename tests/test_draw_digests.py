@@ -15,10 +15,7 @@ or to the rounding of a table.  Each is a sha256 over raw ``tobytes()``:
   index order, and one uniform drawn after them.
 
 The digests were recorded with numpy 2.4; numpy does not promise the same
-Generator streams across releases.  ``random_measurement`` draws each scalar
-count as ``rng.integers(lo, hi, dtype=np.int32)``, and one more test checks
-that this is the default int64 draw, value and generator state alike, at
-every bound the searches use.
+Generator streams across releases.
 """
 
 import hashlib
@@ -77,17 +74,6 @@ PRODUCT_DIGESTS = {
     3: "6eb1eaef446ce935a89f518df753f99e478e3621e1110d4e6e2d80bbc5cf6122",
     7: "99b83574fffdc6bed29e3467ce15ea38db1016274975106327b0e7fa6feeb1d7",
 }
-
-
-# The (lo, hi) of the scalar counts ``random_measurement`` draws (outcome
-# and component counts), and of the counts the searches now draw as arrays:
-# the state counts, a product measurement's sides, the separable baseline's
-# message count and the product baseline's label, N <= 12.
-INT32_BOUNDS = (
-    [(2, 9), (1, 9), (2, 5)]
-    + [(2, 2**n + 1) for n in range(1, 13)]
-    + [(0, 2**n) for n in range(1, 13)]
-)
 
 
 def add_array(digest, array: np.ndarray) -> None:
@@ -177,19 +163,3 @@ def test_random_measurements_stacks_are_pinned(dim):
 @pytest.mark.parametrize("dim", [1, 3, 7])
 def test_random_product_measurement_stacks_are_pinned(dim):
     assert product_digest(dim) == PRODUCT_DIGESTS[dim]
-
-
-@pytest.mark.parametrize("low, high", INT32_BOUNDS)
-def test_int32_scalar_draws_are_the_default_draws(low, high):
-    # Two counts in a row, then a uniform, so that both halves of a 64-bit
-    # output and the stream after them are compared.
-    for seed in SEEDS:
-        default, narrow = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(25):
-            for _ in range(2):
-                value = narrow.integers(low, high, dtype=np.int32)
-                assert type(value) is np.int32
-                assert value == default.integers(low, high)
-            assert narrow.bit_generator.state == default.bit_generator.state
-            assert narrow.random().hex() == default.random().hex()
-        assert narrow.bit_generator.state == default.bit_generator.state

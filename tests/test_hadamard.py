@@ -12,6 +12,7 @@ from gptlab import (
     BipartiteState,
     Effect,
     GptError,
+    TheoryConfig,
     bell_measurement,
     bipartite_contract,
     bipartite_unit,
@@ -43,6 +44,7 @@ from gptlab.hst import (
     random_state,
 )
 from gptlab.protocols import BASELINE_MAX_N_BITS
+from gptlab.variants import constructed_family, family_matrices
 
 
 def sign_vector_oracle(label: int, n_bits: int) -> list:
@@ -113,26 +115,26 @@ class TestSignVectors:
         assert peak <= 1.25 * table
 
     @pytest.mark.parametrize(
-        "build",
+        "build, limit",
         [
-            hadamard_basis,
-            lambda n: hadamard_vector(0, n),
-            lambda n: entangled_state(0, n),
-            lambda n: entangled_effect(0, n),
-            bell_measurement,
-            lambda n: local_transformation(0, n),
-            lambda n: teleport(make_state(np.zeros(2**n - 1)), n),
-            lambda n: entanglement_swap(n, 0),
-            lambda n: no_signalling_spread(n, 1, 0),
+            (hadamard_basis, MAX_N_BITS),
+            (lambda n: hadamard_vector(0, n), MAX_N_BITS),
+            (lambda n: entangled_state(0, n), MAX_N_BITS),
+            (lambda n: entangled_effect(0, n), MAX_N_BITS),
+            (bell_measurement, BASELINE_MAX_N_BITS),
+            (lambda n: local_transformation(0, n), MAX_N_BITS),
+            (lambda n: teleport(make_state(np.zeros(2**n - 1)), n), MAX_N_BITS),
+            (lambda n: entanglement_swap(n, 0), MAX_N_BITS),
+            (lambda n: no_signalling_spread(n, 1, 0), MAX_N_BITS),
         ],
         ids=[
             "basis", "vector", "state", "effect", "bell", "transformation",
             "teleport", "swap", "no-signalling",
         ],
     )
-    def test_refuses_more_bits_than_the_limit(self, build):
+    def test_refuses_more_bits_than_the_limit(self, build, limit):
         # Each would otherwise build 2^13 x 2^13 arrays or larger.
-        with pytest.raises(GptError, match=f"n_bits must be at most {MAX_N_BITS}, got 13"):
+        with pytest.raises(GptError, match=f"n_bits must be at most {limit}, got 13"):
             build(MAX_N_BITS + 1)
 
     @pytest.mark.parametrize(
@@ -154,6 +156,33 @@ class TestSignVectors:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            bell_measurement,
+            lambda n: family_matrices(TheoryConfig.base(n)),
+            lambda n: constructed_family(TheoryConfig.embedded(n, 2)),
+        ],
+        ids=["bell", "family-matrices", "constructed-family"],
+    )
+    @pytest.mark.parametrize("n_bits", [BASELINE_MAX_N_BITS + 1, MAX_N_BITS])
+    def test_cubic_builders_refuse_more_bits_than_the_baseline_limit(self, build, n_bits):
+        # Each holds about 8^N floats: 512 GiB at N = 12.  Refused before
+        # anything is built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                GptError, match=f"^n_bits must be at most {BASELINE_MAX_N_BITS}, got {n_bits}$"
+            ):
+                build(n_bits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_bell_measurement_accepts_the_baseline_limit(self):
+        assert len(bell_measurement(BASELINE_MAX_N_BITS).effects) == 2**BASELINE_MAX_N_BITS
 
     def test_accepts_the_limit(self):
         assert hadamard_vector(2**MAX_N_BITS - 1, MAX_N_BITS).size == 2**MAX_N_BITS
@@ -509,12 +538,21 @@ class TestLocalTomography:
             local_tomography_from_oracle(oracle, dim_a, dim_b)
 
     @pytest.mark.parametrize(
-        "answer", [[0.1, 0.2, 0.3], "abc", 0.5, None, [True], [0.5j]], ids=repr
+        "answer, error",
+        [
+            ([0.1, 0.2, 0.3], r"the oracle answered \(3,\) for a \(1, 1\) grid$"),
+            ("abc", "the oracle's answer must be real numbers, got an array of <U3$"),
+            (0.5, r"the oracle answered \(\) for a \(1, 1\) grid$"),
+            (None, "the oracle's answer must be real numbers, got an array of object$"),
+            ([True], "the oracle's answer must be real numbers, got an array of bool$"),
+            ([0.5j], "the oracle's answer must be real numbers, got an array of complex128$"),
+        ],
+        ids=["[0.1, 0.2, 0.3]", "'abc'", "0.5", "None", "[True]", "[0.5j]"],
     )
-    def test_refuses_an_answer_that_is_not_one_number_per_probe(self, answer):
+    def test_refuses_an_answer_that_is_not_one_number_per_probe(self, answer, error):
         # Once, three numbers or a string for the 1 x 1 grid of two 0-balls
         # reached numpy's reshape or matmul and raised their own errors.
-        with pytest.raises(GptError, match=r"^the oracle answered .* for a \(1, 1\) grid$"):
+        with pytest.raises(GptError, match=f"^{error}"):
             local_tomography_from_oracle(lambda a, b: answer, 0, 0)
 
     def test_numpy_dimensions_rebuild_as_python_ints(self):
