@@ -36,8 +36,7 @@ THEORY_KINDS = tuple(KIND_PARAMS)
 # How messages and command-line flags name each parameter.
 _PARAM_NAMES = {"lam": "lambda", "tau": "tau", "m": "m"}
 # Largest N any protocol builds, enforced by ``hadamard``: the swap holds about
-# three (2^N)^2 float arrays and a dense-coding run one, a peak RSS of 427 /
-# 173 MB at N = 12.
+# three (2^N)^2 float arrays, a peak RSS of 427 MB at N = 12.
 MAX_N_BITS = 12
 # Largest N of the builders that hold about (2^N)^3 floats (the Bell
 # measurement, the constructed families) and of the baselines: 16 MiB at

@@ -15,9 +15,9 @@ on two ball systems of dimension ``2^N - 1``, the Bell-type measurement
 group of local transformations ``T_mu = diag(d_mu)`` (the XOR group).
 
 Labels are machine integers with bit ``l`` holding the l-th bit of the
-string, so the group laws are exact bit operations.  Sign vectors are
-float64 +-1 arrays (none above ``MAX_N_BITS``): every product and sum of
-them is an integer or a dyadic value below 2^53, so float math is exact.
+string, so the group laws are exact bit operations.  Sign vectors are float64
++-1 arrays (none above ``MAX_N_BITS``), applied by ``sign_transform`` in 6-bit
+blocks: their sums are integers or dyadic values below 2^53, so math is exact.
 """
 
 from __future__ import annotations
@@ -77,6 +77,25 @@ def hadamard_basis(n_bits: int) -> np.ndarray:
     signs = -2.0 * (np.bitwise_count(nu[:, None] & nu) & 1)
     signs += 1.0
     return signs
+
+
+_BLOCKS = {n: hadamard_basis(n) for n in range(1, 7)}  # S_1 .. S_6
+
+
+def sign_transform(w) -> np.ndarray:
+    """``hadamard_basis(N) @ w`` for a real ``(2^N, ...)`` array w: one matmul per
+    block of ``S_N = S_a (x) S_b``, ``a, b <= 6``, after checking the shape,
+    ``N <= MAX_N_BITS`` and the dtype.  Exact for dyadic sums below 2^53."""
+    w = np.asarray(w)
+    rows = w.shape[0] if w.ndim else 0
+    if rows < 2 or rows & (rows - 1):
+        raise GptError(f"sign_transform needs 2^N rows, N >= 1, got the shape {w.shape}")
+    n_bits = _check_n_bits(rows.bit_length() - 1)
+    high = n_bits if n_bits <= 6 else n_bits - n_bits // 2
+    out = _BLOCKS[high] @ _real_array("sign_transform input", w).reshape(2**high, w.size >> high)
+    if high < n_bits:
+        out = _BLOCKS[n_bits - high] @ out.reshape(2**high, 2 ** (n_bits - high), w.size >> n_bits)
+    return out.reshape(w.shape)
 
 
 def entangled_state(label: int, n_bits: int) -> BipartiteState:

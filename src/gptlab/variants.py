@@ -5,10 +5,9 @@ rescaled: entangled states ``diag(1, s d_mu[1:])`` decoded by effects
 ``2^-N diag(1, t d_mu[1:])`` on the ``2^N x 2^N`` Hadamard corner, with the
 pair ``(s, t)`` given by ``correlation_scales``.  One state constructor, one
 effect constructor and one dense-coding channel builder serve all kinds; the
-table ``p delta_(y,x) + 2^-N (1 - p)``, ``p = s t``, is held as the two
-values of its checked first row, a ``core.SymmetricChannel`` that validates
-them as that row and writes the table only when it is read, and
-``dense_coding_info`` gives its rate in closed form.
+table ``p delta_(y,x) + 2^-N (1 - p)``, ``p = s t``, is checked through
+``hadamard.sign_transform`` and held as the ``core.SymmetricChannel`` of its
+first row's two values, and ``dense_coding_info`` gives its rate in closed form.
 
 * ``base``: ``(1, 1)``, the perfect N-bit code.
 * ``lambda-tau``: ``(lambda, tau)``.  Requiring valid probabilities on the
@@ -40,6 +39,7 @@ objects.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,7 +65,7 @@ from .core import (
     _real_array,
     bipartite_contract,
 )
-from .hadamard import hadamard_basis, hadamard_vector
+from .hadamard import hadamard_basis, hadamard_vector, sign_transform
 from .hst import make_extremal_effect, random_directions
 
 # Random product states and effects ``constructed_family`` adds per theory.
@@ -128,46 +128,48 @@ def _check_product(size: float, product: float) -> float:
     return _check_real("scale product", product, low, high, DomainError)
 
 
+@functools.cache
+def _row_probes(n_bits: int) -> tuple:
+    """Columns ``e_0, 1, a = (0, 1, ..., 2^N - 1), u = 2^-N S a`` and what S
+    gives on them: ``S e_0 = 1``, ``S 1 = 2^N e_0`` and, by Parseval, ``|S a|^2``,
+    moved by any changed entry or balanced pair of flips in a row, and
+    ``|S u|^2 = |a|^2``, moved by a row written over another."""
+    size = 2**n_bits
+    probes = np.zeros((size, 4))
+    probes[:, 1], probes[:, 2] = 1.0, np.arange(size)
+    probes[0, [0, 3]] = 1.0, (size - 1) / 2
+    probes[2 ** np.arange(n_bits), 3] = -np.exp2(np.arange(n_bits) - 1.0)
+    probes.setflags(write=False)
+    norms = size * np.square(probes[:, 2:]).sum(axis=0)
+    return probes, np.concatenate((probes[:, 1], size * probes[:, 0], norms))
+
+
 def dense_coding_channel(theory: TheoryConfig) -> SymmetricChannel:
     """Dense-coding channel of any theory kind, uniform prior.
 
-    With ``S`` the sign rows and ``e = (1, p, ..., p)``, p the product of
-    the two scales, the encoded states ``T_x phi_0`` and the decoding
-    effects give the table ``2^-N S diag(e) S^t``: ``q[x XOR y]`` for its
-    first row ``q = 2^-N S (e o S[0])``, as ``d_x o d_y = d_(x XOR y)``.
-    The row is checked against ``p delta_(y,0) + 2^-N (1 - p)`` and the
-    column sums ``2^-N S (e o S^t 1)`` against 1, at ``EXACT_TOL``; only
-    the sums catch a sign row written over another, and a row permutation
-    passes both, as it leaves the table unchanged.  The embedded model's
-    ``block-diag(T_x, R)`` is ``T_x`` on the corner, where ``phi_0`` and
-    every ``E_y`` live: no rotation enters the table.  With +-1 signs the
-    checked row is ``q[0]`` then ``q[1]`` repeated, so the channel is the
-    ``SymmetricChannel`` of those two values: it validates them on that row,
-    not on a table, and writes the read-only table, ``q[1]`` with ``q[0]``
-    on its diagonal, the first time ``conditional`` is read.  The build
-    holds about one table at its peak: the signs.
+    With ``S`` the sign rows and p the product of the two scales, the encoded
+    states ``T_x phi_0`` and the decoding effects give the table ``2^-N S
+    diag(1, p, ..., p) S^t``, ``q[x XOR y]`` for its first row ``q = 2^-N (p S 1
+    + (1 - p) S e_0)``.  S is read only through ``sign_transform`` on
+    ``_row_probes``, in integers and dyadic values below 2^53, so exactly; a
+    row permutation that keeps row 0 passes, as it leaves the table as it is.
+    The embedded ``block-diag(T_x, R)`` is ``T_x`` on the corner, where
+    ``phi_0`` and every ``E_y`` live.  With +-1 signs ``q[y]`` is the one
+    double ``(1 - p) 2^-N`` for every ``y != 0``, so the channel is the
+    ``SymmetricChannel`` of ``q[0]`` and ``q[1]``; the build holds no table.
     """
-    n = theory.n_bits
-    size = theory.hadamard_dim
+    n, size = theory.n_bits, theory.hadamard_dim
     product = _check_product(size, math.prod(correlation_scales(theory)))
-    signs = hadamard_basis(n)
-    counts = 2.0**-n * np.stack((signs[0], signs.sum(axis=0)), axis=1)
-    # Columns S (e o w) = p S w + (1 - p) S[:, 0] w[0], w = 2^-N (S[0], S^t 1);
-    # S w is exact in any order: its sums are 2^-N times integers below 2^53.
-    rows = product * (signs @ counts) + (1.0 - product) * np.outer(signs[:, 0], counts[0])
-    del signs
-    expected = np.ones((size, 2))
-    expected[:, 0] = 2.0**-n * (1.0 - product)
-    expected[0, 0] += product
-    gap = float(np.abs(rows - expected).max())
+    probes, expected = _row_probes(n)
+    signed = sign_transform(probes)
+    stats = np.concatenate((signed[:, 0], signed[:, 1], np.square(signed[:, 2:]).sum(axis=0)))
+    gap = float(np.abs(stats - expected).max())
     if not gap <= EXACT_TOL:
         raise ProtocolFalsified(
             f"{theory.kind} dense coding deviates from its closed form by {gap!r}"
         )
-    # With +-1 signs every q[y], y != 0, is p * 0 + (1 - p) 2^-N, the same
-    # double: q[x ^ y] is q[0] on the diagonal and q[1] off it, exactly.
-    q = rows[:2, 0].clip(0.0, 1.0)
-    return SymmetricChannel(prior=np.full(size, 1.0 / size), q=q.tolist())
+    q = product * (2.0**-n * signed[:2, 1]) + (1.0 - product) * (2.0**-n * signed[:2, 0])
+    return SymmetricChannel(prior=np.full(size, 1.0 / size), q=q.clip(0.0, 1.0).tolist())
 
 
 def dense_coding_info(n_bits: int, product: float) -> float:

@@ -35,7 +35,7 @@ from gptlab import (
 )
 from gptlab import hadamard
 from gptlab.core import MAX_N_BITS, effect_probability_range
-from gptlab.hadamard import local_tomography_from_oracle, match_entangled_label
+from gptlab.hadamard import local_tomography_from_oracle, match_entangled_label, sign_transform
 from gptlab.hst import (
     make_extremal_effect,
     make_state,
@@ -126,10 +126,11 @@ class TestSignVectors:
             (lambda n: teleport(make_state(np.zeros(2**n - 1)), n), MAX_N_BITS),
             (lambda n: entanglement_swap(n, 0), MAX_N_BITS),
             (lambda n: no_signalling_spread(n, 1, 0), MAX_N_BITS),
+            (lambda n: sign_transform(np.ones(2**n)), MAX_N_BITS),
         ],
         ids=[
             "basis", "vector", "state", "effect", "bell", "transformation",
-            "teleport", "swap", "no-signalling",
+            "teleport", "swap", "no-signalling", "sign-transform",
         ],
     )
     def test_refuses_more_bits_than_the_limit(self, build, limit):
@@ -228,6 +229,65 @@ class TestSignVectors:
         assert np.array_equal(hadamard_vector(label, 2), hadamard_vector(3, 2))
         assert local_transformation(label, 2).matrix.tolist() == np.diag([1, -1, -1, 1]).tolist()
         assert entanglement_swap(2, label=label).passed
+
+
+class TestSignTransform:
+    @pytest.mark.parametrize("n_bits", range(1, 11))
+    def test_is_the_basis_product_for_integer_columns(self, n_bits):
+        rng = np.random.default_rng(n_bits)
+        basis = hadamard_basis(n_bits)
+        for shape in [(2**n_bits,), (2**n_bits, 1), (2**n_bits, 4), (2**n_bits, 2, 3)]:
+            w = rng.integers(-(2**30), 2**30, shape).astype(float)
+            expected = np.tensordot(basis, w, axes=1)
+            assert np.array_equal(sign_transform(w), expected)
+        assert np.array_equal(sign_transform(np.arange(2**n_bits)), basis @ np.arange(2**n_bits))
+
+    def test_accepts_the_limit(self):
+        image = sign_transform(np.ones((2**MAX_N_BITS, 1)))
+        assert np.array_equal(image[:2, 0], [2**MAX_N_BITS, 0])
+
+    @pytest.mark.parametrize("n_bits", [3, 8])
+    def test_keeps_an_empty_trailing_axis(self, n_bits):
+        assert sign_transform(np.ones((2**n_bits, 0))).shape == (2**n_bits, 0)
+
+    @pytest.mark.parametrize(
+        "w, match",
+        [
+            (np.ones((3, 2)), r"^sign_transform needs 2\^N rows, N >= 1, got the shape \(3, 2\)$"),
+            (np.ones((1, 2)), r"got the shape \(1, 2\)$"),
+            (np.ones((0, 2)), r"got the shape \(0, 2\)$"),
+            (np.float64(1.0), r"got the shape \(\)$"),
+            (np.ones(2**MAX_N_BITS + 2**10), "got the shape"),
+            (np.ones((4, 1), dtype=complex), "^sign_transform input must be real numbers"),
+            (np.ones((4, 1), dtype=bool), "^sign_transform input must be real numbers"),
+            ([["1"], ["2"]], "^sign_transform input must be real numbers"),
+        ],
+        ids=["rows-3", "rows-1", "rows-0", "scalar", "rows-5120", "complex", "bool", "strings"],
+    )
+    def test_refuses_what_is_no_real_column_stack_of_2_to_the_n_rows(self, w, match):
+        with pytest.raises(GptError, match=match):
+            sign_transform(w)
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            np.broadcast_to(np.int64(1), (2 ** (MAX_N_BITS + 1), 64)),
+            np.broadcast_to(np.int64(1), (3 * 2**MAX_N_BITS, 64)),
+            np.broadcast_to(np.complex128(1), (2**MAX_N_BITS, 64)),
+        ],
+        ids=["13-bits", "not-a-power", "complex"],
+    )
+    def test_refuses_before_allocating(self, w):
+        # Each would take 4 MiB or more as a float copy, and 2^13 rows are
+        # refused whatever their width.
+        tracemalloc.start()
+        try:
+            with pytest.raises(GptError):
+                sign_transform(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestGroupLaws:

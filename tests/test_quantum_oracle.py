@@ -40,10 +40,12 @@ from gptlab import (
     entangled_effect,
     entangled_state,
     entanglement_swap,
+    local_tomography,
+    product_state,
     protocols,
     teleport,
 )
-from gptlab.hst import make_state
+from gptlab.hst import make_state, random_ball_points
 from gptlab.variants import dense_coding_channel
 
 PAULI = np.array(
@@ -183,6 +185,38 @@ def test_scaled_correlations_stay_quantum_up_to_full_strength(n_bits):
         mutant = scaled_correlations(entangled_state(0, n_bits).matrix, scale)
         lowest = np.linalg.eigvalsh(to_density(mutant, n_bits))[0]
         assert lowest >= -EXACT_TOL
+
+
+def pauli_tomography(rho: np.ndarray, alice_strings: np.ndarray) -> np.ndarray:
+    """``phi[a, b] = Tr(rho A_a (x) P_b^T)``, A the strings Alice is read
+    with: the model matrix of rho, read back from Pauli expectations when
+    A is the Pauli basis, as ``Tr(P_a P_k) = 2^(N/2) delta_ak``."""
+    bob = pauli_strings(2).transpose(0, 2, 1)
+    return np.array([[np.trace(rho @ np.kron(a, b)) for b in bob] for a in alice_strings])
+
+
+def tomography_states() -> list:
+    rng = np.random.default_rng(15)
+    sides = random_ball_points(8, 3, rng)
+    pairs = zip(sides[0::2], sides[1::2])
+    products = [product_state(make_state(a), make_state(b)) for a, b in pairs]
+    return [entangled_state(mu, 2) for mu in labels(2)] + products
+
+
+def local_tomography_matches_pauli_tomography(state, alice_strings) -> bool:
+    expectations = pauli_tomography(to_density(state.matrix, 2), alice_strings)
+    assert np.abs(expectations.imag).max() <= EXACT_TOL
+    return np.abs(local_tomography(state).matrix - expectations.real).max() <= EXACT_TOL
+
+
+@pytest.mark.parametrize("state", tomography_states(), ids=lambda state: None)
+def test_local_tomography_is_pauli_tomography(state):
+    assert local_tomography_matches_pauli_tomography(state, pauli_strings(2))
+
+
+@pytest.mark.parametrize("state", tomography_states(), ids=lambda state: None)
+def test_pauli_tomography_with_x_and_y_swapped_on_one_side_is_not(state):
+    assert not local_tomography_matches_pauli_tomography(state, pauli_strings(2)[[0, 2, 1, 3]])
 
 
 PHI_PLUS = np.array([1, 0, 0, 1]) / np.sqrt(2)

@@ -1,6 +1,7 @@
 """Tests for the deformed theories and the matrix-norm validators."""
 
 import decimal
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -44,7 +45,7 @@ from gptlab import variants
 from gptlab.capacity import blahut_arimoto, weak_entanglement_bound, weak_thresholds
 from gptlab.cli import main
 from gptlab.core import KIND_PARAMS, MAX_N_BITS, THEORY_KINDS, Effect, State
-from gptlab.hadamard import hadamard_vector, local_transformation
+from gptlab.hadamard import hadamard_basis, hadamard_vector, local_transformation
 from gptlab.hst import random_directions
 from gptlab.variants import (
     FAMILY_RANDOM_PAIRS,
@@ -1176,11 +1177,29 @@ def _overwrite_row(signs):
     signs[2] = signs[5]
 
 
+def _flip_balanced_pair(signs):
+    # Entries +1 and -1 of one row: its sum stays 0.
+    signs[3, [4, 5]] = -signs[3, [4, 5]]
+
+
+def _flip_balanced_pair_outside_u(signs):
+    # u = 2^-N S a vanishes off labels 0, 1, 2 and 4: only the probe a sees it.
+    signs[3, [3, 5]] = -signs[3, [3, 5]]
+
+
+def _overwrite_row_with_equal_arange_image(signs):
+    # d_3 . a = d_5 . a = 0 for a = (0, 1, ..., 7): only the probe u sees it.
+    signs[3] = signs[5]
+
+
 SIGN_MUTANTS = {
     "flipped-entry": _flip_entry,
     "nan-entry": _nan_entry,
     "flipped-unit-sign": _flip_unit_sign,
     "row-overwritten": _overwrite_row,
+    "balanced-flips": _flip_balanced_pair,
+    "balanced-flips-outside-u": _flip_balanced_pair_outside_u,
+    "row-overwritten-outside-arange": _overwrite_row_with_equal_arange_image,
 }
 
 THREE_BIT_THEORIES = [
@@ -1194,22 +1213,18 @@ THREE_BIT_THEORIES = [
 class TestSignMutants:
     """Broken sign rows must fail the dense-coding check of every kind.
 
-    The check reads the table's first row and its column sums, and each
-    mutant below moves one of them; a row written over another moves only
-    the sums.  A permutation of the rows is invisible to both checks:
-    S -> PS maps the table ``p I + 2^-N (1 - p) J`` to itself.
+    The check reads ``S e_0``, ``S 1`` and the norms of ``S a`` and ``S u``
+    through ``sign_transform``, and each mutant below moves one of them; a
+    row written over another moves only a norm.  A permutation of the rows
+    that keeps row 0 is invisible to every check: S -> PS maps the table
+    ``p I + 2^-N (1 - p) J`` to itself.
     """
 
     @staticmethod
     def _patch(monkeypatch, mutate):
-        original = variants.hadamard_basis
-
-        def mutated(n_bits):
-            signs = original(n_bits).astype(float)
-            mutate(signs)
-            return signs
-
-        monkeypatch.setattr(variants, "hadamard_basis", mutated)
+        mutated_signs = hadamard_basis(3)
+        mutate(mutated_signs)
+        monkeypatch.setattr(variants, "sign_transform", lambda w: mutated_signs @ w)
 
     @pytest.mark.parametrize("mutate", SIGN_MUTANTS.values(), ids=SIGN_MUTANTS)
     @pytest.mark.parametrize("theory", THREE_BIT_THEORIES, ids=lambda theory: theory.kind)
@@ -1229,3 +1244,96 @@ class TestSignMutants:
         run = dense_coding(3, theory)
         assert np.array_equal(run.channel.conditional, honest.channel.conditional)
         assert run.info_bits == honest.info_bits
+
+
+def theories_of_every_kind(n_bits):
+    size = 2**n_bits
+    yield TheoryConfig.base(n_bits)
+    if n_bits == 1:
+        return  # the other kinds need N >= 2
+    yield TheoryConfig.embedded(n_bits, 2)
+    lt_pairs = [(1.0, 1 / (size + 1)), (-1.0, 1 / (size - 1)), (1e-9, 1e-9), (0.7, 1 / (size - 3))]
+    for lam, tau in lt_pairs:
+        yield TheoryConfig.lambda_tau(n_bits, lam, tau)
+    for lam in (3 / 7, -0.5 / (size - 1), 1e-17, -1.0 / (size - 1)):
+        yield TheoryConfig.weak(n_bits, lam)
+
+
+class TestDenseCodingRow:
+    """The row read through ``sign_transform`` against the basis product."""
+
+    @staticmethod
+    def basis_rows(signs, product):
+        # The table's first row and column sums as the check formed them
+        # from the whole basis: ``p S w + (1 - p) S[:, 0] w[0]``, with
+        # w = 2^-N (S[0], S^t 1).
+        n_bits = len(signs).bit_length() - 1
+        counts = 2.0**-n_bits * np.stack((signs[0], signs.sum(axis=0)), axis=1)
+        return product * (signs @ counts) + (1.0 - product) * np.outer(signs[:, 0], counts[0])
+
+    def basis_row(self, signs, product):
+        return self.basis_rows(signs, product)[:2, 0].clip(0.0, 1.0).tolist()
+
+    def basis_check_passes(self, signs, product):
+        size = len(signs)
+        expected = np.ones((size, 2))
+        expected[:, 0] = (1.0 - product) / size
+        expected[0, 0] += product
+        return np.abs(self.basis_rows(signs, product) - expected).max() <= EXACT_TOL
+
+    def test_kills_every_one_step_mutant_the_basis_check_killed(self, monkeypatch):
+        # Every flipped entry, overwritten row and balanced pair of flips in
+        # one row at N = 3, and every row permutation that keeps row 0.
+        theory, product = TheoryConfig.lambda_tau(3, 1.0, 0.2), 0.2
+        honest, q = hadamard_basis(3), variants.dense_coding_channel(theory).q
+        mutants = []
+        for i, j in itertools.product(range(8), repeat=2):
+            mutants.append(honest.copy())
+            mutants[-1][i, j] *= -1.0
+            if i != j:
+                mutants.append(honest.copy())
+                mutants[-1][i] = honest[j]
+            for k in range(j + 1, 8):
+                if honest[i, j] != honest[i, k]:
+                    mutants.append(honest.copy())
+                    mutants[-1][i, [j, k]] *= -1.0
+        assert len(mutants) == 64 + 56 + 7 * 16
+        for signs in mutants:
+            assert not self.basis_check_passes(signs, product)
+            monkeypatch.setattr(variants, "sign_transform", lambda w, signs=signs: signs @ w)
+            with pytest.raises(ProtocolFalsified, match="closed form"):
+                variants.dense_coding_channel(theory)
+        for order in itertools.permutations(range(1, 8)):
+            signs = honest[[0, *order]]
+            assert self.basis_check_passes(signs, product)
+            monkeypatch.setattr(variants, "sign_transform", lambda w, signs=signs: signs @ w)
+            assert variants.dense_coding_channel(theory).q == q
+
+    @pytest.mark.parametrize("n_bits", range(1, MAX_N_BITS + 1))
+    def test_row_and_rate_are_those_of_the_basis_product(self, n_bits):
+        signs = hadamard_basis(n_bits)
+        for theory in theories_of_every_kind(n_bits):
+            product = math.prod(variants.correlation_scales(theory))
+            run = dense_coding(n_bits, theory)
+            assert run.channel.q == tuple(self.basis_row(signs, product)), theory
+            assert run.info_bits.hex() == dense_coding_info(n_bits, product).hex()
+
+    @pytest.mark.parametrize("n_bits", [1, 3, MAX_N_BITS])
+    def test_runs_without_the_basis(self, monkeypatch, n_bits):
+        def refuse(n_bits):
+            raise AssertionError("the dense-coding path built the basis")
+
+        monkeypatch.setattr(variants, "hadamard_basis", refuse)
+        for theory in theories_of_every_kind(n_bits):
+            assert dense_coding(n_bits, theory).info_bits >= 0.0
+
+    @pytest.mark.parametrize("kind", THEORY_KINDS)
+    def test_traced_peak_at_the_limit_is_far_below_one_table(self, kind):
+        theory = next(t for t in theories_of_every_kind(MAX_N_BITS) if t.kind == kind)
+        tracemalloc.start()
+        try:
+            dense_coding(MAX_N_BITS, theory)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
