@@ -130,15 +130,15 @@ def _check_product(size: float, product: float) -> float:
 
 @functools.cache
 def _row_probes(n_bits: int) -> tuple:
-    """Columns ``e_0, 1, a = (0, 1, ..., 2^N - 1), u = 2^-N S a`` and what S
-    gives on them: ``S e_0 = 1``, ``S 1 = 2^N e_0`` and, by Parseval, ``|S a|^2``,
-    moved by any changed entry or balanced pair of flips in a row, and
-    ``|S u|^2 = |a|^2``, moved by a row written over another."""
+    """Columns ``e_0, 1, a = (0, ..., 2^N - 1), u = 2^-N S a`` and what S gives on
+    them: ``S e_0 = 1``, ``S 1 = 2^N e_0`` (moved by any changed entry), ``|S a|^2``
+    (by a balanced pair of flips in a row) and ``|S u|^2 = |a|^2`` (by a row overwrite)."""
     size = 2**n_bits
     probes = np.zeros((size, 4))
     probes[:, 1], probes[:, 2] = 1.0, np.arange(size)
     probes[0, [0, 3]] = 1.0, (size - 1) / 2
-    probes[2 ** np.arange(n_bits), 3] = -np.exp2(np.arange(n_bits) - 1.0)
+    for k in range(n_bits):
+        probes[1 << k, 3] = -(2.0 ** (k - 1))
     probes.setflags(write=False)
     norms = size * np.square(probes[:, 2:]).sum(axis=0)
     return probes, np.concatenate((probes[:, 1], size * probes[:, 0], norms))
