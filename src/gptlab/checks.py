@@ -10,7 +10,8 @@ each ``--suite`` name to its function.
 import numpy as np
 
 from . import hadamard, hst, protocols, variants
-from .core import EXACT_TOL, OPT_TOL, TheoryConfig, _check_count, bipartite_unit, mix_bipartite
+from .core import EXACT_TOL, OPT_TOL, TheoryConfig, _check_budget, _check_count
+from .core import bipartite_unit, mix_bipartite
 
 
 def _xor_closed(signs: np.ndarray) -> bool:
@@ -55,6 +56,8 @@ def _suite_consistency(seed: int, trials: int) -> dict:
     checks = {}
     rng = np.random.default_rng(seed)
     draws = max(1, trials // 10)
+    # The larger product-pair draw, at n = 3: pairs, directions, probabilities.
+    _check_budget("the consistency suite's product pairs", draws * (2 * 8 + 2 * 9 + 8))
     for n in (2, 3):
         size = 2**n
         dim = size - 1

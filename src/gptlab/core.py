@@ -35,17 +35,15 @@ KIND_PARAMS = {"base": (), "lambda-tau": ("lam", "tau"), "embedded": ("m",), "we
 THEORY_KINDS = tuple(KIND_PARAMS)
 # How messages and command-line flags name each parameter.
 _PARAM_NAMES = {"lam": "lambda", "tau": "tau", "m": "m"}
-# Largest N any protocol builds, enforced by ``hadamard``: the swap holds about
-# three (2^N)^2 float arrays, a peak RSS of 427 MB at N = 12.
+# Largest N that ``hadamard.sign_transform`` applies exactly (two 6-bit blocks, sums below 2^53);
+# every (2^N)^2 builder fits the budget up to it (the swap's three tables: 384 MiB).
 MAX_N_BITS = 12
-# Largest N of the builders that hold about (2^N)^3 floats (the Bell
-# measurement, the constructed families) and of the baselines: 16 MiB at
-# N = 7 and 8 GiB at N = 10.
-BASELINE_MAX_N_BITS = 7
 # Largest N whose 2^N is a finite double: the closed forms that compute 2^N
 # in floats (the lambda-tau optimum, the dense-coding rate, the weak bound
 # and thresholds) stop here.
 LT_MAX_N_BITS = 1023
+# Float64s any one builder may hold at its peak (1 GiB), see ``_check_budget``.
+BUDGET_FLOATS = 2**27
 
 
 class GptError(ValueError):
@@ -353,6 +351,13 @@ def _is_integer(value) -> bool:
     )
 
 
+def _check_budget(name: str, floats: int) -> None:
+    """Raise ``GptError`` if ``name`` would hold more than ``BUDGET_FLOATS``
+    floats at its peak; each builder calls it before it allocates."""
+    if floats > BUDGET_FLOATS:
+        raise GptError(f"{name} would hold {floats} floats, past BUDGET_FLOATS = {BUDGET_FLOATS}")
+
+
 def _check_count(
     name: str, value, minimum: int, error=GptError, maximum: int | None = None
 ) -> int:
@@ -485,13 +490,16 @@ class TheoryConfig:
 
 def unit_effect(dim: int) -> Effect:
     """The effect assigning probability 1 to every normalised state."""
-    entries = np.zeros(_check_count("dim", dim, 0) + 1)
+    dim = _check_count("dim", dim, 0)
+    _check_budget("unit_effect", 2 * (dim + 1))  # the entries and the effect's copy
+    entries = np.zeros(dim + 1)
     entries[0] = 1.0
     return Effect(entries)
 
 
 def bipartite_unit(dim_a: int, dim_b: int) -> BipartiteEffect:
     dim_a, dim_b = _check_count("dim_a", dim_a, 0), _check_count("dim_b", dim_b, 0)
+    _check_budget("bipartite_unit", 2 * (dim_a + 1) * (dim_b + 1))
     matrix = np.zeros((dim_a + 1, dim_b + 1))
     matrix[0, 0] = 1.0
     return BipartiteEffect(matrix)
@@ -519,10 +527,13 @@ def bipartite_contract(effect: BipartiteEffect, phi: BipartiteState) -> float:
 
 def product_state(state_a: State, state_b: State) -> BipartiteState:
     """Outer product realising the tensor product of local states."""
+    # The product, the value object's copy and its finite test, a byte an entry.
+    _check_budget("product_state", 17 * state_a.entries.size * state_b.entries.size // 8)
     return BipartiteState(np.outer(state_a.entries, state_b.entries))
 
 
 def product_effect(effect_a: Effect, effect_b: Effect) -> BipartiteEffect:
+    _check_budget("product_effect", 2 * effect_a.entries.size * effect_b.entries.size)
     return BipartiteEffect(np.outer(effect_a.entries, effect_b.entries))
 
 

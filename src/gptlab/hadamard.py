@@ -16,8 +16,9 @@ group of local transformations ``T_mu = diag(d_mu)`` (the XOR group).
 
 Labels are machine integers with bit ``l`` holding the l-th bit of the
 string, so the group laws are exact bit operations.  Sign vectors are float64
-+-1 arrays (none above ``MAX_N_BITS``), applied by ``sign_transform`` in 6-bit
-blocks: their sums are integers or dyadic values below 2^53, so math is exact.
++-1 arrays, applied by ``sign_transform`` in 6-bit blocks: their sums are
+integers or dyadic values below 2^53, so math is exact.  Two blocks stop at
+``MAX_N_BITS`` = 12, the one size cap here; memory is ``core._check_budget``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BASELINE_MAX_N_BITS,
     EXACT_TOL,
     MAX_N_BITS,
     BipartiteEffect,
@@ -36,11 +36,10 @@ from .core import (
     Measurement,
     Transformation,
     ValidationReport,
+    _check_budget,
     _check_count,
     _is_integer,
     _real_array,
-    bipartite_contract,
-    bipartite_unit,
 )
 from .hst import extremal_rows, random_directions
 
@@ -112,9 +111,10 @@ def entangled_effect(label: int, n_bits: int) -> BipartiteEffect:
 def bell_measurement(n_bits: int) -> Measurement:
     """The ``2^N``-outcome measurement that distinguishes the entangled set.
 
-    Its effects hold ``8^N`` floats, so ``n_bits`` runs from 1 to
-    ``BASELINE_MAX_N_BITS``."""
-    n_bits = _check_count("n_bits", n_bits, 1, maximum=BASELINE_MAX_N_BITS)
+    Its effects hold ``8^N`` floats, and the last one is built beside its
+    copy: past the budget at N = 9."""
+    n_bits = _check_n_bits(n_bits)
+    _check_budget("bell_measurement", 8**n_bits + 4**n_bits)
     return Measurement(tuple(entangled_effect(mu, n_bits) for mu in range(2**n_bits)))
 
 
@@ -133,13 +133,18 @@ def local_transformation(label: int, n_bits: int) -> LocalTransformation:
 
 
 def match_entangled_label(phi: BipartiteState, n_bits: int) -> int | None:
-    """Label mu if ``phi`` equals ``diag(d_mu)`` within tolerance, else None."""
-    diag = np.diagonal(phi.matrix)
-    off = phi.matrix - np.diag(diag)
-    if not np.abs(off).max() <= EXACT_TOL:
+    """Label mu if ``phi`` equals ``diag(d_mu)`` within tolerance, else None.
+    As ``S d_mu = 2^N e_mu``, the largest entry of ``S diag`` names mu."""
+    size = phi.matrix.shape[0]
+    # The flat matrix past entry 0, in rows of size + 1: off-diagonal, then a diagonal.
+    off = phi.matrix.ravel()[1:].reshape(size - 1, size + 1)[:, :size]
+    if not (off.max() <= EXACT_TOL and off.min() >= -EXACT_TOL):
         return None
-    hits = np.flatnonzero(np.abs(diag - hadamard_basis(n_bits)).max(axis=1) <= EXACT_TOL)
-    return int(hits[0]) if hits.size else None
+    diag = np.diagonal(phi.matrix)
+    label = int(sign_transform(diag).argmax())
+    if not np.abs(diag - hadamard_vector(label, n_bits)).max() <= EXACT_TOL:
+        return None
+    return label
 
 
 def verify_max_tensor_membership(
@@ -162,9 +167,11 @@ def verify_max_tensor_membership(
     dim = 2 ** _check_n_bits(n_bits) - 1
     if phi.dims != (dim, dim):
         raise GptError(f"state shape {phi.matrix.shape} does not match {n_bits} bits")
+    # The probes' directions, effect rows and rotated B sides, and one rotation.
+    _check_budget("verify_max_tensor_membership", trials * (5 * dim + 8) + (dim + 1) ** 2)
     violations = []
 
-    total = bipartite_contract(bipartite_unit(dim, dim), phi)
+    total = float(phi.matrix[0, 0])  # the unit effect's contraction
     if not abs(total - 1.0) <= EXACT_TOL:
         violations.append({"check": "unit_normalisation", "value": total})
 
@@ -237,10 +244,13 @@ def local_tomography_from_oracle(oracle, dim_a: int, dim_b: int) -> BipartiteSta
 
         phi = M_A^-1 P M_B^-T,    M^-1 = [[1, 0], [-1, 2I]].
 
-    Both dimensions must be integers >= 0, checked before the oracle is
-    called, and its answer numbers with a last axis of that many probes.
+    Both dimensions must be integers >= 0, checked with the budget before
+    the oracle is called, and its answer numbers with a last axis of that many probes.
     """
     dim_a, dim_b = _check_count("dim_a", dim_a, 0), _check_count("dim_b", dim_b, 0)
+    # The repeated and tiled probes, the table and its products, each side's probes.
+    a, b = dim_a + 1, dim_b + 1
+    _check_budget("local_tomography_from_oracle", a * b * (a + b + 3) + 3 * (a * a + b * b))
     return BipartiteState(_reconstruct(oracle, dim_a, dim_b))
 
 

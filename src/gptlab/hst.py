@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .capacity import search_max
+from .capacity import SEARCH_BLOCK, search_max
 from .core import (
     EXACT_TOL,
     Channel,
@@ -31,6 +31,7 @@ from .core import (
     Effect,
     Measurement,
     State,
+    _check_budget,
     _check_count,
     _check_real,
     _real_array,
@@ -38,7 +39,6 @@ from .core import (
     mutual_information,
 )
 
-MAX_DIM = 2**20
 # Sizes of the random protocols the falsifiers draw, and the
 # Blahut-Arimoto settings ``capacity_search`` optimises each prior with.
 MAX_STATES = 8
@@ -53,14 +53,13 @@ DRAW_CHUNK = 256
 
 def _check_dim(dim) -> int:
     """``dim`` as an ``int``; a ``DomainError`` unless it is a non-bool
-    integer in ``[1, MAX_DIM]``."""
-    return _check_count("ball dimension", dim, 1, DomainError, MAX_DIM)
+    integer >= 1 (its cost is each builder's ``_check_budget``)."""
+    return _check_count("ball dimension", dim, 1, DomainError)
 
 
 def _check_vector(values, name: str) -> np.ndarray:
-    """``values`` as a float vector; a ``DomainError`` unless it is 1-D with
-    a size in ``[1, MAX_DIM]``, and a ``GptError`` unless its entries are
-    real numbers."""
+    """``values`` as a float vector; a ``DomainError`` unless it is 1-D and
+    non-empty, and a ``GptError`` unless its entries are real numbers."""
     values = _real_array(name, values)
     if values.ndim != 1:
         raise DomainError(f"{name} must be a vector, got shape {values.shape}")
@@ -107,7 +106,9 @@ def one_bit_protocol(dim: int) -> Channel:
     first axis with a uniform prior and decoded along that axis, which
     yields the exact 2x2 identity channel and mutual information 1.
     """
-    direction = np.zeros(_check_dim(dim))
+    dim = _check_dim(dim)
+    _check_budget("one_bit_protocol", 8 * (dim + 1))  # states, effects, directions
+    direction = np.zeros(dim)
     direction[0] = 1.0
     states = (make_state(direction), make_state(-direction))
     meas = canonical_measurement(direction)
@@ -123,11 +124,12 @@ def random_directions(count: int, dim: int, rng: np.random.Generator) -> np.ndar
     One Gaussian draw with each row divided by the square root of its dot
     product, so row k is bit for bit what the k-th of ``count`` successive
     ``random_direction`` calls returns.  ``count`` must be an integer of
-    at least 0 and ``dim`` in ``[1, MAX_DIM]``; both are checked before
-    the draw.
+    at least 0, ``dim`` at least 1 and the rows within the budget, checked
+    before the draw.
     """
     count = _check_count("count", count, 0)
     dim = _check_dim(dim)
+    _check_budget("random_directions", count * (dim + 2))
     v = rng.standard_normal((count, dim))
     v /= np.sqrt(np.vecdot(v, v))[:, None]
     return v
@@ -159,6 +161,7 @@ def random_ball_points(count: int, dim: int, rng: np.random.Generator) -> np.nda
     """
     count = _check_count("count", count, 0)
     dim = _check_dim(dim)
+    _check_budget("random_ball_points", count * (2 * dim + 3))
     radii = rng.random(count) ** (1.0 / dim)
     return radii[:, None] * random_directions(count, dim, rng)
 
@@ -193,12 +196,16 @@ def random_measurements(
     order, first slot then second, so the stack equals that per-component
     loop bit for bit whatever BLAS is linked.  ``random_measurement`` is the one-row
     case, bit for bit, on Python scalars.  ``count`` must be an integer of
-    at least 0 and ``n_outcomes`` of at least 2, and ``dim`` in
-    ``[1, MAX_DIM]``; a bool is refused.
+    at least 0, ``dim`` of at least 1 and ``n_outcomes`` of at least 2; a
+    bool is refused, and so is a stack past the budget, before any draw.
     """
     count = _check_count("count", count, 0)
     dim = _check_dim(dim)
     n_outcomes = _check_count("n_outcomes", n_outcomes, 2)
+    # The table, the draws of at most MAX_COMPONENTS components each, two chunks.
+    parts, chunk = MAX_COMPONENTS * count, min(DRAW_CHUNK, MAX_COMPONENTS * count)
+    floats = count * n_outcomes * (dim + 1) + parts * (n_outcomes + 5) + chunk * (5 * dim + 8)
+    _check_budget("random_measurements", floats)
     return _random_measurements(count, dim, n_outcomes, rng)
 
 
@@ -207,7 +214,7 @@ def _random_measurements(
 ) -> np.ndarray:
     """The body of ``random_measurements``, for arguments already checked:
     ``count`` and ``n_outcomes`` Python ints of at least 0 and 2, ``dim`` an
-    int in ``[1, MAX_DIM]``."""
+    int of at least 1."""
     owner = np.repeat(np.arange(count), rng.integers(1, MAX_COMPONENTS + 1, size=count))
     weights = rng.standard_exponential(owner.size)
     weights /= np.bincount(owner, weights, minlength=count)[owner]
@@ -250,10 +257,11 @@ def random_measurement(dim: int, rng: np.random.Generator) -> np.ndarray:
     other bits on other Pythons.  Each component's signed half-weights,
     ``(h, -h)`` or ``(0, 0)`` for the unit, scale its direction for both
     effect rows in one multiply; a unit's signed zeros vanish in the
-    table, which starts at +0.  ``dim`` must be an integer in
-    ``[1, MAX_DIM]``, checked before any draw.
+    table, which starts at +0.  ``dim`` must be an integer of at least 1,
+    and the rows within the budget, checked before any draw.
     """
     dim = _check_dim(dim)
+    _check_budget("random_measurement", (MAX_OUTCOMES + 3 * MAX_COMPONENTS) * (dim + 2))
     n_outcomes = int(rng.integers(2, MAX_OUTCOMES + 1))
     n_components = int(rng.integers(1, MAX_COMPONENTS + 1))
     weights = rng.standard_exponential(n_components).tolist()
@@ -298,9 +306,11 @@ def capacity_search(dim: int, trials: int, seed: int) -> float:
     ``BA_TOL`` and ``BA_MAX_ITER``: best first, each optimiser reporting an
     achieved rate (a lower bound), so looser settings never inflate the
     maximum.
-    ``dim`` must be an integer in ``[1, MAX_DIM]``, ``trials`` at least 1.
+    ``dim`` must be an integer of at least 1, and a block's state rows
+    within the budget, ``trials`` at least 1.
     """
     dim = _check_dim(dim)
+    _check_budget("capacity_search", 2 * MAX_STATES * SEARCH_BLOCK * (dim + 2))
     rng = np.random.default_rng(_check_count("seed", seed, 0))
     exponent = 1.0 / dim
 

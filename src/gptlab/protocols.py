@@ -46,18 +46,19 @@ from . import variants
 # Bound here too: bench/test_bench.py checks that tracing wraps this name.
 from .capacity import blahut_arimoto, search_max  # noqa: F401
 from .core import (
-    BASELINE_MAX_N_BITS,
     EXACT_TOL,
     OPT_TOL,
     GptError,
     State,
     SymmetricChannel,
     TheoryConfig,
+    _check_budget,
     _check_count,
     _check_real,
 )
 from .hadamard import _check_label, _check_n_bits, bell_measurement, hadamard_basis
 from .hst import (
+    DRAW_CHUNK,
     MAX_COMPONENTS,
     _check_dim,
     _random_measurements,
@@ -185,10 +186,15 @@ def random_product_measurement(
     component counts, the weights (standard exponentials, normalised) and
     the A sides; the iterator draws the B sides an outcome count at a time,
     ascending, and yields that count's stacks as it forms them.  ``count``
-    and both dimensions are checked before the first draw.
+    and both dimensions are checked, with the budget, before the first draw.
     """
     count = _check_count("count", count, 0)
     dim_a, dim_b = _check_dim(dim_a), _check_dim(dim_b)
+    # The A sides twice over as they are copied, a draw of B sides, two chunks, a stack.
+    rows = MAX_COMPONENTS * MAX_OUTCOMES_SIDE * count
+    floats = rows * (2 * dim_a + dim_b + 8) + min(DRAW_CHUNK, rows) * (5 * max(dim_a, dim_b) + 8)
+    floats += MAX_OUTCOMES_SIDE**2 * (dim_a + 1) * (dim_b + 1)
+    _check_budget("random_product_measurement", floats)
     outcomes = rng.integers(2, MAX_OUTCOMES_SIDE + 1, size=(2, count))
     components = rng.integers(1, MAX_COMPONENTS + 1, size=count)
     owner = np.repeat(np.arange(count), components)
@@ -248,11 +254,13 @@ def separable_baseline(dim: int, trials: int, seed: int, best: float = 0.0) -> f
     A block draws, in this order: its product states, its message counts,
     one uniform row per table whose argsort orders its messages, its Bell
     coins (probability ``BELL_FRACTION``) and the product measurements of
-    the other tables.  ``dim`` must be ``2^N - 1`` with ``N <=
-    BASELINE_MAX_N_BITS`` and ``trials`` at least 1, checked first.
+    the other tables.  ``dim`` must be ``2^N - 1`` and ``trials`` at least
+    1, checked first; the budget holds the Bell stack twice and the sign table.
     """
-    n_bits = _check_count("n_bits", _n_bits_for_dim(dim), 1, maximum=BASELINE_MAX_N_BITS)
-    dim = 2**n_bits - 1  # a plain int: numpy integers wrap
+    n_bits = _check_n_bits(_n_bits_for_dim(dim))
+    size = 2**n_bits
+    _check_budget("separable_baseline", (2 * size + 1 + 2 * MAX_OUTCOMES_SIDE**2) * size**2)
+    dim = size - 1  # a plain int: numpy integers wrap
     rng = np.random.default_rng(_check_count("seed", seed, 0))
     signs = hadamard_basis(n_bits)
     bell_effects = np.stack([e.matrix for e in bell_measurement(n_bits).effects])
@@ -285,10 +293,11 @@ def product_decoding_baseline(n_bits: int, trials: int, seed: int) -> float:
     1/2, ``phi_label = diag(d_label)`` of a uniform label, and otherwise a
     random product state.  A block draws, in this order: its coins, the
     labels, the product states and a product measurement per table.  The
-    search is as in ``separable_baseline``; ``n_bits`` is at most
-    ``BASELINE_MAX_N_BITS``.
+    search is as in ``separable_baseline``; the budget holds the sign
+    table, a table's state, its effect stack and their product.
     """
-    n_bits = _check_count("n_bits", n_bits, 1, maximum=BASELINE_MAX_N_BITS)
+    n_bits = _check_n_bits(n_bits)
+    _check_budget("product_decoding_baseline", (2 + 2 * MAX_OUTCOMES_SIDE**2) * 4**n_bits)
     dim = 2**n_bits - 1
     rng = np.random.default_rng(_check_count("seed", seed, 0))
     signs = hadamard_basis(n_bits)
@@ -364,6 +373,8 @@ def teleport(
         )
     make_state(input_state.r)  # refuses a state outside the unit ball
     _check_count("n_effects", n_effects, 0)
+    # Per probe: its direction and row, and its column of three (2^N, n + 1) tables.
+    _check_budget("teleport", (n_effects + 1) * (5 * dim + 8) + 2 * (dim + 1) ** 2)
 
     # The probes are the extremal effects (1, m)/2 along the first n_effects
     # rows of one draw of n_effects + 1 random m, then the unit u.

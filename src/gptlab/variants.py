@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BASELINE_MAX_N_BITS,
     EXACT_TOL,
     LT_MAX_N_BITS,
     MAX_N_BITS,
@@ -60,6 +59,7 @@ from .core import (
     TheoryConfig,
     Transformation,
     ValidationReport,
+    _check_budget,
     _check_count,
     _check_real,
     _real_array,
@@ -104,6 +104,8 @@ def _diagonals(signs: np.ndarray, scale: float, width: int) -> np.ndarray:
 
 def theory_state(label: int, theory: TheoryConfig) -> BipartiteState:
     """Entangled state ``diag(1, s d_label[1:])`` of the theory, s its state scale."""
+    # The matrix, the value object's copy and its finite test, a byte an entry.
+    _check_budget("theory_state", 17 * (1 + theory.local_dim) ** 2 // 8)
     diagonal = _diagonals(
         hadamard_vector(label, theory.n_bits),
         correlation_scales(theory)[0],
@@ -114,6 +116,7 @@ def theory_state(label: int, theory: TheoryConfig) -> BipartiteState:
 
 def theory_effect(label: int, theory: TheoryConfig) -> BipartiteEffect:
     """Decoding effect ``2^-N diag(1, t d_label[1:])``, t the effect scale."""
+    _check_budget("theory_effect", 2 * (1 + theory.local_dim) ** 2)  # the matrix, its copy
     diagonal = _diagonals(
         hadamard_vector(label, theory.n_bits),
         correlation_scales(theory)[1],
@@ -296,6 +299,7 @@ def lt_optimal_info(n_bits: int) -> float:
 def embedded_extremal_effect(direction, theory: TheoryConfig) -> Effect:
     """Local extremal effect ``(1, 0_n, r)/2`` on the embedded sphere."""
     _require_kind(theory, "embedded")
+    _check_budget("embedded_extremal_effect", 3 * (theory.local_dim + 2))
     direction = _real_array("effect direction", direction)
     if direction.size != theory.m:
         raise GptError(f"direction must have {theory.m} components")
@@ -306,6 +310,7 @@ def embedded_extremal_effect(direction, theory: TheoryConfig) -> Effect:
 def random_rotation(m: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish rotation from SO(m): QR of a Gaussian matrix, signs fixed."""
     m = _check_count("rotation dimension", m, 1)
+    _check_budget("random_rotation", 5 * m * m)  # the draw and at most four more in QR
     q, r = np.linalg.qr(rng.standard_normal((m, m)))
     q = q * np.sign(np.diagonal(r))
     if np.linalg.det(q) < 0:
@@ -318,6 +323,7 @@ def embedded_transformation(
 ) -> Transformation:
     """Local map ``block-diag(T_label, R)`` for a finite rotation R of the sphere."""
     _require_kind(theory, "embedded")
+    _check_budget("embedded_transformation", 2 * (1 + theory.local_dim) ** 2)  # and its copy
     rotation = _real_array("rotation", rotation)
     if rotation.shape != (theory.m, theory.m):
         raise GptError(f"rotation must be {theory.m} x {theory.m}")
@@ -368,8 +374,12 @@ def tl_violation_witness(
     """
     _require_kind(theory, "embedded")
     _check_count("trials", trials, 1)
+    size, width = theory.hadamard_dim, 1 + theory.local_dim
+    # The state stack and two differences, then each trial's draws and effects.
+    floats = 3 * size * width**2 + trials * (2 * width + 4 * theory.m + size + 12)
+    _check_budget("tl_violation_witness", floats)
     rng = np.random.default_rng(_check_count("seed", seed, 0))
-    states = np.stack([theory_state(mu, theory).matrix for mu in range(theory.hadamard_dim)])
+    states = np.stack([theory_state(mu, theory).matrix for mu in range(size)])
     distances = tuple(float(d) for d in np.abs(states[0] - states).sum(axis=(1, 2)))
 
     # Row [t, side] is the local effect mix0 (1, 0_n, m)/2 + mix1 u, where
@@ -377,7 +387,7 @@ def tl_violation_witness(
     # every direction m, both side by side in trial order.
     mix = rng.dirichlet(np.ones(3), size=(trials, 2))
     directions = random_directions(2 * trials, theory.m, rng).reshape(trials, 2, -1)
-    effects = np.zeros((trials, 2, 1 + theory.local_dim))
+    effects = np.zeros((trials, 2, width))
     effects[..., 0] = 0.5 * mix[..., 0] + mix[..., 1]
     effects[..., 1 + theory.ball_dim :] = 0.5 * mix[..., :1] * directions
     probs = np.einsum("ti,sij,tj->ts", effects[:, 0], states, effects[:, 1])
@@ -547,11 +557,10 @@ def family_matrices(theory: TheoryConfig, seed: int = 0) -> tuple:
     ``(omega_a / 2)(omega_b / 2)^t`` of the same pure states.  The pure
     states come from one ``random_directions`` draw, A side then B side
     per pair.  Every row equals the matrix of the value object
-    ``constructed_family`` wraps it in, bit for bit.  Each stack holds
-    about ``8^N`` floats, so a theory above ``BASELINE_MAX_N_BITS`` is
-    refused before anything is built.
+    ``constructed_family`` wraps it in, bit for bit.  The stacks, about
+    ``2 (2^N + 20) (2^N + m)^2`` floats, and the sign table must fit the budget.
     """
-    _check_count("n_bits", theory.n_bits, 1, maximum=BASELINE_MAX_N_BITS)
+    _check_budget("family_matrices", _family_floats(theory) + 4**theory.n_bits)
     rng = np.random.default_rng(_check_count("seed", seed, 0))
     size = theory.hadamard_dim
     width = 1 + theory.local_dim
@@ -575,10 +584,16 @@ def family_matrices(theory: TheoryConfig, seed: int = 0) -> tuple:
     sides[:, width - theory.active_dim :] = random_directions(
         2 * FAMILY_RANDOM_PAIRS, theory.active_dim, rng
     )
-    states[entangled:] = sides[0::2, :, None] * sides[1::2, None, :]
+    np.multiply(sides[0::2, :, None], sides[1::2, None, :], out=states[entangled:])
     halves = 0.5 * sides
-    effects[size:] = halves[0::2, :, None] * halves[1::2, None, :]
+    np.multiply(halves[0::2, :, None], halves[1::2, None, :], out=effects[size:])
     return states, effects
+
+
+def _family_floats(theory: TheoryConfig) -> int:
+    """Floats in ``family_matrices``'s two ``(k, w, w)`` stacks."""
+    count = 2 * (theory.hadamard_dim + FAMILY_RANDOM_PAIRS) + (theory.kind == "lambda-tau")
+    return count * (1 + theory.local_dim) ** 2
 
 
 def constructed_family(theory: TheoryConfig, seed: int = 0) -> tuple:
@@ -588,7 +603,8 @@ def constructed_family(theory: TheoryConfig, seed: int = 0) -> tuple:
     checks.  Besides the entangled family, ``FAMILY_RANDOM_PAIRS`` random
     pure product states and product effects are added.  Returns
     ``(states, effects)`` lists of the value objects over the rows of
-    ``family_matrices``.
+    ``family_matrices``, which are held with the objects' copies of them.
     """
+    _check_budget("constructed_family", 2 * _family_floats(theory))
     states, effects = family_matrices(theory, seed)
     return [BipartiteState(m) for m in states], [BipartiteEffect(m) for m in effects]

@@ -491,6 +491,23 @@ class TestVerifyCommand:
         assert out == ""
         assert "--trials" in err
 
+    @pytest.mark.parametrize("suite", ["consistency", "all"])
+    @pytest.mark.parametrize("trials", [10**9, 10**12])
+    def test_trials_past_the_budget_exit_two_before_allocating(self, capsys, suite, trials):
+        # The consistency suite's product pairs asked for 6.4 GB at 10^9
+        # trials, and numpy's MemoryError ended 10^12 in exit 4.
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", str(trials))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the consistency suite's product pairs would hold ")
+        assert "BUDGET_FLOATS" in err
+        assert peak < 2**20
+
     def test_skewed_rotation_fails_the_group_suite(self, capsys, skewed_rotation):
         code, out, _ = run_cli(capsys, "verify", "--suite", "group", "--format", "json")
         assert code == 1

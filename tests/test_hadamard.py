@@ -43,7 +43,6 @@ from gptlab.hst import (
     random_pure_state,
     random_state,
 )
-from gptlab.protocols import BASELINE_MAX_N_BITS
 from gptlab.variants import constructed_family, family_matrices
 
 
@@ -115,43 +114,50 @@ class TestSignVectors:
         assert peak <= 1.25 * table
 
     @pytest.mark.parametrize(
-        "build, limit",
+        "build",
         [
-            (hadamard_basis, MAX_N_BITS),
-            (lambda n: hadamard_vector(0, n), MAX_N_BITS),
-            (lambda n: entangled_state(0, n), MAX_N_BITS),
-            (lambda n: entangled_effect(0, n), MAX_N_BITS),
-            (bell_measurement, BASELINE_MAX_N_BITS),
-            (lambda n: local_transformation(0, n), MAX_N_BITS),
-            (lambda n: teleport(make_state(np.zeros(2**n - 1)), n), MAX_N_BITS),
-            (lambda n: entanglement_swap(n, 0), MAX_N_BITS),
-            (lambda n: no_signalling_spread(n, 1, 0), MAX_N_BITS),
-            (lambda n: sign_transform(np.ones(2**n)), MAX_N_BITS),
+            hadamard_basis,
+            lambda n: hadamard_vector(0, n),
+            lambda n: entangled_state(0, n),
+            lambda n: entangled_effect(0, n),
+            bell_measurement,
+            lambda n: local_transformation(0, n),
+            lambda n: teleport(make_state(np.zeros(2**n - 1)), n),
+            lambda n: entanglement_swap(n, 0),
+            lambda n: no_signalling_spread(n, 1, 0),
+            lambda n: sign_transform(np.ones(2**n)),
         ],
         ids=[
             "basis", "vector", "state", "effect", "bell", "transformation",
             "teleport", "swap", "no-signalling", "sign-transform",
         ],
     )
-    def test_refuses_more_bits_than_the_limit(self, build, limit):
+    def test_refuses_more_bits_than_the_limit(self, build):
         # Each would otherwise build 2^13 x 2^13 arrays or larger.
-        with pytest.raises(GptError, match=f"n_bits must be at most {limit}, got 13"):
+        with pytest.raises(GptError, match=f"n_bits must be at most {MAX_N_BITS}, got 13"):
             build(MAX_N_BITS + 1)
 
     @pytest.mark.parametrize(
-        "build",
-        [lambda n: separable_baseline(2**n - 1, 1, 0), lambda n: product_decoding_baseline(n, 1, 0)],
-        ids=["separable", "product-decoding"],
+        "build, name, n_bits",
+        [
+            (lambda n: separable_baseline(2**n - 1, 1, 0), "separable_baseline", 9),
+            (lambda n: separable_baseline(2**n - 1, 1, 0), "separable_baseline", MAX_N_BITS),
+            (lambda n: product_decoding_baseline(n, 1, 0), "product_decoding_baseline", 11),
+            (lambda n: product_decoding_baseline(n, 1, 0), "product_decoding_baseline", 13),
+        ],
+        ids=["separable-9", "separable-12", "product-decoding-11", "product-decoding-13"],
     )
-    @pytest.mark.parametrize("n_bits", [BASELINE_MAX_N_BITS + 1, MAX_N_BITS])
-    def test_baselines_refuse_more_bits_than_their_limit(self, build, n_bits):
-        # The separable baseline's Bell stack alone takes 8^N bytes: 128 MiB
-        # at N = 8 and 512 GiB at N = 12.  Refused before anything is built.
+    def test_baselines_refuse_more_bits_than_their_limit(self, build, name, n_bits):
+        # The separable baseline holds its 8^N Bell stack twice, and the
+        # product-decoding tables 34 4^N floats: past the budget at N = 9 and
+        # 11.  N = 13 is past MAX_N_BITS.  Refused before anything is built.
+        if n_bits > MAX_N_BITS:
+            message = f"n_bits must be at most {MAX_N_BITS}, got {n_bits}$"
+        else:
+            message = f"^{name} would hold [0-9]+ floats, past BUDGET_FLOATS = 134217728$"
         tracemalloc.start()
         try:
-            with pytest.raises(
-                GptError, match=f"n_bits must be at most {BASELINE_MAX_N_BITS}, got {n_bits}$"
-            ):
+            with pytest.raises(GptError, match=message):
                 build(n_bits)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -159,22 +165,22 @@ class TestSignVectors:
         assert peak < 2**20
 
     @pytest.mark.parametrize(
-        "build",
+        "build, name",
         [
-            bell_measurement,
-            lambda n: family_matrices(TheoryConfig.base(n)),
-            lambda n: constructed_family(TheoryConfig.embedded(n, 2)),
+            (bell_measurement, "bell_measurement"),
+            (lambda n: family_matrices(TheoryConfig.base(n)), "family_matrices"),
+            (lambda n: constructed_family(TheoryConfig.embedded(n, 2)), "constructed_family"),
         ],
         ids=["bell", "family-matrices", "constructed-family"],
     )
-    @pytest.mark.parametrize("n_bits", [BASELINE_MAX_N_BITS + 1, MAX_N_BITS])
-    def test_cubic_builders_refuse_more_bits_than_the_baseline_limit(self, build, n_bits):
-        # Each holds about 8^N floats: 512 GiB at N = 12.  Refused before
-        # anything is built.
+    @pytest.mark.parametrize("n_bits", [9, MAX_N_BITS])
+    def test_cubic_builders_refuse_more_bits_than_the_budget(self, build, name, n_bits):
+        # Each holds about 8^N floats: 1 GiB at N = 9 and 512 GiB at N = 12.
+        # Refused before anything is built.
         tracemalloc.start()
         try:
             with pytest.raises(
-                GptError, match=f"^n_bits must be at most {BASELINE_MAX_N_BITS}, got {n_bits}$"
+                GptError, match=f"^{name} would hold [0-9]+ floats, past BUDGET_FLOATS"
             ):
                 build(n_bits)
             _, peak = tracemalloc.get_traced_memory()
@@ -182,8 +188,9 @@ class TestSignVectors:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_bell_measurement_accepts_the_baseline_limit(self):
-        assert len(bell_measurement(BASELINE_MAX_N_BITS).effects) == 2**BASELINE_MAX_N_BITS
+    def test_bell_measurement_accepts_the_largest_n_within_the_budget(self):
+        # 8^8 floats, 128 MiB, well within the budget.
+        assert len(bell_measurement(8).effects) == 2**8
 
     def test_accepts_the_limit(self):
         assert hadamard_vector(2**MAX_N_BITS - 1, MAX_N_BITS).size == 2**MAX_N_BITS
@@ -504,6 +511,46 @@ class TestMaxTensorMembership:
         monkeypatch.setattr(hadamard, "random_directions", no_draw)
         with pytest.raises(GptError, match="trials must be an integer >= 1"):
             verify_max_tensor_membership(entangled_state(0, 2), 2, trials=trials)
+
+    def test_label_lookup_holds_no_table(self):
+        # It built the basis and a difference of its size to name a diagonal,
+        # and a copy of phi without it: 96 MiB with the unit contraction at
+        # N = 11.  Now the one table left is the rotation the check reads.
+        phi = entangled_state(3, 11)
+        tracemalloc.start()
+        try:
+            assert match_entangled_label(phi, 11) == 3
+            _, lookup = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert verify_max_tensor_membership(phi, 11, trials=1).passed
+            _, membership = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lookup < 2**20
+        assert membership < 8 * 4**11 + 2**20
+
+    @pytest.mark.parametrize("n_bits", range(1, 7))
+    def test_label_lookup_agrees_with_the_basis_scan(self, n_bits):
+        # The scan: the first basis row within EXACT_TOL of a diagonal phi.
+        def scan(phi):
+            matrix, diag = phi.matrix, np.diagonal(phi.matrix)
+            if np.abs(matrix - np.diag(diag)).max() > EXACT_TOL:
+                return None
+            hits = np.flatnonzero(np.abs(diag - hadamard_basis(n_bits)).max(axis=1) <= EXACT_TOL)
+            return int(hits[0]) if hits.size else None
+
+        rng = np.random.default_rng(n_bits)
+        for mu in range(2**n_bits):
+            exact = entangled_state(mu, n_bits).matrix
+            cases = [exact, exact + 4e-13 * rng.uniform(-1.0, 1.0, exact.shape)]
+            for row, col, value in [(-1, -1, None), (0, -1, 2e-12), (-1, 0, -5e-13), (1, 1, 1.01)]:
+                case = exact.copy()
+                case[row, col] = -case[row, col] if value is None else value
+                cases.append(case)
+            assert match_entangled_label(BipartiteState(exact), n_bits) == mu
+            for case in cases:
+                phi = BipartiteState(case)
+                assert match_entangled_label(phi, n_bits) == scan(phi)
 
 
 class TestLocalTomography:

@@ -56,7 +56,7 @@ PAULI = np.array(
         [[1, 0], [0, -1]],
     ]
 )
-EVEN_N = (2, 4)
+EVEN_N = (2, 4, 6)
 
 
 @functools.cache
@@ -69,12 +69,19 @@ def pauli_strings(n_bits: int) -> np.ndarray:
 
 
 def to_operator(matrix: np.ndarray, n_bits: int) -> np.ndarray:
-    """``sum_ij matrix_ij P_i (x) P_j^T``, as a square complex matrix."""
+    """``sum_ij matrix_ij P_i (x) P_j^T``, as a square complex matrix, or a
+    stack of them for a stack of matrices.
+
+    With the strings flattened to rows, entry ``(ab, cd)`` of ``S^t M T``, T
+    the flattened transposes, is the coefficient of ``|a><b| (x) |c><d|``:
+    two matrix products, as a stack, where a small ``tensordot`` or
+    ``einsum`` per matrix costs milliseconds."""
     strings = pauli_strings(n_bits)
-    side = strings.shape[1]
-    bob = np.tensordot(matrix, strings.transpose(0, 2, 1), axes=(1, 0))
-    operator = np.einsum("iab,icd->acbd", strings, bob)
-    return operator.reshape(side * side, side * side)
+    count, side = strings.shape[:2]
+    rows = strings.reshape(count, -1)
+    transposed = strings.transpose(0, 2, 1).reshape(count, -1)
+    operator = (rows.T @ matrix @ transposed).reshape(matrix.shape[:-2] + (side,) * 4)
+    return operator.swapaxes(-3, -2).reshape(matrix.shape[:-2] + (side * side,) * 2)
 
 
 def to_density(phi: np.ndarray, n_bits: int) -> np.ndarray:
@@ -82,11 +89,17 @@ def to_density(phi: np.ndarray, n_bits: int) -> np.ndarray:
 
 
 def assert_rank_one_projector(operator: np.ndarray) -> None:
-    assert np.abs(operator - operator.conj().T).max() <= EXACT_TOL
+    """For one operator or a stack of them, in one ``eigvalsh`` call."""
+    assert np.abs(operator - operator.conj().swapaxes(-1, -2)).max() <= EXACT_TOL
     eigenvalues = np.linalg.eigvalsh(operator)
-    expected = np.zeros(len(operator))
+    expected = np.zeros(operator.shape[-1])
     expected[-1] = 1.0
     assert np.abs(eigenvalues - expected).max() <= EXACT_TOL
+
+
+def stacked(build, n_bits: int) -> np.ndarray:
+    """The matrices of ``build(label, n_bits)`` over every label, stacked."""
+    return np.stack([build(mu, n_bits).matrix for mu in labels(n_bits)])
 
 
 def labels(n_bits: int) -> range:
@@ -110,19 +123,17 @@ def test_the_born_rule_is_the_model_rule(n_bits):
 
 @pytest.mark.parametrize("n_bits", EVEN_N)
 def test_entangled_states_are_rank_one_projectors(n_bits):
-    for mu in labels(n_bits):
-        assert_rank_one_projector(to_density(entangled_state(mu, n_bits).matrix, n_bits))
+    assert_rank_one_projector(to_density(stacked(entangled_state, n_bits), n_bits))
 
 
 @pytest.mark.parametrize("n_bits", EVEN_N)
 def test_bell_effects_are_the_projectors_on_the_same_vectors(n_bits):
-    projectors = [to_operator(entangled_effect(mu, n_bits).matrix, n_bits) for mu in labels(n_bits)]
-    for mu, projector in enumerate(projectors):
-        assert_rank_one_projector(projector)
-        state = to_density(entangled_state(mu, n_bits).matrix, n_bits)
-        assert np.abs(projector - state).max() <= EXACT_TOL
+    projectors = to_operator(stacked(entangled_effect, n_bits), n_bits)
+    assert_rank_one_projector(projectors)
+    states = to_density(stacked(entangled_state, n_bits), n_bits)
+    assert np.abs(projectors - states).max() <= EXACT_TOL
     # The Bell-type measurement is complete: its projectors sum to the identity.
-    assert np.abs(sum(projectors) - np.eye(2**n_bits)).max() <= EXACT_TOL
+    assert np.abs(projectors.sum(axis=0) - np.eye(2**n_bits)).max() <= EXACT_TOL
 
 
 @pytest.mark.parametrize("n_bits", EVEN_N)
@@ -130,24 +141,22 @@ def test_each_entangled_state_is_one_pauli_string_applied_to_the_first(n_bits):
     # Bennett-Wiesner encoding: Alice applies a Pauli string U_x to her half.
     side = 2 ** (n_bits // 2)
     first = to_density(entangled_state(0, n_bits).matrix, n_bits)
-    encoded = [
-        np.kron(u, np.eye(side)) @ first @ np.kron(u, np.eye(side)).conj().T
-        for u in pauli_strings(n_bits)
-    ]
+    alice = np.stack([np.kron(u, np.eye(side)) for u in pauli_strings(n_bits)])
+    encoded = alice @ first @ alice.conj().swapaxes(-1, -2)
     used = []
-    for mu in labels(n_bits):
-        rho = to_density(entangled_state(mu, n_bits).matrix, n_bits)
-        hits = [k for k, u_rho in enumerate(encoded) if np.abs(u_rho - rho).max() <= EXACT_TOL]
+    for rho in to_density(stacked(entangled_state, n_bits), n_bits):
+        hits = np.flatnonzero(np.abs(encoded - rho).max(axis=(1, 2)) <= EXACT_TOL)
         assert len(hits) == 1
-        used += hits
+        used += hits.tolist()
     assert sorted(used) == list(labels(n_bits))
 
 
 @pytest.mark.parametrize("n_bits", EVEN_N)
 def test_base_dense_coding_channel_is_the_born_table(n_bits):
-    states = [to_density(entangled_state(x, n_bits).matrix, n_bits) for x in labels(n_bits)]
-    effects = [to_operator(entangled_effect(y, n_bits).matrix, n_bits) for y in labels(n_bits)]
-    born = np.array([[np.trace(pi @ rho) for pi in effects] for rho in states])
+    states = to_density(stacked(entangled_state, n_bits), n_bits)
+    effects = to_operator(stacked(entangled_effect, n_bits), n_bits)
+    # Tr(pi rho) = sum_ab pi_ab rho_ba, every pair in one product.
+    born = states.swapaxes(-1, -2).reshape(len(states), -1) @ effects.reshape(len(effects), -1).T
     assert np.abs(born.imag).max() <= EXACT_TOL
     table = dense_coding_channel(TheoryConfig.base(n_bits)).conditional
     assert np.abs(table - born.real).max() <= EXACT_TOL
@@ -159,7 +168,9 @@ def scaled_correlations(phi: np.ndarray, scale: float) -> np.ndarray:
     return mutant
 
 
-@pytest.mark.parametrize("n_bits, eigenvalue", [(2, -0.0025), (4, -0.000625)])
+@pytest.mark.parametrize(
+    "n_bits, eigenvalue", [(2, -0.0025), (4, -0.000625), (6, -0.00015625)]
+)
 def test_one_percent_stronger_correlations_are_not_a_quantum_state(n_bits, eigenvalue):
     # Scaled by s = 1.01, every state has the eigenvalue 2^-N (1 - s) < 0.
     for mu in labels(n_bits):
