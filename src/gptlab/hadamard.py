@@ -156,7 +156,9 @@ def verify_max_tensor_membership(
     """Probe membership of ``phi`` in the maximal tensor product.
 
     Samples random extremal product effects ``e_alpha (x) e_beta`` and
-    checks ``0 <= (e_alpha (x) e_beta) . phi <= 1`` plus unit normalisation.
+    checks ``0 <= (e_alpha (x) e_beta) . phi <= 1``; unit normalisation,
+    the unit effect's contraction ``phi[0, 0] = 1``, is a ``BipartiteState``
+    invariant and needs no probe.
     When ``phi`` is one of the pure entangled states the probability must
     also equal ``(1 + alpha . T_hat beta)/4 <= 1/2`` for its rotation block.
     All probes are evaluated as one stack; every check is written so that
@@ -170,10 +172,6 @@ def verify_max_tensor_membership(
     # The probes' directions, effect rows and rotated B sides, and one rotation.
     _check_budget("verify_max_tensor_membership", trials * (5 * dim + 8) + (dim + 1) ** 2)
     violations = []
-
-    total = float(phi.matrix[0, 0])  # the unit effect's contraction
-    if not abs(total - 1.0) <= EXACT_TOL:
-        violations.append({"check": "unit_normalisation", "value": total})
 
     # Probe t draws alpha_t, then beta_t.
     rng = np.random.default_rng(_check_count("seed", seed, 0))

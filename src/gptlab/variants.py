@@ -375,12 +375,13 @@ def tl_violation_witness(
     _require_kind(theory, "embedded")
     _check_count("trials", trials, 1)
     size, width = theory.hadamard_dim, 1 + theory.local_dim
-    # The state stack and two differences, then each trial's draws and effects.
-    floats = 3 * size * width**2 + trials * (2 * width + 4 * theory.m + size + 12)
+    # The state stack and its differences, then each trial's draws and effects.
+    floats = 2 * size * width**2 + trials * (2 * width + 4 * theory.m + size + 12)
     _check_budget("tl_violation_witness", floats)
     rng = np.random.default_rng(_check_count("seed", seed, 0))
     states = np.stack([theory_state(mu, theory).matrix for mu in range(size)])
-    distances = tuple(float(d) for d in np.abs(states[0] - states).sum(axis=(1, 2)))
+    gaps = states[0] - states
+    distances = tuple(float(d) for d in np.abs(gaps, out=gaps).sum(axis=(1, 2)))
 
     # Row [t, side] is the local effect mix0 (1, 0_n, m)/2 + mix1 u, where
     # mix weighs (extremal, unit, zero): every mix is drawn first, then

@@ -1,11 +1,19 @@
-"""Shared fixtures: deliberately broken building blocks for mutation tests."""
+"""Shared fixtures: deliberately broken building blocks for mutation tests,
+recorders of the randomized searches, and the plain Blahut-Arimoto loop
+as an oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from gptlab import hadamard
+from gptlab.capacity import CapacityResult, blahut_arimoto
+from gptlab.core import EXACT_TOL
+
+# The optimiser itself, whatever a test patches in its place.
+_OPTIMISER = blahut_arimoto
 
 
 def _patch_rotation(monkeypatch, mutate):
@@ -240,3 +248,46 @@ def run_search(search_tables):
         return best, sum(result.iterations for result in results)
 
     return run
+
+
+def _plain_blahut_arimoto(conditional, tol, max_iter, *, incumbent=None, _ceiling=None):
+    """Blahut-Arimoto without extrapolation: one plain step per
+    evaluation, reporting the rate and dual bound of the last one.
+
+    Validation and the Renyi-infinity return are the optimiser's own, read
+    from a call with ``max_iter=0``: that call returns a finite bound only
+    when the certificate holds.  The loop then runs on the clipped table,
+    with the optimiser's incumbent stop.
+    """
+    head = _OPTIMISER(conditional, tol, 0, incumbent=incumbent, _ceiling=_ceiling)
+    if head.upper_bits < math.inf or max_iter == 0:
+        return head
+    stop_at = -math.inf if incumbent is None else incumbent - EXACT_TOL
+    p = np.maximum(np.ascontiguousarray(conditional, dtype=float), 0.0)
+    prior = np.full(p.shape[0], 1.0 / p.shape[0])
+    log_p = np.zeros(p.shape)
+    np.log2(p, out=log_p, where=p > 0)
+    row_term = np.sum(p * log_p, axis=1)
+    lower, upper, converged, iterations = 0.0, math.inf, False, 0
+    for iterations in range(1, max_iter + 1):
+        p_y = prior @ p
+        log_py = np.zeros(p_y.shape)
+        np.log2(p_y, out=log_py, where=p_y > 0)
+        c = row_term - p @ log_py
+        lower, upper = float(prior @ c), float(c.max())
+        if upper - lower < tol:
+            converged = True
+            break
+        if upper <= stop_at:
+            break
+        prior = prior * np.exp2(c - upper)
+        prior /= prior.sum()
+    return CapacityResult(max(lower, 0.0), prior, iterations, converged, upper)
+
+
+@pytest.fixture
+def plain_blahut_arimoto():
+    """The plain Blahut-Arimoto loop with the optimiser's signature (see
+    ``_plain_blahut_arimoto``): the oracle the SQUAREM loop is measured
+    against."""
+    return _plain_blahut_arimoto

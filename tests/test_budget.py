@@ -83,7 +83,8 @@ BUILDERS = [
      lambda g: theory_state(0, TheoryConfig.embedded(3, 500))),
     ("theory_effect", lambda g: theory_effect(0, EMBEDDED),
      lambda g: theory_effect(0, TheoryConfig.embedded(3, 500))),
-    ("tl_violation_witness", lambda g: tl_violation_witness(EMBEDDED, 1, 0),
+    # The state stack and its differences: one trial fits up to m = 4091 at N = 2.
+    ("tl_violation_witness", lambda g: tl_violation_witness(TheoryConfig.embedded(2, 4092), 1, 0),
      lambda g: tl_violation_witness(TheoryConfig.embedded(3, 100), 500, 0)),
     ("tl_violation_witness", lambda g: tl_violation_witness(TheoryConfig.embedded(2, 2), 10**8, 0),
      lambda g: tl_violation_witness(TheoryConfig.embedded(3, 300), 20, 0)),

@@ -37,6 +37,7 @@ from gptlab.capacity import (
     _scalar_max,
     search_max,
 )
+from gptlab.protocols import BASELINE_BA_MAX_ITER, BASELINE_BA_TOL
 from gptlab.variants import dense_coding_channel, lt_channel
 
 
@@ -75,27 +76,69 @@ def result_fields(result) -> tuple:
 
 def reference_blahut_arimoto(p: np.ndarray, tol: float, max_iter: int) -> tuple:
     """The optimiser's loop on a table with no negative entry and no
-    incumbent, spelled with ``ndarray`` methods, masked logs and a fresh
-    uniform prior; its result fields as ``result_fields`` gives them."""
+    incumbent, spelled with ``ndarray`` methods, masked logs, a fresh
+    uniform prior and one evaluation per pass; its result fields as
+    ``result_fields`` gives them.
+
+    Each cycle takes two plain steps ``r0 -> r1 -> r2`` and evaluates the
+    SQUAREM extrapolation of step ``s = |v1| / |v2|``, each entry floored at
+    ``EXACT_TOL`` of r2's.  The next cycle starts from the extrapolation if
+    its rate is no lower than r2's and no input it cut has a divergence
+    above that rate; otherwise a step above 2 is retried at ``(s + 1) / 2``,
+    and the cycle falls back to r2.
+    """
     prior = np.full(p.shape[0], 1.0 / p.shape[0])
     log_p = np.zeros(p.shape)
     np.log2(p, out=log_p, where=p > 0)
     row_term = np.sum(p * log_p, axis=1)
-    lower, upper, converged, iterations = 0.0, math.inf, False, 0
+
+    def extrapolate(r2, r0, v1, v2, step):
+        jump = r0 + 2 * step * v1 + step * step * v2
+        floor = r2 * EXACT_TOL
+        cut = jump < floor
+        jump = np.maximum(jump, floor)
+        return np.maximum(jump / jump.sum(), np.finfo(float).tiny), cut
+
+    best, lower, upper, converged, iterations = prior, -math.inf, math.inf, False, 0
+    plain, trial = [], None
     for iterations in range(1, max_iter + 1):
         p_y = prior @ p
         log_py = np.zeros(p_y.shape)
         np.log2(p_y, out=log_py, where=p_y > 0)
         c = row_term - p @ log_py
-        lower = float(prior @ c)
-        upper = float(c.max())
+        rate, top = float(prior @ c), float(c.max())
+        if rate > lower:
+            best, lower = prior, rate
+        upper = min(upper, top)
         if upper - lower < tol:
             converged = True
             break
-        prior = prior * np.exp2(c - upper)
+        if trial is not None:
+            r2, c2, top2, rate2, line, cut = trial
+            trial = None
+            if rate < rate2 or np.any(c[cut] > rate):
+                if line[-1] > 2:
+                    line = (*line[:-1], (line[-1] + 1) / 2)
+                    prior, cut = extrapolate(r2, *line)
+                    trial = r2, c2, top2, rate2, line, cut
+                    continue
+                prior, c, top = r2, c2, top2
+        elif len(plain) == 2:
+            r0, r1 = plain
+            plain = []
+            v1 = r1 - r0
+            v2 = prior - r1 - v1
+            if v1 @ v1 > v2 @ v2 > 0:
+                line = r0, v1, v2, np.sqrt((v1 @ v1) / (v2 @ v2))
+                jump, cut = extrapolate(prior, *line)
+                trial = prior, c, top, rate, line, cut
+                prior = jump
+                continue
+        plain.append(prior)
+        prior = prior * np.exp2(c - top)
         prior /= prior.sum()
-    prior = prior / prior.sum()
-    return (max(lower, 0.0).hex(), prior.tobytes().hex(), iterations, converged, upper.hex())
+    best = best / best.sum()
+    return (max(lower, 0.0).hex(), best.tobytes().hex(), iterations, converged, upper.hex())
 
 
 @st.composite
@@ -217,6 +260,24 @@ class TestBlahutArimoto:
         assert not result.converged
         assert result.iterations == 3
         assert result.capacity_bits >= 0.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_the_prior_gives_the_reported_rate(self, seed):
+        # A run that hit max_iter once returned the prior one update past
+        # the one whose rate it reported: for seed 2 at max_iter=3 that
+        # prior gave 0.205742 bits against a capacity_bits of 0.199996.
+        conditional = np.random.default_rng(seed).dirichlet(np.ones(6), size=6)
+        converged = blahut_arimoto(conditional)
+        stopped = blahut_arimoto(conditional, incumbent=converged.capacity_bits + 1e-3)
+        assert converged.converged
+        assert not stopped.converged and stopped.iterations >= 1
+        runs = [converged, stopped]
+        for max_iter in range(1, 13):
+            runs.append(blahut_arimoto(conditional, tol=1e-15, max_iter=max_iter))
+            assert runs[-1].iterations == max_iter and not runs[-1].converged
+        for result in runs:
+            rate = mutual_information(Channel(result.optimal_prior, conditional))
+            assert abs(rate - result.capacity_bits) <= 1e-12
 
     def test_single_input_channel_has_zero_capacity(self):
         result = blahut_arimoto(np.array([[0.25, 0.75]]))
@@ -439,6 +500,19 @@ class TestBlahutArimoto:
                 result = blahut_arimoto(conditional, tol=1e-10, max_iter=max_iter)
                 expected = reference_blahut_arimoto(conditional, 1e-10, max_iter)
                 assert result_fields(result) == expected
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_the_loop_is_the_reference_loop_on_long_runs(self, seed):
+        # Up to 400 evaluations at a tight tol: among these runs, extrapolations
+        # are refused for their rate and for a cut input, retried at shorter
+        # steps, and given up for r2.
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(2, 9, size=2).tolist())
+        conditional = rng.choice([0.0, 0.1, 0.5, 1.0, 2.0, 7.0], size=shape)
+        conditional[conditional.sum(axis=1) == 0, 0] = 1.0
+        conditional /= conditional.sum(axis=1, keepdims=True)
+        result = blahut_arimoto(conditional, tol=1e-10, max_iter=400)
+        assert result_fields(result) == reference_blahut_arimoto(conditional, 1e-10, 400)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -794,6 +868,70 @@ class TestCertifiedCeiling:
     ):
         search_tables(capacity_search, 3, 20, 0)
         assert max(map(_ceiling_bits, search_tables.tables)) > 1.0 + EXACT_TOL
+
+
+def plain_loop_slow_tables(search_tables, plain_blahut_arimoto, runs):
+    """The tables of the baseline ``runs`` that the plain loop leaves
+    unconverged at the baselines' settings, with that loop's result."""
+    slow = []
+    for search, args in runs:
+        search_tables(search, *args)
+        for table in search_tables.tables:
+            plain = plain_blahut_arimoto(table, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER)
+            if not plain.converged:
+                slow.append((table, plain))
+    return slow
+
+
+class TestSlowTables:
+    """Tables on which the plain loop runs to the baselines' iteration cap.
+
+    Their priors converge slowly toward inputs of zero weight.  Under the
+    plain loop, 60 of the 1,230 calls in six rounds of the benchmark's
+    falsify ops (seed 1) end at the cap, and they spend 24,000 of the
+    29,617 iterations.
+    """
+
+    def test_they_converge_within_the_cap(self, search_tables, plain_blahut_arimoto):
+        runs = [(separable_baseline, (3, 25, seed)) for seed in range(4)] + [
+            (product_decoding_baseline, (2, 25, seed)) for seed in range(4)
+        ]
+        slow = plain_loop_slow_tables(search_tables, plain_blahut_arimoto, runs)
+        assert len(slow) == 147
+        late = []
+        for table, plain in slow:
+            result = blahut_arimoto(table, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER)
+            # Never below the plain loop's rate, and each loop's rate below
+            # the other's dual bound.
+            assert result.capacity_bits >= plain.capacity_bits - ROUNDING
+            assert result.capacity_bits <= plain.upper_bits + ROUNDING
+            assert plain.capacity_bits <= result.upper_bits + ROUNDING
+            if not result.converged:
+                late.append(blahut_arimoto(table, BASELINE_BA_TOL, 2 * BASELINE_BA_MAX_ITER))
+        # Three need more evaluations than the cap: 408, 411 and 715. The
+        # plain loop leaves two of them unconverged after 10^5 iterations.
+        assert sorted(result.iterations for result in late) == [408, 411, 715]
+        assert all(result.converged for result in late)
+
+    def test_they_match_a_long_plain_loop(self, search_tables, plain_blahut_arimoto):
+        # One product_decoding_baseline op of the falsify benchmark, whose
+        # tables are nearly all slow.  Among them is a 4 x 12 table that
+        # the plain loop leaves with a bracket of 3.1e-7 bits after 400
+        # iterations and that the SQUAREM loop closes in 17 evaluations.
+        runs = [(product_decoding_baseline, (2, 25, 226902797))]
+        slow = plain_loop_slow_tables(search_tables, plain_blahut_arimoto, runs)
+        assert len(slow) == 22
+        gaps = {}
+        for table, plain in slow:
+            result = blahut_arimoto(table, BASELINE_BA_TOL, BASELINE_BA_MAX_ITER)
+            assert result.converged
+            gaps[plain.upper_bits - plain.capacity_bits] = (table.shape, result.iterations)
+            full = plain_blahut_arimoto(table, BASELINE_BA_TOL, 100_000)
+            assert full.converged
+            assert abs(result.capacity_bits - full.capacity_bits) <= BASELINE_BA_TOL
+        gap = min(gaps, key=lambda g: abs(g - 3.1e-7))
+        assert abs(gap - 3.1e-7) < 1e-8
+        assert gaps[gap] == ((4, 12), 17)
 
 
 class TestSearchMax:

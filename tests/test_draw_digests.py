@@ -53,8 +53,8 @@ RESULT_DIGESTS = {
     "capacity_search_dim3": "3c58610c8cb1809b3d5c7ed3caae6d0738ac39903e35581acbf9813033b799cb",
     "capacity_search_dim7": "8931420176af77ebe4df5830e0e5109c9976a19c277bd07ad2f046b4942eca52",
     "capacity_search_dim15": "e852394a595e9c43c6f6ce50cf0b4d2a68b147c2f7abcfdefda950917e37854e",
-    "separable_baseline_dim3": "b4cdb67a494b376b11368941aa6715203fc8d6a6db61e95217e45f7cb0a2acd2",
-    "product_decoding_baseline_n2": "795b5f302909fd4a6d8123d39f45583a548e484f2e484e3f0452bc67f90cd76e",
+    "separable_baseline_dim3": "4a345dd52631aee770ccc30795f31ed69467eb9aca070fc330142cd9a8c28367",
+    "product_decoding_baseline_n2": "bbcb272d68ea4e0e3fdec86f3b495ad5c7567ad681b5b98ec484f51b2affcb5e",
 }
 
 MEASUREMENT_DIGESTS = {

@@ -67,8 +67,8 @@ GOLDEN = {
     "verify --suite group --format json": "96418a43d38252ac194229fe019daf1ca8fab5d25089d976f68e210442c26b64",
     "verify --suite lemmas --format json": "0ffa7147e9cdafcc9a1c40327691ae61e499e830d70d9a15ef8cb032fe031134",
     "verify --suite tomography --format json": "d7f9ec5e6d66b6b0105c94a9929a59db24c1b1740b9bc5639b595327a591b3f0",
-    "verify --suite baseline --trials 64 --seed 0 --format json": "5350ce6b0976ae3e6b0efcdae7eb3d352845f54daf7f5ef106a537ff3f53a046",
-    "verify --suite baseline --trials 1000 --seed 7 --format csv": "ff73deb98447200ca8a9c82d3a608c0d5fd0597d7200a340306a7e77cb9b0119",
+    "verify --suite baseline --trials 64 --seed 0 --format json": "44c396172ab9078326ee38490814b9c46abd59eaf0eebb96519f94cc043043d0",
+    "verify --suite baseline --trials 1000 --seed 7 --format csv": "776201f4029b90b1df7ab9a9649d9b96ec9694b63c490723670b98b29a80e1d4",
     "dense-coding --n-bits 3 --format table": "9e9a8258626fc3c7ffa4e8c276466e61c666b67aeb518c1b0ac200eeadf49312",
     "dense-coding --n-bits 3 --theory embedded --m 2 --format table": "78ac2cea0627ac913a7dad10c2de6fccf15ff1d701bf55e76ac076decd00d09d",
     "teleport --n-bits 2 --format table": "5a2d1aa29c96c8faf8c8d93743b555be57d02aeaf98de14d1fbf5912487f53a1",

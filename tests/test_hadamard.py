@@ -10,6 +10,7 @@ from gptlab import (
     EXACT_TOL,
     BipartiteEffect,
     BipartiteState,
+    DomainError,
     Effect,
     GptError,
     TheoryConfig,
@@ -477,6 +478,13 @@ class TestMaxTensorMembership:
         for mu in range(8):
             phi = entangled_state(mu, 3)
             assert bipartite_contract(bipartite_unit(7, 7), phi) == 1.0
+
+    def test_a_state_off_unit_normalisation_is_refused(self):
+        # So the probe needs no normalisation check of its own.
+        matrix = entangled_state(0, 2).matrix.copy()
+        matrix[0, 0] += 2 * EXACT_TOL
+        with pytest.raises(DomainError, match="normalisation entry 1"):
+            BipartiteState(matrix)
 
     def test_detects_overweight_matrix(self):
         bad = np.eye(4)
